@@ -204,6 +204,16 @@ if command -v jq >/dev/null 2>&1; then
          jq --argjson names "$ZERO_ALLOC_KERNELS" \
            '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
          exit 1; }
+  # The MSSP per-task loop is allocation-free: a 5,000-task run allocates
+  # only its per-run tables (~6k words; 559k when every task allocated).
+  # Read from the exact counter: a few thousand words a run is below the
+  # resolution of minor_words_per_run in a smoke-length sample.
+  jq -e '[.kernels[] | select(.name == "figure7+8+table5/mssp-run")
+          | .exact_minor_words_per_run]
+         | length == 1 and all(. != null and . <= 100000)' "$BENCH_JSON" >/dev/null \
+    || { echo "mssp-run gate failed: > 100k minor words/run" >&2
+         jq '[.kernels[] | select(.name == "figure7+8+table5/mssp-run")]' "$BENCH_JSON" >&2
+         exit 1; }
   # Scheduler counters: a jobs-8 figure5 sweep ran inside the harness, so
   # the work-stealing pool must have stolen sub-ranges, and the
   # speculation counters must be reported (the spec-cancel kernel

@@ -9,14 +9,16 @@ type stats = {
   profile_misses : int;
   run_hits : int;
   run_misses : int;
+  mssp_hits : int;
+  mssp_misses : int;
 }
 
 (* One lock and condition guard every table: contention is per-artifact
    (seconds of simulation behind each entry), not per-lookup, so a finer
    scheme would buy nothing.  A key being computed holds an [In_flight]
    slot; latecomers for the same key wait on [published] instead of
-   computing it a second time.  Waiting cannot cycle: builds never wait
-   on anything, profiles and runs only wait on builds. *)
+   computing it a second time.  Waiting cannot cycle: builds and MSSP
+   runs never wait on anything, profiles and runs only wait on builds. *)
 let lock = Mutex.create ()
 let published = Condition.create ()
 
@@ -476,6 +478,24 @@ let run ctx bm ~input params =
       let pop, cfg = build ctx bm ~input in
       Rs_sim.Engine.run ~label:bm.name ?trace:(trace ctx bm ~input) pop cfg params)
 
+(* MSSP timing runs: [Machine.run]'s stats are a pure function of the
+   seed, the workload spec (its [tasks] included), the controller
+   parameters and the machine configuration — a run's counters are its
+   own, however many runs shared the instance before it — so those four
+   are the whole key.  The context's scale and tau never reach the
+   model. *)
+let mssp_runs :
+    (int * Rs_mssp.Workload.t * Rs_core.Params.t * Rs_mssp.Config.t, Rs_mssp.Machine.stats) memo
+    =
+  memo "mssp"
+
+let mssp ?(config = Rs_mssp.Config.default) (spec : Rs_mssp.Workload.t) ~seed ~instance params =
+  find_or_compute mssp_runs ~bench:spec.name (seed, spec, params, config) (fun () ->
+      let inst = Lazy.force instance in
+      if inst.Rs_mssp.Workload.spec <> spec then
+        invalid_arg "Cache.mssp: instance of a different workload spec";
+      Rs_mssp.Machine.run ~config inst ~seed ~params)
+
 let stats () =
   {
     build_hits = Atomic.get builds.hits;
@@ -484,8 +504,13 @@ let stats () =
     profile_misses = Atomic.get profiles.misses;
     run_hits = Atomic.get runs.hits;
     run_misses = Atomic.get runs.misses;
+    mssp_hits = Atomic.get mssp_runs.hits;
+    mssp_misses = Atomic.get mssp_runs.misses;
   }
 
+(* The rate keeps its original scope (builds, profiles, engine runs), so
+   it stays comparable with measurements taken before MSSP runs were
+   memoised; [describe] reports those separately. *)
 let hit_rate s =
   let hits = s.build_hits + s.profile_hits + s.run_hits in
   let total = hits + s.build_misses + s.profile_misses + s.run_misses in
@@ -493,9 +518,10 @@ let hit_rate s =
 
 let describe s =
   Printf.sprintf
-    "cache: builds %d/%d, profiles %d/%d, runs %d/%d hit/miss (%.0f%% hit rate)" s.build_hits
-    s.build_misses s.profile_hits s.profile_misses s.run_hits s.run_misses
-    (100.0 *. hit_rate s)
+    "cache: builds %d/%d, profiles %d/%d, runs %d/%d hit/miss (%.0f%% hit rate); mssp runs \
+     %d/%d hit/miss"
+    s.build_hits s.build_misses s.profile_hits s.profile_misses s.run_hits s.run_misses
+    (100.0 *. hit_rate s) s.mssp_hits s.mssp_misses
 
 let reset () =
   Mutex.lock lock;

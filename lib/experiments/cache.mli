@@ -9,7 +9,10 @@
     and plain (hook-free) {!Rs_sim.Engine} results — keyed on the
     context's [(seed, scale, tau)] plus the benchmark, input and (for
     engine runs) controller parameters.  [jobs] is deliberately not part
-    of the key: parallelism never changes results.
+    of the key: parallelism never changes results.  A fourth kind holds
+    the Section 4 MSSP timing runs ({!mssp}): figure8's latency-0 column
+    and every correlation run repeat a figure7 configuration, and the
+    claims checklist reruns figure7 and figure8 whole.
 
     Profiles are collected once per [(context, benchmark, input)] with a
     superset of every checkpoint window the suite asks for (the default
@@ -47,6 +50,8 @@ type stats = {
   profile_misses : int;
   run_hits : int;
   run_misses : int;
+  mssp_hits : int;
+  mssp_misses : int;
 }
 
 val build :
@@ -80,6 +85,24 @@ val run :
     that pass an [observer] or [on_transition] must keep calling the
     engine directly — hooks observe the run, so a cached replay would
     skip them. *)
+
+val mssp :
+  ?config:Rs_mssp.Config.t ->
+  Rs_mssp.Workload.t ->
+  seed:int ->
+  instance:Rs_mssp.Workload.instance Lazy.t ->
+  Rs_core.Params.t ->
+  Rs_mssp.Machine.stats
+(** Memoised [Rs_mssp.Machine.run ?config (Lazy.force instance) ~seed
+    ~params], keyed on [(seed, spec, params, config)] — [spec] with its
+    [tasks], [config] defaulting to {!Rs_mssp.Config.default}.
+    [instance] must be [Rs_mssp.Workload.instantiate spec ~seed]; it is
+    forced only on a miss, so one lazy shared by a benchmark's
+    configurations instantiates at most once, and not at all when every
+    configuration hits.  The lazy must not be shared across domains:
+    give each pool task its own.
+    @raise Invalid_argument (on a miss) if the instance's spec is not
+    [spec]. *)
 
 val trace :
   Context.t ->
@@ -121,10 +144,13 @@ val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)
 
 val hit_rate : stats -> float
-(** Overall hits / (hits + misses), 0 if nothing was requested. *)
+(** Hits / (hits + misses) over builds, profiles and engine runs, 0 if
+    nothing was requested.  MSSP runs are left out so the rate stays
+    comparable with measurements taken before they were memoised. *)
 
 val describe : stats -> string
-(** One-line [hits/misses] summary per artifact kind. *)
+(** One-line [hits/misses] summary per artifact kind, MSSP runs
+    included. *)
 
 val retry_limit : unit -> int
 (** Total attempts (first try included) a compute body is given before

@@ -11,7 +11,9 @@ let run ctx =
   (* The five sub-experiments behind the verdicts are independent: fan
      them out over the pool (each fans out again internally over its
      benchmarks; the pool supports that nesting).  In an [rspec all] run
-     every one of these is already cached and returns immediately. *)
+     the profiles, engine runs and MSSP runs they need are already in
+     {!Cache}; only figure6's hooked engine replays (over cached traces)
+     run again. *)
   let f5, f2, f6, f7, f8 =
     match
       Rs_util.Pool.run_all (Context.pool ctx)

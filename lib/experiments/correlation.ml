@@ -1,4 +1,3 @@
-module M = Rs_mssp.Machine
 module W = Rs_mssp.Workload
 module Table = Rs_util.Table
 
@@ -15,10 +14,11 @@ let run ctx =
   let rows =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (spec : W.t) ->
-        let inst = W.instantiate spec ~seed:ctx.Context.seed in
+        let seed = ctx.Context.seed in
         let s =
-          M.run inst ~seed:ctx.Context.seed
-            ~params:(Figure7.mssp_params ~monitor:1_000 ~closed:true)
+          Cache.mssp spec ~seed
+            ~instance:(lazy (W.instantiate spec ~seed))
+            (Figure7.mssp_params ~monitor:1_000 ~closed:true)
         in
         {
           benchmark = spec.name;

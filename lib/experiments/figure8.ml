@@ -10,13 +10,14 @@ let run ctx =
   let rows =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (spec : W.t) ->
-        let inst = W.instantiate spec ~seed:ctx.Context.seed in
+        let seed = ctx.Context.seed in
+        let instance = lazy (W.instantiate spec ~seed) in
         let go latency =
           let params =
             { (Figure7.mssp_params ~monitor:1_000 ~closed:true) with
               optimization_latency = latency }
           in
-          M.speedup (M.run inst ~seed:ctx.Context.seed ~params)
+          M.speedup (Cache.mssp spec ~seed ~instance params)
         in
         {
           benchmark = spec.name;

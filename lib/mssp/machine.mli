@@ -25,7 +25,11 @@ type stats = {
           squash (Section 4.3). *)
   orig_instrs : int;  (** Original-program instructions. *)
   master_instrs : int;  (** Distilled instructions the master executed. *)
-  recompilations : int;  (** Distilled versions built across regions. *)
+  recompilations : int;
+      (** Distinct distilled versions this run deployed, summed over
+          regions.  Per-run: versions an earlier run on the same
+          instance already built are counted again if this run uses
+          them, so the stats never depend on run order. *)
   baseline_mispredict_rate : float;
   evictions : int;
   selections : int;
@@ -43,4 +47,15 @@ val run :
 (** Simulate [instance.spec.tasks] tasks.  [params] configures the
     reactive controller; its [optimization_latency] is interpreted in
     cycles (~ original instructions at IPC 1), covering both the decision
-    deployment and the re-distillation of the region. *)
+    deployment and the re-distillation of the region.
+
+    The result is a pure function of the instance's spec and seed,
+    [seed], [params] and [config] — which is what lets
+    [Rs_experiments.Cache.mssp] memoize it.  A task allocates only when
+    it meets a region, or a combination of deployed decisions, the run
+    has not seen before: branch outcomes, predictor tables, the
+    in-flight ring and the version lookups are flat integer and float
+    arrays.  Region models share their distilled versions across runs,
+    so an instance must not be run from two domains at once.
+    @raise Invalid_argument if [config.max_inflight_tasks < 1] or a
+    region has more than 8 sites. *)

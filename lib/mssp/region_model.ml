@@ -5,15 +5,13 @@ module Assumptions = Rs_distill.Assumptions
 let outcomes_array k packed = Array.init k (fun j -> packed land (1 lsl j) <> 0)
 
 (* Interpret [prog] with the region's input cells set from the packed
-   outcome vector, returning (dyn length, branches executed). *)
-let measure (region : Synth.t) prog packed =
+   outcome vector, returning its dynamic length; [hook] sees every
+   executed branch, in order. *)
+let measure (region : Synth.t) prog packed ~hook =
   let mem = Array.make region.mem_size 0 in
   let k = Array.length region.site_ids in
   Synth.set_inputs region ~mem (outcomes_array k packed);
-  let branches = ref [] in
-  let hook ~site ~taken = branches := (site, taken) :: !branches in
-  let r = Interp.run ~hook prog ~mem in
-  (r.dyn_instrs, Array.of_list (List.rev !branches))
+  (Interp.run ~hook prog ~mem).dyn_instrs
 
 module Version = struct
   type v = {
@@ -31,6 +29,7 @@ module Version = struct
   let static_original v = v.static_original
   let static_distilled v = v.static_distilled
   let length v ~outcomes = v.lengths.(outcomes)
+  let assumed_mask v = v.violated_mask
   let violated v ~outcomes = outcomes land v.violated_mask <> v.assumed_bits
 
   let inlined_calls v = v.stats.Rs_distill.Distill.inlined_calls
@@ -46,12 +45,25 @@ end
 
 type t = {
   region : Synth.t;
-  cache : Rs_distill.Distill.Cache.t;
   k : int;
   orig_lengths : int array;
-  orig_branches : (int * bool) array array;
-  versions : (string, Version.v) Hashtbl.t;
+  orig_branches : int array array;
+  (* Every distilled version built on this region, across runs, keyed by
+     its (assumed-site mask, assumed directions) pair packed into one int:
+     [(mask lsl k) lor bits]. *)
+  versions : (int, Version.v) Hashtbl.t;
 }
+
+(* Index of [site] in [site_ids], or [Array.length site_ids] (a bit no
+   version mask ever sets) for a site outside them, such as a loop
+   branch. *)
+let site_index site_ids site =
+  let k = Array.length site_ids in
+  let rec go j = if j >= k || site_ids.(j) = site then j else go (j + 1) in
+  go 0
+
+let pack_branch (region : Synth.t) site taken =
+  (site lsl 6) lor (site_index region.site_ids site lsl 1) lor if taken then 1 else 0
 
 let create region =
   let k = Array.length region.Synth.site_ids in
@@ -60,18 +72,12 @@ let create region =
   let orig_lengths = Array.make n 0 in
   let orig_branches = Array.make n [||] in
   for v = 0 to n - 1 do
-    let len, brs = measure region region.Synth.prog v in
-    orig_lengths.(v) <- len;
-    orig_branches.(v) <- brs
+    let branches = ref [] in
+    let hook ~site ~taken = branches := pack_branch region site taken :: !branches in
+    orig_lengths.(v) <- measure region region.Synth.prog v ~hook;
+    orig_branches.(v) <- Array.of_list (List.rev !branches)
   done;
-  {
-    region;
-    cache = Rs_distill.Distill.Cache.create region.Synth.prog;
-    k;
-    orig_lengths;
-    orig_branches;
-    versions = Hashtbl.create 8;
-  }
+  { region; k; orig_lengths; orig_branches; versions = Hashtbl.create 8 }
 
 let n_sites t = t.k
 let site_ids t = t.region.Synth.site_ids
@@ -79,48 +85,59 @@ let site_ids t = t.region.Synth.site_ids
 let original_length t ~outcomes = t.orig_lengths.(outcomes)
 let original_branches t ~outcomes = t.orig_branches.(outcomes)
 
-let site_bit t site =
-  let rec go j =
-    if j >= t.k then invalid_arg "Region_model: unknown site"
-    else if t.region.Synth.site_ids.(j) = site then j
-    else go (j + 1)
-  in
-  go 0
+let build t ~mask ~bits =
+  let branches = ref [] in
+  for j = t.k - 1 downto 0 do
+    if mask land (1 lsl j) <> 0 then
+      branches := (t.region.Synth.site_ids.(j), bits land (1 lsl j) <> 0) :: !branches
+  done;
+  let assumptions = Assumptions.branches !branches in
+  let result = Rs_distill.Distill.distill t.region.Synth.prog assumptions in
+  let n = 1 lsl t.k in
+  let lengths = Array.make n 0 in
+  let branch_counts = Array.make n 0 in
+  for packed = 0 to n - 1 do
+    let count = ref 0 in
+    lengths.(packed) <-
+      measure t.region result.distilled packed ~hook:(fun ~site:_ ~taken:_ -> incr count);
+    branch_counts.(packed) <- !count
+  done;
+  {
+    Version.assumptions;
+    static_original = result.original_size;
+    static_distilled = result.distilled_size;
+    lengths;
+    branch_counts;
+    violated_mask = mask;
+    assumed_bits = bits;
+    stats = result.stats;
+  }
 
-let version t assumptions =
-  let key = Assumptions.signature assumptions in
+let version_bits t ~mask ~bits =
+  let full = (1 lsl t.k) - 1 in
+  if mask land lnot full <> 0 then invalid_arg "Region_model.version_bits: mask out of range";
+  let bits = bits land mask in
+  let key = (mask lsl t.k) lor bits in
   match Hashtbl.find_opt t.versions key with
   | Some v -> v
   | None ->
-    let result = Rs_distill.Distill.Cache.get t.cache assumptions in
-    let n = 1 lsl t.k in
-    let lengths = Array.make n 0 in
-    let branch_counts = Array.make n 0 in
-    for packed = 0 to n - 1 do
-      let len, brs = measure t.region result.distilled packed in
-      lengths.(packed) <- len;
-      branch_counts.(packed) <- Array.length brs
-    done;
-    let violated_mask, assumed_bits =
-      List.fold_left
-        (fun (m, b) (site, dir) ->
-          let bit = 1 lsl site_bit t site in
-          (m lor bit, if dir then b lor bit else b))
-        (0, 0) assumptions.Assumptions.branches
-    in
-    let v =
-      {
-        Version.assumptions;
-        static_original = result.original_size;
-        static_distilled = result.distilled_size;
-        lengths;
-        branch_counts;
-        violated_mask;
-        assumed_bits;
-        stats = result.stats;
-      }
-    in
+    let v = build t ~mask ~bits in
     Hashtbl.add t.versions key v;
     v
+
+let version t (assumptions : Assumptions.t) =
+  if assumptions.loads <> [] then
+    invalid_arg "Region_model.version: load-value assumptions are not modelled";
+  let site_ids = t.region.Synth.site_ids in
+  let mask, bits =
+    List.fold_left
+      (fun (m, b) (site, dir) ->
+        let j = site_index site_ids site in
+        if j = t.k then invalid_arg "Region_model: unknown site";
+        let bit = 1 lsl j in
+        (m lor bit, if dir then b lor bit else b))
+      (0, 0) assumptions.branches
+  in
+  version_bits t ~mask ~bits
 
 let recompilations t = Hashtbl.length t.versions

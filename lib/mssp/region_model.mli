@@ -20,8 +20,13 @@ val original_length : t -> outcomes:int -> int
 (** Dynamic instructions of the original code when the sites take the
     outcomes packed in the bit vector (bit [j] = site [j] taken). *)
 
-val original_branches : t -> outcomes:int -> (int * bool) array
-(** [(site, taken)] pairs actually executed on that path, in order. *)
+val original_branches : t -> outcomes:int -> int array
+(** The branches actually executed on that path, in order, each packed
+    into one int: [site lsl 6] (the branch's site id), [j lsl 1] (a 5-bit
+    field: the site's index in {!site_ids}, which is its bit in outcome
+    vectors and version masks, or [n_sites] for a loop site no version
+    can assume) and bit 0, the outcome (1 = taken).  Precomputed once
+    per outcome vector: the array is shared and must not be mutated. *)
 
 (** One distilled version of the region. *)
 module Version : sig
@@ -34,6 +39,10 @@ module Version : sig
   val length : v -> outcomes:int -> int
   (** Dynamic instructions of the distilled code under these outcomes.
       Removed branches ignore the real outcome (they were deleted). *)
+
+  val assumed_mask : v -> int
+  (** Bit [j] is set iff site [j] (indexing {!site_ids}) is assumed — its
+      branch was removed from the distilled code. *)
 
   val violated : v -> outcomes:int -> bool
   (** Whether any assumed site's outcome contradicts its assumption. *)
@@ -57,7 +66,21 @@ module Version : sig
 end
 
 val version : t -> Rs_distill.Assumptions.t -> Version.v
-(** Distill (or fetch from cache) the version for an assumption set. *)
+(** Distill (or fetch from the region's version table) the version for a
+    set of branch assumptions on this region's sites.
+    @raise Invalid_argument on a site outside the region or on
+    load-value assumptions, which the tables do not model. *)
+
+val version_bits : t -> mask:int -> bits:int -> Version.v
+(** {!version} for the assumptions given as bit vectors over
+    {!site_ids}: site [j] is assumed iff bit [j] of [mask] is set, in
+    direction bit [j] of [bits].  The version table is keyed by this
+    pair, so a hit builds no assumption list.  A miss distills the
+    assumptions listed in site order.  The table is shared by every
+    caller of this region model: a region model must not be used from
+    two domains at once. *)
 
 val recompilations : t -> int
-(** Distinct versions built so far (including the empty one). *)
+(** Distinct versions this region model has built so far, over all
+    callers (including the empty one).  {!Machine.run} reports its own
+    per-run count instead. *)

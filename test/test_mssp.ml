@@ -191,6 +191,105 @@ let test_violations_count () =
   Alcotest.(check int) "one wrong" 1 (RM.Version.violations v ~outcomes:0b011);
   Alcotest.(check int) "none wrong" 0 (RM.Version.violations v ~outcomes:0b111)
 
+(* --- per-run counters ---------------------------------------------------- *)
+
+let test_stats_are_per_run () =
+  (* Region models keep every version they built, across runs.  A run's
+     stats must still be its own: here the shared instance first serves
+     a run with a low selection threshold, which also assumes the
+     moderately biased sites and so builds versions the default never
+     requests; yet its later runs match one on a fresh instance in every
+     field, recompilations included. *)
+  let spec = { (W.find "mcf") with W.tasks = 40_000 } in
+  let closed = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true in
+  let shared = W.instantiate spec ~seed:3 in
+  let o = M.run shared ~seed:3 ~params:{ closed with selection_threshold = 0.6 } in
+  let c1 = M.run shared ~seed:3 ~params:closed in
+  let c2 = M.run shared ~seed:3 ~params:closed in
+  let fresh = M.run (W.instantiate spec ~seed:3) ~seed:3 ~params:closed in
+  Alcotest.(check bool) "runs requested versions" true (o.recompilations > 0);
+  Alcotest.(check int) "recompilations are per-run" fresh.recompilations c1.recompilations;
+  Alcotest.(check bool) "first shared run = fresh run" true (c1 = fresh);
+  Alcotest.(check bool) "second shared run = fresh run" true (c2 = fresh)
+
+(* --- Cache.mssp ----------------------------------------------------------- *)
+
+module Cache = Rs_experiments.Cache
+
+let cached_spec = { (W.find "gzip") with W.tasks = 3_000 }
+let closed_1k = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true
+
+let mssp_counts () =
+  let s = Cache.stats () in
+  (s.mssp_hits, s.mssp_misses)
+
+let test_cache_mssp_memoizes () =
+  Cache.reset ();
+  Fun.protect ~finally:Cache.reset @@ fun () ->
+  let seed = 4 in
+  let forced = ref 0 in
+  let instance ?(spec = cached_spec) () =
+    lazy
+      (incr forced;
+       W.instantiate spec ~seed)
+  in
+  let first = Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k in
+  let hit = Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k in
+  let direct = M.run (W.instantiate cached_spec ~seed) ~seed ~params:closed_1k in
+  Alcotest.(check bool) "a hit returns the published stats" true (hit == first);
+  Alcotest.(check bool) "equal to Machine.run on a fresh instance" true (hit = direct);
+  Alcotest.(check int) "instance forced only on the miss" 1 !forced;
+  Alcotest.(check (pair int int)) "one hit, one miss" (1, 1) (mssp_counts ());
+  let opened = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:false in
+  let longer = { cached_spec with W.tasks = 4_000 } in
+  let slow = { Rs_mssp.Config.default with recovery_penalty = 300 } in
+  ignore (Cache.mssp cached_spec ~seed ~instance:(instance ()) opened : M.stats);
+  ignore (Cache.mssp ~config:slow cached_spec ~seed ~instance:(instance ()) closed_1k : M.stats);
+  let l = Cache.mssp longer ~seed ~instance:(instance ~spec:longer ()) closed_1k in
+  Alcotest.(check int) "tasks is part of the key" 4_000 l.tasks;
+  ignore (Cache.mssp cached_spec ~seed:5 ~instance:(lazy (W.instantiate cached_spec ~seed:5))
+            closed_1k : M.stats);
+  Alcotest.(check (pair int int)) "params, config, tasks and seed each miss" (1, 5)
+    (mssp_counts ());
+  Alcotest.check_raises "an instance of another spec is refused"
+    (Invalid_argument "Cache.mssp: instance of a different workload spec") (fun () ->
+      ignore
+        (Cache.mssp cached_spec ~seed:6 ~instance:(instance ~spec:longer ()) closed_1k
+          : M.stats));
+  Cache.reset ();
+  Alcotest.(check (pair int int)) "reset zeroes the counters" (0, 0) (mssp_counts ());
+  forced := 0;
+  ignore (Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k : M.stats);
+  Alcotest.(check (pair int int)) "reset drops the entries" (0, 1) (mssp_counts ());
+  Alcotest.(check int) "recomputed after reset" 1 !forced
+
+let test_cache_mssp_concurrent () =
+  (* two requests for one key, on a jobs-2 pool: whichever arrives
+     second either waits on the in-flight computation or finds it
+     published — never computes it again *)
+  Cache.reset ();
+  Fun.protect ~finally:Cache.reset @@ fun () ->
+  let pool = Rs_util.Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Rs_util.Pool.close pool) @@ fun () ->
+  let seed = 8 in
+  let spec = { cached_spec with W.tasks = 20_000 } in
+  let arrived = Atomic.make 0 in
+  let request () =
+    (* meet the other request (bounded, in case both land on one
+       domain) so the two lookups overlap *)
+    Atomic.incr arrived;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () -. t0 < 1.0 do
+      Domain.cpu_relax ()
+    done;
+    Cache.mssp spec ~seed ~instance:(lazy (W.instantiate spec ~seed)) closed_1k
+  in
+  match Rs_util.Pool.run_all pool [ request; request ] with
+  | [ a; b ] ->
+    Alcotest.(check bool) "both get the one published result" true (a == b);
+    Alcotest.(check (pair int int)) "exactly one miss" (1, 1) (mssp_counts ())
+  | _ -> Alcotest.fail "run_all lost a result"
+
 let suite =
   [
     Alcotest.test_case "gshare learns bias" `Quick test_gshare_learns_bias;
@@ -209,4 +308,7 @@ let suite =
     Alcotest.test_case "config defaults (Table 5)" `Quick test_config_defaults;
     Alcotest.test_case "cold stub cost" `Quick test_cold_stub_cost;
     Alcotest.test_case "violation counting" `Quick test_violations_count;
+    Alcotest.test_case "stats are per-run" `Quick test_stats_are_per_run;
+    Alcotest.test_case "Cache.mssp memoizes" `Quick test_cache_mssp_memoizes;
+    Alcotest.test_case "Cache.mssp concurrent requests" `Quick test_cache_mssp_concurrent;
   ]
