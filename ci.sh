@@ -214,6 +214,19 @@ if command -v jq >/dev/null 2>&1; then
     || { echo "mssp-run gate failed: > 100k minor words/run" >&2
          jq '[.kernels[] | select(.name == "figure7+8+table5/mssp-run")]' "$BENCH_JSON" >&2
          exit 1; }
+  # The replay kernels, also read from the exact counter: a batched
+  # engine run (Reactive.step_chunk) and a bare packed decode allocate
+  # only their per-run setup (~100 and ~10 words), never per event.
+  EXACT_ALLOC_KERNELS='["figure5+table3+4/reactive-run-replay","substrate/trace-replay"]'
+  jq -e --argjson names "$EXACT_ALLOC_KERNELS" '
+      [.kernels[] | select(.name as $n | $names | index($n) != null)
+       | .exact_minor_words_per_run]
+      | (length == ($names | length)) and all(. != null and . <= 1000)' \
+    "$BENCH_JSON" >/dev/null \
+    || { echo "replay gate failed: a replay kernel reports > 1000 exact minor words/run" >&2
+         jq --argjson names "$EXACT_ALLOC_KERNELS" \
+           '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
+         exit 1; }
   # Scheduler counters: a jobs-8 figure5 sweep ran inside the harness, so
   # the work-stealing pool must have stolen sub-ranges, and the
   # speculation counters must be reported (the spec-cancel kernel

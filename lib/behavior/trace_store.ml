@@ -120,14 +120,6 @@ let iter_packed t f =
     f t.chunks.(c) (if c = last then t.last_len else chunk_size)
   done
 
-let fold_packed_chunks t ~init f =
-  let last = Array.length t.chunks - 1 in
-  let acc = ref init in
-  for c = 0 to last do
-    acc := f !acc t.chunks.(c) (if c = last then t.last_len else chunk_size)
-  done;
-  !acc
-
 let replay_counted t f =
   let exec = Array.make t.n_branches 0 in
   let instr = ref 0 in

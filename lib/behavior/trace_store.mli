@@ -94,13 +94,6 @@ val matches : t -> Population.t -> Stream.config -> bool
 val chunk_size : int
 val iter_packed : t -> (int array -> int -> unit) -> unit
 
-val fold_packed_chunks : t -> init:'a -> ('a -> int array -> int -> 'a) -> 'a
-(** [fold_packed_chunks t ~init f] threads an accumulator through
-    [f acc chunk len] for each chunk in order — the batch decode entry
-    point: one call per 32k-event chunk, everything per-event is
-    mask-and-shift on immediate integers inside the consumer's own loop
-    (no closure per event, no boxing). *)
-
 val packed_branch : int -> int
 val packed_taken : int -> bool
 val packed_delta : int -> int

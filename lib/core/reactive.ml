@@ -19,6 +19,15 @@
      +6  selections
      +7  evictions
 
+   After the last branch, word [n_branches * slots] holds the last
+   instruction count seen (the non-decreasing-[instr] cursor), followed
+   by a cache line of padding.  It lives in the table rather than in
+   the record because [observe] writes it on every event: records of
+   two controllers stepped from two domains (serve's shards) can sit
+   side by side on the heap, and a write there invalidates a cache line
+   the other domain reads on every event (it cost serve's shards a
+   third of their event rate on a 2-core x86-64 box).
+
    Scratch slots are shared across phases because every entry arc resets
    its own scratch, exactly as the old record version's [enter_*]
    helpers did.  Transitions — orders of magnitude rarer than
@@ -57,31 +66,80 @@ type t = {
   mutable tr_buf : int array;  (* packed transitions, 3 ints each *)
   mutable tr_len : int;
   on_transition : (Types.transition -> unit) option;
-  mutable last_instr : int;
+  cursor : int;  (* index in [state] of the last instruction count seen *)
+  fast : int array;  (* the [step_chunk] fast-path table, 4 ints per entry *)
 }
 
 let[@inline] get t i = A1.unsafe_get t.state i
 let[@inline] set t i v = A1.unsafe_set t.state i v
+let[@inline] last_instr t = get t t.cursor
+let[@inline] set_last_instr t v = set t t.cursor v
+
+(* The [step_chunk] fast-path table, derived once from [params].  Entry
+   [(ctrl land 15) lsl 1 lor taken] — phase, biased direction and
+   deployed-speculate bits, and the outcome — holds four ints: the
+   increment to scratch A, the increment to scratch B, and a range
+   [lo, hi) the incremented A must fall in for the event to change
+   nothing but A, B and [execs].  Any other effect — closing a monitor
+   interval, an eviction, a revisit, a sampled-eviction window, a
+   monitor stride step — gets the empty range [1, 0), sending the event
+   to [observe_state].  The kernel clamps the new A at 0, the
+   continuous eviction counter's floor: that counter's correct-outcome
+   entry has [lo = -correct_step], admitting any old A >= 0, and every
+   other range starts at 0 or 1, where the clamp is the identity. *)
+let fast_table (p : Params.t) ~monitor_samples =
+  let tbl = Array.make (32 * 4) 0 in
+  for ctrl = 0 to 15 do
+    for taken = 0 to 1 do
+      let direction = (ctrl lsr 2) land 1 and deployed_spec = (ctrl lsr 3) land 1 in
+      let always = (0, 0, 0, max_int) and never = (0, 0, 1, 0) in
+      let a_inc, b_inc, lo, hi =
+        match ctrl land 3 with
+        | 0 (* Monitoring *) ->
+          if p.monitor_stride = 1 then (1, taken, 0, monitor_samples) else never
+        | 1 (* Biased *) -> (
+          if deployed_spec = 0 || not p.enable_eviction then always
+          else
+            match p.eviction_mode with
+            | Params.Continuous ->
+              if taken <> direction then (p.misspec_step, 0, 0, p.evict_threshold)
+              else (-p.correct_step, 0, -p.correct_step, p.evict_threshold)
+            | Params.Sampled _ -> never)
+        | 2 (* Unbiased *) -> if p.enable_revisit then (-1, 0, 1, max_int) else always
+        | _ (* Disabled *) -> always
+      in
+      let e = ((ctrl lsl 1) lor taken) * 4 in
+      tbl.(e) <- a_inc;
+      tbl.(e + 1) <- b_inc;
+      tbl.(e + 2) <- lo;
+      tbl.(e + 3) <- hi
+    done
+  done;
+  tbl
 
 let create ?on_transition ~n_branches params =
   (match Params.validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Reactive.create: " ^ msg));
   if n_branches <= 0 then invalid_arg "Reactive.create: n_branches must be positive";
-  let state = A1.create Bigarray.Int Bigarray.C_layout (n_branches * slots) in
+  let cursor = n_branches * slots in
+  let state = A1.create Bigarray.Int Bigarray.C_layout (cursor + 8) in
   A1.fill state 0;
   for b = 0 to n_branches - 1 do
     A1.set state ((b * slots) + s_pend_at) (-1)
   done;
+  A1.set state cursor min_int;
+  let monitor_samples = Params.monitor_samples params in
   {
     params;
-    monitor_samples = Params.monitor_samples params;
+    monitor_samples;
     n_branches;
     state;
     tr_buf = Array.make 512 0;
     tr_len = 0;
     on_transition;
-    last_instr = min_int;
+    cursor;
+    fast = fast_table params ~monitor_samples;
   }
 
 let params t = t.params
@@ -314,9 +372,9 @@ let observe_state t branch base ~taken ~instr =
    the entry point actually called, matching the Stream guard style. *)
 let[@inline] check t ~caller ~branch ~instr =
   if branch < 0 || branch >= t.n_branches then invalid_arg (caller ^ ": branch out of range");
-  if instr < t.last_instr then
+  if instr < last_instr t then
     invalid_arg (caller ^ ": instruction counts must be non-decreasing across calls");
-  t.last_instr <- instr
+  set_last_instr t instr
 
 let observe t ~branch ~taken ~instr =
   check t ~caller:"Reactive.observe" ~branch ~instr;
@@ -329,7 +387,7 @@ let observe t ~branch ~taken ~instr =
 let export_words t =
   let n = t.n_branches * slots in
   let out = Array.make (n + 1) 0 in
-  out.(0) <- t.last_instr;
+  out.(0) <- last_instr t;
   for i = 0 to n - 1 do
     out.(i + 1) <- A1.unsafe_get t.state i
   done;
@@ -339,7 +397,7 @@ let import_words t words =
   let n = t.n_branches * slots in
   if Array.length words <> n + 1 then
     invalid_arg "Reactive.import_words: state word count does not match this controller";
-  t.last_instr <- words.(0);
+  set_last_instr t words.(0);
   for i = 0 to n - 1 do
     A1.unsafe_set t.state i words.(i + 1)
   done;
@@ -357,3 +415,123 @@ let step_code t ~branch ~taken ~instr =
   code
 
 let step t ~branch ~taken ~instr = decision_of_code (step_code t ~branch ~taken ~instr)
+
+(* ---------------------------------------------------------------------- *)
+(* The batched replay kernel                                               *)
+(* ---------------------------------------------------------------------- *)
+
+type score = {
+  mutable instr : int;
+  mutable correct : int;
+  mutable incorrect : int;
+  mutable last_misspec : int;
+  gaps : Rs_util.Running_stats.t;
+}
+
+let score () =
+  {
+    instr = 0;
+    correct = 0;
+    incorrect = 0;
+    last_misspec = 0;
+    gaps = Rs_util.Running_stats.create ();
+  }
+
+let score_event s ~taken ~instr code =
+  if code land 1 = 1 then
+    if taken = (code land 2 = 2) then s.correct <- s.correct + 1
+    else begin
+      s.incorrect <- s.incorrect + 1;
+      Rs_util.Running_stats.add s.gaps (float_of_int (instr - s.last_misspec));
+      s.last_misspec <- instr
+    end
+
+(* Literal copies of [Rs_behavior.Trace_store]'s event layout (bit 0
+   taken, bits 1-20 instruction delta, bits 21+ branch id): this
+   library sits below the trace store, and the dev profile's [-opaque]
+   would keep a call into it from ever being inlined.  The kernel tests
+   decode events packed by [Trace_store.of_events] at the field limits,
+   so the copies cannot drift silently. *)
+let delta_mask = (1 lsl 20) - 1
+let branch_shift = 21
+
+(* The call-free inner loop.  Runs events [i, len) for as long as each
+   one takes the fast path, writes the running instruction count and
+   correct count back to [s], and returns the index of the first event
+   that does not ([len] if none).  An event takes the fast path when its
+   branch is in range, it did not misspeculate, no pending deployment
+   activates at it, and its new scratch A stays inside its table range;
+   all but the first fold into one sign test.  Such an event's whole
+   effect is A, B, [execs] and a correct speculation if one was
+   deployed — the same as [observe_state] on any state the FSM can
+   reach. *)
+let fast_span t s chunk i len =
+  let state = t.state and tbl = t.fast and n = t.n_branches in
+  let sign = Sys.int_size - 1 in
+  let instr = ref s.instr and correct = ref s.correct in
+  let i = ref i and stop = ref len in
+  while !i < !stop do
+    let w = Array.unsafe_get chunk !i in
+    let branch = w lsr branch_shift in
+    if branch >= n then stop := !i
+    else begin
+      let taken = w land 1 in
+      let at = !instr + ((w lsr 1) land delta_mask) in
+      let base = branch * slots in
+      let ctrl = A1.unsafe_get state (base + s_ctrl) in
+      let spec = (ctrl lsr dep_shift) land 1 in
+      let miss = spec land (taken lxor ((ctrl lsr (dep_shift + 1)) land 1)) in
+      let pend_at = A1.unsafe_get state (base + s_pend_at) in
+      let e = ((ctrl land 15) lsl 1 lor taken) lsl 2 in
+      let a = A1.unsafe_get state (base + s_a) + Array.unsafe_get tbl e in
+      (* negative iff: A leaves [lo, hi), a pending deployment activates
+         ([pend_at >= 0] and [at >= pend_at]), or a misspeculation *)
+      let slow =
+        (a - Array.unsafe_get tbl (e + 2))
+        lor (Array.unsafe_get tbl (e + 3) - 1 - a)
+        lor lnot (pend_at lor (at - pend_at))
+        lor -miss
+      in
+      if slow < 0 then stop := !i
+      else begin
+        A1.unsafe_set state (base + s_a) (a land lnot (a asr sign));
+        A1.unsafe_set state (base + s_b)
+          (A1.unsafe_get state (base + s_b) + Array.unsafe_get tbl (e + 1));
+        A1.unsafe_set state (base + s_execs) (A1.unsafe_get state (base + s_execs) + 1);
+        correct := !correct + spec;
+        instr := at;
+        incr i
+      end
+    end
+  done;
+  s.instr <- !instr;
+  s.correct <- !correct;
+  !i
+
+(* One event through the generic machine, scored like [step_code]. *)
+let slow_event t s w =
+  let branch = w lsr branch_shift in
+  let instr = s.instr + ((w lsr 1) land delta_mask) in
+  if branch >= t.n_branches then begin
+    set_last_instr t s.instr;
+    invalid_arg "Reactive.step: branch out of range"
+  end;
+  let taken = w land 1 = 1 in
+  let base = branch * slots in
+  let code = (get t (base + s_ctrl) lsr dep_shift) land 3 in
+  observe_state t branch base ~taken ~instr;
+  s.instr <- instr;
+  score_event s ~taken ~instr code
+
+let step_chunk t s chunk len =
+  if len < 0 || len > Array.length chunk then invalid_arg "Reactive.step_chunk: bad chunk length";
+  (* Deltas are unsigned, so every event's instr is at least [s.instr]:
+     one check covers the chunk. *)
+  if s.instr < last_instr t then
+    invalid_arg "Reactive.step: instruction counts must be non-decreasing across calls";
+  let i = ref (fast_span t s chunk 0 len) in
+  while !i < len do
+    slow_event t s (Array.unsafe_get chunk !i);
+    i := fast_span t s chunk (!i + 1) len
+  done;
+  set_last_instr t s.instr

@@ -64,6 +64,50 @@ val step_code : t -> branch:int -> taken:bool -> instr:int -> int
     bit 1 [direction] — so a batch consumer can score events with pure
     integer arithmetic.  [step t ...] is [decision_of_code (step_code t ...)]. *)
 
+(** {2 Batched replay}
+
+    The simulator's hookless hot loop: whole packed chunks through the
+    controller in one call, scored in place. *)
+
+type score = {
+  mutable instr : int;  (** Instruction count after the last event. *)
+  mutable correct : int;  (** Correct speculations. *)
+  mutable incorrect : int;  (** Misspeculations. *)
+  mutable last_misspec : int;  (** Instruction count of the last misspeculation. *)
+  gaps : Rs_util.Running_stats.t;
+      (** Instruction distances between consecutive misspeculations. *)
+}
+(** Scoring state threaded across {!step_chunk} calls. *)
+
+val score : unit -> score
+(** A fresh zeroed score. *)
+
+val score_event : score -> taken:bool -> instr:int -> int -> unit
+(** [score_event s ~taken ~instr code] scores one event at instruction
+    count [instr] against the {!step_code}-style decision [code] it ran
+    under: a deployed speculation is correct when [taken] matches its
+    direction; a misspeculation adds the instruction distance since the
+    previous one to [s.gaps].  Leaves [s.instr] alone.  {!step_chunk}
+    applies exactly this rule. *)
+
+val step_chunk : t -> score -> int array -> int -> unit
+(** [step_chunk t s chunk len] feeds the first [len] packed events of
+    [chunk] — the [Rs_behavior.Trace_store] encoding: bit 0 taken,
+    bits 1-20 the instruction delta from the previous event, bits 21 and
+    up the branch id — through the controller, each one exactly as
+    {!step_code} at instruction count [s.instr + delta], and scores it
+    into [s] as {!score_event} does.  Allocates nothing per event.
+
+    Most events change only phase scratch counters; a table derived
+    from the parameters at {!create} lets those run through a call-free
+    loop, and every other event (a transition, a pending deployment
+    activating, a misspeculation, sampled eviction, monitor stride) goes
+    through the same code as {!observe}.
+    @raise Invalid_argument if [len] is outside the chunk, a branch id
+    is out of range (named [Reactive.step], after the events before it
+    have been applied), or [s.instr] is below the previous call's
+    instruction count. *)
+
 val deployed_code : t -> int -> int
 (** {!deployed} as a 2-bit code, same encoding as {!step_code}. *)
 

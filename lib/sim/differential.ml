@@ -13,16 +13,10 @@ type report = {
   agree : bool;
 }
 
-(* Everything externally observable about a controller's final state. *)
-let branch_states c =
-  Array.init (Reactive.n_branches c) (fun b ->
-      (Reactive.selections c b, Reactive.evictions c b, Reactive.touched c b,
-       Reactive.deployed_code c b))
-
 let check ?(label = "differential") ~trace pop cfg params =
   if not (TS.matches trace pop cfg) then
     invalid_arg "Differential.check: trace does not match the (population, config) pair";
-  (* Hookless with an explicit trace: the batched run_chunk fast path. *)
+  (* Hookless with an explicit trace: the batched step_chunk kernel. *)
   let r_batched = Engine.run ~label:(label ^ ":batched") ~trace pop cfg params in
   (* A raw observer forces the scalar fused-replay path over the same trace. *)
   let r_scalar =
@@ -44,7 +38,9 @@ let check ?(label = "differential") ~trace pop cfg params =
   let transitions_ok =
     Reactive.transitions r_batched.controller = Reactive.transitions r_scalar.controller
   in
-  let branches_ok = branch_states r_batched.controller = branch_states r_scalar.controller in
+  let branches_ok =
+    Reactive.export_words r_batched.controller = Reactive.export_words r_scalar.controller
+  in
   (* Per-event pass: two fresh controllers fed the same decoded events,
      one through the fused integer [step_code], one through the boxed
      [step]; the decisions must match event-for-event. *)
@@ -69,7 +65,7 @@ let check ?(label = "differential") ~trace pop cfg params =
   let per_event_ok =
     !first_divergence = None
     && Reactive.transitions c_code = Reactive.transitions c_dec
-    && branch_states c_code = branch_states c_dec
+    && Reactive.export_words c_code = Reactive.export_words c_dec
   in
   let agree = counters_ok && gaps_ok && transitions_ok && branches_ok && per_event_ok in
   ( {

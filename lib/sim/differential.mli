@@ -1,15 +1,15 @@
 (** Differential check: batched packed decode vs scalar stepping.
 
     The engine has two ways to consume a packed trace — the hookless
-    batched path ({!Engine.run_chunk}, fused [step_code] over whole
-    chunks) and the scalar fused-replay path taken whenever a raw
+    batched path ({!Rs_core.Reactive.step_chunk} over whole chunks) and
+    the scalar fused-replay path taken whenever a raw
     observer is installed.  The adversarial experiments lean on both, so
     this module runs a trace through each and checks they agree:
 
     - {e summary}: event/instruction/correct/incorrect counters,
-      misspeculation-gap statistics, the full transition list and every
-      per-branch counter (selections, evictions, touched, deployed
-      decision) of the final controllers;
+      misspeculation-gap statistics, the full transition list and the
+      final controllers' complete state words
+      ({!Rs_core.Reactive.export_words});
     - {e per event}: two fresh controllers replay the decoded events
       side by side, one through [Reactive.step_code] and one through
       [Reactive.step], and every decision pair must match — the first

@@ -23,58 +23,6 @@ let m_incorrect = Rs_obs.Metrics.counter "engine.incorrect"
 let h_wall =
   Rs_obs.Metrics.histogram "engine.wall_seconds" ~bounds:[| 0.01; 0.1; 1.0; 10.0; 60.0 |]
 
-type batch = {
-  b_controller : Reactive.t;
-  mutable b_instr : int;
-  mutable b_correct : int;
-  mutable b_incorrect : int;
-  mutable b_last_misspec : int;
-  b_gaps : Rs_util.Running_stats.t;
-}
-
-let batch controller =
-  {
-    b_controller = controller;
-    b_instr = 0;
-    b_correct = 0;
-    b_incorrect = 0;
-    b_last_misspec = 0;
-    b_gaps = Rs_util.Running_stats.create ();
-  }
-
-(* The batched hot loop: one call per packed chunk, and per event
-   nothing but mask-and-shift decode, a fused controller step and
-   integer scoring — no event record, no decision record, no RNG, no
-   behaviour sampling.  The gap statistic is the only non-integer
-   touch and fires once per misspeculation, not per event. *)
-let run_chunk b chunk len =
-  let ctrl = b.b_controller in
-  let instr = ref b.b_instr in
-  let correct = ref b.b_correct in
-  let incorrect = ref b.b_incorrect in
-  let last = ref b.b_last_misspec in
-  for i = 0 to len - 1 do
-    let w = Array.unsafe_get chunk i in
-    let taken = Rs_behavior.Trace_store.packed_taken w in
-    instr := !instr + Rs_behavior.Trace_store.packed_delta w;
-    let code =
-      Reactive.step_code ctrl
-        ~branch:(Rs_behavior.Trace_store.packed_branch w)
-        ~taken ~instr:!instr
-    in
-    if code land 1 = 1 then
-      if taken = (code land 2 = 2) then incr correct
-      else begin
-        incr incorrect;
-        Rs_util.Running_stats.add b.b_gaps (float_of_int (!instr - !last));
-        last := !instr
-      end
-  done;
-  b.b_instr <- !instr;
-  b.b_correct <- !correct;
-  b.b_incorrect <- !incorrect;
-  b.b_last_misspec <- !last
-
 let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config params =
   let t0 = Rs_obs.Trace.now () in
   let n = Rs_behavior.Population.size pop in
@@ -105,20 +53,7 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
     end
   in
   let controller = Reactive.create ?on_transition ~n_branches:n params in
-  let correct = ref 0 in
-  let incorrect = ref 0 in
-  let last_misspec = ref 0 in
-  let gaps = Rs_util.Running_stats.create () in
-  let score ~taken ~instr (d : Types.decision) =
-    if d.speculate then begin
-      if taken = d.direction then incr correct
-      else begin
-        incr incorrect;
-        Rs_util.Running_stats.add gaps (float_of_int (instr - !last_misspec));
-        last_misspec := instr
-      end
-    end
-  in
+  let s = Reactive.score () in
   Log.debug (fun m ->
       m "run: %d branches, %d events, ipb %.1f%s" n config.Rs_behavior.Stream.length
         config.instr_per_branch
@@ -129,29 +64,13 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
      Hook order is part of the contract — the observer sees the event
      after scoring but before the controller does — so the observer
      paths keep the split deployed/observe calls. *)
-  let run_batched tr =
-    let b =
-      {
-        b_controller = controller;
-        b_instr = 0;
-        b_correct = 0;
-        b_incorrect = 0;
-        b_last_misspec = 0;
-        b_gaps = gaps;
-      }
-    in
-    Rs_behavior.Trace_store.fold_packed_chunks tr ~init:() (fun () chunk len ->
-        run_chunk b chunk len);
-    correct := b.b_correct;
-    incorrect := b.b_incorrect;
-    last_misspec := b.b_last_misspec
-  in
+  let run_batched tr = Rs_behavior.Trace_store.iter_packed tr (Reactive.step_chunk controller s) in
   (match (observer, observer_raw, trace) with
   | Some f, _, _ ->
     let consume (ev : Rs_behavior.Stream.event) =
-      let d = Reactive.deployed controller ev.branch in
-      score ~taken:ev.taken ~instr:ev.instr d;
-      f ev d;
+      let code = Reactive.deployed_code controller ev.branch in
+      Reactive.score_event s ~taken:ev.taken ~instr:ev.instr code;
+      f ev (Reactive.decision_of_code code);
       Reactive.observe controller ~branch:ev.branch ~taken:ev.taken ~instr:ev.instr
     in
     (match trace with
@@ -163,13 +82,7 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
        integers end to end. *)
     let consume_raw ~branch ~taken ~instr =
       let code = Reactive.deployed_code controller branch in
-      (if code land 1 = 1 then
-         if taken = (code land 2 = 2) then incr correct
-         else begin
-           incr incorrect;
-           Rs_util.Running_stats.add gaps (float_of_int (instr - !last_misspec));
-           last_misspec := instr
-         end);
+      Reactive.score_event s ~taken ~instr code;
       f ~branch ~taken ~instr ~code;
       Reactive.observe controller ~branch ~taken ~instr
     in
@@ -203,26 +116,20 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
       ignore
         (Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index:_ ~instr ->
              let code = Reactive.step_code controller ~branch ~taken ~instr in
-             if code land 1 = 1 then
-               if taken = (code land 2 = 2) then incr correct
-               else begin
-                 incr incorrect;
-                 Rs_util.Running_stats.add gaps (float_of_int (instr - !last_misspec));
-                 last_misspec := instr
-               end)
+             Reactive.score_event s ~taken ~instr code)
           : int array)));
   Log.debug (fun m ->
-      m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" !correct
-        (100.0 *. float_of_int !correct /. float_of_int config.Rs_behavior.Stream.length)
-        !incorrect
-        (100.0 *. float_of_int !incorrect /. float_of_int config.Rs_behavior.Stream.length));
+      m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" s.correct
+        (100.0 *. float_of_int s.correct /. float_of_int config.Rs_behavior.Stream.length)
+        s.incorrect
+        (100.0 *. float_of_int s.incorrect /. float_of_int config.Rs_behavior.Stream.length));
   let total_instructions = Rs_behavior.Stream.total_instructions config in
   let wall = Rs_obs.Trace.now () -. t0 in
   Rs_obs.Metrics.incr m_runs;
   Rs_obs.Metrics.add m_events config.length;
   Rs_obs.Metrics.add m_instructions total_instructions;
-  Rs_obs.Metrics.add m_correct !correct;
-  Rs_obs.Metrics.add m_incorrect !incorrect;
+  Rs_obs.Metrics.add m_correct s.correct;
+  Rs_obs.Metrics.add m_incorrect s.incorrect;
   Rs_obs.Metrics.observe h_wall wall;
   if Rs_obs.Trace.enabled () then
     Rs_obs.Trace.emit "engine_run"
@@ -230,16 +137,16 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
         S ("label", label);
         I ("events", config.length);
         I ("instructions", total_instructions);
-        I ("correct", !correct);
-        I ("incorrect", !incorrect);
+        I ("correct", s.correct);
+        I ("incorrect", s.incorrect);
         F ("wall_s", wall);
       ];
   {
     total_events = config.length;
     total_instructions;
-    correct = !correct;
-    incorrect = !incorrect;
-    misspec_gap = gaps;
+    correct = s.correct;
+    incorrect = s.incorrect;
+    misspec_gap = s.gaps;
     controller;
   }
 

@@ -8,9 +8,9 @@
     Hookless runs never materialize per-event values: an explicit trace
     (or, absent one, a recording made once through
     {!Rs_behavior.Trace_store.auto}) is consumed whole packed chunks at
-    a time by {!run_chunk}, so the per-event work is integer decode, a
-    fused {!Rs_core.Reactive.step_code} and integer scoring — nothing
-    the minor heap ever sees. *)
+    a time by {!Rs_core.Reactive.step_chunk}, so the per-event work is
+    integer decode, the controller step and integer scoring in one
+    call-free loop — nothing the minor heap ever sees. *)
 
 type result = {
   total_events : int;
@@ -54,30 +54,6 @@ val run :
     [observer] keeps the event-record path.
     @raise Invalid_argument if the trace does not match the
     (population, config) pair, or both observers are given. *)
-
-(** {2 Batched chunk interface}
-
-    The building blocks of the hookless fast path, exposed for drivers
-    that manage their own chunk iteration. *)
-
-type batch = {
-  b_controller : Rs_core.Reactive.t;
-  mutable b_instr : int;  (** Instruction count after the last event. *)
-  mutable b_correct : int;
-  mutable b_incorrect : int;
-  mutable b_last_misspec : int;
-  b_gaps : Rs_util.Running_stats.t;
-}
-(** Scoring state threaded across {!run_chunk} calls. *)
-
-val batch : Rs_core.Reactive.t -> batch
-(** A fresh zeroed batch over this controller. *)
-
-val run_chunk : batch -> int array -> int -> unit
-(** [run_chunk b chunk len] feeds the first [len] packed events of
-    [chunk] (encoding of {!Rs_behavior.Trace_store}) through the
-    controller — one fused [step_code] per event — and accumulates the
-    scores into [b].  Allocates nothing per event. *)
 
 val correct_rate : result -> float
 val incorrect_rate : result -> float

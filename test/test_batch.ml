@@ -11,7 +11,11 @@
 
    - The boxed event-record engine paths: the chunked batch decode and
      the raw observer must produce the same results and hook sequences
-     as the [Stream.event]-based paths they replaced. *)
+     as the [Stream.event]-based paths they replaced.
+
+   The batch kernel [Reactive.step_chunk] is held to the reference FSM
+   over random parameter shapes and, event by event, on either side of
+   each of its fast-path exits. *)
 
 module B = Rs_behavior.Behavior
 module Pop = Rs_behavior.Population
@@ -438,29 +442,195 @@ let scalar_run tr params n =
       end);
   (!correct, !incorrect, !gap_count, !gap_sum, Reference.transitions reference)
 
-let batch_run tr params n =
+(* The kernel under test: whole packed chunks through
+   [Reactive.step_chunk]. *)
+let kernel_run tr params n =
   let controller = Reactive.create ~n_branches:n params in
-  let b = Rs_sim.Engine.batch controller in
-  TS.fold_packed_chunks tr ~init:() (fun () chunk len -> Rs_sim.Engine.run_chunk b chunk len);
-  ( b.Rs_sim.Engine.b_correct,
-    b.b_incorrect,
-    Rs_util.Running_stats.count b.b_gaps,
-    int_of_float (Rs_util.Running_stats.sum b.b_gaps +. 0.5),
-    Reactive.transitions controller )
+  let s = Reactive.score () in
+  TS.iter_packed tr (Reactive.step_chunk controller s);
+  ( ( s.correct,
+      s.incorrect,
+      Rs_util.Running_stats.count s.gaps,
+      int_of_float (Rs_util.Running_stats.sum s.gaps +. 0.5),
+      Reactive.transitions controller ),
+    controller )
+
+let batch_run tr params n = fst (kernel_run tr params n)
+
+(* The packed controller's final state words after per-event
+   [Reactive.step] over the same trace: the kernel's fast path must
+   leave every word exactly where the generic machine would. *)
+let stepped_words tr params n =
+  let controller = Reactive.create ~n_branches:n params in
+  TS.replay tr (fun (ev : Stream.event) ->
+      ignore
+        (Reactive.step controller ~branch:ev.branch ~taken:ev.taken ~instr:ev.instr
+          : Types.decision));
+  Reactive.export_words controller
 
 let qcheck_batch_equals_scalar =
-  QCheck.Test.make ~name:"Engine.run_chunk == scalar replay through reference FSM" ~count:40
+  QCheck.Test.make ~name:"Reactive.step_chunk == scalar replay through reference FSM" ~count:40
     QCheck.(pair (int_bound 100_000) (int_range 1 10))
     (fun (seed, n) ->
       let pop = mk_pop ~n seed in
       let cfg = { Stream.seed; instr_per_branch = 5.0; length = 30_000 + (seed mod 3) } in
-      let params =
-        Params.compress ~factor:200 { Params.default with monitor_period = 50 }
-      in
+      let params = gen_params (Prng.create (seed + 7)) in
       let tr = TS.record pop cfg in
       let c1, i1, g1, s1, trs1 = scalar_run tr params n in
-      let c2, i2, g2, s2, trs2 = batch_run tr params n in
-      c1 = c2 && i1 = i2 && g1 = g2 && abs (s1 - s2) <= 1 && trs1 = trs2)
+      let (c2, i2, g2, s2, trs2), controller = kernel_run tr params n in
+      c1 = c2 && i1 = i2 && g1 = g2 && abs (s1 - s2) <= 1 && trs1 = trs2
+      && Reactive.export_words controller = stepped_words tr params n)
+
+(* ---------------------------------------------------------------------- *)
+(* Kernel exit edges: events on either side of a fast-path boundary       *)
+(* ---------------------------------------------------------------------- *)
+
+let events_trace ~n events =
+  let config = { Stream.seed = 0; instr_per_branch = 1.0; length = List.length events } in
+  TS.of_events ~n_branches:n ~config (fun push ->
+      List.iter (fun (branch, taken, instr) -> push ~branch ~taken ~instr) events)
+
+(* Run hand-built [events] through the kernel and the reference FSM;
+   return the kernel's score and transitions once both agree. *)
+let kernel_edge name params ~n events =
+  let tr = events_trace ~n events in
+  let c1, i1, g1, s1, trs1 = scalar_run tr params n in
+  let (c2, i2, g2, s2, trs2), controller = kernel_run tr params n in
+  Alcotest.(check (list int)) (name ^ ": scores") [ c1; i1; g1; s1 ] [ c2; i2; g2; s2 ];
+  Alcotest.(check bool) (name ^ ": transitions") true (trs1 = trs2);
+  Alcotest.(check bool)
+    (name ^ ": state words") true
+    (Reactive.export_words controller = stepped_words tr params n);
+  ((c2, i2), List.map (fun (tr : Types.transition) -> (tr.kind, tr.instr)) trs2)
+
+let transition =
+  Alcotest.testable
+    (fun ppf (k, i) -> Format.fprintf ppf "%s@@%d" (Types.transition_kind_to_string k) i)
+    ( = )
+
+let edge_params =
+  {
+    Params.default with
+    monitor_period = 1;
+    selection_threshold = 0.6;
+    evict_threshold = 10;
+    misspec_step = 5;
+    correct_step = 1;
+    optimization_latency = 100;
+  }
+
+(* The table path raises the eviction counter only while the deployed
+   direction disagrees with the biased one: a branch evicted and
+   reselected the other way inside the latency window.  Two such
+   events land the counter exactly on the threshold (evict), or one
+   short of it (stay). *)
+let test_edge_evict_threshold () =
+  let events =
+    [
+      (0, true, 1); (0, true, 101); (0, false, 102); (0, false, 103); (0, false, 104);
+      (0, true, 105); (0, true, 106);
+    ]
+  in
+  let _, trs = kernel_edge "exact" edge_params ~n:1 events in
+  Alcotest.(check (list transition))
+    "evicted on landing" [ (Types.Selected, 1); (Evicted, 103); (Selected, 104); (Evicted, 106) ]
+    trs;
+  (* 106 is a misspeculation against the deployed direction (generic,
+     counter 4), then 107 climbs to 9 through the table: one short *)
+  let short = List.filteri (fun i _ -> i < 6) events @ [ (0, false, 106); (0, true, 107) ] in
+  let _, trs = kernel_edge "one short" edge_params ~n:1 short in
+  Alcotest.(check (list transition))
+    "one short stays biased" [ (Types.Selected, 1); (Evicted, 103); (Selected, 104) ] trs
+
+(* Selected at 20 with latency 100: the event at exactly 120 activates
+   the deployment (scored against the old code), 119 does not. *)
+let test_edge_pending_at () =
+  let params = { edge_params with monitor_period = 2; enable_eviction = false } in
+  let (correct, _), _ =
+    kernel_edge "pend_at" params ~n:1
+      [ (0, true, 10); (0, true, 20); (0, true, 119); (0, true, 120); (0, true, 130) ]
+  in
+  Alcotest.(check int) "only the event after activation is correct" 1 correct;
+  let (correct, _), _ =
+    kernel_edge "before pend_at" params ~n:1 [ (0, true, 10); (0, true, 20); (0, true, 119) ]
+  in
+  Alcotest.(check int) "nothing deployed before pend_at" 0 correct
+
+(* Declared unbiased with wait period 3: two fast decrements, then the
+   event at wait = 1 revisits. *)
+let test_edge_revisit () =
+  let params =
+    { edge_params with monitor_period = 2; selection_threshold = 0.9; wait_period = 3 }
+  in
+  let _, trs =
+    kernel_edge "revisit" params ~n:1
+      [ (0, true, 1); (0, false, 2); (0, true, 3); (0, true, 4); (0, true, 5); (0, true, 6) ]
+  in
+  Alcotest.(check (list transition))
+    "revisit on the third event" [ (Types.Declared_unbiased, 2); (Revisited, 5) ] trs
+
+(* Monitor period 4: three fast samples, the fourth classifies. *)
+let test_edge_last_monitor_sample () =
+  let params = { edge_params with monitor_period = 4 } in
+  let _, trs =
+    kernel_edge "classify" params ~n:2
+      [ (0, true, 1); (1, false, 2); (0, true, 3); (0, true, 4); (0, true, 5); (1, false, 6) ]
+  in
+  Alcotest.(check (list transition)) "classified on the fourth sample" [ (Types.Selected, 5) ] trs
+
+(* Latency 0: a selection deploys at once, the following events are
+   correct through the fast path, and a misspeculation that saturates
+   the counter withdraws the speculation immediately. *)
+let test_edge_latency_zero () =
+  let params =
+    { edge_params with monitor_period = 2; optimization_latency = 0; evict_threshold = 5 }
+  in
+  let (correct, incorrect), trs =
+    kernel_edge "latency 0" params ~n:1
+      [ (0, true, 1); (0, true, 2); (0, true, 3); (0, true, 4); (0, false, 5); (0, false, 6) ]
+  in
+  Alcotest.(check (list int)) "correct, incorrect" [ 2; 1 ] [ correct; incorrect ];
+  Alcotest.(check (list transition)) "select then evict" [ (Types.Selected, 2); (Evicted, 5) ] trs
+
+(* Decode at the field limits: the largest delta, the last branch id,
+   both outcomes. *)
+let test_edge_decode_limits () =
+  let n = 3 and d = (1 lsl 20) - 1 in
+  let events =
+    [
+      (n - 1, true, d); (n - 1, false, 2 * d); (0, true, 2 * d); (n - 1, true, 3 * d);
+      (n - 1, true, 4 * d); (n - 1, false, 4 * d);
+    ]
+  in
+  let params = { edge_params with monitor_period = 2; optimization_latency = 0 } in
+  ignore (kernel_edge "limits" params ~n events);
+  let tr = events_trace ~n events in
+  let controller = Reactive.create ~n_branches:n params in
+  let s = Reactive.score () in
+  TS.iter_packed tr (Reactive.step_chunk controller s);
+  Alcotest.(check int) "instr after the largest deltas" (4 * d) s.instr
+
+let raises_msg name expected f =
+  match f () with
+  | () -> Alcotest.failf "%s: no exception" name
+  | exception Invalid_argument m -> Alcotest.(check string) name expected m
+
+let test_kernel_guards () =
+  let c = Reactive.create ~n_branches:2 Params.default in
+  let s = Reactive.score () in
+  let word ~branch ~delta ~taken = (branch lsl 21) lor (delta lsl 1) lor Bool.to_int taken in
+  let chunk = [| word ~branch:1 ~delta:7 ~taken:true; word ~branch:2 ~delta:3 ~taken:false |] in
+  raises_msg "branch >= n" "Reactive.step: branch out of range" (fun () ->
+      Reactive.step_chunk c s chunk 2);
+  Alcotest.(check int) "events before the bad one applied" 7 s.instr;
+  Alcotest.(check bool) "and counted" true (Reactive.touched c 1);
+  let c = Reactive.create ~n_branches:2 Params.default in
+  Reactive.observe c ~branch:0 ~taken:true ~instr:1000;
+  raises_msg "chunk below last_instr"
+    "Reactive.step: instruction counts must be non-decreasing across calls" (fun () ->
+      Reactive.step_chunk c (Reactive.score ()) [| word ~branch:0 ~delta:5000 ~taken:true |] 1);
+  raises_msg "len past the chunk" "Reactive.step_chunk: bad chunk length" (fun () ->
+      Reactive.step_chunk c (Reactive.score ()) [||] 1)
 
 (* ---------------------------------------------------------------------- *)
 (* Adversarial corners: the workload family built to hammer the FSM's    *)
@@ -574,6 +744,16 @@ let suite =
     Alcotest.test_case "observe validates non-decreasing instr" `Quick
       test_observe_monotonic_guard;
     QCheck_alcotest.to_alcotest qcheck_batch_equals_scalar;
+    Alcotest.test_case "kernel edge: eviction counter on the threshold" `Quick
+      test_edge_evict_threshold;
+    Alcotest.test_case "kernel edge: event at instr = pend_at" `Quick test_edge_pending_at;
+    Alcotest.test_case "kernel edge: revisit at wait = 1" `Quick test_edge_revisit;
+    Alcotest.test_case "kernel edge: classify on the last monitor sample" `Quick
+      test_edge_last_monitor_sample;
+    Alcotest.test_case "kernel edge: optimization latency 0" `Quick test_edge_latency_zero;
+    Alcotest.test_case "kernel edge: decode at the field limits" `Quick test_edge_decode_limits;
+    Alcotest.test_case "kernel guards: branch range, monotonic instr, length" `Quick
+      test_kernel_guards;
     QCheck_alcotest.to_alcotest qcheck_adversary_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_mistrain_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_interleave_batch_equals_scalar;
