@@ -237,20 +237,6 @@ let bench_split_overhead () =
   let out = Rs_util.Pool.map_range pool ~lo:0 ~hi:256 Fun.id in
   out.(255)
 
-let bench_spec_commit () =
-  (* speculation round-trip: spawn an arm (fresh metrics delta + cache
-     transaction), wait for it, merge its buffered effects *)
-  let pool = Lazy.force bench_pool in
-  let s = Rs_util.Pool.spec_spawn pool (fun () -> 1) in
-  Rs_util.Pool.spec_commit pool s
-
-let bench_spec_cancel () =
-  (* the rollback path: spawn then immediately discard *)
-  let pool = Lazy.force bench_pool in
-  let s = Rs_util.Pool.spec_spawn pool (fun () -> 1) in
-  Rs_util.Pool.spec_cancel pool s;
-  0
-
 let kernels : (string * (unit -> int)) list =
   [
     ("table1+2/workload-build", bench_workload_build);
@@ -273,8 +259,6 @@ let kernels : (string * (unit -> int)) list =
     ("runner/parallel-all", bench_parallel_all);
     ("scheduler/steal-latency", bench_steal_latency);
     ("scheduler/split-overhead", bench_split_overhead);
-    ("scheduler/spec-commit", bench_spec_commit);
-    ("scheduler/spec-cancel", bench_spec_cancel);
   ]
 
 (* The sampling budget per kernel, overridable so CI smoke runs can keep
@@ -480,7 +464,7 @@ let run_json file =
   let jobs1_s, jobs1_out = time_figure5_jobs 1 in
   let jobs8_s, jobs8_out = time_figure5_jobs 8 in
   (* scheduler counters, read after the jobs-8 sweep so a parallel run's
-     steal/split/speculation activity is on record *)
+     steal/split activity is on record *)
   let pstats = Rs_util.Pool.stats () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -534,11 +518,10 @@ let run_json file =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"pool\": { \"tasks\": %d, \"steals\": %d, \"splits\": %d, \"spec_started\": %d, \
-        \"spec_committed\": %d, \"spec_cancelled\": %d, \"worker_failures\": %d, \
-        \"suppressed_failures\": %d }\n"
-       pstats.tasks pstats.steals pstats.splits pstats.spec_started pstats.spec_committed
-       pstats.spec_cancelled pstats.worker_failures pstats.suppressed_failures);
+       "  \"pool\": { \"tasks\": %d, \"steals\": %d, \"splits\": %d, \"worker_failures\": \
+        %d, \"suppressed_failures\": %d }\n"
+       pstats.tasks pstats.steals pstats.splits pstats.worker_failures
+       pstats.suppressed_failures);
   Buffer.add_string buf "}\n";
   let oc = open_out file in
   output_string oc (Buffer.contents buf);

@@ -44,18 +44,10 @@ let ctx_term =
   in
   let pool_stats =
     let doc =
-      "Print work-stealing scheduler counters (tasks, steals, splits, speculative \
-       starts/commits/cancellations) to stderr after the run."
+      "Print work-stealing scheduler counters (tasks, steals, splits) to stderr after the \
+       run."
     in
     Arg.(value & flag & info [ "pool-stats" ] ~doc)
-  in
-  let no_speculation =
-    let doc =
-      "Disable speculative sub-sweep execution (also $(b,RS_SPEC=0)): speculative spawns \
-       defer and commit inline.  Results are identical either way; this only changes \
-       wall-clock scheduling."
-    in
-    Arg.(value & flag & info [ "no-speculation" ] ~doc)
   in
   let metrics =
     let doc =
@@ -90,8 +82,7 @@ let ctx_term =
     in
     Arg.(value & opt (some int) None & info [ "trace-cache-mb" ] ~docv:"MB" ~doc)
   in
-  let make scale seed tau jobs cache_stats pool_stats no_speculation metrics trace faults
-      trace_cache_mb =
+  let make scale seed tau jobs cache_stats pool_stats metrics trace faults trace_cache_mb =
     let configured =
       match faults with
       | Some spec -> Rs_fault.Fault.configure_spec spec
@@ -106,10 +97,6 @@ let ctx_term =
       at_exit (fun () -> prerr_endline (E.Cache.describe (E.Cache.stats ())));
     if pool_stats then
       at_exit (fun () -> prerr_endline (Rs_util.Pool.describe (Rs_util.Pool.stats ())));
-    if
-      no_speculation
-      || (match Sys.getenv_opt "RS_SPEC" with Some ("0" | "false" | "no") -> true | _ -> false)
-    then Rs_util.Pool.set_speculation false;
     if metrics then
       at_exit (fun () -> prerr_string (Rs_obs.Metrics.render_summary ()));
     (match trace with
@@ -133,8 +120,8 @@ let ctx_term =
     E.Context.create ~seed ~scale ~tau ~jobs ()
   in
   Term.(
-    const make $ scale $ seed $ tau $ jobs $ cache_stats $ pool_stats $ no_speculation
-    $ metrics $ trace $ faults $ trace_cache_mb)
+    const make $ scale $ seed $ tau $ jobs $ cache_stats $ pool_stats $ metrics $ trace
+    $ faults $ trace_cache_mb)
 
 let print_header ctx name = Printf.printf "== %s  [%s] ==\n%!" name (E.Context.describe ctx)
 

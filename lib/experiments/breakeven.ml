@@ -1,6 +1,5 @@
 module BM = Rs_workload.Benchmark
 module Table = Rs_util.Table
-module Pool = Rs_util.Pool
 
 type row = {
   benchmark : string;
@@ -33,40 +32,25 @@ let incorrect_rate (r : Rs_sim.Engine.result) =
   if r.total_events = 0 then 0.0
   else float_of_int r.incorrect /. float_of_int r.total_events
 
-(* Binary search for the crossing point, with speculative sub-sweep
-   execution: while this level's probe runs, both candidate next probes
-   are spawned as cancellable speculative tasks.  Whichever arm the
-   bisection descends into is committed — publishing its cached engine
-   run, so the recursive [eval] below is a cache hit — and the loser is
-   cancelled, rolling back its buffered cache/metrics effects.  On a
-   [jobs = 1] pool (or with speculation disabled) the arms defer and
-   commit runs the winner inline: exactly the sequential bisection, so
-   results never depend on [--jobs]. *)
-let bisect_headroom pool ~eval ~pass =
-  (* invariant: pass lo && not (pass hi) *)
+(* Largest exponent in [0, headroom_cap] whose probe passes, assuming
+   [pass_at] is monotone (passes up to the crossing point, fails after).
+   Probes 0 and the cap first, then bisects between them; every exponent
+   is probed at most once. *)
+let headroom ~pass_at =
+  (* invariant: pass_at lo && not (pass_at hi) *)
   let rec bisect lo hi =
     if hi - lo <= 1 then lo
-    else begin
+    else
       let mid = (lo + hi) / 2 in
-      let spawn nxt lo' hi' =
-        if hi' - lo' > 1 then Some (Pool.spec_spawn pool (fun () -> ignore (eval nxt))) else None
-      in
-      let arm_pass = spawn ((mid + hi) / 2) mid hi in
-      let arm_fail = spawn ((lo + mid) / 2) lo mid in
-      let taken, dropped, lo', hi' =
-        if pass (eval mid) then (arm_pass, arm_fail, mid, hi) else (arm_fail, arm_pass, lo, mid)
-      in
-      Option.iter (Pool.spec_cancel pool) dropped;
-      Option.iter (fun s -> Pool.spec_commit pool s) taken;
-      bisect lo' hi'
-    end
+      if pass_at mid then bisect mid hi else bisect lo mid
   in
-  bisect 0 headroom_cap
+  if not (pass_at 0) then None
+  else if pass_at headroom_cap then Some headroom_cap
+  else Some (bisect 0 headroom_cap)
 
 let run ctx =
-  let pool = Context.pool ctx in
   let rows =
-    Pool.map_ordered pool
+    Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (bm : BM.t) ->
         let baseline = Cache.run ctx bm ~input:Ref (Context.params ctx) in
         let open_loop =
@@ -81,18 +65,12 @@ let run ctx =
                  evict_threshold = Rs_core.Params.default.evict_threshold * (1 lsl e);
                })
         in
-        let pass r = incorrect_rate r <= headroom_bound in
-        let headroom =
-          (* exponent 0 is the baseline run itself — a cache hit *)
-          if not (pass baseline) then None
-          else if pass (eval headroom_cap) then Some headroom_cap
-          else Some (bisect_headroom pool ~eval ~pass)
-        in
         {
           benchmark = bm.name;
           reactive_ratio = ratio baseline;
           open_loop_ratio = ratio open_loop;
-          headroom;
+          (* exponent 0 is the baseline run itself — a cache hit *)
+          headroom = headroom ~pass_at:(fun e -> incorrect_rate (eval e) <= headroom_bound);
         })
       (Array.of_list BM.all)
   in

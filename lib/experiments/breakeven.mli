@@ -12,12 +12,8 @@
     It also reports the complementary slack: the {e eviction-threshold
     headroom}, i.e. the largest power-of-two scaling of the eviction
     trigger that still keeps misspeculation under 0.1% of dynamic
-    branches.  The crossing point is found by bisection over engine
-    runs, and each bisection level speculatively pre-executes both
-    candidate next probes as cancellable pool tasks
-    ({!Rs_util.Pool.spec_spawn}) — the winner commits its cached run,
-    the loser rolls back, and [--jobs 1] output stays byte-identical
-    because deferred speculation commits inline. *)
+    branches.  The crossing point is found by {!headroom}, a bisection
+    over memoised engine runs. *)
 
 type row = {
   benchmark : string;
@@ -29,6 +25,17 @@ type row = {
 }
 
 type t = { rows : row list }
+
+val headroom_cap : int
+(** Largest exponent probed: thresholds up to [2^headroom_cap] times the
+    paper's. *)
+
+val headroom : pass_at:(int -> bool) -> int option
+(** [headroom ~pass_at] is the largest [e] in [[0, headroom_cap]] with
+    [pass_at e], for a monotone [pass_at] (true up to a crossing point,
+    false after it); [None] when [pass_at 0] fails.  Probes [0], then
+    [headroom_cap], then bisects between them, calling [pass_at] at
+    most once per exponent. *)
 
 val run : Context.t -> t
 val render : t -> string

@@ -78,9 +78,18 @@ let decode s =
 let save ~path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc (encode t);
-  close_out oc;
-  Sys.rename tmp path
+  try
+    output_string oc (encode t);
+    flush oc;
+    (* the bytes must be on disk before the rename makes them the snapshot *)
+    Unix.fsync (Unix.descr_of_out_channel oc);
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let load ~path =
   try

@@ -23,6 +23,8 @@ val encode : t -> string
 val decode : string -> (t, string) result
 
 val save : path:string -> t -> unit
-(** Atomic: writes [path ^ ".tmp"], then renames. *)
+(** Atomic and durable: writes [path ^ ".tmp"], fsyncs it, then renames
+    it over [path].  On failure the exception is re-raised and the
+    [.tmp] file is removed. *)
 
 val load : path:string -> (t, string) result

@@ -26,19 +26,6 @@
    [jobs] — and [jobs = 1] runs strictly left-to-right in the calling
    domain with no scheduling machinery at all.
 
-   Speculation: [spec_spawn] enqueues a cancellable task whose side
-   effects are buffered — metrics into a {!Rs_obs.Metrics.delta}, other
-   layers (the experiment cache) via pluggable {!isolator}s registered
-   in [spec_providers].  The executor attaches the task's isolation
-   context around every execution (and detaches it around foreign tasks
-   picked up while helping), so a speculative arm may itself fan out
-   through [map_range] and every piece of it records into the same
-   buffer.  [spec_commit] merges the buffers; [spec_cancel] drops them.
-   On a [jobs = 1] pool (or with speculation disabled) spawn defers and
-   commit runs the winning thunk inline — byte-identical to never having
-   speculated, which is what keeps [--jobs N] output equal to
-   [--jobs 1].
-
    Lifecycle: a pool is live from [create] until [close].  [close] while
    maps are in flight retires the pool and the last map's epilogue
    performs the shutdown.  After the workers are joined, the closing
@@ -49,15 +36,7 @@
 
 module Metrics = Rs_obs.Metrics
 
-type isolator = {
-  iso_attach : unit -> unit;
-  iso_detach : unit -> unit;
-  iso_commit : unit -> unit;
-  iso_abort : unit -> unit;
-}
-
-type iso = { i_delta : Metrics.delta; i_provs : isolator array }
-type task = { t_run : unit -> unit; t_iso : iso option }
+type task = unit -> unit
 
 type t = {
   id : int;
@@ -79,9 +58,6 @@ exception Closed
 let m_tasks = Metrics.counter "pool.tasks"
 let m_steals = Metrics.counter "pool.steals"
 let m_splits = Metrics.counter "pool.splits"
-let m_spec_started = Metrics.counter "pool.spec_started"
-let m_spec_committed = Metrics.counter "pool.spec_committed"
-let m_spec_cancelled = Metrics.counter "pool.spec_cancelled"
 let m_worker_failures = Metrics.counter "pool.worker_failures"
 let m_suppressed_failures = Metrics.counter "pool.suppressed_failures"
 let g_jobs = Metrics.gauge "pool.jobs"
@@ -89,11 +65,6 @@ let g_jobs = Metrics.gauge "pool.jobs"
 (* Injection point for rs_fault, which sits above this library in the
    dependency graph (it needs Prng) and so cannot be called directly. *)
 let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
-
-(* Isolation providers for speculative tasks, registered by layers above
-   this one (the experiment cache) exactly like [fault_hook].  Each
-   [spec_spawn] asks every provider for a fresh isolator. *)
-let spec_providers : (unit -> isolator) list ref = ref []
 
 let pool_ids = Atomic.make 0
 
@@ -103,45 +74,13 @@ let pool_ids = Atomic.make 0
 let slots_key : (int * int) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 let my_slot t = List.assoc_opt t.id !(Domain.DLS.get slots_key)
 
-(* The isolation context installed on this domain by the executor — the
-   task being run right now, inherited by anything it forks. *)
-let iso_key : iso option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let attach = function
-  | None -> ()
-  | Some iso ->
-    Metrics.capture_push iso.i_delta;
-    Array.iter (fun p -> p.iso_attach ()) iso.i_provs
-
-let detach = function
-  | None -> ()
-  | Some iso ->
-    Array.iter (fun p -> p.iso_detach ()) iso.i_provs;
-    Metrics.capture_pop ()
-
 (* Every executor — worker domains, helping callers, the close-time
-   drain — runs tasks through this guard: it swaps the task's isolation
-   context in (and the current one out, so helping inside a speculative
-   arm cannot leak the arm's capture into an unrelated task), and traps
-   any escaping exception so one raising [post]ed thunk can neither kill
-   a worker domain nor surface inside an unrelated caller's map.  Map
-   tasks trap their own element errors; speculative tasks store theirs
-   in the spec record — the guard counter only ever fires for posts. *)
-let exec _t task =
-  let iso_ref = Domain.DLS.get iso_key in
-  let prev = !iso_ref in
-  let swap = prev != task.t_iso in
-  if swap then begin
-    detach prev;
-    iso_ref := task.t_iso;
-    attach task.t_iso
-  end;
-  (try task.t_run () with _ -> Metrics.incr m_worker_failures);
-  if swap then begin
-    detach task.t_iso;
-    iso_ref := prev;
-    attach prev
-  end
+   drain — runs tasks through this guard: it traps any escaping
+   exception so one raising [post]ed thunk can neither kill a worker
+   domain nor surface inside an unrelated caller's map.  Map tasks trap
+   their own element errors — the guard counter only ever fires for
+   posts. *)
+let exec (task : task) = try task () with _ -> Metrics.incr m_worker_failures
 
 let wake_if_sleepers t =
   if Atomic.get t.sleepers > 0 then begin
@@ -228,7 +167,7 @@ let worker_main t i =
          retiring pool drains its queues before the workers exit *)
       match acquire t ~slot ~stop:(fun () -> not t.live) with
       | Some task ->
-        exec t task;
+        exec task;
         loop ()
       | None -> ()
     in
@@ -279,7 +218,7 @@ let drain_after_shutdown t =
   let rec go () =
     match try_find t ~slot:(-1) with
     | Some task ->
-      exec t task;
+      exec task;
       go ()
     | None -> ()
   in
@@ -368,7 +307,6 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
       let remaining = Atomic.make n in
       let claimed = claim_slot t in
       Fun.protect ~finally:(fun () -> if claimed then release_slot t) @@ fun () ->
-      let parent_iso = !(Domain.DLS.get iso_key) in
       let leaf l h =
         for i = l to h - 1 do
           Metrics.incr m_tasks;
@@ -379,15 +317,13 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
         wake_if_sleepers t
       in
       (* Lazy binary splitting: fork the right half onto the local deque
-         (where a thief can find it), descend into the left.  Sub-tasks
-         carry the forking context's isolation, so a speculative arm may
-         fan out and still record into its own buffer. *)
+         (where a thief can find it), descend into the left. *)
       let rec go l h =
         if h - l <= cutoff then leaf l h
         else begin
           let mid = l + ((h - l) / 2) in
           Metrics.incr m_splits;
-          push_task t { t_run = (fun () -> go mid h); t_iso = parent_iso };
+          push_task t (fun () -> go mid h);
           go l mid
         end
       in
@@ -398,7 +334,7 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
       let stop () = Atomic.get remaining = 0 in
       let rec help () =
         if not (stop ()) then begin
-          (match acquire t ~slot ~stop with Some task -> exec t task | None -> ());
+          (match acquire t ~slot ~stop with Some task -> exec task | None -> ());
           help ()
         end
       in
@@ -457,118 +393,9 @@ let post t thunk =
     Mutex.unlock t.mutex;
     raise Closed
   end;
-  Queue.add { t_run = thunk; t_iso = None } t.inbox;
+  Queue.add thunk t.inbox;
   Condition.broadcast t.wake;
   Mutex.unlock t.mutex
-
-(* --- speculative tasks ------------------------------------------------ *)
-
-let speculation = Atomic.make true
-let set_speculation b = Atomic.set speculation b
-let speculation_enabled () = Atomic.get speculation
-
-(* State machine (int-coded for one-word CAS):
-     0 pending          spawned, not yet started
-     1 running          an executor won the start CAS
-     2 done             result stored, effects buffered
-     3 cancel-requested cancelled while running; runner aborts at the end
-     4 cancelled        effects discarded
-     5 claimed          committer ran it inline (pending at commit time) *)
-type 'a spec = {
-  sp_state : int Atomic.t;
-  mutable sp_result : ('a, exn * Printexc.raw_backtrace) result option;
-  sp_thunk : unit -> 'a;
-  sp_iso : iso;
-  sp_pool : t;
-}
-
-let iso_abort_all iso = Array.iter (fun p -> p.iso_abort ()) iso.i_provs
-
-let run_spec s =
-  (match s.sp_thunk () with
-  | v -> s.sp_result <- Some (Ok v)
-  | exception e -> s.sp_result <- Some (Error (e, Printexc.get_raw_backtrace ())));
-  if not (Atomic.compare_and_set s.sp_state 1 2) then begin
-    (* a cancel arrived while we ran: roll back the buffered effects *)
-    iso_abort_all s.sp_iso;
-    Atomic.set s.sp_state 4
-  end;
-  wake_if_sleepers s.sp_pool
-
-let spec_spawn t thunk =
-  let iso =
-    {
-      i_delta = Metrics.delta ();
-      i_provs = Array.of_list (List.map (fun mk -> mk ()) !spec_providers);
-    }
-  in
-  let s = { sp_state = Atomic.make 0; sp_result = None; sp_thunk = thunk; sp_iso = iso; sp_pool = t } in
-  Metrics.incr m_spec_started;
-  if t.jobs > 1 && Atomic.get speculation then
-    push_task t
-      {
-        t_run = (fun () -> if Atomic.compare_and_set s.sp_state 0 1 then run_spec s);
-        t_iso = Some iso;
-      };
-  s
-
-let spec_commit : type a. t -> a spec -> a =
- fun t s ->
-  let finish (r : (a, exn * Printexc.raw_backtrace) result option) ~merge =
-    if merge then begin
-      Array.iter (fun p -> p.iso_commit ()) s.sp_iso.i_provs;
-      Metrics.apply s.sp_iso.i_delta
-    end;
-    Metrics.incr m_spec_committed;
-    match r with
-    | Some (Ok v) -> v
-    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | None -> assert false
-  in
-  let rec go () =
-    match Atomic.get s.sp_state with
-    | 0 ->
-      if Atomic.compare_and_set s.sp_state 0 5 then begin
-        (* Never started — the jobs=1 / speculation-off path, or the
-           queued task was not reached yet.  Run it right here in the
-           caller's own context: effects land directly, nothing to
-           merge, byte-identical to not having speculated at all.  The
-           still-queued task (if any) loses the start CAS and no-ops. *)
-        let r =
-          try Ok (s.sp_thunk ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        s.sp_result <- Some r;
-        finish (Some r) ~merge:false
-      end
-      else go ()
-    | 1 ->
-      (* running elsewhere: help with other work instead of spinning *)
-      let slot = match my_slot t with Some sl -> sl | None -> -1 in
-      (match acquire t ~slot ~stop:(fun () -> Atomic.get s.sp_state <> 1) with
-      | Some task -> exec t task
-      | None -> ());
-      go ()
-    | 2 -> finish s.sp_result ~merge:true
-    | _ -> invalid_arg "Pool.spec_commit: task was cancelled"
-  in
-  go ()
-
-let rec spec_cancel t s =
-  match Atomic.get s.sp_state with
-  | 0 ->
-    if Atomic.compare_and_set s.sp_state 0 4 then Metrics.incr m_spec_cancelled
-    else spec_cancel t s
-  | 1 ->
-    if Atomic.compare_and_set s.sp_state 1 3 then Metrics.incr m_spec_cancelled
-    else spec_cancel t s
-  | 2 ->
-    if Atomic.compare_and_set s.sp_state 2 4 then begin
-      iso_abort_all s.sp_iso;
-      Metrics.incr m_spec_cancelled
-    end
-    else spec_cancel t s
-  | 3 | 4 -> () (* cancelling twice is fine *)
-  | _ -> invalid_arg "Pool.spec_cancel: task was already committed"
 
 (* --- scheduler counters ----------------------------------------------- *)
 
@@ -576,9 +403,6 @@ type stats = {
   tasks : int;
   steals : int;
   splits : int;
-  spec_started : int;
-  spec_committed : int;
-  spec_cancelled : int;
   worker_failures : int;
   suppressed_failures : int;
 }
@@ -588,17 +412,12 @@ let stats () =
     tasks = Metrics.counter_value m_tasks;
     steals = Metrics.counter_value m_steals;
     splits = Metrics.counter_value m_splits;
-    spec_started = Metrics.counter_value m_spec_started;
-    spec_committed = Metrics.counter_value m_spec_committed;
-    spec_cancelled = Metrics.counter_value m_spec_cancelled;
     worker_failures = Metrics.counter_value m_worker_failures;
     suppressed_failures = Metrics.counter_value m_suppressed_failures;
   }
 
 let describe (s : stats) =
-  Printf.sprintf
-    "pool: tasks %d, steals %d, splits %d, spec %d started / %d committed / %d cancelled"
-    s.tasks s.steals s.splits s.spec_started s.spec_committed s.spec_cancelled
+  Printf.sprintf "pool: tasks %d, steals %d, splits %d" s.tasks s.steals s.splits
 
 (* Process-wide pool, sized by the most recent request. *)
 let shared_mutex = Mutex.create ()

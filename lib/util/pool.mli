@@ -1,4 +1,4 @@
-(** Work-stealing domain pool with speculative task execution.
+(** Work-stealing domain pool.
 
     A pool owns [jobs - 1] worker domains, each with a private
     work-stealing deque ({!Deque}): owners push and pop at the bottom
@@ -20,13 +20,6 @@
     While an inner call waits for its results it helps — running its own
     deque, the posted-thunk inbox, or stolen tasks of other in-flight
     maps — so nesting adds no deadlock and wastes no worker.
-
-    Speculation: {!spec_spawn} starts a cancellable task whose side
-    effects (metrics, cache publications) are buffered in per-task
-    isolation contexts; {!spec_commit} merges them, {!spec_cancel}
-    discards them.  Speculation may only change wall-clock, never
-    output: on a [jobs = 1] pool, or with {!set_speculation}[ false],
-    spawn defers and commit runs the winner inline.
 
     Lifecycle: a pool is live from {!create} until {!close} completes.
     Mapping on a closed pool raises {!Closed} rather than silently
@@ -107,81 +100,12 @@ val shared : jobs:int -> t
     working one) and creates a fresh pool, so a long-lived process
     follows the most recent request. *)
 
-(** {1 Speculative execution}
-
-    Run both candidate continuations of a refinement step eagerly,
-    commit the winner, cancel the loser.  A speculative task's side
-    effects are buffered: metrics go into a {!Rs_obs.Metrics.delta} and
-    each registered {!spec_providers} entry supplies an {!isolator}
-    whose buffered state is merged on commit and dropped on cancel (the
-    experiment cache registers one; its commit re-checks the cache
-    generation, so a racing reset discards the speculative writes — the
-    rollback point).  The buffering follows the task wherever it runs:
-    executors attach the context around the task and around anything it
-    forks, including a nested {!map_range} inside the arm.
-
-    Determinism: on a [jobs = 1] pool or with speculation disabled,
-    {!spec_spawn} only records the thunk and {!spec_commit} runs it
-    inline in the caller's context — exactly the sequential execution.
-    Cancellation of a task that never started is free; a task cancelled
-    mid-run completes but its effects are discarded (cancellation is
-    cooperative, never preemptive).
-
-    Contract: every spawned task must eventually be committed or
-    cancelled, exactly one of the two. *)
-
-type 'a spec
-(** A speculative task returning ['a]. *)
-
-val spec_spawn : t -> (unit -> 'a) -> 'a spec
-(** Enqueue [thunk] as a cancellable speculative task (deferred on
-    [jobs = 1] / speculation-off pools).  Counted in
-    [pool.spec_started]. *)
-
-val spec_commit : t -> 'a spec -> 'a
-(** Wait for the task (helping with other pool work meanwhile), merge
-    its buffered effects, and return its result — or re-raise its
-    exception with the original backtrace.  If the task never started,
-    runs it inline in the caller's own context.  Counted in
-    [pool.spec_committed].
-    @raise Invalid_argument if the task was cancelled. *)
-
-val spec_cancel : t -> 'a spec -> unit
-(** Discard the task: never runs it if still pending, otherwise drops
-    its buffered effects.  Idempotent.  Counted in
-    [pool.spec_cancelled].
-    @raise Invalid_argument if the task was already committed. *)
-
-val set_speculation : bool -> unit
-(** Process-wide kill switch (default on).  With speculation off,
-    spawned tasks always defer to their {!spec_commit} — useful for
-    byte-identity A/B runs. *)
-
-val speculation_enabled : unit -> bool
-
-type isolator = {
-  iso_attach : unit -> unit;  (** install this task's buffered state on the current domain *)
-  iso_detach : unit -> unit;  (** remove it (executors pair attach/detach around runs) *)
-  iso_commit : unit -> unit;  (** merge the buffer into the global state *)
-  iso_abort : unit -> unit;  (** discard the buffer *)
-}
-(** One layer's side-effect isolation for one speculative task. *)
-
-val spec_providers : (unit -> isolator) list ref
-(** Isolation providers consulted by {!spec_spawn} — one fresh
-    {!isolator} per provider per task.  Wiring point for layers above
-    this library (the experiment cache), in the style of
-    {!fault_hook}; not for general use. *)
-
 (** {1 Observability} *)
 
 type stats = {
   tasks : int;
   steals : int;
   splits : int;
-  spec_started : int;
-  spec_committed : int;
-  spec_cancelled : int;
   worker_failures : int;
   suppressed_failures : int;
 }

@@ -14,17 +14,3 @@ let add t delta =
 
 let is_saturated t = t.value = t.max
 let reset t = t.value <- 0
-
-module Updown = struct
-  type nonrec t = { ctr : t; mid : int }
-
-  let create ~bits =
-    if bits <= 0 || bits > 30 then invalid_arg "Updown.create: bits out of range";
-    let max = (1 lsl bits) - 1 in
-    let mid = 1 lsl (bits - 1) in
-    { ctr = create ~initial:(mid - 1) ~max (); mid }
-
-  let predict t = t.ctr.value >= t.mid
-
-  let update t taken = add t.ctr (if taken then 1 else -1)
-end

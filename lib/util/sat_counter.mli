@@ -28,18 +28,3 @@ val is_saturated : t -> bool
 
 val reset : t -> unit
 (** Return the counter to 0. *)
-
-(** A classic n-bit up/down predictor counter, used by the MSSP baseline
-    core's branch predictor model. *)
-module Updown : sig
-  type t
-
-  val create : bits:int -> t
-  (** [create ~bits] starts at the weakly-not-taken midpoint. *)
-
-  val predict : t -> bool
-  (** [predict t] is [true] when the counter is in the taken half. *)
-
-  val update : t -> bool -> unit
-  (** [update t taken] strengthens or weakens the counter. *)
-end

@@ -220,6 +220,33 @@ let test_ablations_subset () =
            Rs_workload.Benchmark.all))
     E.Ablations.benchmarks
 
+(* --- breakeven headroom search ---------------------------------------------- *)
+
+(* For every crossing point k (exponents below k pass, the rest fail),
+   the bisection must agree with a linear scan and probe each exponent
+   at most once. *)
+let test_headroom_bisection () =
+  let cap = E.Breakeven.headroom_cap in
+  for k = 0 to cap + 1 do
+    let passes e = e < k in
+    let linear =
+      let rec scan e = if e <= cap && passes e then scan (e + 1) else e - 1 in
+      let last = scan 0 in
+      if last < 0 then None else Some last
+    in
+    let probed = Hashtbl.create 8 in
+    let pass_at e =
+      if e < 0 || e > cap then Alcotest.failf "k=%d: probed exponent %d out of range" k e;
+      if Hashtbl.mem probed e then Alcotest.failf "k=%d: exponent %d probed twice" k e;
+      Hashtbl.add probed e ();
+      passes e
+    in
+    Alcotest.(check (option int))
+      (Printf.sprintf "crossing at %d" k)
+      linear
+      (E.Breakeven.headroom ~pass_at)
+  done
+
 let suite =
   [
     Alcotest.test_case "value models" `Quick test_value_models;
@@ -236,4 +263,5 @@ let suite =
     Alcotest.test_case "jobs determinism" `Slow test_jobs_determinism;
     Alcotest.test_case "cache sharing" `Slow test_cache_sharing;
     Alcotest.test_case "ablations subset" `Quick test_ablations_subset;
+    Alcotest.test_case "breakeven headroom bisection" `Quick test_headroom_bisection;
   ]

@@ -287,6 +287,26 @@ let test_snapshot_shard_count_pinned () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must be rejected"
 
+let test_snapshot_save_failure_cleans_up () =
+  let snap =
+    {
+      Rs_serve.Snapshot.n_branches = 4;
+      shards = 1;
+      events = 0;
+      last_instr = 0;
+      shard_state = [| [| 0 |] |];
+    }
+  in
+  (* a directory at [path] makes the final rename fail *)
+  let path = Filename.temp_file "rs_serve_snapdir" "" in
+  Sys.remove path;
+  Sys.mkdir path 0o700;
+  Fun.protect ~finally:(fun () -> Sys.rmdir path) @@ fun () ->
+  (match Rs_serve.Snapshot.save ~path snap with
+  | () -> Alcotest.fail "saving over a directory must raise"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "no .tmp left behind" false (Sys.file_exists (path ^ ".tmp"))
+
 (* --- protocol errors and client isolation -------------------------------- *)
 
 let test_bad_client_isolated () =
@@ -401,6 +421,8 @@ let suite =
     Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
     Alcotest.test_case "snapshot/restore byte-identity" `Quick test_snapshot_restore_identity;
     Alcotest.test_case "snapshot codec validation" `Quick test_snapshot_shard_count_pinned;
+    Alcotest.test_case "snapshot save failure cleans up" `Quick
+      test_snapshot_save_failure_cleans_up;
     Alcotest.test_case "bad client isolated" `Quick test_bad_client_isolated;
     Alcotest.test_case "query error keeps connection" `Quick test_query_error_keeps_connection;
     Alcotest.test_case "chaos: shard faults deterministic" `Quick

@@ -43,18 +43,6 @@ let test_sat_invalid () =
     (Invalid_argument "Sat_counter.create: initial out of range") (fun () ->
       ignore (Sat.create ~initial:11 ~max:10 ()))
 
-let test_updown () =
-  let p = Sat.Updown.create ~bits:2 in
-  Alcotest.(check bool) "starts weakly not-taken" false (Sat.Updown.predict p);
-  Sat.Updown.update p true;
-  Alcotest.(check bool) "one taken flips" true (Sat.Updown.predict p);
-  Sat.Updown.update p true;
-  Sat.Updown.update p false;
-  Alcotest.(check bool) "hysteresis holds" true (Sat.Updown.predict p);
-  Sat.Updown.update p false;
-  Sat.Updown.update p false;
-  Alcotest.(check bool) "two more not-taken flip back" false (Sat.Updown.predict p)
-
 (* --- running stats ------------------------------------------------------ *)
 
 let test_stats_basic () =
@@ -227,7 +215,6 @@ let suite =
     Alcotest.test_case "sat counter basics" `Quick test_sat_basic;
     Alcotest.test_case "sat counter hysteresis" `Quick test_sat_hysteresis_shape;
     Alcotest.test_case "sat counter invalid" `Quick test_sat_invalid;
-    Alcotest.test_case "updown predictor" `Quick test_updown;
     Alcotest.test_case "running stats basics" `Quick test_stats_basic;
     Alcotest.test_case "running stats empty" `Quick test_stats_empty;
     Alcotest.test_case "running stats merge" `Quick test_stats_merge;
