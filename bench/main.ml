@@ -33,23 +33,13 @@ let small_pop =
 
 let stream_cfg = { Rs_behavior.Stream.seed = 7; instr_per_branch = 6.0; length = 20_000 }
 
-let bench_stream () =
-  let pop = Lazy.force small_pop in
-  let n = ref 0 in
-  Rs_behavior.Stream.iter pop stream_cfg (fun _ -> incr n);
-  !n
-
 let small_trace = lazy (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
 
-let bench_trace_record () =
-  Rs_behavior.Trace_store.length (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
-
-let bench_trace_replay () =
-  (* the engine's replay fast path: decode every field from the packed
-     words, no event allocation — compare against stream-generation *)
-  let tr = Lazy.force small_trace in
+(* Decode every field of every packed word, no event allocation: the
+   work any chunk consumer does before its own. *)
+let decode_all ?trace () =
   let acc = ref 0 in
-  Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
+  Rs_behavior.Trace_store.iter_chunks ?trace (Lazy.force small_pop) stream_cfg (fun chunk len ->
       for i = 0 to len - 1 do
         let w = Array.unsafe_get chunk i in
         acc :=
@@ -60,8 +50,19 @@ let bench_trace_replay () =
       done);
   !acc
 
+(* the live chunk source: generate, pack into the reused buffer, decode *)
+let bench_stream () = decode_all ()
+
+let bench_trace_record () =
+  Rs_behavior.Trace_store.length (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
+
+(* the recorded chunk source: decode only — compare against
+   stream-generation *)
+let bench_trace_replay () = decode_all ~trace:(Lazy.force small_trace) ()
+
 let bench_reactive_observe () =
-  (* figure5 / table3 / table4 kernel: one full small engine run *)
+  (* figure5 / table3 / table4 kernel: one full small engine run, the
+     stream generated live *)
   let pop = Lazy.force small_pop in
   let r = Rs_sim.Engine.run pop stream_cfg Rs_core.Params.default in
   r.correct
@@ -400,11 +401,13 @@ let run_reproductions () =
    repo: kernel estimates (ns and minor words per run), the
    trace-replay-vs-stream-generation speedup, and a wall-clock
    comparison of one real swept experiment (figure5) with trace replay
-   on and off.  Reproductions are skipped — this mode is meant to stay
-   cheap enough for a CI smoke stage. *)
+   on (the default trace-store capacity) and off (capacity 0: every
+   stream generated live).  Reproductions are skipped — this mode is
+   meant to stay cheap enough for a CI smoke stage. *)
 
 let time_figure5 ~replay ctx =
-  Rs_experiments.Cache.set_trace_replay replay;
+  Rs_behavior.Trace_store.set_capacity_bytes
+    (if replay then Rs_behavior.Trace_store.default_capacity_mb * 1024 * 1024 else 0);
   Rs_experiments.Cache.reset ();
   let t0 = Unix.gettimeofday () in
   let rendered = Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx) in
@@ -452,7 +455,6 @@ let run_json file =
   Printf.eprintf "bench: timing figure5 with and without trace replay...\n%!";
   let regen_s, regen_out = time_figure5 ~replay:false ctx in
   let replay_s, replay_out = time_figure5 ~replay:true ctx in
-  Rs_experiments.Cache.set_trace_replay true;
   Printf.eprintf "bench: timing figure5 at jobs 1 vs jobs 8...\n%!";
   let time_figure5_jobs jobs =
     Rs_experiments.Cache.reset ();

@@ -11,6 +11,17 @@ module E = Rs_experiments
 module R = Rs_experiments.Registry
 module Fsutil = Rs_util.Fsutil
 
+(* Usage errors — a malformed or out-of-range flag or environment value —
+   exit 2 throughout (see the [Cmd.eval_value] mapping at the bottom). *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info 1 ~doc:"when an experiment failed; the others still ran.";
+      info 2 ~doc:"on a usage error: a malformed or out-of-range option or environment value.";
+      info internal_error ~doc:"on an unexpected internal error.";
+    ]
+
 let ctx_term =
   let scale =
     let doc =
@@ -75,12 +86,16 @@ let ctx_term =
   in
   let trace_cache_mb =
     let doc =
-      "Capacity of the in-memory branch-event trace store in megabytes (also \
-       $(b,RS_TRACE_CACHE_MB)).  Streams are recorded once and replayed from this LRU by \
-       every sweep; 0 disables recording entirely (streams regenerate live; results are \
-       identical either way).  See README 'Trace record/replay'."
+      "Capacity of the in-memory branch-event trace store in megabytes.  Streams are \
+       recorded once and replayed from this LRU by every sweep; a stream whose recording \
+       does not fit is generated live instead, and 0 records nothing (results are identical \
+       either way).  See README 'Trace record/replay'."
     in
-    Arg.(value & opt (some int) None & info [ "trace-cache-mb" ] ~docv:"MB" ~doc)
+    let env = Cmd.Env.info "RS_TRACE_CACHE_MB" in
+    Arg.(
+      value
+      & opt int Rs_behavior.Trace_store.default_capacity_mb
+      & info [ "trace-cache-mb" ] ~env ~docv:"MB" ~doc)
   in
   let make scale seed tau jobs cache_stats pool_stats metrics trace faults trace_cache_mb =
     let configured =
@@ -108,15 +123,11 @@ let ctx_term =
         Printf.eprintf "rspec: %s\n" msg;
         exit 2)
     | None -> ());
-    (match trace_cache_mb with
-    | Some mb ->
-      if mb < 0 then begin
-        Printf.eprintf "rspec: --trace-cache-mb must be >= 0\n";
-        exit 2
-      end;
-      Rs_behavior.Trace_store.set_capacity_bytes (mb * 1024 * 1024);
-      if mb = 0 then E.Cache.set_trace_replay false
-    | None -> ());
+    if trace_cache_mb < 0 then begin
+      Printf.eprintf "rspec: --trace-cache-mb (RS_TRACE_CACHE_MB) must be >= 0\n";
+      exit 2
+    end;
+    Rs_behavior.Trace_store.set_capacity_bytes (trace_cache_mb * 1024 * 1024);
     E.Context.create ~seed ~scale ~tau ~jobs ()
   in
   Term.(
@@ -237,7 +248,7 @@ let run_cmd =
       exit_on_failures entries failed
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info ~exits "run"
        ~doc:
          "Run a selection of experiments (by name or glob) and emit text, CSV or JSON.  A \
           failing experiment is isolated and reported on stderr; the rest still run and the \
@@ -251,7 +262,7 @@ let all_cmd =
     exit_on_failures R.all failed
   in
   Cmd.v
-    (Cmd.info "all"
+    (Cmd.info ~exits "all"
        ~doc:
          "Run every table and figure reproduction in paper order.  A failing experiment is \
           isolated and reported on stderr; the rest still run and the exit status is \
@@ -274,7 +285,7 @@ let export_cmd =
     exit_on_failures entries failed
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cmd.info ~exits "export"
        ~doc:
          "Write the raw series behind the figures as CSV files (alias for $(b,run \
           'figure[25678]' --format csv))")
@@ -284,7 +295,7 @@ let list_cmd =
   let run () =
     List.iter (fun e -> Printf.printf "%-9s %s\n" (R.name e) (R.description e)) R.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List available reproductions") Term.(const run $ const ())
+  Cmd.v (Cmd.info ~exits "list" ~doc:"List available reproductions") Term.(const run $ const ())
 
 (* --- the online service (`rspec serve` / `rspec drive`) ------------- *)
 
@@ -393,7 +404,7 @@ let serve_cmd =
     Rs_serve.Server.run { params; n_branches; shards; transport; snapshot_path = snapshot }
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the online speculation-control service: a long-lived process ingesting packed \
           branch-event frames over a Unix-domain socket (or stdio), sharding controller \
@@ -487,7 +498,7 @@ let drive_cmd =
     Rs_serve.Client.close c
   in
   Cmd.v
-    (Cmd.info "drive"
+    (Cmd.info ~exits "drive"
        ~doc:
          "Drive a running $(b,rspec serve): record a benchmark's event stream, ship it (in \
           32k-word packed frames), flush, and print a deterministic digest of the server's \
@@ -504,13 +515,19 @@ let cmd_of entry =
     print_string out.text;
     print_newline ()
   in
-  Cmd.v (Cmd.info (R.name entry) ~doc:(R.description entry)) Term.(const action $ ctx_term)
+  Cmd.v (Cmd.info ~exits (R.name entry) ~doc:(R.description entry)) Term.(const action $ ctx_term)
 
 let main =
   let doc = "reproduce 'Reactive Techniques for Controlling Software Speculation' (CGO 2005)" in
-  let info = Cmd.info "rspec" ~version:"1.0.0" ~doc in
+  let info = Cmd.info ~exits "rspec" ~version:"1.0.0" ~doc in
   Cmd.group info
     (list_cmd :: all_cmd :: run_cmd :: export_cmd :: serve_cmd :: drive_cmd
     :: List.map cmd_of R.all)
 
-let () = exit (Cmd.eval main)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok _ -> Cmd.Exit.ok
+    | Error `Parse -> 2
+    | Error `Term -> Cmd.Exit.cli_error
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -173,6 +173,18 @@ grep -q 'no_such_entry' /tmp/rs_noglob.err \
        cat /tmp/rs_noglob.err >&2
        exit 1; }
 rm -f /tmp/rs_noglob.err
+# A malformed or negative RS_TRACE_CACHE_MB fails like a malformed flag:
+# exit 2 and an error naming the variable, never a silent default.
+for bad in abc -1; do
+  status=0
+  RS_TRACE_CACHE_MB=$bad "$RSPEC" run table1 --scale 0.02 --tau 10 --jobs 1 \
+    >/dev/null 2>/tmp/rs_badenv.err || status=$?
+  [[ $status -eq 2 ]] && grep -q 'RS_TRACE_CACHE_MB' /tmp/rs_badenv.err \
+    || { echo "RS_TRACE_CACHE_MB=$bad must exit 2 naming the variable (exit $status):" >&2
+         cat /tmp/rs_badenv.err >&2
+         exit 1; }
+done
+rm -f /tmp/rs_badenv.err
 
 # Bench smoke: the JSON mode at a tiny sampling quota and context.
 # Asserts the harness runs, the JSON parses, every kernel (including the
@@ -227,6 +239,21 @@ if command -v jq >/dev/null 2>&1; then
          jq --argjson names "$EXACT_ALLOC_KERNELS" \
            '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
          exit 1; }
+  # The live-generation kernels, from the exact counter: a 20k-event run
+  # generated and packed chunk by chunk allocates only its per-run setup
+  # (generator state, controller, collector tables: ~1.2-1.6k words).
+  # One allocation per event would cost >= 20k words a run.
+  LIVE_ALLOC_KERNELS='["figure5+table3+4/reactive-run","figure2/profile-pass",
+    "figure3+9/bias-tracks","figure6/eviction-watch","substrate/stream-generation"]'
+  jq -e --argjson names "$LIVE_ALLOC_KERNELS" '
+      [.kernels[] | select(.name as $n | $names | index($n) != null)
+       | .exact_minor_words_per_run]
+      | (length == ($names | length)) and all(. != null and . <= 4000)' \
+    "$BENCH_JSON" >/dev/null \
+    || { echo "live gate failed: a live-generation kernel reports > 4000 exact minor words/run" >&2
+         jq --argjson names "$LIVE_ALLOC_KERNELS" \
+           '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
+         exit 1; }
   # Scheduler counters: a jobs-8 figure5 sweep ran inside the harness, so
   # the work-stealing pool must have stolen sub-ranges.  The jobs-8
   # output must be byte-identical to jobs-1; the >= 2x wall-clock gate
@@ -249,14 +276,29 @@ else
 fi
 rm -f "$BENCH_JSON"
 
-# Scheduler stage: neither the work-stealing pool nor the artifact cache
-# may change output.  `rspec all` must be byte-identical between --jobs 1
-# and --jobs 8 at two seeds; the jobs-8 runs print their scheduler
-# counters so the CI log records the steal/split activity behind the
-# identity.  Order independence: breakeven run alone from a cold cache
-# at --jobs 8 must reproduce its section of the jobs-1 `rspec all`.
-echo "== scheduler (rspec all: jobs 1 vs 8, breakeven alone, two seeds) =="
+# Scheduler stage: neither the work-stealing pool, the artifact cache nor
+# the trace store may change output.  `rspec all` must be byte-identical
+# between --jobs 1 and --jobs 8 at two seeds; the jobs-8 runs print their
+# scheduler counters so the CI log records the steal/split activity
+# behind the identity.  Order independence: an entry run alone from a
+# cold cache at --jobs 8 must reproduce its section of the jobs-1
+# `rspec all` — breakeven with the default trace store, and the
+# trace-consuming entries with --trace-cache-mb 0, which generates every
+# stream live instead of replaying a recording.
+echo "== scheduler (rspec all: jobs 1 vs 8, entries alone, live vs replay, two seeds) =="
 SCHED_DIR=$(mktemp -d /tmp/rs_sched.XXXXXX)
+run_alone() { # run_alone <seed> <entry> [flags...]: cmp against its section of j1.txt
+  local seed=$1 name=$2; shift 2
+  timeout 900 "$RSPEC" run "$name" --scale 0.02 --tau 10 --seed "$seed" --jobs 8 "$@" \
+    > "$SCHED_DIR/alone.txt"
+  awk -v name="$name" '/^== / { keep = ($2 == name) } keep' "$SCHED_DIR/j1.txt" \
+    > "$SCHED_DIR/section.txt"
+  test -s "$SCHED_DIR/section.txt" \
+    || { echo "no $name section in rspec all (seed=$seed)" >&2; exit 1; }
+  cmp "$SCHED_DIR/section.txt" "$SCHED_DIR/alone.txt" \
+    || { echo "rspec run $name $* differs from its rspec all section (seed=$seed)" >&2
+         exit 1; }
+}
 for seed in 3 11; do
   echo "-- seed=$seed --"
   timeout 900 "$RSPEC" all --scale 0.02 --tau 10 --seed "$seed" --jobs 1 \
@@ -266,15 +308,10 @@ for seed in 3 11; do
   cmp "$SCHED_DIR/j1.txt" "$SCHED_DIR/j8.txt" \
     || { echo "rspec all differs between --jobs 1 and --jobs 8 (seed=$seed)" >&2; exit 1; }
   grep '^pool:' "$SCHED_DIR/j8.err" || true
-  timeout 900 "$RSPEC" run breakeven --scale 0.02 --tau 10 --seed "$seed" --jobs 8 \
-    > "$SCHED_DIR/alone.txt"
-  awk '/^== / { keep = ($2 == "breakeven") } keep' "$SCHED_DIR/j1.txt" \
-    > "$SCHED_DIR/section.txt"
-  test -s "$SCHED_DIR/section.txt" \
-    || { echo "no breakeven section in rspec all (seed=$seed)" >&2; exit 1; }
-  cmp "$SCHED_DIR/section.txt" "$SCHED_DIR/alone.txt" \
-    || { echo "rspec run breakeven differs from its rspec all section (seed=$seed)" >&2
-         exit 1; }
+  run_alone "$seed" breakeven
+  for name in figure3 figure5 figure6 figure9 table3; do
+    run_alone "$seed" "$name" --trace-cache-mb 0
+  done
   echo "scheduler identity ok at seed=$seed"
 done
 rm -rf "$SCHED_DIR"

@@ -1,5 +1,3 @@
-type event = { branch : int; taken : bool; exec_index : int; instr : int }
-
 type config = { seed : int; instr_per_branch : float; length : int }
 
 let total_instructions config =
@@ -12,15 +10,14 @@ let validate ~caller config =
   if config.instr_per_branch < 1.0 then
     invalid_arg (caller ^ ": instr_per_branch must be >= 1")
 
-(* The one generator loop everything layers on.  The consumer receives
-   plain integers and a bool, so a pass that does not need boxed events
-   (packed trace recording, the simulator's chunk encoder) allocates
-   nothing per event: the fractional-instruction carry lives in a float
+(* The generator loop.  The consumer receives plain integers and a bool,
+   so a pass over it (the chunk packer of [Trace_store]) allocates nothing
+   per event: the fractional-instruction carry lives in a float
    array cell (a [float ref] would box a fresh float per store on the
    non-flambda compiler), and the alias draw and behaviour sample are
    allocation-free (see Population.Alias.draw / Behavior.sample). *)
-let iter_raw_as ~caller pop config f =
-  validate ~caller config;
+let iter_raw pop config f =
+  validate ~caller:"Stream.iter_raw" config;
   let root = Rs_util.Prng.create config.seed in
   let pick_rng = Rs_util.Prng.split root in
   (* Each branch owns a private outcome stream so that its sampled
@@ -58,18 +55,3 @@ let iter_raw_as ~caller pop config f =
     f ~branch:b ~taken ~exec_index ~instr:!instr
   done;
   exec
-
-let iter_counted_as ~caller pop config f =
-  iter_raw_as ~caller pop config (fun ~branch ~taken ~exec_index ~instr ->
-      f { branch; taken; exec_index; instr })
-
-let iter_raw pop config f = iter_raw_as ~caller:"Stream.iter_raw" pop config f
-
-let iter_counted pop config f = iter_counted_as ~caller:"Stream.iter_counted" pop config f
-
-let iter pop config f =
-  ignore (iter_counted_as ~caller:"Stream.iter" pop config f : int array)
-
-let exec_counts pop config =
-  iter_raw_as ~caller:"Stream.exec_counts" pop config
-    (fun ~branch:_ ~taken:_ ~exec_index:_ ~instr:_ -> ())

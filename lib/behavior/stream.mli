@@ -9,15 +9,9 @@
 
     Streams are fully deterministic in the seed: the same
     [(population, seed, instr_per_branch)] triple always produces the same
-    event sequence.  Every consumer in the library (functional simulator,
-    profilers, the MSSP driver) replays streams through {!iter}. *)
-
-type event = {
-  branch : int;  (** Static branch id. *)
-  taken : bool;  (** Outcome of this execution. *)
-  exec_index : int;  (** 0-based per-branch execution count. *)
-  instr : int;  (** Global instruction count at this branch. *)
-}
+    event sequence.  Consumers read streams as packed chunks through
+    {!Trace_store.iter_chunks}, which packs this generator's events live
+    or iterates a recording of them. *)
 
 type config = {
   seed : int;
@@ -25,33 +19,16 @@ type config = {
   length : int;  (** Number of branch events to generate. *)
 }
 
-val iter : Population.t -> config -> (event -> unit) -> unit
-(** Generate [config.length] events in order, calling the consumer on
-    each.  @raise Invalid_argument on a non-positive length or an
-    [instr_per_branch < 1]; the message names the entry point that was
-    actually called ([iter], [iter_counted] or [exec_counts]). *)
-
 val iter_raw :
-  Population.t -> config -> (branch:int -> taken:bool -> exec_index:int -> instr:int -> unit) -> int array
-(** The generator underneath {!iter}/{!iter_counted}, delivering each
-    event as plain integers and returning the per-branch execution
-    totals.  The loop allocates nothing per event — no event record, no
-    boxed float — so consumers that re-encode events (packed trace
-    recording) keep the whole generation pass off the minor heap.  The
-    event values are exactly {!iter_counted}'s, field for field. *)
-
-val iter_counted : Population.t -> config -> (event -> unit) -> int array
-(** Like {!iter}, and additionally returns the per-branch execution
-    totals the generator maintained during that same pass.  Consumers
-    that need both the events and the final counts should use this
-    rather than following an {!iter} with {!exec_counts}, which would
-    regenerate the whole stream a second time. *)
-
-val exec_counts : Population.t -> config -> int array
-(** Per-branch execution totals, obtained by generating (and
-    discarding) the full stream.  This costs a complete pass: callers
-    that already consume the events should take the counts from
-    {!iter_counted} instead. *)
+  Population.t ->
+  config ->
+  (branch:int -> taken:bool -> exec_index:int -> instr:int -> unit) ->
+  int array
+(** Generate [config.length] events in order, delivering each as plain
+    integers, and return the per-branch execution totals.  The loop
+    allocates nothing per event — no event record, no boxed float.
+    @raise Invalid_argument on a non-positive length or an
+    [instr_per_branch < 1]; the message names [Stream.iter_raw]. *)
 
 val total_instructions : config -> int
 (** Instruction count the stream reaches, [length * instr_per_branch]

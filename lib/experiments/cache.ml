@@ -183,24 +183,16 @@ let build ctx bm ~input =
    population is pure in the ckey, so every consumer below shares one
    packed recording per ckey through the trace store's LRU: the sweeps
    (figure5's variants, table3/4, the ablations, breakeven) record the
-   stream once and replay it per parameter point.  [set_trace_replay
-   false] is the kill switch that forces live regeneration everywhere —
-   replay is byte-identical, so flipping it never changes results. *)
-let use_traces = Atomic.make true
-
-let set_trace_replay b = Atomic.set use_traces b
-let trace_replay_enabled () = Atomic.get use_traces
-
+   stream once and replay it per parameter point.  A stream the store
+   cannot hold comes back as [None] and its consumers generate it live —
+   the same chunks, so the capacity never changes results. *)
 let stream_key (k : ckey) =
   Printf.sprintf "%s/%s/seed=%d/scale=%g/tau=%d" k.bench (input_tag k.input) k.seed k.scale
     k.tau
 
 let trace ctx bm ~input =
-  if not (Atomic.get use_traces) then None
-  else begin
-    let pop, cfg = build ctx bm ~input in
-    Some (Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg)
-  end
+  let pop, cfg = build ctx bm ~input in
+  Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg
 
 (* Fabricated traces (the adversarial scenario families) are keyed by a
    caller-supplied string instead of a ckey: their populations are not
@@ -208,12 +200,16 @@ let trace ctx bm ~input =
    same bounded-retry semantics as every other compute body — a fault at
    the [trace_store.record] site is retried away instead of failing the
    experiment.  The benchmark paths above get this for free because
-   their recordings happen inside the [run]/[profile] bodies. *)
+   their recordings happen inside the [run]/[profile] bodies.  The
+   differential checks these traces feed need a recording, so one the
+   store cannot hold is recorded for the memo alone. *)
 let fabricated : (string, Rs_behavior.Trace_store.t) memo = memo "trace"
 
 let fabricated_trace ~key pop cfg =
   find_or_compute fabricated ~bench:key key (fun () ->
-      Rs_behavior.Trace_store.cached ~key pop cfg)
+      match Rs_behavior.Trace_store.cached ~key pop cfg with
+      | Some trace -> trace
+      | None -> Rs_behavior.Trace_store.record pop cfg)
 
 (* Every checkpoint window the suite requests anywhere: the paper-time
    windows (figure5's default profiles), the context's compressed windows

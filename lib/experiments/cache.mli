@@ -113,11 +113,12 @@ val trace :
     per [(seed, scale, tau, benchmark, input)] through
     {!Rs_behavior.Trace_store.cached} and replayed by every later
     consumer ({!run}, {!profile}, and the figure experiments that drive
-    the engine with hooks).  Returns [None] when replay is disabled via
-    {!set_trace_replay} — callers pass the option straight to the [?trace]
-    parameter of the sim layer, which then regenerates live.  Replay is
-    byte-identical to regeneration, so the toggle never changes
-    results, only speed. *)
+    the engine with hooks).  Returns [None] when the recording would not
+    fit the trace store's capacity ([--trace-cache-mb]; always at 0) —
+    callers pass the option straight to the [?trace] parameter of the
+    sim layer, which then generates the stream live.  Both sources yield
+    the same packed chunks, so the capacity never changes results, only
+    speed and memory. *)
 
 val fabricated_trace :
   key:string ->
@@ -130,15 +131,9 @@ val fabricated_trace :
     tau).  The compute body runs with the same bounded retries as the
     other artifact kinds, so an injected fault at the
     [trace_store.record] site is retried away instead of failing the
-    experiment. *)
-
-val set_trace_replay : bool -> unit
-(** Enable/disable record-once/replay-many streaming (default enabled).
-    Disabling makes {!trace} return [None]; entries already recorded stay
-    in the trace store until {!reset} or eviction. *)
-
-val trace_replay_enabled : unit -> bool
-(** Current {!set_trace_replay} setting. *)
+    experiment.  The differential checks these traces feed need a
+    recording, so one the trace store cannot hold is recorded anyway and
+    kept by this memo alone. *)
 
 val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)

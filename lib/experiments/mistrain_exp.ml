@@ -69,7 +69,7 @@ let run (ctx : Context.t) =
         let q = Rs_sim.Quarantine.create ~n_branches:(TS.n_branches trace) in
         let (_ : Rs_sim.Engine.result) =
           Rs_sim.Engine.run ~label:(label ^ ":quarantine")
-            ~observer_raw:(Rs_sim.Quarantine.observer q) ~trace b.population b.config params
+            ~observer:(Rs_sim.Quarantine.observer q) ~trace b.population b.config params
         in
         let n_victims = Array.length b.victims in
         let q_times =

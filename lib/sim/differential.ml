@@ -14,15 +14,36 @@ type report = {
 }
 
 let check ?(label = "differential") ~trace pop cfg params =
-  if not (TS.matches trace pop cfg) then
-    invalid_arg "Differential.check: trace does not match the (population, config) pair";
+  (* Per-event pass: two fresh controllers fed the same decoded events,
+     one through the fused integer [step_code], one through the boxed
+     [step]; the decisions must match event-for-event.  Reading the trace
+     through [iter_chunks] checks it against (population, config) before
+     either engine run. *)
+  let n_branches = TS.n_branches trace in
+  let c_code = Reactive.create ~n_branches params in
+  let c_dec = Reactive.create ~n_branches params in
+  let idx = ref 0 in
+  let instr = ref 0 in
+  let first_divergence = ref None in
+  TS.iter_chunks ~caller:"Differential.check" ~trace pop cfg (fun chunk len ->
+      for i = 0 to len - 1 do
+        let w = Array.unsafe_get chunk i in
+        let branch = TS.packed_branch w in
+        let taken = TS.packed_taken w in
+        instr := !instr + TS.packed_delta w;
+        let code = Reactive.step_code c_code ~branch ~taken ~instr:!instr in
+        let d = Reactive.step c_dec ~branch ~taken ~instr:!instr in
+        if Reactive.decision_of_code code <> d && !first_divergence = None then
+          first_divergence := Some !idx;
+        incr idx
+      done);
   (* Hookless with an explicit trace: the batched step_chunk kernel. *)
   let r_batched = Engine.run ~label:(label ^ ":batched") ~trace pop cfg params in
-  (* A raw observer forces the scalar fused-replay path over the same trace. *)
+  (* An observer forces the scalar observer loop over the same trace. *)
   let r_scalar =
     Engine.run
       ~label:(label ^ ":scalar")
-      ~observer_raw:(fun ~branch:_ ~taken:_ ~instr:_ ~code:_ -> ())
+      ~observer:(fun ~branch:_ ~taken:_ ~instr:_ ~code:_ -> ())
       ~trace pop cfg params
   in
   let counters_ok =
@@ -41,27 +62,6 @@ let check ?(label = "differential") ~trace pop cfg params =
   let branches_ok =
     Reactive.export_words r_batched.controller = Reactive.export_words r_scalar.controller
   in
-  (* Per-event pass: two fresh controllers fed the same decoded events,
-     one through the fused integer [step_code], one through the boxed
-     [step]; the decisions must match event-for-event. *)
-  let n_branches = TS.n_branches trace in
-  let c_code = Reactive.create ~n_branches params in
-  let c_dec = Reactive.create ~n_branches params in
-  let idx = ref 0 in
-  let instr = ref 0 in
-  let first_divergence = ref None in
-  TS.iter_packed trace (fun chunk len ->
-      for i = 0 to len - 1 do
-        let w = Array.unsafe_get chunk i in
-        let branch = TS.packed_branch w in
-        let taken = TS.packed_taken w in
-        instr := !instr + TS.packed_delta w;
-        let code = Reactive.step_code c_code ~branch ~taken ~instr:!instr in
-        let d = Reactive.step c_dec ~branch ~taken ~instr:!instr in
-        if Reactive.decision_of_code code <> d && !first_divergence = None then
-          first_divergence := Some !idx;
-        incr idx
-      done);
   let per_event_ok =
     !first_divergence = None
     && Reactive.transitions c_code = Reactive.transitions c_dec

@@ -1,10 +1,10 @@
 (** Differential check: batched packed decode vs scalar stepping.
 
-    The engine has two ways to consume a packed trace — the hookless
+    The engine has two ways to consume packed chunks — the hookless
     batched path ({!Rs_core.Reactive.step_chunk} over whole chunks) and
-    the scalar fused-replay path taken whenever a raw
-    observer is installed.  The adversarial experiments lean on both, so
-    this module runs a trace through each and checks they agree:
+    the scalar observer loop taken whenever an observer is installed.
+    The adversarial experiments lean on both, so this module runs a
+    trace through each and checks they agree:
 
     - {e summary}: event/instruction/correct/incorrect counters,
       misspeculation-gap statistics, the full transition list and the

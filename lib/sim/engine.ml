@@ -23,18 +23,11 @@ let m_incorrect = Rs_obs.Metrics.counter "engine.incorrect"
 let h_wall =
   Rs_obs.Metrics.histogram "engine.wall_seconds" ~bounds:[| 0.01; 0.1; 1.0; 10.0; 60.0 |]
 
-let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config params =
+let run ?(label = "") ?observer ?on_transition ?trace pop config params =
   let t0 = Rs_obs.Trace.now () in
   let n = Rs_behavior.Population.size pop in
-  (match (observer, observer_raw) with
-  | Some _, Some _ -> invalid_arg "Engine.run: at most one of observer / observer_raw"
-  | _ -> ());
-  (match trace with
-  | Some tr when not (Rs_behavior.Trace_store.matches tr pop config) ->
-    invalid_arg "Engine.run: trace was recorded for a different (population, config)"
-  | _ -> ());
   (* Compose the tracing hook outside the event loop; enabled() is
-     sampled once per run, like the observer resolution below. *)
+     sampled once per run. *)
   let on_transition =
     if not (Rs_obs.Trace.enabled ()) then on_transition
     else begin
@@ -58,66 +51,27 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
       m "run: %d branches, %d events, ipb %.1f%s" n config.Rs_behavior.Stream.length
         config.instr_per_branch
         (if trace = None then "" else " (trace replay)"));
-  (* Every hookless pass runs off packed chunks: an explicit [trace]
-     replays it, and the generation path records once through the
-     [Trace_store.auto] memo and replays that — bit-exact either way.
-     Hook order is part of the contract — the observer sees the event
-     after scoring but before the controller does — so the observer
-     paths keep the split deployed/observe calls. *)
-  let run_batched tr = Rs_behavior.Trace_store.iter_packed tr (Reactive.step_chunk controller s) in
-  (match (observer, observer_raw, trace) with
-  | Some f, _, _ ->
-    let consume (ev : Rs_behavior.Stream.event) =
-      let code = Reactive.deployed_code controller ev.branch in
-      Reactive.score_event s ~taken:ev.taken ~instr:ev.instr code;
-      f ev (Reactive.decision_of_code code);
-      Reactive.observe controller ~branch:ev.branch ~taken:ev.taken ~instr:ev.instr
-    in
-    (match trace with
-    | Some tr -> Rs_behavior.Trace_store.replay tr consume
-    | None -> Rs_behavior.Stream.iter pop config consume)
-  | None, Some f, _ ->
-    (* Allocation-free hook: split deployed/observe like the boxed
-       observer (same hook-order contract), but every event stays plain
-       integers end to end. *)
-    let consume_raw ~branch ~taken ~instr =
-      let code = Reactive.deployed_code controller branch in
-      Reactive.score_event s ~taken ~instr code;
-      f ~branch ~taken ~instr ~code;
-      Reactive.observe controller ~branch ~taken ~instr
-    in
-    let replay_raw tr =
-      let instr = ref 0 in
-      Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
-          for i = 0 to len - 1 do
-            let w = Array.unsafe_get chunk i in
-            let taken = Rs_behavior.Trace_store.packed_taken w in
-            instr := !instr + Rs_behavior.Trace_store.packed_delta w;
-            consume_raw ~branch:(Rs_behavior.Trace_store.packed_branch w) ~taken ~instr:!instr
-          done)
-    in
-    (match trace with
-    | Some tr -> replay_raw tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> replay_raw tr
-      | None ->
-        ignore
-          (Rs_behavior.Stream.iter_raw pop config
-             (fun ~branch ~taken ~exec_index:_ ~instr -> consume_raw ~branch ~taken ~instr)
-            : int array)))
-  | None, None, Some tr -> run_batched tr
-  | None, None, None -> (
-    match Rs_behavior.Trace_store.auto pop config with
-    | Some tr -> run_batched tr
-    | None ->
-      (* Auto-replay off: still allocation-free — fused scalar steps
-         straight off the raw generator. *)
-      ignore
-        (Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index:_ ~instr ->
-             let code = Reactive.step_code controller ~branch ~taken ~instr in
-             Reactive.score_event s ~taken ~instr code)
-          : int array)));
+  (* One chunk source, recorded or live.  Hook order is part of the
+     contract — the observer sees the event after scoring but before the
+     controller does — so the observer path keeps the split
+     deployed/observe calls; a hookless run hands whole chunks to the
+     fused kernel. *)
+  let source = Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace pop config in
+  (match observer with
+  | None -> source (Reactive.step_chunk controller s)
+  | Some f ->
+    let instr = ref 0 in
+    source (fun chunk len ->
+        for i = 0 to len - 1 do
+          let w = Array.unsafe_get chunk i in
+          let branch = Rs_behavior.Trace_store.packed_branch w in
+          let taken = Rs_behavior.Trace_store.packed_taken w in
+          instr := !instr + Rs_behavior.Trace_store.packed_delta w;
+          let code = Reactive.deployed_code controller branch in
+          Reactive.score_event s ~taken ~instr:!instr code;
+          f ~branch ~taken ~instr:!instr ~code;
+          Reactive.observe controller ~branch ~taken ~instr:!instr
+        done));
   Log.debug (fun m ->
       m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" s.correct
         (100.0 *. float_of_int s.correct /. float_of_int config.Rs_behavior.Stream.length)

@@ -29,10 +29,10 @@ let run ?(horizon = 64) ?(per_static = false) ?trace pop config params =
     | Types.Selected -> ()
     | _ -> ()
   in
-  (* The raw (unboxed) observer: per event this touches only the two
-     flat arrays — watch records are allocated per eviction, orders of
-     magnitude rarer than events. *)
-  let observer_raw ~branch ~taken ~instr:_ ~code =
+  (* Per event the observer touches only the two flat arrays — watch
+     records are allocated per eviction, orders of magnitude rarer than
+     events. *)
+  let observer ~branch ~taken ~instr:_ ~code =
     (* Track the direction the deployed code speculates so the watch knows
        the pre-eviction direction even after the controller moved on. *)
     if code land 1 = 1 then directions.(branch) <- code land 2 = 2;
@@ -46,7 +46,7 @@ let run ?(horizon = 64) ?(per_static = false) ?trace pop config params =
         watches.(branch) <- None
       end
   in
-  let _result = Engine.run ~observer_raw ~on_transition ?trace pop config params in
+  let _result = Engine.run ~observer ~on_transition ?trace pop config params in
   Array.iter (function Some w when w.seen >= 16 -> finish w | _ -> ()) watches;
   let histogram = Rs_util.Histogram.create ~bins:20 () in
   List.iter (Rs_util.Histogram.add histogram) !finished;

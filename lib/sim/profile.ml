@@ -29,49 +29,29 @@ let collect ?(windows = Static.windows) ?trace pop config =
       if w <= 0 || (i > 0 && w <= windows.(i - 1)) then
         invalid_arg "Profile.collect: windows must be positive and strictly increasing")
     windows;
-  (match trace with
-  | Some tr when not (Rs_behavior.Trace_store.matches tr pop config) ->
-    invalid_arg "Profile.collect: trace was recorded for a different (population, config)"
-  | _ -> ());
   let n_windows = Array.length windows in
   let n = Rs_behavior.Population.size pop in
   let taken = Array.make n 0 in
   let window_taken = Array.make (n_windows * n) (-1) in
   let next_window = Array.make n 0 in
-  (* The per-event update, on plain integers only. *)
-  let update b is_taken exec_index =
-    if is_taken then Array.unsafe_set taken b (Array.unsafe_get taken b + 1);
-    let w = Array.unsafe_get next_window b in
-    if w < n_windows && exec_index + 1 = Array.unsafe_get windows w then begin
-      Array.unsafe_set window_taken ((w * n) + b) (Array.unsafe_get taken b);
-      Array.unsafe_set next_window b (w + 1)
-    end
-  in
-  (* A trace pass decodes packed chunks directly, reconstructing the
-     per-branch execution index with its own counters — no event
-     records. *)
-  let run_trace tr =
-    let exec = Array.make n 0 in
-    Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
-        for i = 0 to len - 1 do
-          let w = Array.unsafe_get chunk i in
-          let b = Rs_behavior.Trace_store.packed_branch w in
-          let e = Array.unsafe_get exec b in
-          Array.unsafe_set exec b (e + 1);
-          update b (Rs_behavior.Trace_store.packed_taken w) e
-        done);
-    exec
-  in
-  let execs =
-    match trace with
-    | Some tr -> run_trace tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> run_trace tr
-      | None ->
-        Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index ~instr:_ ->
-            update branch taken exec_index))
-  in
+  (* One decode loop over packed chunks, on plain integers only; the
+     per-branch execution index is reconstructed with its own counters. *)
+  let execs = Array.make n 0 in
+  Rs_behavior.Trace_store.iter_chunks ~caller:"Profile.collect" ?trace pop config
+    (fun chunk len ->
+      for i = 0 to len - 1 do
+        let w = Array.unsafe_get chunk i in
+        let b = Rs_behavior.Trace_store.packed_branch w in
+        let e = Array.unsafe_get execs b in
+        Array.unsafe_set execs b (e + 1);
+        if Rs_behavior.Trace_store.packed_taken w then
+          Array.unsafe_set taken b (Array.unsafe_get taken b + 1);
+        let nw = Array.unsafe_get next_window b in
+        if nw < n_windows && e + 1 = Array.unsafe_get windows nw then begin
+          Array.unsafe_set window_taken ((nw * n) + b) (Array.unsafe_get taken b);
+          Array.unsafe_set next_window b (nw + 1)
+        end
+      done);
   (* Branches that never reached a checkpoint: the "window" is their whole
      life, so a window-trained policy sees exactly their full counts. *)
   for b = 0 to n - 1 do

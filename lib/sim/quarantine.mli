@@ -4,7 +4,7 @@
     [Rs_workload.Mistrain]), the security-relevant number is how long
     the {e deployed} code keeps speculating after the first poisoned
     misspeculation — the window in which wrong-path effects are live.
-    This tracker hangs off [Engine.run]'s [observer_raw] hook and
+    This tracker hangs off [Engine.run]'s [observer] hook and
     records, per branch: execution and misspeculation totals, the first
     misspeculation of deployed speculative code, and the {e quarantine
     point} — the first subsequent execution at which the deployed code
@@ -26,10 +26,10 @@ val create : n_branches:int -> t
 val on_event : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit
 (** Feed one scored event; [code] is the deployed decision in
     [Reactive.step_code]'s 2-bit encoding (bit 0 speculate, bit 1
-    direction), exactly as [observer_raw] delivers it. *)
+    direction), exactly as [Engine.run]'s observer delivers it. *)
 
 val observer : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit
-(** [observer t] as a closure to pass directly as [~observer_raw]. *)
+(** [observer t] as a closure to pass directly as [Engine.run ~observer]. *)
 
 val execs : t -> int -> int
 (** Executions seen for this branch. *)

@@ -1,34 +1,3 @@
-(* Shared replay-or-generate front door: both collectors consume plain
-   integers — an explicit prerecorded trace, the [Trace_store.auto]
-   memo, or (with auto-replay off) the raw generator, decoded without
-   per-event boxing in every case. *)
-module Replay = struct
-  let iter ?trace ~caller pop config f =
-    let run_trace tr =
-      let exec = Array.make (Rs_behavior.Population.size pop) 0 in
-      let instr = ref 0 in
-      Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
-          for i = 0 to len - 1 do
-            let w = Array.unsafe_get chunk i in
-            let b = Rs_behavior.Trace_store.packed_branch w in
-            instr := !instr + Rs_behavior.Trace_store.packed_delta w;
-            let e = Array.unsafe_get exec b in
-            Array.unsafe_set exec b (e + 1);
-            f ~branch:b ~taken:(Rs_behavior.Trace_store.packed_taken w) ~exec_index:e
-              ~instr:!instr
-          done)
-    in
-    match trace with
-    | Some tr ->
-      if not (Rs_behavior.Trace_store.matches tr pop config) then
-        invalid_arg (caller ^ ": trace was recorded for a different (population, config)");
-      run_trace tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> run_trace tr
-      | None -> ignore (Rs_behavior.Stream.iter_raw pop config f : int array))
-end
-
 module Exec_blocks = struct
   type t = { block : int; series : (int, (int * float) list ref) Hashtbl.t }
 
@@ -48,19 +17,22 @@ module Exec_blocks = struct
         if b < 0 then invalid_arg "Exec_blocks.collect: negative branch id";
         accs.(b) <- Some { seen = 0; taken = 0; blocks = [] })
       branches;
-    Replay.iter ?trace ~caller:"Exec_blocks.collect" pop config
-      (fun ~branch ~taken ~exec_index:_ ~instr:_ ->
-        match Array.unsafe_get accs branch with
-        | None -> ()
-        | Some a ->
-          if taken then a.taken <- a.taken + 1;
-          a.seen <- a.seen + 1;
-          if a.seen = block then begin
-            let idx = List.length a.blocks in
-            a.blocks <- (idx, float_of_int a.taken /. float_of_int block) :: a.blocks;
-            a.seen <- 0;
-            a.taken <- 0
-          end);
+    Rs_behavior.Trace_store.iter_chunks ~caller:"Exec_blocks.collect" ?trace pop config
+      (fun chunk len ->
+        for i = 0 to len - 1 do
+          let w = Array.unsafe_get chunk i in
+          match Array.unsafe_get accs (Rs_behavior.Trace_store.packed_branch w) with
+          | None -> ()
+          | Some a ->
+            if Rs_behavior.Trace_store.packed_taken w then a.taken <- a.taken + 1;
+            a.seen <- a.seen + 1;
+            if a.seen = block then begin
+              let idx = List.length a.blocks in
+              a.blocks <- (idx, float_of_int a.taken /. float_of_int block) :: a.blocks;
+              a.seen <- 0;
+              a.taken <- 0
+            end
+        done);
     let series = Hashtbl.create 16 in
     List.iter
       (fun b ->
@@ -95,12 +67,18 @@ module Intervals = struct
     let width = max 1 (total_instr / buckets) in
     let execs = Array.make (buckets * n) 0 in
     let taken = Array.make (buckets * n) 0 in
-    Replay.iter ?trace ~caller:"Intervals.collect" pop config
-      (fun ~branch ~taken:tk ~exec_index:_ ~instr ->
-        let k = min (buckets - 1) (instr / width) in
-        let i = (k * n) + branch in
-        Array.unsafe_set execs i (Array.unsafe_get execs i + 1);
-        if tk then Array.unsafe_set taken i (Array.unsafe_get taken i + 1));
+    let instr = ref 0 in
+    Rs_behavior.Trace_store.iter_chunks ~caller:"Intervals.collect" ?trace pop config
+      (fun chunk len ->
+        for i = 0 to len - 1 do
+          let w = Array.unsafe_get chunk i in
+          instr := !instr + Rs_behavior.Trace_store.packed_delta w;
+          let k = min (buckets - 1) (!instr / width) in
+          let j = (k * n) + Rs_behavior.Trace_store.packed_branch w in
+          Array.unsafe_set execs j (Array.unsafe_get execs j + 1);
+          if Rs_behavior.Trace_store.packed_taken w then
+            Array.unsafe_set taken j (Array.unsafe_get taken j + 1)
+        done);
     { buckets; min_execs; n; execs; taken }
 
   let n_buckets t = t.buckets

@@ -9,9 +9,9 @@
      corners (tiny monitor periods, oscillation limits of 1, zero and
      non-zero optimization latency, sampled and continuous eviction).
 
-   - The boxed event-record engine paths: the chunked batch decode and
-     the raw observer must produce the same results and hook sequences
-     as the [Stream.event]-based paths they replaced.
+   - The engine's two consumption paths: the chunked batch decode and
+     the scalar observer loop must produce the same results and hook
+     sequences, from a recorded trace and from live generation alike.
 
    The batch kernel [Reactive.step_chunk] is held to the reference FSM
    over random parameter shapes and, event by event, on either side of
@@ -420,7 +420,17 @@ let mk_pop ~n seed =
          in
          { Pop.id; behavior; weight = 0.1 +. Prng.float rng 2.0 }))
 
-(* The event-for-event scalar oracle: replay boxed events through the
+(* Decode a trace event by event, as plain integers. *)
+let replay tr f =
+  let instr = ref 0 in
+  TS.iter_packed tr (fun chunk len ->
+      for i = 0 to len - 1 do
+        let w = chunk.(i) in
+        instr := !instr + TS.packed_delta w;
+        f ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr
+      done)
+
+(* The event-for-event scalar oracle: replay decoded events through the
    reference FSM with the engine's scoring rule. *)
 let scalar_run tr params n =
   let reference = Reference.create ~n_branches:n params in
@@ -429,15 +439,15 @@ let scalar_run tr params n =
   let last = ref 0 in
   let gap_count = ref 0 in
   let gap_sum = ref 0 in
-  TS.replay tr (fun (ev : Stream.event) ->
-      let d = Reference.step reference ~branch:ev.branch ~taken:ev.taken ~instr:ev.instr in
+  replay tr (fun ~branch ~taken ~instr ->
+      let d = Reference.step reference ~branch ~taken ~instr in
       if d.Types.speculate then begin
-        if ev.taken = d.direction then incr correct
+        if taken = d.direction then incr correct
         else begin
           incr incorrect;
           incr gap_count;
-          gap_sum := !gap_sum + (ev.instr - !last);
-          last := ev.instr
+          gap_sum := !gap_sum + (instr - !last);
+          last := instr
         end
       end);
   (!correct, !incorrect, !gap_count, !gap_sum, Reference.transitions reference)
@@ -462,10 +472,8 @@ let batch_run tr params n = fst (kernel_run tr params n)
    leave every word exactly where the generic machine would. *)
 let stepped_words tr params n =
   let controller = Reactive.create ~n_branches:n params in
-  TS.replay tr (fun (ev : Stream.event) ->
-      ignore
-        (Reactive.step controller ~branch:ev.branch ~taken:ev.taken ~instr:ev.instr
-          : Types.decision));
+  replay tr (fun ~branch ~taken ~instr ->
+      ignore (Reactive.step controller ~branch ~taken ~instr : Types.decision));
   Reactive.export_words controller
 
 let qcheck_batch_equals_scalar =
@@ -683,10 +691,12 @@ let qcheck_interleave_batch_equals_scalar =
       let check (_, _, tr) = paths_agree tr params (TS.n_branches tr) in
       check m.shared && check m.split)
 
-(* Engine.run: every path — hookless batched (explicit trace and the
-   auto memo), raw observer, boxed observer — produces identical
-   results, and the raw observer sees the boxed observer's exact
-   sequence. *)
+(* Engine.run: both paths — hookless batched and the observer loop —
+   over both sources — a recorded trace and live generation — produce
+   identical results and hook sequences.  The observer sees each event
+   after it is scored and before the controller observes it: the code it
+   is handed is the reference FSM's decision for that event, and every
+   transition the event causes fires after the observer call. *)
 let test_engine_paths_agree () =
   let n = 9 in
   let pop = mk_pop ~n 7 in
@@ -701,34 +711,50 @@ let test_engine_paths_agree () =
       Rs_util.Running_stats.count r.misspec_gap,
       Reactive.transitions r.controller )
   in
-  let boxed_seq = ref [] in
-  let raw_seq = ref [] in
   let code_of (d : Types.decision) =
     (if d.speculate then 1 else 0) lor if d.direction then 2 else 0
   in
-  let r_boxed =
-    Rs_sim.Engine.run
-      ~observer:(fun ev d -> boxed_seq := (ev.branch, ev.taken, ev.instr, code_of d) :: !boxed_seq)
-      ~trace:tr pop cfg params
+  (* the expected sequence, from the reference FSM: each event's
+     decision, then the transitions its observation causes *)
+  let reference = Reference.create ~n_branches:n params in
+  let expected = ref [] in
+  let seen = ref [] in
+  replay tr (fun ~branch ~taken ~instr ->
+      let d = Reference.step reference ~branch ~taken ~instr in
+      expected := `Event (branch, taken, instr, code_of d) :: !expected;
+      (* the transitions this step added: the newest prefix of the
+         reversed list, up to the previous head *)
+      let rec fresh l =
+        if l == !seen then [] else match l with t :: r -> t :: fresh r | [] -> []
+      in
+      let now = reference.Reference.transitions_rev in
+      List.iter
+        (fun (t : Types.transition) -> expected := `Transition t.kind :: !expected)
+        (List.rev (fresh now));
+      seen := now);
+  let observed ?trace () =
+    let seq = ref [] in
+    let r =
+      Rs_sim.Engine.run
+        ~observer:(fun ~branch ~taken ~instr ~code ->
+          seq := `Event (branch, taken, instr, code) :: !seq)
+        ~on_transition:(fun t -> seq := `Transition t.kind :: !seq)
+        ?trace pop cfg params
+    in
+    (r, !seq)
   in
-  let r_raw =
-    Rs_sim.Engine.run
-      ~observer_raw:(fun ~branch ~taken ~instr ~code ->
-        raw_seq := (branch, taken, instr, code) :: !raw_seq)
-      ~trace:tr pop cfg params
-  in
+  let r_observed, seq_recorded = observed ~trace:tr () in
+  let r_observed_live, seq_live = observed () in
   let r_batched = Rs_sim.Engine.run ~trace:tr pop cfg params in
-  let r_auto = Rs_sim.Engine.run pop cfg params in
-  TS.set_auto false;
-  let r_noauto =
-    Fun.protect ~finally:(fun () -> TS.set_auto true) (fun () -> Rs_sim.Engine.run pop cfg params)
-  in
-  Alcotest.(check bool) "raw == boxed result" true (summary r_raw = summary r_boxed);
-  Alcotest.(check bool) "batched == boxed result" true (summary r_batched = summary r_boxed);
-  Alcotest.(check bool) "auto-memo == boxed result" true (summary r_auto = summary r_boxed);
-  Alcotest.(check bool) "auto-off == boxed result" true (summary r_noauto = summary r_boxed);
-  Alcotest.(check bool) "raw observer sees boxed sequence" true (!raw_seq = !boxed_seq);
-  Alcotest.(check bool) "observer sequence nonempty" true (!boxed_seq <> [])
+  let r_live = Rs_sim.Engine.run pop cfg params in
+  Alcotest.(check bool) "batched == observer result" true (summary r_batched = summary r_observed);
+  Alcotest.(check bool) "live batched == observer result" true
+    (summary r_live = summary r_observed);
+  Alcotest.(check bool) "live observer == observer result" true
+    (summary r_observed_live = summary r_observed);
+  Alcotest.(check bool) "live observer sees the recorded sequence" true (seq_live = seq_recorded);
+  Alcotest.(check bool) "hook order: decision, then observe" true (seq_recorded = !expected);
+  Alcotest.(check bool) "observer sequence nonempty" true (seq_recorded <> [])
 
 let suite =
   [
@@ -757,6 +783,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_adversary_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_mistrain_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_interleave_batch_equals_scalar;
-    Alcotest.test_case "engine paths agree (batched/raw/boxed/auto)" `Quick
+    Alcotest.test_case "engine paths agree (batched/raw/both sources)" `Quick
       test_engine_paths_agree;
   ]

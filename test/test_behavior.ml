@@ -1,6 +1,7 @@
 module B = Rs_behavior.Behavior
 module Pop = Rs_behavior.Population
 module Stream = Rs_behavior.Stream
+module TS = Rs_behavior.Trace_store
 module Prng = Rs_util.Prng
 
 let p_at ?(instr = 0) b i = B.p_taken b ~exec_index:i ~instr
@@ -139,7 +140,10 @@ let test_stream_determinism () =
   let cfg = { Stream.seed = 5; instr_per_branch = 5.5; length = 10_000 } in
   let record cfg =
     let evs = ref [] in
-    Stream.iter pop cfg (fun ev -> evs := (ev.branch, ev.taken, ev.instr) :: !evs);
+    ignore
+      (Stream.iter_raw pop cfg (fun ~branch ~taken ~exec_index:_ ~instr ->
+           evs := (branch, taken, instr) :: !evs)
+        : int array);
     !evs
   in
   Alcotest.(check bool) "same seed same stream" true (record cfg = record cfg);
@@ -149,13 +153,14 @@ let test_stream_determinism () =
 let test_stream_counts_and_instr () =
   let pop = mk_pop [ 1.0; 1.0 ] in
   let cfg = { Stream.seed = 1; instr_per_branch = 6.5; length = 100_000 } in
-  let counts = Stream.exec_counts pop cfg in
-  Alcotest.(check int) "counts sum to length" cfg.length (Array.fold_left ( + ) 0 counts);
   let last = ref 0 in
   let monotone = ref true in
-  Stream.iter pop cfg (fun ev ->
-      if ev.instr <= !last then monotone := false;
-      last := ev.instr);
+  let counts =
+    Stream.iter_raw pop cfg (fun ~branch:_ ~taken:_ ~exec_index:_ ~instr ->
+        if instr <= !last then monotone := false;
+        last := instr)
+  in
+  Alcotest.(check int) "counts sum to length" cfg.length (Array.fold_left ( + ) 0 counts);
   Alcotest.(check bool) "instruction counter strictly increases" true !monotone;
   let expect = Stream.total_instructions cfg in
   Alcotest.(check bool) "final instr near total"
@@ -167,9 +172,11 @@ let test_stream_exec_index () =
   let pop = mk_pop [ 1.0 ] in
   let cfg = { Stream.seed = 2; instr_per_branch = 1.0; length = 100 } in
   let expected = ref 0 in
-  Stream.iter pop cfg (fun ev ->
-      Alcotest.(check int) "exec_index counts up" !expected ev.exec_index;
-      incr expected)
+  ignore
+    (Stream.iter_raw pop cfg (fun ~branch:_ ~taken:_ ~exec_index ~instr:_ ->
+         Alcotest.(check int) "exec_index counts up" !expected exec_index;
+         incr expected)
+      : int array)
 
 let test_stream_behavior_independence () =
   (* A deterministic flip branch must flip at exactly its threshold no
@@ -183,9 +190,11 @@ let test_stream_behavior_independence () =
   in
   let outcomes weight =
     let out = ref [] in
-    Stream.iter (mk weight)
-      { Stream.seed = 3; instr_per_branch = 4.0; length = 2_000 }
-      (fun ev -> if ev.branch = 0 then out := ev.taken :: !out);
+    ignore
+      (Stream.iter_raw (mk weight)
+         { Stream.seed = 3; instr_per_branch = 4.0; length = 2_000 }
+         (fun ~branch ~taken ~exec_index:_ ~instr:_ -> if branch = 0 then out := taken :: !out)
+        : int array);
     List.rev !out
   in
   let check_flip outs =
@@ -199,28 +208,37 @@ let test_stream_behavior_independence () =
   check_flip (outcomes 10.0)
 
 let test_stream_invalid () =
-  (* Each public entry point names itself in its guard errors — a bad
-     config raised through [exec_counts] must not blame [iter]. *)
+  (* Each public entry point that generates a stream names itself in its
+     guard errors — a bad config raised through [Profile.collect] must
+     not blame the generator underneath. *)
   let pop = mk_pop [ 1.0 ] in
   let bad_length = { Stream.seed = 0; instr_per_branch = 5.0; length = 0 } in
   let bad_ipb = { Stream.seed = 0; instr_per_branch = 0.5; length = 1 } in
-  Alcotest.check_raises "bad length" (Invalid_argument "Stream.iter: length must be positive")
-    (fun () -> Stream.iter pop bad_length ignore);
-  Alcotest.check_raises "bad ipb"
-    (Invalid_argument "Stream.iter: instr_per_branch must be >= 1") (fun () ->
-      Stream.iter pop bad_ipb ignore);
-  Alcotest.check_raises "iter_counted bad length"
-    (Invalid_argument "Stream.iter_counted: length must be positive") (fun () ->
-      ignore (Stream.iter_counted pop bad_length ignore : int array));
-  Alcotest.check_raises "iter_counted bad ipb"
-    (Invalid_argument "Stream.iter_counted: instr_per_branch must be >= 1") (fun () ->
-      ignore (Stream.iter_counted pop bad_ipb ignore : int array));
-  Alcotest.check_raises "exec_counts bad length"
-    (Invalid_argument "Stream.exec_counts: length must be positive") (fun () ->
-      ignore (Stream.exec_counts pop bad_length : int array));
-  Alcotest.check_raises "exec_counts bad ipb"
-    (Invalid_argument "Stream.exec_counts: instr_per_branch must be >= 1") (fun () ->
-      ignore (Stream.exec_counts pop bad_ipb : int array))
+  let params = Rs_core.Params.default in
+  let observer ~branch:_ ~taken:_ ~instr:_ ~code:_ = () in
+  let entry_points : (string * (Stream.config -> unit)) list =
+    [
+      ( "Stream.iter_raw",
+        fun cfg ->
+          ignore (Stream.iter_raw pop cfg (fun ~branch:_ ~taken:_ ~exec_index:_ ~instr:_ -> ())) );
+      ("Trace_store.iter_chunks", fun cfg -> TS.iter_chunks pop cfg (fun _ _ -> ()));
+      ("Trace_store.record", fun cfg -> ignore (TS.record pop cfg));
+      ("Engine.run", fun cfg -> ignore (Rs_sim.Engine.run pop cfg params));
+      ("Engine.run", fun cfg -> ignore (Rs_sim.Engine.run ~observer pop cfg params));
+      ("Profile.collect", fun cfg -> ignore (Rs_sim.Profile.collect pop cfg));
+      ( "Exec_blocks.collect",
+        fun cfg -> ignore (Rs_sim.Tracks.Exec_blocks.collect pop cfg ~branches:[ 0 ] ~block:10) );
+      ( "Intervals.collect",
+        fun cfg -> ignore (Rs_sim.Tracks.Intervals.collect pop cfg ~buckets:4 ~min_execs:1) );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.check_raises (name ^ " bad length")
+        (Invalid_argument (name ^ ": length must be positive")) (fun () -> run bad_length);
+      Alcotest.check_raises (name ^ " bad ipb")
+        (Invalid_argument (name ^ ": instr_per_branch must be >= 1")) (fun () -> run bad_ipb))
+    entry_points
 
 let suite =
   [

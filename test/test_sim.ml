@@ -187,9 +187,10 @@ let test_engine_observer_sees_everything () =
   let pop = pop_of [ (B.Stationary 1.0, 1.0) ] in
   let n = ref 0 in
   let speculated = ref 0 in
-  let observer (_ : Stream.event) (d : Rs_core.Types.decision) =
+  let observer ~branch:_ ~taken:_ ~instr:_ ~code =
     incr n;
-    if d.speculate then incr speculated
+    (* bit 0 of the decision code: the deployed code speculates *)
+    if code land 1 = 1 then incr speculated
   in
   let r = Engine.run ~observer pop (cfg 5_000) small_params in
   Alcotest.(check int) "observer saw all events" 5_000 !n;

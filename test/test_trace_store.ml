@@ -18,25 +18,67 @@ let mk_pop ~n seed =
          in
          { Pop.id; behavior; weight = 0.1 +. Prng.float rng 2.0 }))
 
-let events_of_iter iter =
-  let evs = ref [] in
-  iter (fun (ev : Stream.event) -> evs := (ev.branch, ev.taken, ev.exec_index, ev.instr) :: !evs);
-  List.rev !evs
+(* A chunk source as the sequence of its chunks: each chunk's live
+   words, copied out (a live source reuses its buffer). *)
+let chunks_of src =
+  let acc = ref [] in
+  src (fun chunk len -> acc := Array.sub chunk 0 len :: !acc);
+  List.rev !acc
 
-(* The core contract: record + replay is the exact event sequence
-   generation produces — branch, outcome, per-branch execution index and
-   the absolute instruction counter — plus identical execution totals. *)
-let qcheck_replay_exact =
-  QCheck.Test.make ~name:"record+replay == Stream.iter" ~count:60
+(* Decode a chunk source into the event tuples the generator delivers:
+   branch, outcome, per-branch execution index and absolute instruction
+   count, reconstructed from the packed words. *)
+let events_of_chunks ~n src =
+  let exec = Array.make n 0 in
+  let instr = ref 0 in
+  let evs = ref [] in
+  src (fun chunk len ->
+      for i = 0 to len - 1 do
+        let w = chunk.(i) in
+        let b = TS.packed_branch w in
+        instr := !instr + TS.packed_delta w;
+        evs := (b, TS.packed_taken w, exec.(b), !instr) :: !evs;
+        exec.(b) <- exec.(b) + 1
+      done);
+  (List.rev !evs, exec)
+
+let events_of_generator pop cfg =
+  let evs = ref [] in
+  let counts =
+    Stream.iter_raw pop cfg (fun ~branch ~taken ~exec_index ~instr ->
+        evs := (branch, taken, exec_index, instr) :: !evs)
+  in
+  (List.rev !evs, counts)
+
+(* The core contract: the live chunk source and a recording hand over
+   the same chunks, word for word, and decoding them yields exactly the
+   generator's events and per-branch execution totals.  Lengths around
+   multiples of the chunk size cover the reused buffer's final partial
+   (or full) chunk. *)
+let qcheck_live_equals_recorded =
+  let length =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 1 3_000;
+          map2 (fun k d -> (TS.chunk_size * k) + d) (int_range 1 2) (int_range (-1) 1);
+        ])
+  in
+  QCheck.Test.make ~name:"live chunks == recorded chunks" ~count:60
     QCheck.(
-      quad (int_bound 1000) (int_range 1 6) (int_range 1 3_000) (int_range 1 8))
+      quad (int_bound 1000) (int_range 1 6) (make ~print:string_of_int length) (int_range 1 8))
     (fun (seed, n, length, ipb) ->
       let pop = mk_pop ~n seed in
       let cfg = { Stream.seed; instr_per_branch = float_of_int ipb; length } in
       let tr = TS.record pop cfg in
-      events_of_iter (Stream.iter pop cfg) = events_of_iter (TS.replay tr)
-      && Stream.exec_counts pop cfg = TS.exec_counts tr
-      && TS.replay_counted tr ignore = TS.exec_counts tr
+      let live = TS.iter_chunks pop cfg in
+      let recorded = TS.iter_chunks ~trace:tr pop cfg in
+      let chunks = chunks_of live in
+      chunks = chunks_of recorded
+      && chunks = chunks_of (TS.iter_packed tr)
+      && List.length chunks = (length + TS.chunk_size - 1) / TS.chunk_size
+      && events_of_chunks ~n live = events_of_generator pop cfg
+      && events_of_chunks ~n recorded = events_of_generator pop cfg
       && TS.length tr = length)
 
 let test_engine_replay_equivalence () =
@@ -51,7 +93,9 @@ let test_engine_replay_equivalence () =
     let observed = ref 0 in
     let r =
       Rs_sim.Engine.run
-        ~observer:(fun ev d -> if d.speculate && ev.taken then incr observed)
+        ~observer:(fun ~branch:_ ~taken ~instr:_ ~code ->
+          (* bit 0: the deployed code speculates *)
+          if code land 1 = 1 && taken then incr observed)
         ~on_transition:(fun t -> transitions := t :: !transitions)
         ?trace pop cfg params
     in
@@ -95,12 +139,13 @@ let test_lru_bound () =
   let sz = TS.bytes (TS.record pop cfg) in
   (* room for exactly two traces *)
   with_capacity (2 * sz) (fun () ->
-      let t1 = TS.cached ~key:"k1" pop cfg in
-      let k2_events = events_of_iter (TS.replay (TS.cached ~key:"k2" pop cfg)) in
+      let cached key = Option.get (TS.cached ~key pop cfg) in
+      let t1 = cached "k1" in
+      let k2_chunks = chunks_of (TS.iter_packed (cached "k2")) in
       (* touch k1 so k2 is the least recently used *)
-      let t1' = TS.cached ~key:"k1" pop cfg in
+      let t1' = cached "k1" in
       Alcotest.(check bool) "hit returns the same trace" true (t1 == t1');
-      let _ = TS.cached ~key:"k3" pop cfg in
+      let _ = cached "k3" in
       let s = TS.stats () in
       Alcotest.(check int) "capacity respected: entries" 2 s.entries;
       Alcotest.(check bool) "capacity respected: bytes" true (s.bytes <= 2 * sz);
@@ -108,21 +153,43 @@ let test_lru_bound () =
       Alcotest.(check int) "hits counted" 1 s.hits;
       Alcotest.(check int) "misses counted" 3 s.misses;
       (* the evicted key re-records to a byte-identical trace *)
-      let k2_again = TS.cached ~key:"k2" pop cfg in
+      let k2_again = cached "k2" in
       Alcotest.(check bool) "re-record after eviction is identical" true
-        (events_of_iter (TS.replay k2_again) = k2_events))
+        (chunks_of (TS.iter_packed k2_again) = k2_chunks))
+
+(* A stream the store cannot hold is not recorded at all: [cached]
+   answers [None] (the caller generates live), nothing is held and the
+   record fault site is never reached. *)
+let without_recording cap pop cfg =
+  let recorded = ref 0 in
+  let saved = !TS.fault_hook in
+  TS.fault_hook := (fun ~site:_ ~key:_ -> incr recorded);
+  Fun.protect
+    ~finally:(fun () -> TS.fault_hook := saved)
+    (fun () ->
+      with_capacity cap (fun () ->
+          let a = TS.cached ~key:"k" pop cfg in
+          let b = TS.cached ~key:"k" pop cfg in
+          Alcotest.(check bool) "no trace served" true (a = None && b = None);
+          Alcotest.(check int) "nothing recorded" 0 !recorded;
+          let s = TS.stats () in
+          Alcotest.(check int) "nothing held" 0 s.entries;
+          Alcotest.(check int) "no bytes held" 0 s.bytes;
+          Alcotest.(check int) "both were misses" 2 s.misses))
 
 let test_capacity_zero_disables () =
+  without_recording 0 (mk_pop ~n:4 3) { Stream.seed = 5; instr_per_branch = 3.0; length = 1_000 }
+
+let test_capacity_too_small () =
   let pop = mk_pop ~n:4 3 in
-  let cfg = { Stream.seed = 5; instr_per_branch = 3.0; length = 1_000 } in
-  with_capacity 0 (fun () ->
-      let a = TS.cached ~key:"k" pop cfg in
-      let b = TS.cached ~key:"k" pop cfg in
-      Alcotest.(check bool) "each call records afresh" false (a == b);
-      let s = TS.stats () in
-      Alcotest.(check int) "nothing held" 0 s.entries;
-      Alcotest.(check int) "no bytes held" 0 s.bytes;
-      Alcotest.(check int) "both were misses" 2 s.misses)
+  (* two chunks' worth of events: a recording needs two chunks of bytes *)
+  let cfg = { Stream.seed = 5; instr_per_branch = 3.0; length = TS.chunk_size + 1 } in
+  let sz = TS.bytes (TS.record pop cfg) in
+  without_recording (sz - 1) pop cfg;
+  (* one byte more and it is recorded and held *)
+  with_capacity sz (fun () ->
+      Alcotest.(check bool) "fits: served" true (TS.cached ~key:"k" pop cfg <> None);
+      Alcotest.(check int) "fits: held" 1 (TS.stats ()).entries)
 
 let test_record_names_stream_guards () =
   let pop = mk_pop ~n:2 1 in
@@ -142,31 +209,29 @@ let test_rejects_decreasing_instr () =
              push ~branch:1 ~taken:false ~instr:4)
           : TS.t))
 
-(* Figure5 rendered through trace replay vs forced live regeneration:
-   the sweep's output must be byte-identical either way. *)
+(* Figure5 rendered through trace replay vs live generation (a
+   trace-store capacity of 0): the sweep's output must be byte-identical
+   either way. *)
 let test_figure5_replay_byte_identity () =
   let ctx = Rs_experiments.Context.create ~seed:7 ~scale:0.02 ~tau:10 ~jobs:1 () in
-  let render replay =
-    Rs_experiments.Cache.set_trace_replay replay;
-    Rs_experiments.Cache.reset ();
-    Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx)
+  let render cap =
+    with_capacity cap (fun () ->
+        Rs_experiments.Cache.reset ();
+        Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Rs_experiments.Cache.set_trace_replay true;
-      Rs_experiments.Cache.reset ())
-    (fun () ->
-      let live = render false in
-      let replayed = render true in
-      Alcotest.(check string) "figure5 via replay == via regeneration" live replayed)
+  Fun.protect ~finally:Rs_experiments.Cache.reset (fun () ->
+      let live = render 0 in
+      let replayed = render (TS.capacity_bytes ()) in
+      Alcotest.(check string) "figure5 via replay == via live generation" live replayed)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_replay_exact;
+    QCheck_alcotest.to_alcotest qcheck_live_equals_recorded;
     Alcotest.test_case "engine replay equivalence" `Quick test_engine_replay_equivalence;
     Alcotest.test_case "engine rejects mismatched trace" `Quick test_engine_rejects_mismatch;
     Alcotest.test_case "lru bound" `Quick test_lru_bound;
     Alcotest.test_case "capacity zero disables caching" `Quick test_capacity_zero_disables;
+    Alcotest.test_case "capacity too small: not recorded" `Quick test_capacity_too_small;
     Alcotest.test_case "record names stream guards" `Quick test_record_names_stream_guards;
     Alcotest.test_case "rejects decreasing instr" `Quick test_rejects_decreasing_instr;
     Alcotest.test_case "figure5 byte-identity" `Slow test_figure5_replay_byte_identity;

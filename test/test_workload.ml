@@ -153,7 +153,7 @@ let test_quarantine_monotone () =
             let q = Rs_sim.Quarantine.create ~n_branches:(TS.n_branches tr) in
             let (_ : Rs_sim.Engine.result) =
               Rs_sim.Engine.run
-                ~observer_raw:(Rs_sim.Quarantine.observer q)
+                ~observer:(Rs_sim.Quarantine.observer q)
                 ~trace:tr b.population b.config params
             in
             match
@@ -194,10 +194,16 @@ let test_interleave_merge_preserved () =
           let counts = Array.make IL.n_contexts 0 in
           let last = ref 0 in
           let mono = ref true in
-          TS.replay split_tr (fun (ev : Stream.event) ->
-              counts.(ev.branch / n) <- counts.(ev.branch / n) + 1;
-              if ev.instr < !last then mono := false;
-              last := ev.instr);
+          let instr = ref 0 in
+          TS.iter_packed split_tr (fun chunk len ->
+              for i = 0 to len - 1 do
+                let w = chunk.(i) in
+                let b = TS.packed_branch w in
+                instr := !instr + TS.packed_delta w;
+                counts.(b / n) <- counts.(b / n) + 1;
+                if !instr < !last then mono := false;
+                last := !instr
+              done);
           Alcotest.(check bool) "instr non-decreasing across the merge" true !mono;
           Alcotest.(check (array int))
             "split view preserves per-context event counts" m.per_context_events counts;
