@@ -320,7 +320,10 @@ rm -rf "$SCHED_DIR"
 # socket, driven by `rspec drive` with a figure2-scale recorded stream.
 # Gates, in order: the STATS counters balance and the 4-shard server
 # sustains >= 1M events/sec aggregate (busy-time based, so socket and
-# client speed cannot mask a slow controller); the decisions digest is
+# client speed cannot mask a slow controller); the server allocates at
+# most 0.5 major-heap words per ingested event (a count, not a speed, so
+# it holds on any box and catches a return of per-frame buffers — the
+# pooled data path measures ~0.03); the decisions digest is
 # byte-identical at 1 and 4 shards; snapshot -> restart -> replay of the
 # suffix reproduces the full run's snapshot bytes and digest; and the
 # whole snapshot scenario repeats under an RS_FAULTS plan raising at
@@ -348,7 +351,11 @@ if command -v jq >/dev/null 2>&1; then
     || { echo "serve throughput gate failed (< 1M events/sec aggregate):" >&2
          jq '{events, aggregate_rate_eps, shards_detail}' "$SERVE_DIR/stats.json" >&2
          exit 1; }
-  echo "serve stats ok: $(jq -c '{events, shards, aggregate_rate_eps}' "$SERVE_DIR/stats.json")"
+  jq -e '.gc_major_words <= 0.5 * .events' "$SERVE_DIR/stats.json" >/dev/null \
+    || { echo "serve allocation gate failed (> 0.5 server major words per ingested event):" >&2
+         jq '{events, gc_major_words, gc_major_collections}' "$SERVE_DIR/stats.json" >&2
+         exit 1; }
+  echo "serve stats ok: $(jq -c '{events, shards, aggregate_rate_eps, gc_major_words}' "$SERVE_DIR/stats.json")"
 else
   echo "serve stats written ($SERVE_DIR/stats.json); jq not installed, skipping assertions"
 fi

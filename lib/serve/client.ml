@@ -2,16 +2,20 @@
    requests with Protocol, reads replies through the same incremental
    decoder the server uses.  Events frames get no reply, so ingest is
    pipelined at full socket bandwidth; [flush] is the barrier that
-   resynchronises. *)
+   resynchronises.  Each events frame is encoded straight from the
+   caller's word array into the client's one buffer, which also takes
+   the replies, and written with one [write_all]. *)
 
 type t = {
   fd : Unix.file_descr;
   dec : Protocol.decoder;
-  scratch : Bytes.t;
+  buf : Bytes.t;
   mutable closed : bool;
 }
 
-let of_fd fd = { fd; dec = Protocol.decoder (); scratch = Bytes.create 65536; closed = false }
+let of_fd fd =
+  let buf = Bytes.create (Protocol.header_bytes + Protocol.max_request_payload) in
+  { fd; dec = Protocol.decoder (); buf; closed = false }
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -29,24 +33,25 @@ let close t =
 
 let fd t = t.fd
 
-let write_all t b =
-  let n = Bytes.length b in
+let write_all t b n =
   let off = ref 0 in
   while !off < n do
     off := !off + Unix.write t.fd b !off (n - !off)
   done
 
-let send t req = write_all t (Protocol.encode_request req)
+let send t req =
+  let b = Protocol.encode_request req in
+  write_all t b (Bytes.length b)
 
 let recv t =
   let rec go () =
     match Protocol.next_reply t.dec with
     | Some reply -> reply
     | None -> (
-      match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+      match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
       | 0 -> failwith "Client.recv: server closed the connection"
       | n ->
-        Protocol.feed t.dec t.scratch 0 n;
+        Protocol.feed t.dec t.buf 0 n;
         go ())
   in
   go ()
@@ -55,24 +60,19 @@ let error_to_failure op = function
   | Protocol.Error_reply msg -> failwith (Printf.sprintf "Client.%s: server error: %s" op msg)
   | _ -> failwith (Printf.sprintf "Client.%s: unexpected reply" op)
 
+let send_slice t words off len = write_all t t.buf (Protocol.encode_events t.buf words off len)
+
 let send_events t words =
   let n = Array.length words in
-  if n = 0 then ()
-  else begin
-    let off = ref 0 in
-    while !off < n do
-      let len = min Protocol.max_frame_words (n - !off) in
-      send t (Events (Array.sub words !off len));
-      off := !off + len
-    done
-  end
-
-let send_chunk t chunk len =
-  if len = Array.length chunk then send t (Events chunk)
-  else send t (Events (Array.sub chunk 0 len))
+  let off = ref 0 in
+  while !off < n do
+    let len = min Protocol.max_frame_words (n - !off) in
+    send_slice t words !off len;
+    off := !off + len
+  done
 
 let send_trace t trace =
-  Rs_behavior.Trace_store.iter_packed trace (fun chunk len -> if len > 0 then send_chunk t chunk len)
+  Rs_behavior.Trace_store.iter_packed trace (fun chunk len -> if len > 0 then send_slice t chunk 0 len)
 
 let flush t =
   send t Flush;

@@ -29,7 +29,7 @@ exception Error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 type request =
-  | Events of int array
+  | Events of int array * int
   | Query of int
   | Flush
   | Stats
@@ -66,17 +66,23 @@ let frame tag payload_len fill =
 
 let put_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
 
+let encode_events b words off len =
+  if len <= 0 || len > max_frame_words then
+    invalid_arg "Protocol.encode_request: events frame must carry 1..32768 words";
+  Bytes.set_int32_le b 0 (Int32.of_int (len * 8));
+  Bytes.set_uint8 b 4 t_events;
+  for i = 0 to len - 1 do
+    let w = words.(off + i) in
+    if w < 0 then invalid_arg "Protocol.encode_request: packed event word is negative";
+    put_int b (header_bytes + (i * 8)) w
+  done;
+  header_bytes + (len * 8)
+
 let encode_request = function
-  | Events words ->
-    let n = Array.length words in
-    if n = 0 || n > max_frame_words then
-      invalid_arg "Protocol.encode_request: events frame must carry 1..32768 words";
-    Array.iter
-      (fun w ->
-        if w < 0 then invalid_arg "Protocol.encode_request: packed event word is negative")
-      words;
-    frame t_events (n * 8) (fun b off ->
-        Array.iteri (fun i w -> put_int b (off + (i * 8)) w) words)
+  | Events (words, len) ->
+    let b = Bytes.create (header_bytes + (8 * Int.max 0 (Int.min len max_frame_words))) in
+    ignore (encode_events b words 0 len);
+    b
   | Query branch ->
     if branch < 0 then invalid_arg "Protocol.encode_request: branch id is negative";
     frame t_query 8 (fun b off -> put_int b off branch)
@@ -99,9 +105,14 @@ let encode_reply = function
 (* Incremental decoding                                                    *)
 (* ---------------------------------------------------------------------- *)
 
-type decoder = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
+type decoder = {
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable len : int;
+  mutable words : int array;  (* decoded events payloads; allocated lazily *)
+}
 
-let decoder () = { buf = Bytes.create 65536; start = 0; len = 0 }
+let decoder () = { buf = Bytes.create 65536; start = 0; len = 0; words = [||] }
 let pending d = d.len
 
 let feed d src off len =
@@ -113,11 +124,7 @@ let feed d src off len =
     d.start <- 0
   end;
   if d.len + len > Bytes.length d.buf then begin
-    let cap = ref (2 * Bytes.length d.buf) in
-    while d.len + len > !cap do
-      cap := !cap * 2
-    done;
-    let grown = Bytes.create !cap in
+    let grown = Bytes.create (max (2 * Bytes.length d.buf) (d.len + len)) in
     Bytes.blit d.buf 0 grown 0 d.len;
     d.buf <- grown
   end;
@@ -126,7 +133,8 @@ let feed d src off len =
 
 let get_int b off =
   let v = Bytes.get_int64_le b off in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+  (* Sign bit or bit 62 set: negative, or above [max_int]. *)
+  if Int64.shift_right_logical v 62 <> 0L then
     fail "frame integer out of range (sign or high bits set)";
   Int64.to_int v
 
@@ -158,8 +166,12 @@ let next_request d =
     if tag = t_events then begin
       if plen = 0 || plen land 7 <> 0 then
         fail "events frame payload must be a non-empty multiple of 8 bytes";
+      if Array.length d.words = 0 then d.words <- Array.make max_frame_words 0;
       let n = plen lsr 3 in
-      Some (Events (Array.init n (fun i -> get_int d.buf (off + (i * 8)))))
+      for i = 0 to n - 1 do
+        d.words.(i) <- get_int d.buf (off + (i * 8))
+      done;
+      Some (Events (d.words, n))
     end
     else if tag = t_query then begin
       expect_len 8 "query";

@@ -10,11 +10,12 @@
     server's current stream position: concatenating frames extends one
     logical stream.
 
-    Encoding and decoding are pure; the {!decoder} is incremental, so
-    both peers parse frames out of whatever byte slices the transport
-    delivers.  Decoding raises {!Error} on malformed input — unknown
-    tags, payload-size violations, integers with sign or high bits set
-    (the wire image of the negative-delta corruption
+    No events frame allocates: {!encode_events} writes into the caller's
+    buffer, and the incremental {!decoder} parses whatever byte slices
+    the transport delivers, decoding events into one array it owns.
+    Decoding raises {!Error} on malformed input — unknown tags,
+    payload-size violations, integers with sign or high bits set (the
+    wire image of the negative-delta corruption
     {!Rs_behavior.Trace_store.record} rejects at pack time).  Framing
     cannot be resynchronised after such an error, so the server answers
     it with {!Error_reply} and closes the connection. *)
@@ -35,7 +36,10 @@ exception Error of string
 (** Malformed frame; the connection must be closed. *)
 
 type request =
-  | Events of int array  (** Packed event words; 1..{!max_frame_words}. *)
+  | Events of int array * int
+      (** [Events (words, len)]: packed event words [words.(0..len-1)],
+          [len] in 1..{!max_frame_words}.  Decoded, [words] is the
+          decoder's own array, valid only until the next {!next_request}. *)
   | Query of int  (** "deploy or squash?" for one branch id. *)
   | Flush  (** Barrier: answered once every prior event is applied. *)
   | Stats  (** Server and per-shard counters as a JSON document. *)
@@ -54,6 +58,11 @@ type reply =
 val encode_request : request -> Bytes.t
 (** @raise Invalid_argument on an unencodable request (empty or
     oversized events batch, negative word or branch id). *)
+
+val encode_events : Bytes.t -> int array -> int -> int -> int
+(** [encode_events buf words off len] writes the events frame of
+    [words.(off..off+len-1)] into [buf] and returns its length.
+    @raise Invalid_argument as {!encode_request} or on a short slice or buffer. *)
 
 val encode_reply : reply -> Bytes.t
 

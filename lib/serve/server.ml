@@ -1,11 +1,12 @@
 (* The long-lived speculation-control service.
 
    One single-threaded I/O loop (select over the listener, a self-pipe
-   and every client connection) demultiplexes validated event frames to
-   per-shard worker domains over shard-local queues; workers apply
-   batches to their own Reactive table and never touch another shard's
-   state, so the only synchronisation is each shard's own queue mutex
-   and table mutex — no cross-shard locks.
+   and every client connection) validates and demultiplexes each event
+   frame in one pass into per-shard batches from a bounded pool, which
+   per-shard worker domains apply to their own Reactive table and give
+   back: no cross-shard locks.  An empty pool makes the I/O loop wait
+   for that shard's worker, which bounds every queue, and the data path
+   allocates nothing per frame on the major heap.
 
    Ordering contract: the I/O loop is the sole enqueuer, so each
    shard's queue sees that shard's events in global stream order, and a
@@ -60,33 +61,60 @@ let h_batch_us =
 
 type barrier = { remaining : int Atomic.t; notify : Unix.file_descr }
 
-type item =
-  | Apply of { ev : int array; instr : int array; len : int }
-  | Barrier of barrier
-  | Stop
+(* Demultiplexed events in the layout [Shard.apply] takes. *)
+type batch = { ev : int array; instr : int array; mutable len : int }
+
+type item = Apply of batch | Barrier of barrier | Stop
 
 type shard_rt = {
   shard : Shard.t;
   q : item Queue.t;
   qm : Mutex.t;
   qc : Condition.t;
-  mutable depth : int;
+  mutable free : batch Lazy.t list;  (* the pool, guarded by [qm] *)
+  freed : Condition.t;
   g_queue : Metrics.gauge;
   c_events : Metrics.counter;
 }
 
+let no_batch = { ev = [||]; instr = [||]; len = 0 }
+let wake = Bytes.make 1 '\001'
+
 let signal_pipe fd =
   (* Nonblocking write end: if the pipe is already full the reader has a
      wakeup pending anyway. *)
-  try ignore (Unix.write fd (Bytes.make 1 '\001') 0 1) with
+  try ignore (Unix.write fd wake 0 1) with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
 let enqueue rt item =
   Mutex.lock rt.qm;
   Queue.add item rt.q;
-  rt.depth <- rt.depth + 1;
-  Metrics.set rt.g_queue rt.depth;
+  Metrics.set rt.g_queue (Queue.length rt.q);
   Condition.signal rt.qc;
+  Mutex.unlock rt.qm
+
+(* A shard's pool: three batches, each allocated on first use. *)
+let new_pool () =
+  let cap = Protocol.max_frame_words in
+  List.init 3 (fun _ -> lazy { ev = Array.make cap 0; instr = Array.make cap 0; len = 0 })
+
+(* A free batch from the shard's pool; when all are queued or being
+   applied, wait until the worker gives one back. *)
+let take rt =
+  Mutex.lock rt.qm;
+  while rt.free = [] do
+    Condition.wait rt.freed rt.qm
+  done;
+  let b = List.hd rt.free in
+  rt.free <- List.tl rt.free;
+  Mutex.unlock rt.qm;
+  Lazy.force b
+
+let give_back rt b =
+  b.len <- 0;
+  Mutex.lock rt.qm;
+  rt.free <- Lazy.from_val b :: rt.free;
+  Condition.signal rt.freed;
   Mutex.unlock rt.qm
 
 (* Consult the serve.shard fault site, retrying until the plan lets the
@@ -113,18 +141,17 @@ let worker_loop rt =
       Condition.wait rt.qc rt.qm
     done;
     let item = Queue.pop rt.q in
-    rt.depth <- rt.depth - 1;
-    Metrics.set rt.g_queue rt.depth;
+    Metrics.set rt.g_queue (Queue.length rt.q);
     Mutex.unlock rt.qm;
     match item with
     | Stop -> running := false
     | Barrier b -> if Atomic.fetch_and_add b.remaining (-1) = 1 then signal_pipe b.notify
-    | Apply { ev; instr; len } ->
+    | Apply b ->
       shard_gate (Shard.index rt.shard);
-      let t0 = Unix.gettimeofday () in
-      Shard.apply rt.shard ~ev ~instr ~len;
-      Metrics.observe h_batch_us ((Unix.gettimeofday () -. t0) *. 1e6);
-      Metrics.add rt.c_events len
+      let ns = Shard.apply rt.shard ~ev:b.ev ~instr:b.instr ~len:b.len in
+      Metrics.observe h_batch_us (float_of_int ns *. 1e-3);
+      Metrics.add rt.c_events b.len;
+      give_back rt b
   done
 
 (* ---------------------------------------------------------------------- *)
@@ -145,6 +172,8 @@ type state = {
   rts : shard_rt array;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
+  rbuf : Bytes.t;  (* the one read buffer, for connections and the pipe *)
+  filling : batch array;  (* per shard, the batch [ingest] fills *)
   listen_fd : Unix.file_descr option;
   mutable conns : conn list;
   mutable next_conn : int;
@@ -183,6 +212,13 @@ let disconnect st conn =
     [ S ("event", "disconnect"); I ("conn", conn.id); I ("midframe_bytes", Protocol.pending conn.dec) ];
   if conn.close_fds then (try Unix.close conn.fd with Unix.Unix_error _ -> ())
 
+(* Answer a malformed frame and close: framing cannot be resynchronised. *)
+let reject st conn msg =
+  st.protocol_errors <- st.protocol_errors + 1;
+  Metrics.incr m_protocol_errors;
+  send_reply st conn (Error_reply msg);
+  disconnect st conn
+
 let barrier_all st =
   let b = { remaining = Atomic.make st.shards; notify = st.pipe_w } in
   Array.iter (fun rt -> enqueue rt (Barrier b)) st.rts;
@@ -193,10 +229,9 @@ let barrier_all st =
    wait is bounded by the queued work. *)
 let drain st =
   let b = barrier_all st in
-  let scratch = Bytes.create 64 in
   while Atomic.get b.remaining > 0 do
     match Unix.select [ st.pipe_r ] [] [] 0.05 with
-    | [ _ ], _, _ -> ignore (try Unix.read st.pipe_r scratch 0 64 with Unix.Unix_error _ -> 0)
+    | [ _ ], _, _ -> ignore (try Unix.read st.pipe_r st.rbuf 0 64 with Unix.Unix_error _ -> 0)
     | _ -> ()
   done
 
@@ -204,64 +239,46 @@ let drain st =
 (* Request handling                                                        *)
 (* ---------------------------------------------------------------------- *)
 
-(* Validate a whole events frame before applying any of it: a malformed
-   frame is answered with a protocol error and changes no state. *)
-let validate_events st words =
-  let n = Array.length words in
-  let bad = ref None in
-  (try
-     for i = 0 to n - 1 do
-       let w = Array.unsafe_get words i in
-       let branch = Rs_behavior.Trace_store.packed_branch w in
-       if branch >= st.cfg.n_branches then begin
-         bad :=
-           Some
-             (Printf.sprintf
-                "events frame word %d: branch %d out of range [0,%d) (corrupt or non-monotone \
-                 encoding)"
-                i branch st.cfg.n_branches);
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !bad
-
-let ingest st words =
-  let n = Array.length words in
-  let shards = st.shards in
-  (* Two passes over the packed words — count, then demultiplex into
-     per-shard batches — all branchless mask-and-shift decode on
-     immediate integers, the PR 6 chunk-decoder idiom. *)
-  let counts = Array.make shards 0 in
-  for i = 0 to n - 1 do
-    let w = Array.unsafe_get words i in
-    let s = Rs_behavior.Trace_store.packed_branch w mod shards in
-    Array.unsafe_set counts s (Array.unsafe_get counts s + 1)
-  done;
-  let ev = Array.init shards (fun s -> Array.make (max 1 counts.(s)) 0) in
-  let instrs = Array.init shards (fun s -> Array.make (max 1 counts.(s)) 0) in
-  let fill = Array.make shards 0 in
-  let instr = ref st.last_instr in
-  for i = 0 to n - 1 do
-    let w = Array.unsafe_get words i in
+(* One pass over an events frame: validate each word and demultiplex it
+   into its shard's pooled batch.  Only a wholly valid frame is enqueued
+   and advances the stream; at a bad word the batches go back to their
+   pools, no state changes, and the error message is returned. *)
+let ingest st words n =
+  let shards = st.shards and filling = st.filling in
+  let instr = ref st.last_instr and i = ref 0 in
+  while !i < n && Rs_behavior.Trace_store.packed_branch words.(!i) < st.cfg.n_branches do
+    let w = Array.unsafe_get words !i in
     let branch = Rs_behavior.Trace_store.packed_branch w in
-    let taken = w land 1 in
     instr := !instr + Rs_behavior.Trace_store.packed_delta w;
     let s = branch mod shards in
-    let k = Array.unsafe_get fill s in
-    Array.unsafe_set (Array.unsafe_get ev s) k ((branch / shards * 2) lor taken);
-    Array.unsafe_set (Array.unsafe_get instrs s) k !instr;
-    Array.unsafe_set fill s (k + 1)
+    if Array.unsafe_get filling s == no_batch then filling.(s) <- take st.rts.(s);
+    let b = Array.unsafe_get filling s in
+    Array.unsafe_set b.ev b.len ((branch / shards * 2) lor (w land 1));
+    Array.unsafe_set b.instr b.len !instr;
+    b.len <- b.len + 1;
+    incr i
   done;
-  st.last_instr <- !instr;
-  st.events <- st.events + n;
-  st.frames <- st.frames + 1;
-  Metrics.add m_events n;
-  Metrics.incr m_frames;
+  let ok = !i = n in
   for s = 0 to shards - 1 do
-    if counts.(s) > 0 then
-      enqueue st.rts.(s) (Apply { ev = ev.(s); instr = instrs.(s); len = counts.(s) })
-  done
+    let b = filling.(s) in
+    if b != no_batch then begin
+      filling.(s) <- no_batch;
+      if ok then enqueue st.rts.(s) (Apply b) else give_back st.rts.(s) b
+    end
+  done;
+  if ok then begin
+    st.last_instr <- !instr;
+    st.events <- st.events + n;
+    st.frames <- st.frames + 1;
+    Metrics.add m_events n;
+    Metrics.incr m_frames;
+    None
+  end
+  else
+    Some
+      (Printf.sprintf
+         "events frame word %d: branch %d out of range [0,%d) (corrupt or non-monotone encoding)"
+         !i (Rs_behavior.Trace_store.packed_branch words.(!i)) st.cfg.n_branches)
 
 let stats_json st =
   let b = Buffer.create 512 in
@@ -272,14 +289,15 @@ let stats_json st =
   let aggregate_rate =
     if max_busy = 0 then 0.0 else float_of_int total_events /. (float_of_int max_busy *. 1e-9)
   in
+  let gc = Gc.quick_stat () in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"version\":%d,\"branches\":%d,\"shards\":%d,\"events\":%d,\"applied\":%d,\"frames\":%d,\"queries\":%d,\"disconnects\":%d,\"protocol_errors\":%d,\"shard_faults\":%d,\"uptime_s\":%.3f,\"aggregate_rate_eps\":%.1f,\"shards_detail\":["
+       "{\"version\":%d,\"branches\":%d,\"shards\":%d,\"events\":%d,\"applied\":%d,\"frames\":%d,\"queries\":%d,\"disconnects\":%d,\"protocol_errors\":%d,\"shard_faults\":%d,\"uptime_s\":%.3f,\"aggregate_rate_eps\":%.1f,\"gc_minor_words\":%.0f,\"gc_major_words\":%.0f,\"gc_major_collections\":%d,\"shards_detail\":["
        Protocol.version st.cfg.n_branches st.shards st.events total_events st.frames st.queries
        st.disconnects st.protocol_errors
        (Metrics.counter_value m_shard_faults)
        (Unix.gettimeofday () -. st.started)
-       aggregate_rate);
+       aggregate_rate gc.minor_words gc.major_words gc.major_collections);
   Array.iteri
     (fun i rt ->
       if i > 0 then Buffer.add_char b ',';
@@ -289,7 +307,7 @@ let stats_json st =
         (Printf.sprintf
            "{\"shard\":%d,\"owned\":%d,\"events\":%d,\"batches\":%d,\"busy_s\":%.6f,\"rate_eps\":%.1f,\"queue\":%d}"
            i (Shard.owned rt.shard) (Shard.events rt.shard) (Shard.batches rt.shard) busy_s rate
-           rt.depth))
+           (Queue.length rt.q)))
     st.rts;
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -306,14 +324,7 @@ let take_snapshot st =
 
 let handle_request st conn (req : Protocol.request) =
   match req with
-  | Events words -> (
-    match validate_events st words with
-    | Some msg ->
-      st.protocol_errors <- st.protocol_errors + 1;
-      Metrics.incr m_protocol_errors;
-      send_reply st conn (Error_reply msg);
-      disconnect st conn
-    | None -> ingest st words)
+  | Events (words, n) -> Option.iter (reject st conn) (ingest st words n)
   | Query branch ->
     st.queries <- st.queries + 1;
     Metrics.incr m_queries;
@@ -354,34 +365,26 @@ let resolve_flushes st =
     done_
 
 let handle_readable st conn =
-  let scratch = Bytes.create 65536 in
   match Fault.hit ~site:"serve.read" ~key:(string_of_int conn.id) with
   | exception _ ->
     Metrics.incr m_read_faults;
     disconnect st conn
   | () -> (
-    match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
+    match Unix.read conn.fd st.rbuf 0 (Bytes.length st.rbuf) with
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> disconnect st conn
     | 0 -> disconnect st conn
     | n -> (
-      Protocol.feed conn.dec scratch 0 n;
-      try
-        let continue = ref true in
-        while !continue do
-          match Protocol.next_request conn.dec with
-          | Some req ->
-            handle_request st conn req;
-            (* A request may have disconnected the conn or stopped the
-               server; stop draining its buffer in either case. *)
-            if (not st.running) || not (List.exists (fun c -> c.id = conn.id) st.conns) then
-              continue := false
-          | None -> continue := false
-        done
-      with Protocol.Error msg ->
-        st.protocol_errors <- st.protocol_errors + 1;
-        Metrics.incr m_protocol_errors;
-        send_reply st conn (Error_reply ("protocol error: " ^ msg));
-        disconnect st conn))
+      Protocol.feed conn.dec st.rbuf 0 n;
+      (* A request may have disconnected the conn or stopped the server;
+         stop draining its buffer in either case. *)
+      let rec serve_buffered () =
+        match Protocol.next_request conn.dec with
+        | Some req ->
+          handle_request st conn req;
+          if st.running && List.exists (fun c -> c.id = conn.id) st.conns then serve_buffered ()
+        | None -> ()
+      in
+      try serve_buffered () with Protocol.Error msg -> reject st conn ("protocol error: " ^ msg)))
 
 let handle_accept st listen_fd =
   match Unix.accept listen_fd with
@@ -426,9 +429,7 @@ let restore st =
 let run cfg =
   if cfg.n_branches <= 0 then invalid_arg "Server.run: n_branches must be positive";
   if cfg.shards <= 0 then invalid_arg "Server.run: shards must be positive";
-  (match Sys.os_type with
-  | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-  | _ -> ());
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let shards = min cfg.shards cfg.n_branches in
   Metrics.set g_shards shards;
   let rts =
@@ -438,7 +439,8 @@ let run cfg =
           q = Queue.create ();
           qm = Mutex.create ();
           qc = Condition.create ();
-          depth = 0;
+          free = new_pool ();
+          freed = Condition.create ();
           g_queue = Metrics.gauge (Printf.sprintf "serve.shard%d.queue" index);
           c_events = Metrics.counter (Printf.sprintf "serve.shard%d.events" index);
         })
@@ -467,6 +469,8 @@ let run cfg =
       rts;
       pipe_r;
       pipe_w;
+      rbuf = Bytes.create 65536;
+      filling = Array.make shards no_batch;
       listen_fd;
       conns = (match stdio_conn with Some c -> [ c ] | None -> []);
       next_conn = 1;
@@ -483,9 +487,14 @@ let run cfg =
   in
   restore st;
   let workers = Array.map (fun rt -> Domain.spawn (fun () -> worker_loop rt)) rts in
-  let scratch = Bytes.create 64 in
   let single_conn = Option.is_some stdio_conn in
-  (try
+  (* Tear the workers down even if the loop raises: a dying server must
+     not leak domains. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun rt -> enqueue rt Stop) rts;
+      Array.iter Domain.join workers)
+    (fun () ->
      while st.running do
        let fds =
          st.pipe_r
@@ -496,7 +505,7 @@ let run cfg =
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        | readable, _, _ ->
          if List.mem st.pipe_r readable then
-           ignore (try Unix.read st.pipe_r scratch 0 64 with Unix.Unix_error _ -> 0);
+           ignore (try Unix.read st.pipe_r st.rbuf 0 64 with Unix.Unix_error _ -> 0);
          (match st.listen_fd with
          | Some fd when List.mem fd readable -> handle_accept st fd
          | _ -> ());
@@ -518,15 +527,7 @@ let run cfg =
            drain st;
            st.running <- false
          end
-     done
-   with e ->
-     (* Tear the workers down before propagating: a dying server must
-        not leak domains. *)
-     Array.iter (fun rt -> enqueue rt Stop) rts;
-     Array.iter Domain.join workers;
-     raise e);
-  Array.iter (fun rt -> enqueue rt Stop) rts;
-  Array.iter Domain.join workers;
+     done);
   List.iter (fun c -> if c.close_fds then try Unix.close c.fd with Unix.Unix_error _ -> ()) st.conns;
   (match st.listen_fd with
   | Some fd -> (

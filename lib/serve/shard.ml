@@ -13,8 +13,9 @@
    A per-shard mutex serialises the only two accessors that touch the
    table: the owning worker's [apply] (one batch at a time, bounded by
    the 32k-word frame cap) and the I/O loop's [query]/[export]/[import].
-   Busy-time and event counters are written by the worker alone and read
-   racily by the stats renderer; a stale read is harmless. *)
+   Busy-time (monotonic clock) and event counters are written by the
+   worker alone and read racily by the stats renderer; a stale read is
+   harmless. *)
 
 module Reactive = Rs_core.Reactive
 
@@ -29,8 +30,6 @@ type t = {
 }
 
 let owned_count ~n_branches ~shards ~index = (n_branches - index + shards - 1) / shards
-let shard_of ~shards branch = branch mod shards
-let local_of ~shards branch = branch / shards
 
 let create ~params ~n_branches ~shards ~index =
   if shards <= 0 || index < 0 || index >= shards then
@@ -53,41 +52,22 @@ let events t = t.events
 let batches t = t.batches
 let busy_ns t = t.busy_ns
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let apply t ~ev ~instr ~len =
   let t0 = now_ns () in
-  Mutex.lock t.mutex;
-  (try
-     for i = 0 to len - 1 do
-       let e = Array.unsafe_get ev i in
-       Reactive.observe t.ctrl ~branch:(e lsr 1) ~taken:(e land 1 = 1)
-         ~instr:(Array.unsafe_get instr i)
-     done
-   with e ->
-     Mutex.unlock t.mutex;
-     raise e);
-  Mutex.unlock t.mutex;
+  Mutex.protect t.mutex (fun () ->
+      for i = 0 to len - 1 do
+        let e = Array.unsafe_get ev i in
+        Reactive.observe t.ctrl ~branch:(e lsr 1) ~taken:(e land 1 = 1)
+          ~instr:(Array.unsafe_get instr i)
+      done);
   t.events <- t.events + len;
   t.batches <- t.batches + 1;
-  t.busy_ns <- t.busy_ns + (now_ns () - t0)
+  let ns = now_ns () - t0 in
+  t.busy_ns <- t.busy_ns + ns;
+  ns
 
-let query t ~local =
-  Mutex.lock t.mutex;
-  let code = Reactive.deployed_code t.ctrl local in
-  Mutex.unlock t.mutex;
-  code
-
-let export t =
-  Mutex.lock t.mutex;
-  let words = Reactive.export_words t.ctrl in
-  Mutex.unlock t.mutex;
-  words
-
-let import t words =
-  Mutex.lock t.mutex;
-  (match Reactive.import_words t.ctrl words with
-  | () -> Mutex.unlock t.mutex
-  | exception e ->
-    Mutex.unlock t.mutex;
-    raise e)
+let query t ~local = Mutex.protect t.mutex (fun () -> Reactive.deployed_code t.ctrl local)
+let export t = Mutex.protect t.mutex (fun () -> Reactive.export_words t.ctrl)
+let import t words = Mutex.protect t.mutex (fun () -> Reactive.import_words t.ctrl words)

@@ -1,7 +1,7 @@
 (** One shard of the online service's controller state.
 
-    Branch [b] is owned by shard [shard_of b = b mod shards] with local
-    id [local_of b = b / shards]: a dense, independent
+    Branch [b] is owned by shard [b mod shards] with local id
+    [b / shards]: a dense, independent
     {!Rs_core.Reactive} state table per shard.  The controller FSM for a
     branch reads only that branch's own packed state words, so the
     partition is exact — the deployed decision for a branch depends only
@@ -20,14 +20,12 @@ val create : params:Rs_core.Params.t -> n_branches:int -> shards:int -> index:in
 (** @raise Invalid_argument if the index is out of range or the shard
     would own no branches (callers clamp [shards <= n_branches]). *)
 
-val owned_count : n_branches:int -> shards:int -> index:int -> int
-val shard_of : shards:int -> int -> int
-val local_of : shards:int -> int -> int
-
-val apply : t -> ev:int array -> instr:int array -> len:int -> unit
+val apply : t -> ev:int array -> instr:int array -> len:int -> int
 (** Apply the first [len] demultiplexed events: [ev.(i)] packs
     [local_branch lsl 1 lor taken], [instr.(i)] is the absolute global
-    instruction count.  Events must arrive in stream order. *)
+    instruction count.  Events must arrive in stream order.  Returns the
+    batch's busy time in nanoseconds, by the monotonic clock, which is
+    also added to {!busy_ns}. *)
 
 val query : t -> local:int -> int
 (** Deployed 2-bit decision code for a local branch id. *)

@@ -110,19 +110,28 @@ let query_codes c n_branches =
 (* --- protocol ------------------------------------------------------------ *)
 
 let request_eq (a : Proto.request) (b : Proto.request) =
-  match (a, b) with Events x, Events y -> x = y | x, y -> x = y
+  match (a, b) with
+  | Events (x, n), Events (y, m) -> n = m && Array.sub x 0 n = Array.sub y 0 m
+  | x, y -> x = y
+
+(* A decoded events frame lives in the decoder's own array until the
+   next request; keep a copy. *)
+let own (r : Proto.request) =
+  match r with Events (w, n) -> Proto.Events (Array.sub w 0 n, n) | r -> r
 
 let gen_request =
   QCheck.Gen.(
     frequency
       [
         ( 4,
-          map
-            (fun ws -> Proto.Events (Array.of_list ws))
+          (* a prefix of the array, sometimes shorter than it *)
+          map2
+            (fun ws pad -> Proto.Events (Array.of_list (ws @ pad), List.length ws))
             (list_size (int_range 1 200)
                (map2
                   (fun w taken -> (w land ((1 lsl 40) - 1) * 2) lor Bool.to_int taken)
-                  (int_bound max_int) bool)) );
+                  (int_bound max_int) bool))
+            (list_size (int_range 0 3) (int_bound max_int)) );
         (2, map (fun b -> Proto.Query b) (int_bound 1_000_000));
         (1, return Proto.Flush);
         (1, return Proto.Stats);
@@ -149,13 +158,96 @@ let qcheck_protocol_roundtrip =
         let rec drain () =
           match Proto.next_request dec with
           | Some r ->
-            out := r :: !out;
+            out := own r :: !out;
             drain ()
           | None -> ()
         in
         drain ()
       done;
       Proto.pending dec = 0 && List.for_all2 request_eq reqs (List.rev !out))
+
+let gen_reply =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> Proto.Ack n) nat;
+        map (fun c -> Proto.Decision c) (int_bound 3);
+        map (fun s -> Proto.Stats_reply s) (string_size (int_range 0 40));
+        map (fun s -> Proto.Snapshot_reply s) (string_size (int_range 0 40));
+        map (fun s -> Proto.Error_reply s) (string_size (int_range 0 40));
+      ])
+
+(* Hostile input: arbitrary bytes, or valid request and reply frames
+   (events frames among them) with a few bytes overwritten. *)
+let gen_hostile =
+  QCheck.Gen.(
+    let frames =
+      list_size (int_range 1 4)
+        (oneof
+           [
+             map Proto.encode_request gen_request;
+             map Proto.encode_reply gen_reply;
+           ])
+    in
+    let mutate frames muts =
+      let b = Bytes.concat Bytes.empty frames in
+      List.iter (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) c) muts;
+      b
+    in
+    frequency
+      [
+        (1, map Bytes.of_string (string_size (int_range 0 512)));
+        (3, map2 mutate frames (list_size (int_range 0 4) (pair nat char)));
+      ])
+
+(* Feed [bytes] in [slice]-byte pieces, draining after each, as a peer
+   would.  The decoder may only yield frames or raise [Protocol.Error];
+   a drain stops within [pending / header_bytes] frames (each consumes
+   a header at least), and the buffer never outgrows one maximal frame
+   plus the slice. *)
+let decoder_survives ~reply bytes slice =
+  let dec = Proto.decoder () in
+  let max_payload = if reply then Proto.max_reply_payload else Proto.max_request_payload in
+  let next () =
+    if reply then Option.is_some (Proto.next_reply dec)
+    else
+      match Proto.next_request dec with
+      | Some (Events (w, len)) ->
+        if len < 1 || len > Proto.max_frame_words || len > Array.length w then
+          failwith "events length out of range";
+        for i = 0 to len - 1 do
+          if w.(i) < 0 then failwith "negative event word decoded"
+        done;
+        true
+      | Some _ -> true
+      | None -> false
+  in
+  let n = Bytes.length bytes in
+  let rec go off =
+    off >= n
+    ||
+    let len = min slice (n - off) in
+    Proto.feed dec bytes off len;
+    Proto.pending dec <= max_payload + Proto.header_bytes + slice
+    &&
+    let budget = ref (Proto.pending dec / Proto.header_bytes) in
+    while next () do
+      decr budget;
+      if !budget < 0 then failwith "drain does not terminate"
+    done;
+    go (off + len)
+  in
+  try go 0 with Proto.Error _ -> true
+
+let qcheck_decoder_fuzz =
+  QCheck.Test.make ~name:"decoder fuzz: frames or Protocol.Error, bounded" ~count:500
+    QCheck.(
+      pair
+        (make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen_hostile)
+        (* no shrinker: shrinking the slice of a failing case takes minutes *)
+        (make ~print:string_of_int Gen.(int_range 1 300)))
+    (fun (bytes, slice) ->
+      decoder_survives ~reply:false bytes slice && decoder_survives ~reply:true bytes slice)
 
 let test_reply_roundtrip () =
   let replies =
@@ -185,7 +277,7 @@ let test_reply_roundtrip () =
 let test_protocol_rejects () =
   Alcotest.check_raises "empty events"
     (Invalid_argument "Protocol.encode_request: events frame must carry 1..32768 words")
-    (fun () -> ignore (Proto.encode_request (Events [||])));
+    (fun () -> ignore (Proto.encode_request (Events ([||], 0))));
   let dec = Proto.decoder () in
   let b = Bytes.create Proto.header_bytes in
   Bytes.set_int32_le b 0 0l;
@@ -309,15 +401,53 @@ let test_snapshot_save_failure_cleans_up () =
 
 (* --- protocol errors and client isolation -------------------------------- *)
 
+(* Send one raw frame and read until the server closes the connection;
+   the replies it sent first. *)
+let replies_until_closed path frame =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  ignore (Unix.write fd frame 0 (Bytes.length frame));
+  let dec = Proto.decoder () and buf = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+      Proto.feed dec buf 0 n;
+      read ()
+  in
+  read ();
+  let rec replies acc =
+    match Proto.next_reply dec with Some r -> replies (r :: acc) | None -> List.rev acc
+  in
+  replies []
+
 let test_bad_client_isolated () =
   let n_branches = 9 in
   let words = synth_words ~seed:3 ~n_branches ~n:20_000 in
+  let cut = 12_345 in
   let reference = reference_codes ~params:tiny ~n_branches words in
   with_socket_server ~params:tiny ~n_branches ~shards:3 (fun path ->
       let good = Client.connect path in
       Fun.protect ~finally:(fun () -> Client.close good) @@ fun () ->
-      Client.send_events good words;
-      Alcotest.(check int) "good client flushed" (Array.length words) (Client.flush good);
+      Client.send_events good (Array.sub words 0 cut);
+      Alcotest.(check int) "good client flushed" cut (Client.flush good);
+      (* many valid words over every shard, then a bad branch id in the
+         last word: the error reply, a closed connection, and no state
+         change — repeated past the per-shard pool of 3 batches, which
+         deadlocks unless the rejected frame's batches are returned *)
+      let valid = synth_words ~seed:5 ~n_branches ~n:30_000 in
+      let frame = Array.append valid [| pack ~branch:(n_branches + 5) ~taken:true ~delta:1 |] in
+      for _ = 1 to 4 do
+        match replies_until_closed path (Proto.encode_request (Events (frame, 30_001))) with
+        | [ Proto.Error_reply msg ] ->
+          Alcotest.(check string) "error names the bad word"
+            "events frame word 30000: branch 14 out of range [0,9) (corrupt or non-monotone \
+             encoding)"
+            msg
+        | _ -> Alcotest.fail "a bad events frame must get one error reply, then a close"
+      done;
       (* a client shipping an events frame with an out-of-range branch
          gets an error reply and a closed connection — and no state
          changes *)
@@ -335,6 +465,7 @@ let test_bad_client_isolated () =
       ignore (Unix.write (Client.fd dying) junk 0 (Bytes.length junk));
       Client.close dying;
       (* the good client's connection and the server state are intact *)
+      Client.send_events good (Array.sub words cut (Array.length words - cut));
       Alcotest.(check int) "no events leaked from bad clients" (Array.length words)
         (Client.flush good);
       Alcotest.(check (array int)) "decisions unchanged" reference (query_codes good n_branches))
@@ -383,6 +514,29 @@ let test_chaos_shard_faults_deterministic () =
       Alcotest.(check (array int)) "decisions unchanged by injected shard faults" reference
         (query_codes c n_branches))
 
+(* Every shard batch stalls up to 2 ms while the client ships 48 frames,
+   16 times the per-shard pool of 3 batches: ingest must wait for the
+   workers without deadlocking or dropping a frame. *)
+let test_backpressure_under_shard_delays () =
+  let n_branches = 13 in
+  let words = synth_words ~seed:12 ~n_branches ~n:48_000 in
+  let reference = reference_codes ~params:tiny ~n_branches words in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disable ();
+      Fault.reset ())
+  @@ fun () ->
+  (match Fault.configure_spec "seed=5,rate=0,delay=1.0,delay_us=2000,delay_sites=serve.shard" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "fault spec: %s" msg);
+  with_fd_server ~params:tiny ~n_branches ~shards:3 (fun c ->
+      for f = 0 to 47 do
+        Client.send_events c (Array.sub words (f * 1000) 1000)
+      done;
+      Alcotest.(check int) "every frame applied" (Array.length words) (Client.flush c);
+      Alcotest.(check (array int)) "decisions exact under backpressure" reference
+        (query_codes c n_branches))
+
 let test_read_fault_drops_client_server_survives () =
   let n_branches = 5 in
   with_socket_server ~params:tiny ~n_branches ~shards:2 (fun path ->
@@ -416,6 +570,7 @@ let test_read_fault_drops_client_server_survives () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_protocol_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_decoder_fuzz;
     Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
     Alcotest.test_case "protocol rejects malformed frames" `Quick test_protocol_rejects;
     Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
@@ -427,6 +582,8 @@ let suite =
     Alcotest.test_case "query error keeps connection" `Quick test_query_error_keeps_connection;
     Alcotest.test_case "chaos: shard faults deterministic" `Quick
       test_chaos_shard_faults_deterministic;
+    Alcotest.test_case "backpressure under shard delays" `Quick
+      test_backpressure_under_shard_delays;
     Alcotest.test_case "chaos: read fault drops client only" `Quick
       test_read_fault_drops_client_server_survives;
   ]
