@@ -16,11 +16,35 @@ type stats = {
 (* One lock and condition guard every table: contention is per-artifact
    (seconds of simulation behind each entry), not per-lookup, so a finer
    scheme would buy nothing.  A key being computed holds an [In_flight]
-   slot; latecomers for the same key wait on [published] instead of
-   computing it a second time.  Waiting cannot cycle: builds and MSSP
-   runs never wait on anything, profiles and runs only wait on builds. *)
+   slot; latecomers for the same key wait for it instead of computing it
+   a second time.
+
+   A latecomer that holds a slot in a pool of two or more domains waits
+   by helping that pool ({!Rs_util.Pool.await}) until the slot is no
+   longer [In_flight]; any other latecomer blocks on [published].  Inside
+   a compute body a domain always blocks.  That keeps waiting acyclic:
+   builds and MSSP runs never wait on anything, profiles and runs only
+   wait on builds, and a helping domain holds no [In_flight] slot, so no
+   task it picks up can need a key further down its own stack. *)
 let lock = Mutex.create ()
 let published = Condition.create ()
+
+(* The pools of the waiters currently helping, one entry per waiter,
+   woken after every publish and reset whichever domain made it.
+   Guarded by [lock]. *)
+let helping : Rs_util.Pool.t list ref = ref []
+
+(* How many compute bodies this domain is inside. *)
+let computing = Domain.DLS.new_key (fun () -> ref 0)
+
+let rec remove_one p = function [] -> [] | q :: r -> if q == p then r else q :: remove_one p r
+
+(* Entered with [lock] held, which it releases. *)
+let broadcast () =
+  Condition.broadcast published;
+  let pools = !helping in
+  Mutex.unlock lock;
+  List.iter Rs_util.Pool.wake pools
 
 (* Bumped by [reset] under [lock].  A computation records the generation
    it started under and re-checks before publishing, so a slot computed
@@ -102,6 +126,7 @@ let count_retry m ~bench =
 (* Run the compute body with bounded in-place retries, starting from
    [attempts] already consumed by earlier rounds. *)
 let attempt_body m ~bench ~attempts f =
+  let depth = Domain.DLS.get computing in
   let rec go n =
     match f () with
     | v -> Ready v
@@ -113,7 +138,8 @@ let attempt_body m ~bench ~attempts f =
         go n
       end
   in
-  go attempts
+  incr depth;
+  Fun.protect ~finally:(fun () -> decr depth) (fun () -> go attempts)
 
 (* Publish [slot] for [key] unless a [reset] raced the computation: then
    the table was already cleared (and may hold post-reset entries), so
@@ -126,8 +152,25 @@ let publish m key slot ~gen0 =
      match Hashtbl.find_opt m.table key with
      | Some In_flight -> Hashtbl.remove m.table key
      | _ -> ());
-  Condition.broadcast published;
-  Mutex.unlock lock
+  broadcast ()
+
+(* Wait until [key] is no longer [In_flight].  Entered and left with
+   [lock] held.  The helping waiter tests the slot under [lock], which
+   every publish and reset takes before waking the pools in [helping]:
+   no wakeup is lost. *)
+let wait_for_publish m key =
+  match Rs_util.Pool.current () with
+  | Some pool when !(Domain.DLS.get computing) = 0 ->
+    helping := pool :: !helping;
+    Mutex.unlock lock;
+    Rs_util.Pool.await pool (fun () ->
+        Mutex.lock lock;
+        let flying = match Hashtbl.find_opt m.table key with Some In_flight -> true | _ -> false in
+        Mutex.unlock lock;
+        not flying);
+    Mutex.lock lock;
+    helping := remove_one pool !helping
+  | _ -> Rs_util.Pool.blocking (fun () -> Condition.wait published lock)
 
 let find_or_compute m ~bench key f =
   (* [compute] is entered with [lock] held and returns with it released. *)
@@ -155,7 +198,7 @@ let find_or_compute m ~bench key f =
       raise e
     | Some (Failed (_, attempts)) -> compute ~attempts
     | Some In_flight ->
-      Condition.wait published lock;
+      wait_for_publish m key;
       get ()
     | None -> compute ~attempts:0
   in
@@ -286,6 +329,8 @@ let mssp_runs :
 
 let mssp ?(config = Rs_mssp.Config.default) (spec : Rs_mssp.Workload.t) ~seed ~instance params =
   find_or_compute mssp_runs ~bench:spec.name (seed, spec, params, config) (fun () ->
+      Fault.hit ~site:"cache.mssp"
+        ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash (params, config) land 0xffff));
       let inst = Lazy.force instance in
       if inst.Rs_mssp.Workload.spec <> spec then
         invalid_arg "Cache.mssp: instance of a different workload spec";
@@ -322,11 +367,15 @@ let reset () =
   Mutex.lock lock;
   incr generation;
   List.iter (fun clear -> clear ()) !resetters;
-  (* wake any waiter parked on an [In_flight] entry the reset just
-     dropped: it re-checks, finds nothing and recomputes *)
-  Condition.broadcast published;
-  Mutex.unlock lock;
-  Rs_behavior.Trace_store.clear ()
+  (* wake any waiter on an [In_flight] entry the reset just dropped: it
+     re-checks, finds nothing and recomputes *)
+  broadcast ();
+  Rs_behavior.Trace_store.clear ();
+  (* Collect what was just dropped (a suite's recordings alone are
+     ~330 MB at scale 0.02): the major GC may not otherwise run before a
+     process that resets starts over, and would hold both generations at
+     once. *)
+  Gc.full_major ()
 
 module Private = struct
   type nonrec ('k, 'v) memo = ('k, 'v) memo

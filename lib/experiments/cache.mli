@@ -22,8 +22,15 @@
     cached set upgrades the entry in place with the union.
 
     All entries are immutable once published and all operations are
-    domain-safe: concurrent requests for one key compute it exactly once
-    (latecomers block until the first computation publishes).  The cache
+    domain-safe: concurrent requests for one key compute it exactly once,
+    and latecomers wait until the first computation publishes.  A
+    latecomer holding a slot in a pool of two or more domains
+    ({!Rs_util.Pool.current}) helps that pool while it waits
+    ({!Rs_util.Pool.await}); any other latecomer, and any latecomer
+    inside a compute body, blocks.  Waiting cannot cycle: builds and
+    MSSP runs wait on nothing, profiles and runs wait only on builds, and
+    a helping domain is inside no compute body, so no task it runs can
+    need a key its own stack is computing.  The cache
     is process-global — [rspec all] threads it through every experiment —
     and hit/miss counters (lock-free [Atomic.t]s, safe against concurrent
     pool workers) are exposed for the bench harness.  Every lookup also
@@ -41,7 +48,8 @@
     racing an in-flight computation is safe: publication checks a
     generation counter, so pre-reset results never resurrect into the
     post-reset table.  Compute bodies consult the [cache.build] /
-    [cache.profile] / [cache.run] fault-injection sites. *)
+    [cache.profile] / [cache.run] / [cache.mssp] fault-injection
+    sites. *)
 
 type stats = {
   build_hits : int;
@@ -156,9 +164,11 @@ val set_retry_limit : int -> unit
 
 val reset : unit -> unit
 (** Drop every entry and zero the counters (tests and benches), including
-    the process-global {!Rs_behavior.Trace_store} LRU.  Safe against
-    in-flight computations: they complete for their own caller but
-    publish nothing (see the generation check above). *)
+    the process-global {!Rs_behavior.Trace_store} LRU, then runs a full
+    major collection so the dropped artifacts' memory is reused by
+    whatever the process computes next instead of adding to it.  Safe
+    against in-flight computations: they complete for their own caller
+    but publish nothing (see the generation check above). *)
 
 (**/**)
 

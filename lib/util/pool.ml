@@ -15,11 +15,13 @@
    "Help while you wait" is preserved from the original pool: a caller
    (or nested caller) blocked on its own results runs whatever task it
    can find instead of sleeping, so some domain is always executing a
-   task and nested maps on one pool cannot deadlock.  Sleeping is a
-   two-phase check: a would-be sleeper registers in [sleepers] and
-   re-checks every source under the pool mutex before waiting, and
-   producers broadcast whenever [sleepers] is non-zero — the atomic
-   ordering between the two makes lost wakeups impossible.
+   task and nested maps on one pool cannot deadlock.  [await] offers the
+   same loop to waits outside the pool: a domain waiting for an artifact
+   another domain is computing runs queued tasks until it is ready.
+   Sleeping is a two-phase check: a would-be sleeper registers in
+   [sleepers] and re-checks every source under the pool mutex before
+   waiting, and producers broadcast whenever [sleepers] is non-zero —
+   the atomic ordering between the two makes lost wakeups impossible.
 
    Determinism contract: element results are joined by index, so a map
    is equivalent to [Array.map] for pure element functions regardless of
@@ -60,6 +62,10 @@ let m_steals = Metrics.counter "pool.steals"
 let m_splits = Metrics.counter "pool.splits"
 let m_worker_failures = Metrics.counter "pool.worker_failures"
 let m_suppressed_failures = Metrics.counter "pool.suppressed_failures"
+let m_await_helped = Metrics.counter "pool.await.helped"
+let m_await_helped_us = Metrics.counter "pool.await.helped_us"
+let m_await_blocked = Metrics.counter "pool.await.blocked"
+let m_await_blocked_us = Metrics.counter "pool.await.blocked_us"
 let g_jobs = Metrics.gauge "pool.jobs"
 
 (* Injection point for rs_fault, which sits above this library in the
@@ -68,11 +74,15 @@ let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key
 
 let pool_ids = Atomic.make 0
 
-(* Which slot (deque index) this domain owns, per pool id.  Workers
+(* Which slot (deque index) this domain owns, per pool.  Workers
    register their slot at startup; an external caller claims slot 0 for
    the duration of its outermost map. *)
-let slots_key : (int * int) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let my_slot t = List.assoc_opt t.id !(Domain.DLS.get slots_key)
+let slots_key : (t * int) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let my_slot t =
+  List.find_map (fun (p, s) -> if p.id = t.id then Some s else None) !(Domain.DLS.get slots_key)
+
+let current () = match !(Domain.DLS.get slots_key) with (p, _) :: _ -> Some p | [] -> None
 
 (* Every executor — worker domains, helping callers, the close-time
    drain — runs tasks through this guard: it traps any escaping
@@ -82,7 +92,7 @@ let my_slot t = List.assoc_opt t.id !(Domain.DLS.get slots_key)
    posts. *)
 let exec (task : task) = try task () with _ -> Metrics.incr m_worker_failures
 
-let wake_if_sleepers t =
+let wake t =
   if Atomic.get t.sleepers > 0 then begin
     Mutex.lock t.mutex;
     Condition.broadcast t.wake;
@@ -96,7 +106,7 @@ let push_task t task =
     Mutex.lock t.mutex;
     Queue.add task t.inbox;
     Mutex.unlock t.mutex);
-  wake_if_sleepers t
+  wake t
 
 let steal_scan t ~slot =
   let n = Array.length t.deques in
@@ -153,10 +163,39 @@ let acquire t ~slot ~stop =
     Mutex.unlock t.mutex;
     r
 
+(* Run tasks until [ready ()] holds: the join loop of [map_range] and
+   of [await]. *)
+let help_until t ready =
+  let slot = match my_slot t with Some s -> s | None -> -1 in
+  let rec help () =
+    if not (ready ()) then begin
+      (match acquire t ~slot ~stop:ready with Some task -> exec task | None -> ());
+      help ()
+    end
+  in
+  help ()
+
+(* Waits a domain is inside: a task run while helping can wait in
+   turn, and only the outermost wait's time is counted, so the seconds
+   are domain-seconds spent waiting. *)
+let waiting = Domain.DLS.new_key (fun () -> ref 0)
+
+let timed counter us f =
+  Metrics.incr counter;
+  let depth = Domain.DLS.get waiting in
+  let t0 = if !depth = 0 then Rs_obs.Trace.now () else 0.0 in
+  incr depth;
+  Fun.protect f ~finally:(fun () ->
+      decr depth;
+      if !depth = 0 then Metrics.add us (int_of_float ((Rs_obs.Trace.now () -. t0) *. 1e6)))
+
+let await t ready = timed m_await_helped m_await_helped_us (fun () -> help_until t ready)
+let blocking f = timed m_await_blocked m_await_blocked_us f
+
 let worker_main t i =
   let slot = i + 1 in
   let slots = Domain.DLS.get slots_key in
-  slots := (t.id, slot) :: !slots;
+  slots := (t, slot) :: !slots;
   (* An injected startup failure kills just this worker: the pool
      degrades to fewer helpers, and the caller-helps rule keeps every
      map completing. *)
@@ -275,14 +314,14 @@ let claim_slot t =
     | None ->
       if Atomic.compare_and_set t.slot0 (-1) (Domain.self () :> int) then begin
         let slots = Domain.DLS.get slots_key in
-        slots := (t.id, 0) :: !slots;
+        slots := (t, 0) :: !slots;
         true
       end
       else false
 
 let release_slot t =
   let slots = Domain.DLS.get slots_key in
-  slots := List.filter (fun (id, _) -> id <> t.id) !slots;
+  slots := List.filter (fun (p, _) -> p.id <> t.id) !slots;
   Atomic.set t.slot0 (-1)
 
 let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
@@ -314,7 +353,7 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
           with e -> errors.(i - lo) <- Some (e, Printexc.get_raw_backtrace ())
         done;
         ignore (Atomic.fetch_and_add remaining (l - h) : int);
-        wake_if_sleepers t
+        wake t
       in
       (* Lazy binary splitting: fork the right half onto the local deque
          (where a thief can find it), descend into the left. *)
@@ -330,15 +369,7 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
       go lo hi;
       (* the caller is the pool's jobs-th executor: help until every
          element of this map has settled *)
-      let slot = match my_slot t with Some s -> s | None -> -1 in
-      let stop () = Atomic.get remaining = 0 in
-      let rec help () =
-        if not (stop ()) then begin
-          (match acquire t ~slot ~stop with Some task -> exec task | None -> ());
-          help ()
-        end
-      in
-      help ();
+      help_until t (fun () -> Atomic.get remaining = 0);
       (* Re-raise the lowest-indexed failure with its original backtrace;
          further failures cannot also propagate, so they are surfaced
          through the [pool.suppressed_failures] counter instead of being
@@ -405,7 +436,13 @@ type stats = {
   splits : int;
   worker_failures : int;
   suppressed_failures : int;
+  awaits_helped : int;
+  awaits_helped_s : float;
+  awaits_blocked : int;
+  awaits_blocked_s : float;
 }
+
+let seconds us = float_of_int (Metrics.counter_value us) /. 1e6
 
 let stats () =
   {
@@ -414,10 +451,17 @@ let stats () =
     splits = Metrics.counter_value m_splits;
     worker_failures = Metrics.counter_value m_worker_failures;
     suppressed_failures = Metrics.counter_value m_suppressed_failures;
+    awaits_helped = Metrics.counter_value m_await_helped;
+    awaits_helped_s = seconds m_await_helped_us;
+    awaits_blocked = Metrics.counter_value m_await_blocked;
+    awaits_blocked_s = seconds m_await_blocked_us;
   }
 
 let describe (s : stats) =
-  Printf.sprintf "pool: tasks %d, steals %d, splits %d" s.tasks s.steals s.splits
+  Printf.sprintf
+    "pool: tasks %d, steals %d, splits %d; waits helped %d (%.2f s), blocked %d (%.2f s)"
+    s.tasks s.steals s.splits s.awaits_helped s.awaits_helped_s s.awaits_blocked
+    s.awaits_blocked_s
 
 (* Process-wide pool, sized by the most recent request. *)
 let shared_mutex = Mutex.create ()

@@ -93,6 +93,33 @@ val close : t -> unit
     performs the shutdown and drain, and only then do new maps raise
     {!Closed}.  Idempotent. *)
 
+val current : unit -> t option
+(** The pool in which the calling domain holds an executor slot: a
+    worker's own pool, or the pool whose map an external caller is
+    inside (the innermost, if several).  [None] for a domain outside
+    every pool, including callers of a [jobs = 1] pool, which never take
+    a slot. *)
+
+val await : t -> (unit -> bool) -> unit
+(** [await t ready] returns once [ready ()] holds, running [t]'s queued
+    tasks meanwhile in the order a map's join uses: own deque, then the
+    inbox, then steals.  When nothing is queued it sleeps until {!wake}
+    or new work.  [ready] must become true through a write followed by
+    {!wake} [t] (or by a task's completion); it is polled without any
+    lock.  Counted in the [pool.await.helped] and
+    [pool.await.helped_us] metrics.  Meant for a domain holding a slot
+    in [t] ({!current}); another domain only helps with the inbox and
+    steals. *)
+
+val wake : t -> unit
+(** Wake the domains sleeping in [t] (workers and {!await}ers), so they
+    re-check their exit conditions.  Cheap when nobody sleeps. *)
+
+val blocking : (unit -> unit) -> unit
+(** [blocking wait] runs [wait], a wait that parks the calling domain
+    without helping any pool, counted in the [pool.await.blocked] and
+    [pool.await.blocked_us] metrics. *)
+
 val shared : jobs:int -> t
 (** The process-wide pool, created on first use.  Asking for a different
     [jobs] than the live shared pool has closes it (deferring while it
@@ -108,7 +135,14 @@ type stats = {
   splits : int;
   worker_failures : int;
   suppressed_failures : int;
+  awaits_helped : int;  (** {!await} calls *)
+  awaits_helped_s : float;  (** seconds spent in them *)
+  awaits_blocked : int;  (** {!blocking} calls *)
+  awaits_blocked_s : float;  (** seconds spent in them *)
 }
+(** A wait entered while the domain is already inside one (a task run by
+    {!await} can wait in turn) is counted but its time is not, so the
+    seconds are domain-seconds: at most [jobs] per second of wall time. *)
 
 val stats : unit -> stats
 (** Process-wide scheduler counters (the [pool.*] metrics of

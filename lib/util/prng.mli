@@ -2,10 +2,12 @@
 
     All stochastic behaviour in the library flows through this module so
     that every experiment is reproducible from a single root seed.  The
-    generator is xoshiro256** seeded through SplitMix64, following the
-    reference implementations by Blackman and Vigna.  Generators are
-    splittable: [split t] derives an independent child stream, which lets
-    each static branch own a private stream regardless of interleaving. *)
+    generator is xorshift64* (Marsaglia's xorshift with a multiplicative
+    output scramble) on OCaml's native 63-bit integers, so a draw never
+    allocates; seeds pass through a SplitMix64-style bit mixer.
+    Generators are splittable: [split t] seeds a child from the parent's
+    next output through the same mixer, which lets each static branch own
+    a private stream regardless of interleaving. *)
 
 type t
 (** Mutable generator state. *)

@@ -161,6 +161,20 @@ let ctx jobs = E.Context.create ~seed:42 ~scale:0.02 ~tau:10 ~jobs ()
 
 let render_pipeline c = E.Figure2.render (E.Figure2.run c) ^ E.Table3.render (E.Table3.run c)
 
+(* Figures 7 and 8 share MSSP runs through [Cache.mssp].  Run side by
+   side, as [rspec all] runs them, their tasks wait on each other's
+   in-flight runs and help the pool meanwhile, under injected raises in
+   the compute bodies and delays in the pool. *)
+let render_stress_pipeline c =
+  let mssp =
+    Pool.run_all (E.Context.pool c)
+      [
+        (fun () -> E.Figure7.render (E.Figure7.run c));
+        (fun () -> E.Figure8.render (E.Figure8.run c));
+      ]
+  in
+  render_pipeline c ^ String.concat "" mssp
+
 (* max_raises=2 < retry_limit=3, so every cache key fails at most twice
    and the bounded retry always recovers: output must be byte-identical
    to a fault-free run. *)
@@ -180,7 +194,7 @@ let test_retry_byte_identity () =
 
 let test_stress_jobs4 () =
   E.Cache.reset ();
-  let clean = render_pipeline (ctx 4) in
+  let clean = render_stress_pipeline (ctx 4) in
   E.Cache.reset ();
   (* ci.sh re-runs this under different RS_FAULTS seeds; standalone runs
      use the built-in spec *)
@@ -189,7 +203,7 @@ let test_stress_jobs4 () =
   in
   with_faults spec @@ fun () ->
   let before = Fault.injected () in
-  let faulted = render_pipeline (ctx 4) in
+  let faulted = render_stress_pipeline (ctx 4) in
   Alcotest.(check bool) "faults were injected" true (Fault.injected () > before);
   Alcotest.(check string) "no deadlock, no stale results, byte-identical output" clean faulted;
   E.Cache.reset ()

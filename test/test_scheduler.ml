@@ -1,9 +1,10 @@
 (* The work-stealing scheduler: deque semantics, splittable map_range,
-   jobs-independence under random nesting, and the post/close drain
-   guarantee. *)
+   jobs-independence under random nesting, the post/close drain
+   guarantee, and cache waits that help the pool. *)
 
 module Pool = Rs_util.Pool
 module Deque = Rs_util.Deque
+module Cache = Rs_experiments.Cache
 
 let busy n =
   let acc = ref 0 in
@@ -137,6 +138,141 @@ let test_jobs1_post_drained_at_close () =
   Pool.close pool;
   Alcotest.(check (list int)) "drained in submission order at close" [ 1; 2 ] (List.rev !hits)
 
+(* --- cache waits help the pool ----------------------------------------- *)
+
+let wait_until ?(timeout = 10.0) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < timeout do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+(* Run [f] in a fresh domain and fail, instead of hanging, if it has not
+   returned within [seconds].  A domain that hangs is left behind. *)
+let with_watchdog ?(seconds = 20.0) what f =
+  let result = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
+  if not (wait_until ~timeout:seconds (fun () -> Option.is_some (Atomic.get result))) then
+    Alcotest.failf "%s: no result after %.0f s" what seconds;
+  Domain.join d;
+  match Atomic.get result with Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false
+
+(* A jobs-2 pool whose one worker is kept busy, so the tasks a map
+   queues can only run on the domain that maps. *)
+let with_busy_worker f =
+  with_pool ~jobs:2 @@ fun pool ->
+  let stop = Atomic.make false and started = Atomic.make false in
+  Pool.post pool (fun () ->
+      Atomic.set started true;
+      ignore (wait_until ~timeout:120.0 (fun () -> Atomic.get stop)));
+  ignore (wait_until (fun () -> Atomic.get started));
+  Fun.protect ~finally:(fun () -> Atomic.set stop true) @@ fun () -> f pool
+
+(* Hold [key] in flight from a domain outside every pool until [body]
+   returns; returns once the key is in flight. *)
+let compute_outside m key body =
+  let started = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Cache.Private.find_or_compute m ~bench:"t" key (fun () ->
+            Atomic.set started true;
+            body ()))
+  in
+  ignore (wait_until (fun () -> Atomic.get started));
+  d
+
+(* A domain inside a compute body blocks on an in-flight key.  If it
+   helped instead, it would pop the queued task, which needs the key the
+   domain is itself computing, and wait for it forever. *)
+let test_compute_body_blocks () =
+  let m = Cache.Private.memo "test-body-blocks" in
+  let find key f = Cache.Private.find_or_compute m ~bench:"t" key f in
+  let entered = Atomic.make false and slow_done = Atomic.make false in
+  let slow =
+    compute_outside m "slow" (fun () ->
+        ignore (wait_until (fun () -> Atomic.get entered));
+        Unix.sleepf 0.2;
+        Atomic.set slow_done true;
+        1)
+  in
+  let blocked = (Pool.stats ()).awaits_blocked in
+  let early = Atomic.make false in
+  let out =
+    with_busy_worker @@ fun pool ->
+    with_watchdog "a waiter inside a compute body" @@ fun () ->
+    Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
+        if i = 0 then
+          find "outer" (fun () ->
+              Atomic.set entered true;
+              find "slow" (fun () -> 0) + 1)
+        else begin
+          if not (Atomic.get slow_done) then Atomic.set early true;
+          find "outer" (fun () -> 100)
+        end)
+  in
+  Alcotest.(check int) "slow key" 1 (Domain.join slow);
+  Alcotest.(check (array int)) "both tasks see the outer key" [| 2; 2 |] out;
+  Alcotest.(check bool) "the queued task did not run during the wait" false (Atomic.get early);
+  Alcotest.(check bool) "the wait was a blocking one" true
+    ((Pool.stats ()).awaits_blocked > blocked)
+
+(* A waiter on a slow key runs an independent queued task before the key
+   publishes.  The key publishes once that task has run, or after 5 s. *)
+let test_waiter_helps () =
+  let m = Cache.Private.memo "test-waiter-helps" in
+  let probe_ran = Atomic.make false and body_returned = Atomic.make false in
+  let slow =
+    compute_outside m "slow" (fun () ->
+        ignore (wait_until ~timeout:5.0 (fun () -> Atomic.get probe_ran));
+        Atomic.set body_returned true;
+        1)
+  in
+  let helped = (Pool.stats ()).awaits_helped in
+  let probe_early = Atomic.make false and same_domain = Atomic.make false in
+  let out =
+    with_busy_worker @@ fun pool ->
+    with_watchdog "a helping waiter" @@ fun () ->
+    let waiter = Domain.self () in
+    Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
+        if i = 0 then Cache.Private.find_or_compute m ~bench:"t" "slow" (fun () -> 0)
+        else begin
+          Atomic.set probe_early (not (Atomic.get body_returned));
+          Atomic.set same_domain (Domain.self () = waiter);
+          Atomic.set probe_ran true;
+          7
+        end)
+  in
+  Alcotest.(check int) "slow key" 1 (Domain.join slow);
+  Alcotest.(check (array int)) "results" [| 1; 7 |] out;
+  Alcotest.(check bool) "the queued task ran before the key published" true
+    (Atomic.get probe_early);
+  Alcotest.(check bool) "on the waiting domain" true (Atomic.get same_domain);
+  Alcotest.(check bool) "the wait helped" true ((Pool.stats ()).awaits_helped > helped)
+
+(* A publish from a domain outside the pool wakes a waiter that has
+   helped with everything queued and gone to sleep in the pool. *)
+let test_outside_publish_wakes_helper () =
+  let m = Cache.Private.memo "test-outside-wakes" in
+  let drained = Atomic.make false in
+  let slow =
+    compute_outside m "slow" (fun () ->
+        ignore (wait_until (fun () -> Atomic.get drained));
+        Unix.sleepf 0.2;
+        1)
+  in
+  let out =
+    with_busy_worker @@ fun pool ->
+    with_watchdog "a sleeping helper" @@ fun () ->
+    Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
+        if i = 0 then Cache.Private.find_or_compute m ~bench:"t" "slow" (fun () -> 0)
+        else begin
+          Atomic.set drained true;
+          7
+        end)
+  in
+  Alcotest.(check int) "slow key" 1 (Domain.join slow);
+  Alcotest.(check (array int)) "results" [| 1; 7 |] out
+
 let suite =
   [
     Alcotest.test_case "deque ends" `Quick test_deque_ends;
@@ -146,4 +282,7 @@ let suite =
     Alcotest.test_case "map_range jobs=1 strict order" `Quick test_map_range_jobs1_strict_order;
     nested_identity_test;
     Alcotest.test_case "jobs=1 post drained at close" `Quick test_jobs1_post_drained_at_close;
+    Alcotest.test_case "cache wait in a compute body blocks" `Quick test_compute_body_blocks;
+    Alcotest.test_case "cache waiter helps the pool" `Quick test_waiter_helps;
+    Alcotest.test_case "outside publish wakes a helper" `Quick test_outside_publish_wakes_helper;
   ]
