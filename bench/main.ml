@@ -3,9 +3,9 @@
    Two layers:
 
    1. The REPRODUCTION harness: regenerates every table and figure of the
-      paper at the context given by RS_SCALE / RS_SEED / RS_TAU (default
-      scale 0.15 keeps the whole run to a few minutes; raise it for more
-      faithful counts).  This is the output that should be compared
+      paper at the context given by RS_SCALE / RS_SEED / RS_TAU / RS_JOBS
+      (default scale 0.25 keeps the whole run to a few minutes; raise it
+      for more faithful counts).  This is the output that should be compared
       against the paper, shape-wise.
 
    2. A bechamel microbenchmark per table/figure: the hot kernel that the
@@ -220,9 +220,9 @@ let bench_parallel_all () =
   in
   List.length outs
 
-let bench_steal_latency () =
+let bench_post_latency () =
   (* scheduler hand-off: post a thunk and spin until a sleeping worker
-     wakes and steals it — wakeup + steal latency, not task cost *)
+     wakes and runs it — wakeup latency, not task cost *)
   let pool = Lazy.force bench_pool in
   let flag = Atomic.make false in
   Rs_util.Pool.post pool (fun () -> Atomic.set flag true);
@@ -231,9 +231,8 @@ let bench_steal_latency () =
   done;
   1
 
-let bench_split_overhead () =
-  (* pure scheduling overhead: trivial elements through the lazy binary
-     splitter (every split forks a stealable right half) *)
+let bench_map_overhead () =
+  (* pure scheduling overhead: trivial elements, one claim each *)
   let pool = Lazy.force bench_pool in
   let out = Rs_util.Pool.map_range pool ~lo:0 ~hi:256 Fun.id in
   out.(255)
@@ -258,8 +257,8 @@ let kernels : (string * (unit -> int)) list =
     ("runner/pool-map", bench_pool_map);
     ("runner/cached-profile", bench_cached_profile);
     ("runner/parallel-all", bench_parallel_all);
-    ("scheduler/steal-latency", bench_steal_latency);
-    ("scheduler/split-overhead", bench_split_overhead);
+    ("scheduler/post-latency", bench_post_latency);
+    ("scheduler/map-overhead", bench_map_overhead);
   ]
 
 (* The sampling budget per kernel, overridable so CI smoke runs can keep
@@ -357,11 +356,26 @@ let run_microbenchmarks () =
 (* Reproductions                                                           *)
 (* ---------------------------------------------------------------------- *)
 
+(* The harness takes its context from the environment; a malformed
+   value fails naming its variable instead of falling back to a default. *)
+let env parse var default =
+  match Sys.getenv_opt var with
+  | None -> default
+  | Some s -> (
+    match parse s with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "%s: malformed value %S" var s))
+
 let run_reproductions () =
-  let scale =
-    match Sys.getenv_opt "RS_SCALE" with Some s -> float_of_string s | None -> 0.25
+  let d = Rs_experiments.Context.default in
+  let ctx =
+    Rs_experiments.Context.create
+      ~seed:(env int_of_string_opt "RS_SEED" d.seed)
+      ~scale:(env float_of_string_opt "RS_SCALE" d.scale)
+      ~tau:(env int_of_string_opt "RS_TAU" d.tau)
+      ~jobs:(env int_of_string_opt "RS_JOBS" d.jobs)
+      ()
   in
-  let ctx = Rs_experiments.Context.create ~scale () in
   Printf.printf "== reproductions [%s] ==\n%!" (Rs_experiments.Context.describe ctx);
   let section name f =
     Printf.printf "\n-------- %s --------\n%!" name;
@@ -430,15 +444,9 @@ let json_float = function
   | _ -> "null"
 
 let run_json file =
-  let getf var default =
-    match Sys.getenv_opt var with Some s -> float_of_string s | None -> default
-  in
-  let geti var default =
-    match Sys.getenv_opt var with Some s -> int_of_string s | None -> default
-  in
-  let scale = getf "RS_SCALE" 0.05 in
-  let seed = geti "RS_SEED" 3 in
-  let tau = geti "RS_TAU" 10 in
+  let scale = env float_of_string_opt "RS_SCALE" 0.05 in
+  let seed = env int_of_string_opt "RS_SEED" 3 in
+  let tau = env int_of_string_opt "RS_TAU" 10 in
   let ctx = Rs_experiments.Context.create ~seed ~scale ~tau ~jobs:1 () in
   Printf.eprintf "bench: measuring %d kernels (quota %.2fs each)...\n%!" (List.length kernels)
     (quota_s ());
@@ -466,7 +474,7 @@ let run_json file =
   let jobs1_s, jobs1_out = time_figure5_jobs 1 in
   let jobs8_s, jobs8_out = time_figure5_jobs 8 in
   (* scheduler counters, read after the jobs-8 sweep so a parallel run's
-     steal/split activity is on record *)
+     activity is on record *)
   let pstats = Rs_util.Pool.stats () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -520,9 +528,9 @@ let run_json file =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"pool\": { \"tasks\": %d, \"steals\": %d, \"splits\": %d, \"worker_failures\": \
-        %d, \"suppressed_failures\": %d }\n"
-       pstats.tasks pstats.steals pstats.splits pstats.worker_failures
+       "  \"pool\": { \"tasks\": %d, \"shared\": %d, \"worker_failures\": %d, \
+        \"suppressed_failures\": %d }\n"
+       pstats.tasks pstats.shared pstats.worker_failures
        pstats.suppressed_failures);
   Buffer.add_string buf "}\n";
   let oc = open_out file in

@@ -22,32 +22,40 @@ let exits =
       info internal_error ~doc:"on an unexpected internal error.";
     ]
 
+(* Shared by every command that takes --seed or --scale. *)
+let seed_env = Cmd.Env.info "RS_SEED"
+let scale_env = Cmd.Env.info "RS_SCALE"
+
 let ctx_term =
   let scale =
     let doc =
       "Population scale in (0,1]: shrinks the static branch populations and run lengths \
        proportionally.  Scaled counts compare to the paper's after dividing by SCALE."
     in
-    Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~docv:"SCALE" ~doc)
+    Arg.(
+      value
+      & opt float E.Context.default.scale
+      & info [ "scale" ] ~env:scale_env ~docv:"SCALE" ~doc)
   in
   let seed =
     let doc = "Root random seed; every experiment is deterministic in it." in
-    Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~docv:"SEED" ~doc)
+    Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~env:seed_env ~docv:"SEED" ~doc)
   in
   let tau =
     let doc =
       "Time-compression factor: divides the controller wait period, the optimization \
        latency and the workloads' slow change periods.  1 = paper-exact time (slow)."
     in
-    Arg.(value & opt int E.Context.default.tau & info [ "tau" ] ~docv:"TAU" ~doc)
+    let env = Cmd.Env.info "RS_TAU" in
+    Arg.(value & opt int E.Context.default.tau & info [ "tau" ] ~env ~docv:"TAU" ~doc)
   in
   let jobs =
     let doc =
-      "Worker domains for the experiment runner (also $(b,RS_JOBS); default: the \
-       recommended domain count).  Results are independent of JOBS; 1 runs fully \
-       sequentially."
+      "Worker domains for the experiment runner (default: the recommended domain count).  \
+       Results are independent of JOBS; 1 runs fully sequentially."
     in
-    Arg.(value & opt int E.Context.default.jobs & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
+    let env = Cmd.Env.info "RS_JOBS" in
+    Arg.(value & opt int E.Context.default.jobs & info [ "jobs"; "j" ] ~env ~docv:"JOBS" ~doc)
   in
   let cache_stats =
     let doc = "Print artifact-cache hit/miss counters to stderr after the run." in
@@ -55,8 +63,8 @@ let ctx_term =
   in
   let pool_stats =
     let doc =
-      "Print work-stealing scheduler counters (tasks, steals, splits) to stderr after the \
-       run."
+      "Print domain-pool counters (map elements run, chunks shared with other domains, \
+       cache waits that helped or blocked) to stderr after the run."
     in
     Arg.(value & flag & info [ "pool-stats" ] ~doc)
   in
@@ -339,8 +347,12 @@ let serve_args =
     Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"NAME" ~doc)
   in
   let input = Arg.(value & opt input_conv Benchmark.Ref & info [ "input" ] ~docv:"INPUT") in
-  let scale = Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~docv:"SCALE") in
-  let seed = Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~docv:"SEED") in
+  let scale =
+    Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~env:scale_env ~docv:"SCALE")
+  in
+  let seed =
+    Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~env:seed_env ~docv:"SEED")
+  in
   let tau =
     let doc = "Time-compression factor for the controller parameters." in
     Arg.(value & opt int Benchmark.default_tau & info [ "tau" ] ~docv:"TAU" ~doc)
@@ -436,8 +448,12 @@ let drive_cmd =
     Arg.(required & opt (some string) None & info [ "bench" ] ~docv:"NAME" ~doc)
   in
   let input = Arg.(value & opt input_conv Benchmark.Ref & info [ "input" ] ~docv:"INPUT") in
-  let scale = Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~docv:"SCALE") in
-  let seed = Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~docv:"SEED") in
+  let scale =
+    Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~env:scale_env ~docv:"SCALE")
+  in
+  let seed =
+    Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~env:seed_env ~docv:"SEED")
+  in
   let tau = Arg.(value & opt int Benchmark.default_tau & info [ "tau" ] ~docv:"TAU") in
   let repeat =
     let doc = "Ship the trace $(docv) times (one continuous logical stream)." in

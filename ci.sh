@@ -175,14 +175,22 @@ grep -q 'no_such_entry' /tmp/rs_noglob.err \
        cat /tmp/rs_noglob.err >&2
        exit 1; }
 rm -f /tmp/rs_noglob.err
-# A malformed or negative RS_TRACE_CACHE_MB fails like a malformed flag:
-# exit 2 and an error naming the variable, never a silent default.
-for bad in abc -1; do
+# A malformed or negative RS_TRACE_CACHE_MB, and a malformed RS_SEED,
+# RS_SCALE, RS_TAU or RS_JOBS, fail like a malformed flag: exit 2 and an
+# error naming the variable, never a silent default.  Each case leaves
+# out the flag its variable stands for, since a flag wins over it.
+for case in RS_TRACE_CACHE_MB=abc RS_TRACE_CACHE_MB=-1 RS_SEED=x RS_SCALE=0,02 RS_TAU=1.5 \
+    RS_JOBS=eight; do
+  var=${case%%=*}
+  args=()
+  for opt in SEED:3 SCALE:0.02 TAU:10 JOBS:1; do
+    name=${opt%%:*}
+    [[ $var == "RS_$name" ]] || args+=("--${name,,}" "${opt#*:}")
+  done
   status=0
-  RS_TRACE_CACHE_MB=$bad "$RSPEC" run table1 --scale 0.02 --tau 10 --jobs 1 \
-    >/dev/null 2>/tmp/rs_badenv.err || status=$?
-  [[ $status -eq 2 ]] && grep -q 'RS_TRACE_CACHE_MB' /tmp/rs_badenv.err \
-    || { echo "RS_TRACE_CACHE_MB=$bad must exit 2 naming the variable (exit $status):" >&2
+  env "$case" "$RSPEC" run table1 "${args[@]}" >/dev/null 2>/tmp/rs_badenv.err || status=$?
+  [[ $status -eq 2 ]] && grep -q "$var" /tmp/rs_badenv.err \
+    || { echo "$case must exit 2 naming the variable (exit $status):" >&2
          cat /tmp/rs_badenv.err >&2
          exit 1; }
 done
@@ -256,14 +264,34 @@ if command -v jq >/dev/null 2>&1; then
          jq --argjson names "$LIVE_ALLOC_KERNELS" \
            '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
          exit 1; }
+  # The pool kernels, from the exact counter (the calling domain's
+  # words, so they depend on how many elements it ran itself).  Claiming
+  # a chunk allocates nothing: a 256-element map costs a few words per
+  # element the caller runs (the result box, map_ordered's fault-site
+  # key) plus per-map setup.  Measured with every worker held busy, so
+  # the caller runs all of it: pool-map 1873, map-overhead 1356,
+  # parallel-all 244 words.  A closure per claimed chunk costs >= 3k
+  # words a run.
+  POOL_ALLOC_BUDGETS='{"runner/pool-map":2500,"runner/parallel-all":600,
+    "scheduler/map-overhead":2000}'
+  jq -e --argjson budgets "$POOL_ALLOC_BUDGETS" '
+      [.kernels[] | select($budgets[.name] != null)
+       | .exact_minor_words_per_run as $w | $w != null and $w <= $budgets[.name]]
+      | (length == ($budgets | length)) and all' \
+    "$BENCH_JSON" >/dev/null \
+    || { echo "pool gate failed: a pool kernel exceeds its exact minor words/run budget" >&2
+         jq --argjson budgets "$POOL_ALLOC_BUDGETS" \
+           '[.kernels[] | select($budgets[.name] != null)]' "$BENCH_JSON" >&2
+         exit 1; }
   # Scheduler counters: a jobs-8 figure5 sweep ran inside the harness, so
-  # the work-stealing pool must have stolen sub-ranges.  The jobs-8
-  # output must be byte-identical to jobs-1; the >= 2x wall-clock gate
-  # only applies with enough cores to parallelize on.
-  jq -e '.pool.steals > 0' "$BENCH_JSON" >/dev/null \
-    || { echo "scheduler gate failed: pool.steals == 0 in bench json" >&2
+  # work must have run on more than one domain (chunks run by a domain
+  # other than their map's caller).  The jobs-8 output must be
+  # byte-identical to jobs-1; the >= 2x wall-clock gate only applies
+  # with enough cores to parallelize on.
+  jq -e '.pool.shared > 0' "$BENCH_JSON" >/dev/null \
+    || { echo "scheduler gate failed: pool.shared == 0 in bench json" >&2
          jq '.pool' "$BENCH_JSON" >&2; exit 1; }
-  jq -e '.pool | has("splits") and has("steals")' "$BENCH_JSON" >/dev/null
+  jq -e '.pool | has("shared")' "$BENCH_JSON" >/dev/null
   jq -e '[.experiments[] | select(.name == "figure5-jobs")][0]
          | .identical_output == true' "$BENCH_JSON" >/dev/null \
     || { echo "figure5 output differs between jobs 1 and jobs 8" >&2; exit 1; }
@@ -278,13 +306,14 @@ else
 fi
 rm -f "$BENCH_JSON"
 
-# Scheduler stage: neither the work-stealing pool, the artifact cache nor
+# Scheduler stage: neither the shared-queue pool, the artifact cache nor
 # the trace store may change output.  `rspec all` must be byte-identical
 # between --jobs 1 and --jobs 8 at two seeds; the jobs-8 runs print their
-# scheduler counters so the CI log records the steal/split activity
+# scheduler counters so the CI log records the shared-work activity
 # behind the identity.  Order independence: an entry run alone from a
 # cold cache at --jobs 8 must reproduce its section of the jobs-1
-# `rspec all` — breakeven with the default trace store, and the
+# `rspec all` — breakeven and the four MSSP entries (figure7, figure8,
+# correlation, claims) with the default trace store, and the
 # trace-consuming entries with --trace-cache-mb 0, which generates every
 # stream live instead of replaying a recording.
 echo "== scheduler (rspec all: jobs 1 vs 8, entries alone, live vs replay, two seeds) =="
@@ -311,6 +340,10 @@ for seed in 3 11; do
     || { echo "rspec all differs between --jobs 1 and --jobs 8 (seed=$seed)" >&2; exit 1; }
   grep '^pool:' "$SCHED_DIR/j8.err" || true
   run_alone "$seed" breakeven
+  # the four entries that share Cache.mssp runs and so wait on each other
+  for name in figure7 figure8 correlation claims; do
+    run_alone "$seed" "$name"
+  done
   for name in figure3 figure5 figure6 figure9 table3; do
     run_alone "$seed" "$name" --trace-cache-mb 0
   done

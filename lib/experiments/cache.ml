@@ -19,13 +19,16 @@ type stats = {
    slot; latecomers for the same key wait for it instead of computing it
    a second time.
 
-   A latecomer that holds a slot in a pool of two or more domains waits
-   by helping that pool ({!Rs_util.Pool.await}) until the slot is no
-   longer [In_flight]; any other latecomer blocks on [published].  Inside
-   a compute body a domain always blocks.  That keeps waiting acyclic:
-   builds and MSSP runs never wait on anything, profiles and runs only
-   wait on builds, and a helping domain holds no [In_flight] slot, so no
-   task it picks up can need a key further down its own stack. *)
+   A latecomer working in a pool of two or more domains (a worker, or
+   any domain inside one of its maps, however many external callers map
+   at once) waits by helping that pool ({!Rs_util.Pool.await}) until the
+   slot is no longer [In_flight]; any other latecomer blocks on
+   [published].  Inside a compute body a domain always blocks.  That
+   keeps waiting acyclic whichever domains help, since it rests only on
+   the compute-body depth: builds and MSSP runs never wait on anything,
+   profiles and runs only wait on builds, and a helping domain holds no
+   [In_flight] slot, so no task it picks up can need a key further down
+   its own stack. *)
 let lock = Mutex.create ()
 let published = Condition.create ()
 

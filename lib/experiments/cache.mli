@@ -24,7 +24,7 @@
     All entries are immutable once published and all operations are
     domain-safe: concurrent requests for one key compute it exactly once,
     and latecomers wait until the first computation publishes.  A
-    latecomer holding a slot in a pool of two or more domains
+    latecomer working in a pool of two or more domains
     ({!Rs_util.Pool.current}) helps that pool while it waits
     ({!Rs_util.Pool.await}); any other latecomer, and any latecomer
     inside a compute body, blocks.  Waiting cannot cycle: builds and

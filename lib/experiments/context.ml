@@ -1,21 +1,11 @@
 type t = { seed : int; scale : float; tau : int; jobs : int }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try int_of_string s with _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try float_of_string s with _ -> default)
-  | None -> default
-
 let default =
   {
-    seed = env_int "RS_SEED" 42;
-    scale = env_float "RS_SCALE" 0.25;
-    tau = env_int "RS_TAU" Rs_workload.Benchmark.default_tau;
-    jobs = max 1 (env_int "RS_JOBS" (Domain.recommended_domain_count ()));
+    seed = 42;
+    scale = 0.25;
+    tau = Rs_workload.Benchmark.default_tau;
+    jobs = Domain.recommended_domain_count ();
   }
 
 let create ?(seed = default.seed) ?(scale = default.scale) ?(tau = default.tau)

@@ -18,9 +18,8 @@ type t = {
 
 val default : t
 (** seed 42, scale 0.25, tau {!Rs_workload.Benchmark.default_tau} and
-    jobs {!Domain.recommended_domain_count}, overridable through the
-    [RS_SEED], [RS_SCALE], [RS_TAU] and [RS_JOBS] environment
-    variables. *)
+    jobs {!Domain.recommended_domain_count}.  The CLI reads overrides
+    from [RS_SEED], [RS_SCALE], [RS_TAU] and [RS_JOBS]. *)
 
 val create : ?seed:int -> ?scale:float -> ?tau:int -> ?jobs:int -> unit -> t
 

@@ -1,53 +1,49 @@
-(* Work-stealing domain pool.
+(* Shared-queue domain pool.
 
-   Topology: one deque ({!Deque}) per slot — slot 0 belongs to the
-   external caller currently mapping, slots 1..jobs-1 to the worker
-   domains — plus a shared mutex-guarded inbox for [post]ed thunks and
-   for forks from domains that hold no slot.  An executor looks for work
-   in order: own deque bottom (LIFO, cache-warm), inbox, then a steal
-   scan over everyone else's deque top (FIFO, so a thief grabs the
-   oldest — i.e. biggest — pending sub-range).  [map_range] splits a
-   sweep lazily: fork the right half onto the local deque, descend into
-   the left, stop splitting at [cutoff] elements; an idle domain steals
-   the biggest pending half and splits it further, so a sweep balances
-   itself without any central division of labour.
+   Topology: one mutex-guarded list of open jobs, newest first, plus an
+   inbox of [post]ed thunks.  A job is one [map_range]: an atomic cursor
+   over its elements that hands out [cutoff] of them per claim, so any
+   domain can take the next chunk of any open job without a lock.  The
+   pool's [jobs - 1] worker domains and every waiting caller look for
+   work in one order: a chunk of the newest open job, else the oldest
+   posted thunk.
 
-   "Help while you wait" is preserved from the original pool: a caller
-   (or nested caller) blocked on its own results runs whatever task it
-   can find instead of sleeping, so some domain is always executing a
-   task and nested maps on one pool cannot deadlock.  [await] offers the
-   same loop to waits outside the pool: a domain waiting for an artifact
-   another domain is computing runs queued tasks until it is ready.
+   Caller first: a map's caller claims its own job's chunks until none
+   are left, and only then helps until its elements have all settled.
+   Newest first keeps a helper inside the innermost nested map, so
+   nesting depth and live memory stay those of a depth-first walk.
+   "Help while you wait" means some domain is always running an
+   element, so nested maps on one pool cannot deadlock.
+   [await] offers the same loop to waits outside the pool: a domain
+   waiting for an artifact another domain is computing runs queued work
+   until it is ready.
+
    Sleeping is a two-phase check: a would-be sleeper registers in
    [sleepers] and re-checks every source under the pool mutex before
-   waiting, and producers broadcast whenever [sleepers] is non-zero —
-   the atomic ordering between the two makes lost wakeups impossible.
-
-   Determinism contract: element results are joined by index, so a map
-   is equivalent to [Array.map] for pure element functions regardless of
-   [jobs] — and [jobs = 1] runs strictly left-to-right in the calling
-   domain with no scheduling machinery at all.
-
-   Lifecycle: a pool is live from [create] until [close].  [close] while
-   maps are in flight retires the pool and the last map's epilogue
-   performs the shutdown.  After the workers are joined, the closing
-   caller drains any tasks still queued (FIFO from the inbox first, then
-   leftover deque entries), so fire-and-forget [post]s are never
-   silently dropped — the fix matters on [jobs = 1] pools, which have no
-   workers to drain the inbox. *)
+   waiting, and producers broadcast after publishing whenever [sleepers]
+   is non-zero — the atomic ordering between the two makes lost wakeups
+   impossible.  Results are joined by index, and [jobs = 1] runs
+   strictly left-to-right in the calling domain with no scheduling
+   machinery at all, so [jobs] never changes a pure map's result. *)
 
 module Metrics = Rs_obs.Metrics
 
 type task = unit -> unit
 
+type job = {
+  cursor : int Atomic.t; (* next unclaimed element *)
+  size : int;
+  cutoff : int;
+  caller : int; (* the mapping domain *)
+  run : int -> int -> unit; (* elements [l, h) *)
+}
+
 type t = {
-  id : int;
   jobs : int;
-  mutex : Mutex.t; (* guards inbox, live, active, retired *)
+  mutex : Mutex.t; (* guards inbox, open_jobs, live, active, retired *)
   wake : Condition.t;
   inbox : task Queue.t;
-  deques : task Deque.t array; (* length jobs; slot 0 = mapping caller *)
-  slot0 : int Atomic.t; (* domain id holding slot 0, or -1 *)
+  mutable open_jobs : job list; (* newest first *)
   sleepers : int Atomic.t;
   mutable live : bool;
   mutable active : int; (* in-flight map_range / map_ordered / run_all *)
@@ -58,8 +54,7 @@ type t = {
 exception Closed
 
 let m_tasks = Metrics.counter "pool.tasks"
-let m_steals = Metrics.counter "pool.steals"
-let m_splits = Metrics.counter "pool.splits"
+let m_shared = Metrics.counter "pool.shared"
 let m_worker_failures = Metrics.counter "pool.worker_failures"
 let m_suppressed_failures = Metrics.counter "pool.suppressed_failures"
 let m_await_helped = Metrics.counter "pool.await.helped"
@@ -72,24 +67,18 @@ let g_jobs = Metrics.gauge "pool.jobs"
    dependency graph (it needs Prng) and so cannot be called directly. *)
 let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
 
-let pool_ids = Atomic.make 0
+(* The pools this domain works in, innermost first: a worker's own pool
+   for its lifetime, and the pool of every map the domain is inside that
+   runs on the queue (two or more elements on a [jobs >= 2] pool). *)
+let inside : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-(* Which slot (deque index) this domain owns, per pool.  Workers
-   register their slot at startup; an external caller claims slot 0 for
-   the duration of its outermost map. *)
-let slots_key : (t * int) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let my_slot t =
-  List.find_map (fun (p, s) -> if p.id = t.id then Some s else None) !(Domain.DLS.get slots_key)
-
-let current () = match !(Domain.DLS.get slots_key) with (p, _) :: _ -> Some p | [] -> None
+let current () = match !(Domain.DLS.get inside) with p :: _ -> Some p | [] -> None
 
 (* Every executor — worker domains, helping callers, the close-time
-   drain — runs tasks through this guard: it traps any escaping
+   drain — runs posted thunks through this guard: it traps any escaping
    exception so one raising [post]ed thunk can neither kill a worker
-   domain nor surface inside an unrelated caller's map.  Map tasks trap
-   their own element errors — the guard counter only ever fires for
-   posts. *)
+   domain nor surface inside an unrelated caller's map.  Map elements
+   trap their own errors. *)
 let exec (task : task) = try task () with _ -> Metrics.incr m_worker_failures
 
 let wake t =
@@ -99,81 +88,73 @@ let wake t =
     Mutex.unlock t.mutex
   end
 
-let push_task t task =
-  (match my_slot t with
-  | Some s -> Deque.push t.deques.(s) task
-  | None ->
-    Mutex.lock t.mutex;
-    Queue.add task t.inbox;
-    Mutex.unlock t.mutex);
-  wake t
+(* Claim the next chunk of [job] and run it; false once every element
+   is claimed.  Allocates nothing. *)
+let run_chunk job =
+  let l = Atomic.fetch_and_add job.cursor job.cutoff in
+  l < job.size
+  && begin
+       if (Domain.self () :> int) <> job.caller then Metrics.incr m_shared;
+       job.run l (min job.size (l + job.cutoff));
+       true
+     end
 
-let steal_scan t ~slot =
-  let n = Array.length t.deques in
-  let start = if slot >= 0 then (slot + 1) mod n else 0 in
-  let rec go k =
-    if k >= n then None
-    else
-      let i = (start + k) mod n in
-      if i = slot then go (k + 1)
-      else
-        match Deque.steal t.deques.(i) with
-        | Some _ as r ->
-          Metrics.incr m_steals;
-          r
-        | None -> go (k + 1)
-  in
-  go 0
+(* Stands for "no open job", so the search below returns no option. *)
+let no_job = { cursor = Atomic.make 0; size = 0; cutoff = 1; caller = -1; run = (fun _ _ -> ()) }
 
-let try_find t ~slot =
-  match if slot >= 0 then Deque.pop t.deques.(slot) else None with
-  | Some _ as r -> r
-  | None -> (
-    Mutex.lock t.mutex;
-    let inb = Queue.take_opt t.inbox in
+let rec newest_open = function
+  | [] -> no_job
+  | j :: rest -> if Atomic.get j.cursor < j.size then j else newest_open rest
+
+(* Run one piece of queued work — a chunk of the newest open job, else
+   the oldest posted thunk; false when there is none. *)
+let help_once t =
+  Mutex.lock t.mutex;
+  let job = newest_open t.open_jobs in
+  if job != no_job then begin
     Mutex.unlock t.mutex;
-    match inb with Some _ -> inb | None -> steal_scan t ~slot)
+    ignore (run_chunk job : bool);
+    true
+  end
+  else
+    match Queue.take_opt t.inbox with
+    | Some task ->
+      Mutex.unlock t.mutex;
+      exec task;
+      true
+    | None ->
+      Mutex.unlock t.mutex;
+      false
 
-(* Find a task, or sleep until one appears; returns [None] only once
-   [stop ()] holds.  The sleeper registers before its final re-check and
-   producers test [sleepers] after publishing, so one of the two always
-   observes the other — no lost wakeups. *)
-let acquire t ~slot ~stop =
-  match try_find t ~slot with
-  | Some _ as r -> r
-  | None ->
-    Mutex.lock t.mutex;
-    Atomic.incr t.sleepers;
-    let rec wait_loop () =
-      if stop () then None
-      else
-        (* own deque needs no re-check: only its owner pushes to it *)
-        match
-          match Queue.take_opt t.inbox with
-          | Some _ as r -> r
-          | None -> steal_scan t ~slot
-        with
-        | Some _ as r -> r
-        | None ->
-          Condition.wait t.wake t.mutex;
-          wait_loop ()
-    in
-    let r = wait_loop () in
-    Atomic.decr t.sleepers;
-    Mutex.unlock t.mutex;
-    r
+(* Run one piece of queued work, or sleep until some appears; false once
+   [stop ()] holds with nothing queued.  The sleeper registers before its
+   final re-check and producers test [sleepers] after publishing, so one
+   of the two always observes the other — no lost wakeups. *)
+let acquire t ~stop =
+  help_once t
+  || begin
+       Mutex.lock t.mutex;
+       Atomic.incr t.sleepers;
+       let rec wait () =
+         if stop () then false
+         else if newest_open t.open_jobs != no_job || not (Queue.is_empty t.inbox) then true
+         else begin
+           Condition.wait t.wake t.mutex;
+           wait ()
+         end
+       in
+       let found = wait () in
+       Atomic.decr t.sleepers;
+       Mutex.unlock t.mutex;
+       found
+     end
 
-(* Run tasks until [ready ()] holds: the join loop of [map_range] and
-   of [await]. *)
+(* Run queued work until [ready ()] holds: the join loop of [map_range]
+   and of [await]. *)
 let help_until t ready =
-  let slot = match my_slot t with Some s -> s | None -> -1 in
-  let rec help () =
-    if not (ready ()) then begin
-      (match acquire t ~slot ~stop:ready with Some task -> exec task | None -> ());
-      help ()
-    end
-  in
-  help ()
+  while not (ready ()) do
+    ignore (acquire t ~stop:ready : bool)
+  done
 
 (* Waits a domain is inside: a task run while helping can wait in
    turn, and only the outermost wait's time is counted, so the seconds
@@ -193,24 +174,19 @@ let await t ready = timed m_await_helped m_await_helped_us (fun () -> help_until
 let blocking f = timed m_await_blocked m_await_blocked_us f
 
 let worker_main t i =
-  let slot = i + 1 in
-  let slots = Domain.DLS.get slots_key in
-  slots := (t, slot) :: !slots;
+  let inside = Domain.DLS.get inside in
+  inside := t :: !inside;
   (* An injected startup failure kills just this worker: the pool
      degrades to fewer helpers, and the caller-helps rule keeps every
      map completing. *)
   match !fault_hook ~site:"pool.worker_start" ~key:(string_of_int i) with
   | () ->
-    let rec loop () =
-      (* [stop] is only consulted once nothing is left to run, so a
-         retiring pool drains its queues before the workers exit *)
-      match acquire t ~slot ~stop:(fun () -> not t.live) with
-      | Some task ->
-        exec task;
-        loop ()
-      | None -> ()
-    in
-    loop ()
+    (* [stop] is only consulted once nothing is left to run, so a
+       retiring pool drains its queues before the workers exit *)
+    let stop () = not t.live in
+    while acquire t ~stop do
+      ()
+    done
   | exception _ -> Metrics.incr m_worker_failures
 
 let create ?jobs () =
@@ -219,13 +195,11 @@ let create ?jobs () =
   in
   let t =
     {
-      id = Atomic.fetch_and_add pool_ids 1;
       jobs;
       mutex = Mutex.create ();
       wake = Condition.create ();
       inbox = Queue.create ();
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      slot0 = Atomic.make (-1);
+      open_jobs = [];
       sleepers = Atomic.make 0;
       live = true;
       active = 0;
@@ -239,44 +213,33 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-let join_workers t =
-  (* Never called with [t.mutex] held (workers need it to observe the
-     shutdown), and never self-joining: a worker performing a deferred
-     shutdown skips its own handle and exits on its own once the queues
-     drain. *)
-  let self = Domain.self () in
-  List.iter (fun d -> if Domain.get_id d <> self then Domain.join d) t.workers;
-  t.workers <- []
-
-(* Run whatever is still queued after shutdown, in the closing caller:
-   posted thunks first (FIFO, submission order), then any leftover deque
-   entries.  This is what guarantees [post] on a [jobs = 1] pool — which
+(* Entered with [t.mutex] held, which it releases before joining the
+   workers (they need it to observe the shutdown).  A worker performing a
+   deferred shutdown skips its own handle and exits on its own once the
+   queues drain.  The closing domain then runs the posted thunks still
+   queued, in submission order (no job is open once no map is in
+   flight): this is what guarantees [post] on a [jobs = 1] pool — which
    has no worker to drain the inbox — still runs every thunk by [close]
    at the latest. *)
-let drain_after_shutdown t =
-  let rec go () =
-    match try_find t ~slot:(-1) with
-    | Some task ->
-      exec task;
-      go ()
-    | None -> ()
-  in
-  go ()
+let shutdown t =
+  t.live <- false;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
+  let self = Domain.self () in
+  List.iter (fun d -> if Domain.get_id d <> self then Domain.join d) t.workers;
+  t.workers <- [];
+  while help_once t do
+    ()
+  done
 
 let close t =
   Mutex.lock t.mutex;
-  if t.active > 0 then begin
+  if t.active = 0 then shutdown t
+  else begin
     (* In-flight maps still own the pool: retire it and let the last
        map's epilogue perform the shutdown. *)
     t.retired <- true;
     Mutex.unlock t.mutex
-  end
-  else begin
-    t.live <- false;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    join_workers t;
-    drain_after_shutdown t
   end
 
 let enter_map t =
@@ -291,38 +254,11 @@ let enter_map t =
 let exit_map t =
   Mutex.lock t.mutex;
   t.active <- t.active - 1;
-  let shutdown_now = t.retired && t.active = 0 in
-  if shutdown_now then begin
+  if t.retired && t.active = 0 then begin
     t.retired <- false;
-    t.live <- false;
-    Condition.broadcast t.wake
-  end;
-  Mutex.unlock t.mutex;
-  if shutdown_now then begin
-    join_workers t;
-    drain_after_shutdown t
+    shutdown t
   end
-
-(* Slot 0 is reserved for whichever external domain is currently inside
-   a map; nested maps reuse the claim, and a second concurrent external
-   caller simply runs slotless (its forks go through the inbox). *)
-let claim_slot t =
-  if t.jobs <= 1 then false
-  else
-    match my_slot t with
-    | Some _ -> false
-    | None ->
-      if Atomic.compare_and_set t.slot0 (-1) (Domain.self () :> int) then begin
-        let slots = Domain.DLS.get slots_key in
-        slots := (t, 0) :: !slots;
-        true
-      end
-      else false
-
-let release_slot t =
-  let slots = Domain.DLS.get slots_key in
-  slots := List.filter (fun (p, _) -> p.id <> t.id) !slots;
-  Atomic.set t.slot0 (-1)
+  else Mutex.unlock t.mutex
 
 let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
   if cutoff < 1 then invalid_arg "Pool.map_range: cutoff must be positive";
@@ -344,32 +280,35 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
       let results : b option array = Array.make n None in
       let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
       let remaining = Atomic.make n in
-      let claimed = claim_slot t in
-      Fun.protect ~finally:(fun () -> if claimed then release_slot t) @@ fun () ->
-      let leaf l h =
+      let run l h =
         for i = l to h - 1 do
           Metrics.incr m_tasks;
-          try results.(i - lo) <- Some (f i)
-          with e -> errors.(i - lo) <- Some (e, Printexc.get_raw_backtrace ())
+          try results.(i) <- Some (f (lo + i))
+          with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
         done;
         ignore (Atomic.fetch_and_add remaining (l - h) : int);
         wake t
       in
-      (* Lazy binary splitting: fork the right half onto the local deque
-         (where a thief can find it), descend into the left. *)
-      let rec go l h =
-        if h - l <= cutoff then leaf l h
-        else begin
-          let mid = l + ((h - l) / 2) in
-          Metrics.incr m_splits;
-          push_task t (fun () -> go mid h);
-          go l mid
-        end
+      let job =
+        { cursor = Atomic.make 0; size = n; cutoff; caller = (Domain.self () :> int); run }
       in
-      go lo hi;
-      (* the caller is the pool's jobs-th executor: help until every
-         element of this map has settled *)
-      help_until t (fun () -> Atomic.get remaining = 0);
+      let inside = Domain.DLS.get inside in
+      inside := t :: !inside;
+      Fun.protect ~finally:(fun () -> inside := List.tl !inside) (fun () ->
+          Mutex.lock t.mutex;
+          t.open_jobs <- job :: t.open_jobs;
+          Mutex.unlock t.mutex;
+          wake t;
+          while run_chunk job do
+            ()
+          done;
+          (* every element is claimed: nobody can take from the job again *)
+          Mutex.lock t.mutex;
+          t.open_jobs <- List.filter (fun j -> j != job) t.open_jobs;
+          Mutex.unlock t.mutex;
+          (* the caller is the pool's jobs-th executor: help until every
+             element of this map has settled *)
+          help_until t (fun () -> Atomic.get remaining = 0));
       (* Re-raise the lowest-indexed failure with its original backtrace;
          further failures cannot also propagate, so they are surfaced
          through the [pool.suppressed_failures] counter instead of being
@@ -393,6 +332,9 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
 let parallel_for t ?cutoff ~lo ~hi f =
   ignore (map_range t ?cutoff ~lo ~hi f : unit array)
 
+let task_event event dom i =
+  Rs_obs.Trace.emit "task" [ S ("event", event); I ("domain", dom); I ("index", i) ]
+
 let map_ordered t f arr =
   let n = Array.length arr in
   if t.jobs = 1 || n <= 1 then begin
@@ -403,17 +345,19 @@ let map_ordered t f arr =
     map_range t ~cutoff:1 ~lo:0 ~hi:n (fun i ->
         let traced = Rs_obs.Trace.enabled () in
         let dom = (Domain.self () :> int) in
-        if traced then
-          Rs_obs.Trace.emit "task" [ S ("event", "start"); I ("domain", dom); I ("index", i) ];
+        if traced then task_event "start" dom i;
+        (* re-raised in place, not boxed in a result: this runs per element *)
         let r =
           try
             !fault_hook ~site:"pool.task" ~key:(string_of_int i);
-            Ok (f arr.(i))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
+            f arr.(i)
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            if traced then task_event "stop" dom i;
+            Printexc.raise_with_backtrace e bt
         in
-        if traced then
-          Rs_obs.Trace.emit "task" [ S ("event", "stop"); I ("domain", dom); I ("index", i) ];
-        match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        if traced then task_event "stop" dom i;
+        r)
 
 let run_all t thunks =
   Array.to_list (map_ordered t (fun thunk -> thunk ()) (Array.of_list thunks))
@@ -432,8 +376,7 @@ let post t thunk =
 
 type stats = {
   tasks : int;
-  steals : int;
-  splits : int;
+  shared : int;
   worker_failures : int;
   suppressed_failures : int;
   awaits_helped : int;
@@ -447,8 +390,7 @@ let seconds us = float_of_int (Metrics.counter_value us) /. 1e6
 let stats () =
   {
     tasks = Metrics.counter_value m_tasks;
-    steals = Metrics.counter_value m_steals;
-    splits = Metrics.counter_value m_splits;
+    shared = Metrics.counter_value m_shared;
     worker_failures = Metrics.counter_value m_worker_failures;
     suppressed_failures = Metrics.counter_value m_suppressed_failures;
     awaits_helped = Metrics.counter_value m_await_helped;
@@ -458,10 +400,8 @@ let stats () =
   }
 
 let describe (s : stats) =
-  Printf.sprintf
-    "pool: tasks %d, steals %d, splits %d; waits helped %d (%.2f s), blocked %d (%.2f s)"
-    s.tasks s.steals s.splits s.awaits_helped s.awaits_helped_s s.awaits_blocked
-    s.awaits_blocked_s
+  Printf.sprintf "pool: tasks %d, shared %d; waits helped %d (%.2f s), blocked %d (%.2f s)"
+    s.tasks s.shared s.awaits_helped s.awaits_helped_s s.awaits_blocked s.awaits_blocked_s
 
 (* Process-wide pool, sized by the most recent request. *)
 let shared_mutex = Mutex.create ()

@@ -1,25 +1,24 @@
-(** Work-stealing domain pool.
+(** Shared-queue domain pool.
 
-    A pool owns [jobs - 1] worker domains, each with a private
-    work-stealing deque ({!Deque}): owners push and pop at the bottom
-    (LIFO), idle executors steal from the top (FIFO, biggest sub-range
-    first).  The caller of {!map_range}/{!map_ordered} is the remaining
-    executor, so a pool sized [jobs] computes with exactly [jobs]-way
-    parallelism and a pool sized 1 never spawns a domain at all (maps
-    degenerate to strict left-to-right [Array.map], byte-for-byte).
+    A pool owns [jobs - 1] worker domains and one queue of open maps.
+    Each {!map_range} call is a job: an atomic cursor over its elements
+    that hands out [cutoff] of them per claim.  The caller of
+    {!map_range}/{!map_ordered} is the remaining executor — it claims its
+    own elements first, then helps — so a pool sized [jobs] computes
+    with exactly [jobs]-way parallelism and a pool sized 1 never spawns a
+    domain at all (maps degenerate to strict left-to-right [Array.map],
+    byte-for-byte).  Idle domains take the next chunk of the newest open
+    job, else a {!post}ed thunk.
 
-    {!map_range} exposes a sweep as splittable sub-ranges: the range is
-    split in half lazily — fork the right half where a thief can steal
-    it, descend into the left, stop at [cutoff] — so load balances
-    without any central division of labour.  Results are always joined
-    in input order: a pure element function makes any map equivalent to
-    its sequential form regardless of [jobs], the property the
-    experiment layer relies on for its [--jobs]-independence guarantee.
+    Results are always joined in input order: a pure element function
+    makes any map equivalent to its sequential form regardless of
+    [jobs], the property the experiment layer relies on for its
+    [--jobs]-independence guarantee.
 
     Nested use is supported: a task may itself map on the same pool.
-    While an inner call waits for its results it helps — running its own
-    deque, the posted-thunk inbox, or stolen tasks of other in-flight
-    maps — so nesting adds no deadlock and wastes no worker.
+    While a caller waits for its results it helps — running chunks of
+    the newest open map or the posted-thunk inbox — so nesting adds no
+    deadlock and wastes no worker.
 
     Lifecycle: a pool is live from {!create} until {!close} completes.
     Mapping on a closed pool raises {!Closed} rather than silently
@@ -42,11 +41,11 @@ val jobs : t -> int
 (** The parallelism width this pool was created with. *)
 
 val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
-(** [map_range t ~lo ~hi f] computes [[| f lo; …; f (hi - 1) |]] by
-    splitting [lo, hi) into stealable sub-ranges; sub-ranges of at most
-    [cutoff] elements (default 1) run sequentially.  Returns [[||]] when
-    [hi <= lo].  On a [jobs = 1] pool the range runs strictly left to
-    right in the calling domain.
+(** [map_range t ~lo ~hi f] computes [[| f lo; …; f (hi - 1) |]],
+    handing [lo, hi) out to the pool's domains [cutoff] elements
+    (default 1) at a time; each such chunk runs sequentially.  Returns
+    [[||]] when [hi <= lo].  On a [jobs = 1] pool the range runs
+    strictly left to right in the calling domain.
 
     Error aggregation: if any application raises, the exception of the
     {e lowest-indexed} failing element is re-raised in the caller after
@@ -85,31 +84,28 @@ val post : t -> (unit -> unit) -> unit
     helps.  Raises {!Closed} on a shut-down pool. *)
 
 val close : t -> unit
-(** Shut the workers down, join their domains, then drain: any tasks
-    still queued (posted thunks first, FIFO; then leftover stealable
-    tasks) run in the closing caller before [close] returns.  Called
-    while maps are in flight, it retires the pool instead: those maps
-    (and their nested maps) run to completion, the last one's epilogue
-    performs the shutdown and drain, and only then do new maps raise
-    {!Closed}.  Idempotent. *)
+(** Shut the workers down, join their domains, then drain: any posted
+    thunks still queued run in the closing caller, in submission order,
+    before [close] returns.  Called while maps are in flight, it retires
+    the pool instead: those maps (and their nested maps) run to
+    completion, the last one's epilogue performs the shutdown and drain,
+    and only then do new maps raise {!Closed}.  Idempotent. *)
 
 val current : unit -> t option
-(** The pool in which the calling domain holds an executor slot: a
-    worker's own pool, or the pool whose map an external caller is
-    inside (the innermost, if several).  [None] for a domain outside
-    every pool, including callers of a [jobs = 1] pool, which never take
-    a slot. *)
+(** The pool the calling domain works in: a worker's own pool, or the
+    pool of the innermost map the domain is inside.  [None] for a domain
+    outside every pool, including callers of a [jobs = 1] pool, which
+    run their maps without any pool machinery. *)
 
 val await : t -> (unit -> bool) -> unit
 (** [await t ready] returns once [ready ()] holds, running [t]'s queued
-    tasks meanwhile in the order a map's join uses: own deque, then the
-    inbox, then steals.  When nothing is queued it sleeps until {!wake}
-    or new work.  [ready] must become true through a write followed by
-    {!wake} [t] (or by a task's completion); it is polled without any
-    lock.  Counted in the [pool.await.helped] and
-    [pool.await.helped_us] metrics.  Meant for a domain holding a slot
-    in [t] ({!current}); another domain only helps with the inbox and
-    steals. *)
+    work meanwhile in the order a map's join uses: a chunk of the newest
+    open map, then the oldest posted thunk.  When nothing is queued it
+    sleeps until {!wake} or new work.  [ready] must become true through
+    a write followed by {!wake} [t] (or by a task's completion); it is
+    polled without any lock.  Counted in the [pool.await.helped] and
+    [pool.await.helped_us] metrics.  Meant for a domain working in [t]
+    ({!current}), though any domain may help. *)
 
 val wake : t -> unit
 (** Wake the domains sleeping in [t] (workers and {!await}ers), so they
@@ -130,9 +126,8 @@ val shared : jobs:int -> t
 (** {1 Observability} *)
 
 type stats = {
-  tasks : int;
-  steals : int;
-  splits : int;
+  tasks : int;  (** map elements run *)
+  shared : int;  (** chunks run by a domain other than their map's caller *)
   worker_failures : int;
   suppressed_failures : int;
   awaits_helped : int;  (** {!await} calls *)

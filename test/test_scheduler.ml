@@ -1,9 +1,8 @@
-(* The work-stealing scheduler: deque semantics, splittable map_range,
-   jobs-independence under random nesting, the post/close drain
-   guarantee, and cache waits that help the pool. *)
+(* The shared-queue scheduler: map_range over the open-job queue,
+   caller-first claiming, jobs-independence under random nesting, the
+   post/close drain guarantee, and cache waits that help the pool. *)
 
 module Pool = Rs_util.Pool
-module Deque = Rs_util.Deque
 module Cache = Rs_experiments.Cache
 
 let busy n =
@@ -16,44 +15,6 @@ let busy n =
 let with_pool ?(jobs = 4) f =
   let pool = Pool.create ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.close pool) @@ fun () -> f pool
-
-(* --- deque ----------------------------------------------------------------- *)
-
-let test_deque_ends () =
-  let d = Deque.create () in
-  Alcotest.(check (option int)) "empty pop" None (Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Deque.steal d);
-  (* past the initial capacity, so growth is exercised *)
-  for i = 1 to 20 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "length" 20 (Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest (LIFO)" (Some 20) (Deque.pop d);
-  Alcotest.(check (option int)) "thief steals oldest (FIFO)" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "next steal" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "next pop" (Some 19) (Deque.pop d);
-  let rec drain acc = match Deque.pop d with Some v -> drain (v :: acc) | None -> acc in
-  Alcotest.(check (list int)) "drain by pop returns the middle, oldest first"
-    (List.init 16 (fun i -> i + 3))
-    (drain [])
-
-(* Stealing advances the ring's head; pushing afterwards must wrap
-   around the buffer rather than overwrite live cells. *)
-let test_deque_wraparound () =
-  let d = Deque.create () in
-  for i = 1 to 6 do
-    Deque.push d i
-  done;
-  for _ = 1 to 4 do
-    ignore (Deque.steal d)
-  done;
-  for i = 7 to 12 do
-    Deque.push d i
-  done;
-  let rec drain acc = match Deque.steal d with Some v -> drain (v :: acc) | None -> acc in
-  Alcotest.(check (list int)) "wrapped contents survive, FIFO"
-    [ 5; 6; 7; 8; 9; 10; 11; 12 ]
-    (List.rev (drain []))
 
 (* --- map_range ------------------------------------------------------------- *)
 
@@ -71,19 +32,18 @@ let test_map_range_basics () =
   Pool.parallel_for pool ~lo:0 ~hi:50 (fun i -> ignore (busy 100); ignore i);
   ignore !sum
 
-let test_map_range_splits_and_steals () =
-  let splits_before = (Pool.stats ()).splits in
-  let steals_before = (Pool.stats ()).steals in
+let test_map_range_shared () =
+  let shared_before = (Pool.stats ()).shared in
   with_pool ~jobs:4 @@ fun pool ->
-  (* enough uneven work that idle workers provably steal *)
+  (* enough uneven work that idle workers provably take chunks *)
   let out =
     Pool.map_range pool ~lo:0 ~hi:64 (fun i ->
         ignore (busy (if i mod 7 = 0 then 400_000 else 2_000));
         i)
   in
   Alcotest.(check (array int)) "results in order" (Array.init 64 Fun.id) out;
-  Alcotest.(check bool) "range was split" true ((Pool.stats ()).splits > splits_before);
-  Alcotest.(check bool) "workers stole sub-ranges" true ((Pool.stats ()).steals > steals_before)
+  Alcotest.(check bool) "work ran on more than one domain" true
+    ((Pool.stats ()).shared > shared_before)
 
 let test_map_range_jobs1_strict_order () =
   with_pool ~jobs:1 @@ fun pool ->
@@ -273,13 +233,69 @@ let test_outside_publish_wakes_helper () =
   Alcotest.(check int) "slow key" 1 (Domain.join slow);
   Alcotest.(check (array int)) "results" [| 1; 7 |] out
 
+(* --- caller first ------------------------------------------------------ *)
+
+(* While an older map's job is still open, a nested map's caller claims
+   all of its own elements before any element of the older job, and an
+   idle helper takes the newest open job first.  The worker is held in a
+   posted thunk until the nested map is open, so its first choice is
+   between the two jobs. *)
+let test_caller_first () =
+  with_pool ~jobs:2 @@ fun pool ->
+  let held = Atomic.make false and release = Atomic.make false in
+  Pool.post pool (fun () ->
+      Atomic.set held true;
+      ignore (wait_until (fun () -> Atomic.get release)));
+  ignore (wait_until (fun () -> Atomic.get held));
+  let lock = Mutex.create () and log = ref [] in
+  let record map i =
+    Mutex.lock lock;
+    log := (Domain.self (), map, i) :: !log;
+    Mutex.unlock lock
+  in
+  let another_domain_ran () =
+    let me = Domain.self () in
+    Mutex.lock lock;
+    let ran = List.exists (fun (d, _, _) -> d <> me) !log in
+    Mutex.unlock lock;
+    ran
+  in
+  let caller =
+    with_watchdog "caller-first nesting" @@ fun () ->
+    ignore
+      (Pool.map_range pool ~lo:0 ~hi:4 (fun i ->
+           record "outer" i;
+           if i = 0 then
+             ignore
+               (Pool.map_range pool ~lo:0 ~hi:4 (fun j ->
+                    record "inner" j;
+                    (* the caller's own first claim frees the worker *)
+                    if j = 0 then begin
+                      Atomic.set release true;
+                      ignore (wait_until another_domain_ran)
+                    end)
+                 : unit array))
+        : unit array);
+    Domain.self ()
+  in
+  let mine, helper = List.partition (fun (d, _, _) -> d = caller) (List.rev !log) in
+  (match helper with
+  | (_, map, _) :: _ -> Alcotest.(check string) "the helper's first element" "inner" map
+  | [] -> Alcotest.fail "the helper ran nothing");
+  let rec after_later_outer = function
+    | [] -> []
+    | (_, "outer", i) :: rest when i > 0 -> rest
+    | _ :: rest -> after_later_outer rest
+  in
+  Alcotest.(check bool) "the nested caller ran no later outer element before its own" false
+    (List.exists (fun (_, map, _) -> map = "inner") (after_later_outer mine))
+
 let suite =
   [
-    Alcotest.test_case "deque ends" `Quick test_deque_ends;
-    Alcotest.test_case "deque wraparound" `Quick test_deque_wraparound;
     Alcotest.test_case "map_range basics" `Quick test_map_range_basics;
-    Alcotest.test_case "map_range splits and steals" `Quick test_map_range_splits_and_steals;
+    Alcotest.test_case "map_range shares work" `Quick test_map_range_shared;
     Alcotest.test_case "map_range jobs=1 strict order" `Quick test_map_range_jobs1_strict_order;
+    Alcotest.test_case "nested caller claims its own elements first" `Quick test_caller_first;
     nested_identity_test;
     Alcotest.test_case "jobs=1 post drained at close" `Quick test_jobs1_post_drained_at_close;
     Alcotest.test_case "cache wait in a compute body blocks" `Quick test_compute_body_blocks;
