@@ -131,8 +131,8 @@ done
 # trace_store.record site, since these entries fabricate and cache
 # packed traces — and every published verdict row must pass.  One of
 # those verdicts, plus the trailing differential_ok column of every
-# rows sheet, is the differential check that the packed batch path
-# agrees with scalar replay on the adversarial traces.
+# rows sheet, is the check that the batch kernel agrees with the
+# reference Figure 4b FSM (Rs_sim.Reference) on the adversarial traces.
 echo "== adversarial stress (two seeds, RS_FAULTS) =="
 for seed in 7 42; do
   echo "-- seed=$seed --"
@@ -150,7 +150,7 @@ for seed in 7 42; do
                 | select(.failed != [])]' "$ADV_JSON" >&2
            exit 1; }
     jq -e '[.experiments[].tables.rows.rows[] | last] | all(. == true)' "$ADV_JSON" >/dev/null \
-      || { echo "batched/scalar differential diverged at seed=$seed" >&2; exit 1; }
+      || { echo "kernel disagrees with the reference FSM at seed=$seed" >&2; exit 1; }
     echo "adversarial ok at seed=$seed: $(jq -c '[.experiments[].name]' "$ADV_JSON")"
   else
     echo "adversarial json written ($ADV_JSON); jq not installed, skipping assertions"
@@ -312,8 +312,10 @@ rm -f "$BENCH_JSON"
 # scheduler counters so the CI log records the shared-work activity
 # behind the identity.  Order independence: an entry run alone from a
 # cold cache at --jobs 8 must reproduce its section of the jobs-1
-# `rspec all` — breakeven and the four MSSP entries (figure7, figure8,
-# correlation, claims) with the default trace store, and the
+# `rspec all` — breakeven, the four MSSP entries (figure7, figure8,
+# correlation, claims) and the three entries that check the kernel
+# against the reference FSM (adversarial, mistrain, interleave) with
+# the default trace store, and the
 # trace-consuming entries with --trace-cache-mb 0, which generates every
 # stream live instead of replaying a recording.
 echo "== scheduler (rspec all: jobs 1 vs 8, entries alone, live vs replay, two seeds) =="
@@ -342,6 +344,9 @@ for seed in 3 11; do
   run_alone "$seed" breakeven
   # the four entries that share Cache.mssp runs and so wait on each other
   for name in figure7 figure8 correlation claims; do
+    run_alone "$seed" "$name"
+  done
+  for name in adversarial mistrain interleave; do
     run_alone "$seed" "$name"
   done
   for name in figure3 figure5 figure6 figure9 table3; do

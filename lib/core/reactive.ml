@@ -2,8 +2,8 @@
 
    Per-branch state lives in one flat Bigarray of [slots] ints per
    branch instead of a heap record per branch: the simulator's hot loop
-   touches nothing the GC scans, and a [step] is pure integer
-   arithmetic whose result is one of four shared decision records.
+   touches nothing the GC scans, and an event is pure integer
+   arithmetic whose decision is a 2-bit code.
 
    Word layout, [base = branch * slots]:
 
@@ -367,23 +367,19 @@ let observe_state t branch base ~taken ~instr =
   | _ (* Disabled *) -> ());
   set t (base + s_execs) (get t (base + s_execs) + 1)
 
-(* Entry-point guards: branch range (the table is accessed unsafely) and
-   the documented non-decreasing-instr precondition, each reported under
-   the entry point actually called, matching the Stream guard style. *)
-let[@inline] check t ~caller ~branch ~instr =
-  if branch < 0 || branch >= t.n_branches then invalid_arg (caller ^ ": branch out of range");
-  if instr < last_instr t then
-    invalid_arg (caller ^ ": instruction counts must be non-decreasing across calls");
-  set_last_instr t instr
-
+(* Guards: branch range (the table is accessed unsafely) and the
+   documented non-decreasing-instr precondition. *)
 let observe t ~branch ~taken ~instr =
-  check t ~caller:"Reactive.observe" ~branch ~instr;
+  check_branch t ~caller:"Reactive.observe" branch;
+  if instr < last_instr t then
+    invalid_arg "Reactive.observe: instruction counts must be non-decreasing across calls";
+  set_last_instr t instr;
   observe_state t branch (branch * slots) ~taken ~instr
 
 (* Snapshot surface: the packed per-branch words plus the monotonicity
    cursor are the controller's complete observable state — every
-   [deployed]/[step]/counter accessor reads only these.  The transition
-   log is a debugging artifact and deliberately not part of it. *)
+   [deployed]/counter accessor reads only these.  The transition log is
+   a debugging artifact and deliberately not part of it. *)
 let export_words t =
   let n = t.n_branches * slots in
   let out = Array.make (n + 1) 0 in
@@ -393,28 +389,81 @@ let export_words t =
   done;
   out
 
+(* The invariants every reachable branch state keeps, given the cursor
+   [last]; [None] when they hold.  Scratch A/B/C mean what their phase
+   says (see the layout above).  Every request installs the code its
+   phase calls for — speculate in the biased direction while biased,
+   nothing otherwise — so the pending code always equals that target,
+   and the deployed code does too once no request is in flight. *)
+let branch_error t words ~last b =
+  let p = t.params and ms = t.monitor_samples in
+  let w i = words.(1 + (b * slots) + i) in
+  let ctrl = w s_ctrl and a = w s_a and bw = w s_b and c = w s_c and pend_at = w s_pend_at in
+  let sel = w s_selections and ev = w s_evictions in
+  let phase = ctrl land 3 in
+  let dep = (ctrl lsr dep_shift) land 3 and pend = (ctrl lsr pend_shift) land 3 in
+  let target =
+    if phase <> phase_biased then 0 else if ctrl land bit_direction <> 0 then 3 else 1
+  in
+  let within lo x hi = lo <= x && x <= hi in
+  let rec initial i = i = slots || (w i = (if i = s_pend_at then -1 else 0) && initial (i + 1)) in
+  let counters_ok =
+    match phase with
+    | 0 (* Monitoring *) ->
+      within 0 a (ms - 1) && within 0 bw a && within 0 c (p.monitor_stride - 1)
+    | 1 (* Biased *) -> (
+      match p.eviction_mode with
+      | Params.Continuous -> within 0 a (p.evict_threshold - 1) && bw = 0 && c = 0
+      | Params.Sampled { window; samples } ->
+        a = 0
+        && (within 0 bw (window - 1) || bw = samples)
+        && if bw >= samples then c = 0 else within 0 c bw)
+    | 2 (* Unbiased *) ->
+      (if p.enable_revisit then within 1 a p.wait_period else a = p.wait_period)
+      && within 0 bw ms && c = 0
+    | _ (* Disabled *) -> a = ms && within 0 bw ms && c = 0 && sel = p.oscillation_limit
+  in
+  let deployment_ok =
+    let latency = p.optimization_latency in
+    if latency = 0 then pend_at = -1 && pend = 0 && dep = target
+    else
+      dep <> 2 && pend = target
+      && if pend_at = -1 then dep = target else within latency pend_at (last + latency)
+  in
+  if ctrl land lnot 127 <> 0 then Some "unknown control bits"
+  else if w s_execs < 0 || (w s_execs = 0 && not (initial 0)) then
+    Some "execution count inconsistent with the state"
+  else if not (within 0 sel p.oscillation_limit) then
+    Some "selections outside [0, oscillation_limit]"
+  else if not (within 0 ev sel) then Some "evictions outside [0, selections]"
+  else if sel - ev <> Bool.to_int (phase = phase_biased) then
+    Some "selections and evictions disagree with the phase"
+  else if ev > 0 && not p.enable_eviction then Some "evictions with eviction disabled"
+  else if not counters_ok then Some "phase counters out of range"
+  else if not deployment_ok then Some "deployed or pending code inconsistent with the phase"
+  else None
+
+let validate_words t words =
+  if Array.length words <> (t.n_branches * slots) + 1 then
+    Error "state word count does not match this controller"
+  else
+    let error b =
+      Option.map (Printf.sprintf "branch %d: %s" b) (branch_error t words ~last:words.(0) b)
+    in
+    match List.find_map error (List.init t.n_branches Fun.id) with
+    | Some msg -> Error msg
+    | None -> Ok ()
+
 let import_words t words =
   let n = t.n_branches * slots in
-  if Array.length words <> n + 1 then
-    invalid_arg "Reactive.import_words: state word count does not match this controller";
+  (match validate_words t words with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Reactive.import_words: " ^ msg));
   set_last_instr t words.(0);
   for i = 0 to n - 1 do
     A1.unsafe_set t.state i words.(i + 1)
   done;
   t.tr_len <- 0
-
-(* [deployed] followed by [observe], fused into a single state lookup.
-   The decision is read before the observation (and before any pending
-   deployment this event's [instr] activates inside it), so the caller
-   scores against exactly what [deployed] would have returned. *)
-let step_code t ~branch ~taken ~instr =
-  check t ~caller:"Reactive.step" ~branch ~instr;
-  let base = branch * slots in
-  let code = (get t (base + s_ctrl) lsr dep_shift) land 3 in
-  observe_state t branch base ~taken ~instr;
-  code
-
-let step t ~branch ~taken ~instr = decision_of_code (step_code t ~branch ~taken ~instr)
 
 (* ---------------------------------------------------------------------- *)
 (* The batched replay kernel                                               *)
@@ -508,13 +557,13 @@ let fast_span t s chunk i len =
   s.correct <- !correct;
   !i
 
-(* One event through the generic machine, scored like [step_code]. *)
+(* One event through the generic machine, scored as [score_event] does. *)
 let slow_event t s w =
   let branch = w lsr branch_shift in
   let instr = s.instr + ((w lsr 1) land delta_mask) in
   if branch >= t.n_branches then begin
     set_last_instr t s.instr;
-    invalid_arg "Reactive.step: branch out of range"
+    invalid_arg "Reactive.step_chunk: branch out of range"
   end;
   let taken = w land 1 = 1 in
   let base = branch * slots in
@@ -528,7 +577,7 @@ let step_chunk t s chunk len =
   (* Deltas are unsigned, so every event's instr is at least [s.instr]:
      one check covers the chunk. *)
   if s.instr < last_instr t then
-    invalid_arg "Reactive.step: instruction counts must be non-decreasing across calls";
+    invalid_arg "Reactive.step_chunk: instruction counts must be non-decreasing across calls";
   let i = ref (fast_span t s chunk 0 len) in
   while !i < len do
     slow_event t s (Array.unsafe_get chunk !i);

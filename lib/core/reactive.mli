@@ -40,6 +40,11 @@ val deployed : t -> int -> Types.decision
     what the execution must be scored against: it lags controller
     decisions by the optimization latency. *)
 
+val deployed_code : t -> int -> int
+(** {!deployed} as a 2-bit decision code — bit 0 [speculate], bit 1
+    [direction] — so a batch consumer can score events with integer
+    arithmetic. *)
+
 val observe : t -> branch:int -> taken:bool -> instr:int -> unit
 (** Feed one execution of [branch] with outcome [taken] at global
     instruction count [instr].  Instruction counts must be
@@ -47,22 +52,6 @@ val observe : t -> branch:int -> taken:bool -> instr:int -> unit
     @raise Invalid_argument if [instr] is below the previous call's (the
     precondition is checked, naming the entry point, in the style of the
     {!Stream} config guards) or [branch] is out of range. *)
-
-val step : t -> branch:int -> taken:bool -> instr:int -> Types.decision
-(** [deployed] followed by [observe], fused into one per-branch state
-    lookup: returns exactly what [deployed t branch] would have before
-    the observation (in particular, before a pending deployment this
-    event activates takes effect).  The simulator's hot loop uses this
-    to halve the per-event state round-trips; the split calls remain
-    for drivers that interleave work between the read and the update.
-    The result is one of four shared, physically-equal decision records
-    — never a fresh allocation.
-    @raise Invalid_argument as {!observe} (named [Reactive.step]). *)
-
-val step_code : t -> branch:int -> taken:bool -> instr:int -> int
-(** {!step} returning the decision as a 2-bit code — bit 0 [speculate],
-    bit 1 [direction] — so a batch consumer can score events with pure
-    integer arithmetic.  [step t ...] is [decision_of_code (step_code t ...)]. *)
 
 (** {2 Batched replay}
 
@@ -84,8 +73,8 @@ val score : unit -> score
 
 val score_event : score -> taken:bool -> instr:int -> int -> unit
 (** [score_event s ~taken ~instr code] scores one event at instruction
-    count [instr] against the {!step_code}-style decision [code] it ran
-    under: a deployed speculation is correct when [taken] matches its
+    count [instr] against the {!deployed_code}-style decision [code] it
+    ran under: a deployed speculation is correct when [taken] matches its
     direction; a misspeculation adds the instruction distance since the
     previous one to [s.gaps].  Leaves [s.instr] alone.  {!step_chunk}
     applies exactly this rule. *)
@@ -95,8 +84,9 @@ val step_chunk : t -> score -> int array -> int -> unit
     [chunk] — the [Rs_behavior.Trace_store] encoding: bit 0 taken,
     bits 1-20 the instruction delta from the previous event, bits 21 and
     up the branch id — through the controller, each one exactly as
-    {!step_code} at instruction count [s.instr + delta], and scores it
-    into [s] as {!score_event} does.  Allocates nothing per event.
+    {!deployed_code} then {!observe} at instruction count
+    [s.instr + delta], and scores it into [s] as {!score_event} does.
+    Allocates nothing per event.
 
     Most events change only phase scratch counters; a table derived
     from the parameters at {!create} lets those run through a call-free
@@ -104,16 +94,9 @@ val step_chunk : t -> score -> int array -> int -> unit
     activating, a misspeculation, sampled eviction, monitor stride) goes
     through the same code as {!observe}.
     @raise Invalid_argument if [len] is outside the chunk, a branch id
-    is out of range (named [Reactive.step], after the events before it
+    is out of range (named [Reactive.step_chunk], after the events before it
     have been applied), or [s.instr] is below the previous call's
     instruction count. *)
-
-val deployed_code : t -> int -> int
-(** {!deployed} as a 2-bit code, same encoding as {!step_code}. *)
-
-val decision_of_code : int -> Types.decision
-(** The shared decision record for a {!step_code} result (the low two
-    bits of the argument). *)
 
 val transitions : t -> Types.transition list
 (** All transitions so far, oldest first. *)
@@ -131,13 +114,24 @@ val export_words : t -> int array
 (** Length [1 + n_branches * words-per-branch]: the monotonicity cursor
     followed by the packed state table.  A controller created with the
     same [params] and [n_branches] that {!import_words}s this array
-    answers every {!deployed}/{!step}/counter query identically. *)
+    answers every {!deployed}/counter query identically and steps on
+    exactly as this one would. *)
+
+val validate_words : t -> int array -> (unit, string) result
+(** Whether [words] could be this controller's {!export_words}: the
+    right length, and every branch inside the invariants the machine
+    keeps under [t]'s parameters (control bits, phase counters, the
+    selection and eviction counts, deployed and pending code, a pending
+    activation against the cursor).  The error names the first failing
+    branch. *)
 
 val import_words : t -> int array -> unit
 (** Overwrite this controller's state with a previous {!export_words}.
     The caller must recreate the controller with the same parameters and
     branch count that produced the snapshot.
-    @raise Invalid_argument if the array length does not match. *)
+    @raise Invalid_argument (naming [Reactive.import_words]) if
+    {!validate_words} rejects [words]; the controller is then
+    unchanged. *)
 
 (** Per-branch summary counters, for Table 3. *)
 

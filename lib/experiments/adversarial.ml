@@ -11,7 +11,7 @@ type row = {
   capped : int;
   correct_rate : float;
   incorrect_rate : float;
-  differential : Rs_sim.Differential.report;
+  differential_ok : bool;
 }
 
 type verdict = { claim : string; measured : string; pass : bool }
@@ -29,8 +29,8 @@ let run (ctx : Context.t) =
             ctx.tau
         in
         let trace = Cache.fabricated_trace ~key pop cfg in
-        let differential, (result : Rs_sim.Engine.result) =
-          Rs_sim.Differential.check ~label:("adversarial:" ^ sc.name) ~trace pop cfg params
+        let differential_ok, (result : Rs_sim.Engine.result) =
+          Rs_sim.Reference.check ~label:("adversarial:" ^ sc.name) ~trace pop cfg params
         in
         let a = Rs_sim.Accounting.of_result result in
         {
@@ -42,7 +42,7 @@ let run (ctx : Context.t) =
           capped = a.capped;
           correct_rate = a.correct_rate;
           incorrect_rate = a.incorrect_rate;
-          differential;
+          differential_ok;
         })
       (Array.of_list Adv.all)
   in
@@ -81,9 +81,9 @@ let run (ctx : Context.t) =
         measured =
           String.concat ", "
             (List.map
-               (fun r -> Printf.sprintf "%s:%b" r.scenario r.differential.agree)
+               (fun r -> Printf.sprintf "%s:%b" r.scenario r.differential_ok)
                rows);
-        pass = List.for_all (fun r -> r.differential.agree) rows;
+        pass = List.for_all (fun r -> r.differential_ok) rows;
       };
     ]
   in
@@ -106,7 +106,7 @@ let render t =
           r.scenario; Table.fmt_int r.events; Table.fmt_int r.selections;
           Table.fmt_int r.evictions; Table.fmt_int r.capped;
           Table.fmt_rate_pair ~correct:r.correct_rate ~incorrect:r.incorrect_rate ();
-          (if r.differential.agree then "ok" else "DIVERGED");
+          (if r.differential_ok then "ok" else "DIVERGED");
         ])
     t.rows;
   let buf = Buffer.create 2048 in

@@ -1,6 +1,6 @@
 (** Registry entry [adversarial]: the {!Rs_workload.Adversary} scenarios
-    driven through the engine with a batched-vs-scalar differential
-    check on every run. *)
+    driven through the engine, every run checked against the reference
+    FSM ({!Rs_sim.Reference.check}). *)
 
 type row = {
   scenario : string;
@@ -11,7 +11,7 @@ type row = {
   capped : int;
   correct_rate : float;
   incorrect_rate : float;
-  differential : Rs_sim.Differential.report;
+  differential_ok : bool;  (** {!Rs_sim.Reference.check} agreed. *)
 }
 
 type verdict = { claim : string; measured : string; pass : bool }

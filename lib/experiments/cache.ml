@@ -247,7 +247,7 @@ let trace ctx bm ~input =
    the [trace_store.record] site is retried away instead of failing the
    experiment.  The benchmark paths above get this for free because
    their recordings happen inside the [run]/[profile] bodies.  The
-   differential checks these traces feed need a recording, so one the
+   reference checks these traces feed need a recording, so one the
    store cannot hold is recorded for the memo alone. *)
 let fabricated : (string, Rs_behavior.Trace_store.t) memo = memo "trace"
 

@@ -139,7 +139,7 @@ val fabricated_trace :
     tau).  The compute body runs with the same bounded retries as the
     other artifact kinds, so an injected fault at the
     [trace_store.record] site is retried away instead of failing the
-    experiment.  The differential checks these traces feed need a
+    experiment.  The reference checks these traces feed need a
     recording, so one the trace store cannot hold is recorded anyway and
     kept by this memo alone. *)
 

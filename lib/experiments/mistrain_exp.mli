@@ -1,7 +1,7 @@
 (** Registry entry [mistrain]: Spectre-style mistraining schedules
     ({!Rs_workload.Mistrain}) with measured quarantine times
-    ({!Rs_sim.Quarantine}), a static-policy damage baseline, and a
-    batched-vs-scalar differential check on every run. *)
+    ({!Rs_sim.Quarantine}), a static-policy damage baseline, and every
+    run checked against the reference FSM ({!Rs_sim.Reference.check}). *)
 
 type row = {
   schedule : string;
@@ -13,7 +13,7 @@ type row = {
   predicted_evict_execs : int;
   reactive_damage : int;  (** Misspeculations of deployed code across all victims. *)
   static_damage : int;  (** Poisoned outcomes a static always-speculate policy eats. *)
-  differential : Rs_sim.Differential.report;
+  differential_ok : bool;  (** {!Rs_sim.Reference.check} agreed. *)
 }
 
 type verdict = { claim : string; measured : string; pass : bool }

@@ -622,7 +622,7 @@ let adversarial =
                   (fun (r : Adversarial.row) ->
                     [
                       S r.scenario; I r.events; I r.selections; I r.evictions; I r.capped;
-                      F r.correct_rate; F r.incorrect_rate; B r.differential.agree;
+                      F r.correct_rate; F r.incorrect_rate; B r.differential_ok;
                     ])
                   t.rows);
           };
@@ -659,7 +659,7 @@ let mistrain =
                     [
                       S r.schedule; F r.strength; I r.victims; I r.quarantined;
                       F r.mean_q_execs; F r.mean_q_instrs; I r.predicted_evict_execs;
-                      I r.reactive_damage; I r.static_damage; B r.differential.agree;
+                      I r.reactive_damage; I r.static_damage; B r.differential_ok;
                     ])
                   t.rows);
           };
@@ -693,7 +693,7 @@ let interleave =
                   (fun (r : Interleave_exp.row) ->
                     [
                       S r.schedule; S r.table; I r.events; I r.selections; I r.evictions;
-                      I r.capped; F r.correct_rate; F r.incorrect_rate; B r.differential.agree;
+                      I r.capped; F r.correct_rate; F r.incorrect_rate; B r.differential_ok;
                     ])
                   t.rows);
           };

@@ -421,7 +421,13 @@ let restore st =
              "serve: snapshot %s was taken with %d shards, server has %d (restore requires the \
               same shard count)"
              path snap.Snapshot.shards st.shards);
-      Array.iteri (fun i rt -> Shard.import rt.shard snap.Snapshot.shard_state.(i)) st.rts;
+      (* a state the controller could never reach is refused, not installed *)
+      Array.iteri
+        (fun i rt ->
+          try Shard.import rt.shard snap.Snapshot.shard_state.(i)
+          with Invalid_argument msg ->
+            failwith (Printf.sprintf "serve: cannot restore snapshot %s: shard %d: %s" path i msg))
+        st.rts;
       st.events <- snap.Snapshot.events;
       st.last_instr <- snap.Snapshot.last_instr)
   | _ -> ()

@@ -39,4 +39,6 @@ val run : config -> unit
     transport, until the peer closes its end.  Ignores [SIGPIPE]
     process-wide.  Raises [Invalid_argument] on nonpositive [n_branches]
     or [shards], and [Failure] if a configured snapshot exists but
-    cannot be restored. *)
+    cannot be restored: unreadable, taken with other branch or shard
+    counts, or holding a controller state that
+    {!Rs_core.Reactive.validate_words} rejects. *)

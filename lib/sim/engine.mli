@@ -34,7 +34,7 @@ val run :
   result
 (** Run to completion.  [observer] sees every event after it is scored
     and before the controller observes it, as plain integers with the
-    decision it was scored against in {!Rs_core.Reactive.step_code}'s
+    decision it was scored against in {!Rs_core.Reactive.deployed_code}'s
     2-bit [code] (bit 0 speculate, bit 1 direction); [on_transition]
     fires at every controller transition.  Both default to no-ops.
     [label] (default empty) tags this run's {!Rs_obs.Trace} events —

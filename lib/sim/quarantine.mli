@@ -25,7 +25,7 @@ val create : n_branches:int -> t
 
 val on_event : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit
 (** Feed one scored event; [code] is the deployed decision in
-    [Reactive.step_code]'s 2-bit encoding (bit 0 speculate, bit 1
+    [Reactive.deployed_code]'s 2-bit encoding (bit 0 speculate, bit 1
     direction), exactly as [Engine.run]'s observer delivers it. *)
 
 val observer : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit

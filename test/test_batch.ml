@@ -1,21 +1,15 @@
-(* Equivalence tests for the batched/packed hot path.
+(* Equivalence tests for the batched/packed hot path, against one
+   oracle: [Rs_sim.Reference], the record-per-branch Figure 4(b) FSM.
 
-   Two independent oracles:
-
-   - [Reference]: the original record-per-branch implementation of the
-     Figure 4(b) controller, kept here verbatim as an executable spec.
-     The packed-integer [Rs_core.Reactive] must agree with it decision
-     for decision, transition for transition, on adversarial parameter
-     corners (tiny monitor periods, oscillation limits of 1, zero and
-     non-zero optimization latency, sampled and continuous eviction).
-
-   - The engine's two consumption paths: the chunked batch decode and
-     the scalar observer loop must produce the same results and hook
-     sequences, from a recorded trace and from live generation alike.
-
-   The batch kernel [Reactive.step_chunk] is held to the reference FSM
-   over random parameter shapes and, event by event, on either side of
-   each of its fast-path exits. *)
+   The packed-integer [Rs_core.Reactive] — its split [deployed] /
+   [observe] calls and its batch kernel [step_chunk] — must agree with
+   it decision for decision, transition for transition: on random
+   parameter corners (tiny monitor periods, oscillation limits of 1,
+   zero and non-zero optimization latency, sampled and continuous
+   eviction), on either side of each kernel fast-path exit, on the
+   adversarial workloads, through both of the engine's consumption
+   paths, and exhaustively over every reachable state of small
+   controllers. *)
 
 module B = Rs_behavior.Behavior
 module Pop = Rs_behavior.Population
@@ -25,204 +19,7 @@ module Prng = Rs_util.Prng
 module Params = Rs_core.Params
 module Types = Rs_core.Types
 module Reactive = Rs_core.Reactive
-
-(* ---------------------------------------------------------------------- *)
-(* Reference controller: the record-based FSM, as an executable spec      *)
-(* ---------------------------------------------------------------------- *)
-
-module Reference = struct
-  type phase = Monitoring | Biased | Unbiased | Disabled
-
-  type bstate = {
-    mutable phase : phase;
-    mutable execs : int;
-    mutable mon_seen : int;
-    mutable mon_taken : int;
-    mutable stride_pos : int;
-    mutable direction : bool;
-    mutable counter : int;
-    mutable smp_pos : int;
-    mutable smp_misses : int;
-    mutable wait_left : int;
-    mutable dep_spec : bool;
-    mutable dep_dir : bool;
-    mutable pend_at : int;
-    mutable pend_spec : bool;
-    mutable pend_dir : bool;
-    mutable selections : int;
-    mutable evictions : int;
-  }
-
-  type t = {
-    params : Params.t;
-    monitor_samples : int;
-    states : bstate array;
-    mutable transitions_rev : Types.transition list;
-  }
-
-  let fresh_state () =
-    {
-      phase = Monitoring;
-      execs = 0;
-      mon_seen = 0;
-      mon_taken = 0;
-      stride_pos = 0;
-      direction = false;
-      counter = 0;
-      smp_pos = 0;
-      smp_misses = 0;
-      wait_left = 0;
-      dep_spec = false;
-      dep_dir = false;
-      pend_at = -1;
-      pend_spec = false;
-      pend_dir = false;
-      selections = 0;
-      evictions = 0;
-    }
-
-  let create ~n_branches params =
-    {
-      params;
-      monitor_samples = Params.monitor_samples params;
-      states = Array.init n_branches (fun _ -> fresh_state ());
-      transitions_rev = [];
-    }
-
-  let deployed t b =
-    let st = t.states.(b) in
-    { Types.speculate = st.dep_spec; direction = st.dep_dir }
-
-  let transitions t = List.rev t.transitions_rev
-  let selections t b = t.states.(b).selections
-  let evictions t b = t.states.(b).evictions
-  let touched t b = t.states.(b).execs > 0
-
-  let record t branch st instr kind =
-    t.transitions_rev <- { Types.branch; instr; exec_index = st.execs; kind } :: t.transitions_rev
-
-  let request t st ~instr ~speculate ~direction =
-    if t.params.Params.optimization_latency = 0 then begin
-      st.dep_spec <- speculate;
-      st.dep_dir <- direction;
-      st.pend_at <- -1
-    end
-    else begin
-      st.pend_at <- instr + t.params.optimization_latency;
-      st.pend_spec <- speculate;
-      st.pend_dir <- direction
-    end
-
-  let enter_monitor st =
-    st.phase <- Monitoring;
-    st.mon_seen <- 0;
-    st.mon_taken <- 0;
-    st.stride_pos <- 0
-
-  let enter_unbiased t st =
-    st.phase <- Unbiased;
-    st.wait_left <- t.params.wait_period
-
-  let enter_biased t st ~direction ~instr =
-    st.phase <- Biased;
-    st.direction <- direction;
-    st.counter <- 0;
-    st.smp_pos <- 0;
-    st.smp_misses <- 0;
-    st.selections <- st.selections + 1;
-    request t st ~instr ~speculate:true ~direction
-
-  let evict t branch st ~instr =
-    st.evictions <- st.evictions + 1;
-    record t branch st instr Types.Evicted;
-    enter_monitor st;
-    request t st ~instr ~speculate:false ~direction:false
-
-  let classify t branch st ~instr =
-    let taken = st.mon_taken and seen = st.mon_seen in
-    let majority = max taken (seen - taken) in
-    let bias = float_of_int majority /. float_of_int seen in
-    if bias >= t.params.selection_threshold then begin
-      if st.selections >= t.params.oscillation_limit then begin
-        st.phase <- Disabled;
-        record t branch st instr Types.Capped;
-        if st.dep_spec || st.pend_at >= 0 then
-          request t st ~instr ~speculate:false ~direction:false
-      end
-      else begin
-        let direction = taken * 2 >= seen in
-        enter_biased t st ~direction ~instr;
-        record t branch st instr Types.Selected
-      end
-    end
-    else begin
-      enter_unbiased t st;
-      record t branch st instr Types.Declared_unbiased
-    end
-
-  let observe_biased t branch st ~taken ~instr =
-    if not st.dep_spec then ()
-    else begin
-      match t.params.eviction_mode with
-      | Params.Continuous ->
-        if t.params.enable_eviction then begin
-          let c =
-            if taken <> st.direction then st.counter + t.params.misspec_step
-            else st.counter - t.params.correct_step
-          in
-          st.counter <- (if c < 0 then 0 else c);
-          if st.counter >= t.params.evict_threshold then evict t branch st ~instr
-        end
-      | Params.Sampled { window; samples } ->
-        if t.params.enable_eviction then begin
-          if st.smp_pos < samples && taken <> st.direction then
-            st.smp_misses <- st.smp_misses + 1;
-          st.smp_pos <- st.smp_pos + 1;
-          if st.smp_pos = samples then begin
-            let bias = float_of_int (samples - st.smp_misses) /. float_of_int samples in
-            if bias < t.params.evict_bias then evict t branch st ~instr
-            else st.smp_misses <- 0
-          end
-          else if st.smp_pos >= window then begin
-            st.smp_pos <- 0;
-            st.smp_misses <- 0
-          end
-        end
-    end
-
-  let observe_state t branch st ~taken ~instr =
-    if st.pend_at >= 0 && instr >= st.pend_at then begin
-      st.dep_spec <- st.pend_spec;
-      st.dep_dir <- st.pend_dir;
-      st.pend_at <- -1
-    end;
-    (match st.phase with
-    | Monitoring ->
-      st.stride_pos <- st.stride_pos + 1;
-      if st.stride_pos >= t.params.monitor_stride then begin
-        st.stride_pos <- 0;
-        st.mon_seen <- st.mon_seen + 1;
-        if taken then st.mon_taken <- st.mon_taken + 1;
-        if st.mon_seen >= t.monitor_samples then classify t branch st ~instr
-      end
-    | Biased -> observe_biased t branch st ~taken ~instr
-    | Unbiased ->
-      if t.params.enable_revisit then begin
-        st.wait_left <- st.wait_left - 1;
-        if st.wait_left <= 0 then begin
-          enter_monitor st;
-          record t branch st instr Types.Revisited
-        end
-      end
-    | Disabled -> ());
-    st.execs <- st.execs + 1
-
-  let step t ~branch ~taken ~instr =
-    let st = t.states.(branch) in
-    let d = { Types.speculate = st.dep_spec; direction = st.dep_dir } in
-    observe_state t branch st ~taken ~instr;
-    d
-end
+module Reference = Rs_sim.Reference
 
 (* ---------------------------------------------------------------------- *)
 (* Packed controller == reference, on adversarial parameter corners       *)
@@ -262,6 +59,9 @@ let gen_fsm_case rng =
 let print_fsm_case c =
   Format.asprintf "seed=%d n=%d len=%d params=@[%a@]" c.seed c.n c.length Params.pp c.params
 
+(* Random events through [deployed] then [observe] on both machines:
+   every decision agrees, and so do the final transitions and
+   per-branch states. *)
 let fsm_equivalent { seed; params; n; length } =
   (match Params.validate params with
   | Ok () -> ()
@@ -278,97 +78,11 @@ let fsm_equivalent { seed; params; n; length } =
     let taken = Prng.float rng 1.0 < biases.(b) in
     if Prng.int rng 50 = 0 then biases.(b) <- Prng.float rng 1.0;
     instr := !instr + Prng.int rng 4;
-    let d_packed = Reactive.step packed ~branch:b ~taken ~instr:!instr in
-    let d_ref = Reference.step reference ~branch:b ~taken ~instr:!instr in
-    if d_packed <> d_ref then ok := false
+    if Reactive.deployed packed b <> Reference.deployed reference b then ok := false;
+    Reactive.observe packed ~branch:b ~taken ~instr:!instr;
+    Reference.observe reference ~branch:b ~taken ~instr:!instr
   done;
-  !ok
-  && Reactive.transitions packed = Reference.transitions reference
-  && List.init n (fun b ->
-         ( Reactive.deployed packed b,
-           Reactive.selections packed b,
-           Reactive.evictions packed b,
-           Reactive.touched packed b ))
-     = List.init n (fun b ->
-           ( Reference.deployed reference b,
-             Reference.selections reference b,
-             Reference.evictions reference b,
-             Reference.touched reference b ))
-
-(* Deterministic corner: oscillation retirement.  One branch, monitor
-   period 1, eviction after a single misspeculation, limit 1 — the
-   second selection attempt must cap the branch, and both
-   implementations must agree on the exact transition list. *)
-let test_oscillation_retirement () =
-  let params =
-    {
-      Params.default with
-      monitor_period = 1;
-      selection_threshold = 0.6;
-      evict_threshold = 1;
-      misspec_step = 1;
-      correct_step = 1;
-      wait_period = 3;
-      oscillation_limit = 1;
-      optimization_latency = 0;
-      monitor_stride = 1;
-    }
-  in
-  let packed = Reactive.create ~n_branches:1 params in
-  let reference = Reference.create ~n_branches:1 params in
-  (* taken -> Selected(taken); not-taken -> Evicted; taken -> Capped *)
-  let feed taken instr =
-    let d1 = Reactive.step packed ~branch:0 ~taken ~instr in
-    let d2 = Reference.step reference ~branch:0 ~taken ~instr in
-    Alcotest.(check bool) "step agrees" true (d1 = d2)
-  in
-  List.iteri (fun i taken -> feed taken (10 * (i + 1))) [ true; false; true; true; true ];
-  let kinds t = List.map (fun (tr : Types.transition) -> tr.kind) t in
-  Alcotest.(check bool)
-    "capped after one eviction" true
-    (kinds (Reactive.transitions packed) = [ Types.Selected; Types.Evicted; Types.Capped ]);
-  Alcotest.(check bool)
-    "reference agrees" true
-    (Reactive.transitions packed = Reference.transitions reference);
-  Alcotest.(check bool)
-    "retired branch never speculates" true
-    (not (Reactive.deployed packed 0).speculate)
-
-(* Deterministic corner: pending-deployment latency.  With latency L, a
-   selection at instruction I deploys at the first observation with
-   instr >= I + L — and the observation that activates it is still
-   scored against the old decision. *)
-let test_pending_deployment_latency () =
-  let params =
-    {
-      Params.default with
-      monitor_period = 2;
-      selection_threshold = 0.6;
-      optimization_latency = 100;
-      enable_eviction = false;
-      enable_revisit = false;
-    }
-  in
-  let packed = Reactive.create ~n_branches:1 params in
-  let reference = Reference.create ~n_branches:1 params in
-  let feed taken instr =
-    let d1 = Reactive.step packed ~branch:0 ~taken ~instr in
-    let d2 = Reference.step reference ~branch:0 ~taken ~instr in
-    Alcotest.(check bool) "step agrees" true (d1 = d2);
-    d1
-  in
-  (* two monitored executions at instr 10, 20: Selected(taken) at 20,
-     pending until instr 120 *)
-  ignore (feed true 10);
-  ignore (feed true 20);
-  let d = feed true 60 in
-  Alcotest.(check bool) "not deployed during latency" false d.Types.speculate;
-  (* the activating event itself is scored against the old decision *)
-  let d = feed true 120 in
-  Alcotest.(check bool) "activation event scored against old code" false d.Types.speculate;
-  let d = feed true 130 in
-  Alcotest.(check bool) "deployed after latency" true d.Types.speculate;
-  Alcotest.(check bool) "deployed direction" true d.Types.direction
+  !ok && Reference.agrees reference packed
 
 (* Regression: the documented non-decreasing-instr precondition is now
    checked.  A decreasing instruction count must raise Invalid_argument
@@ -378,29 +92,12 @@ let test_observe_monotonic_guard () =
   Reactive.observe t ~branch:0 ~taken:true ~instr:100;
   Reactive.observe t ~branch:1 ~taken:false ~instr:100;
   (* equal is fine *)
-  let raised_observe =
-    try
-      Reactive.observe t ~branch:0 ~taken:true ~instr:99;
-      None
-    with Invalid_argument m -> Some m
-  in
-  (match raised_observe with
-  | Some m ->
+  (match Reactive.observe t ~branch:0 ~taken:true ~instr:99 with
+  | () -> Alcotest.fail "observe accepted a decreasing instr"
+  | exception Invalid_argument m ->
     Alcotest.(check bool) "names Reactive.observe" true
-      (String.length m >= 16 && String.sub m 0 16 = "Reactive.observe")
-  | None -> Alcotest.fail "observe accepted a decreasing instr");
-  let raised_step =
-    try
-      ignore (Reactive.step t ~branch:0 ~taken:true ~instr:3 : Types.decision);
-      None
-    with Invalid_argument m -> Some m
-  in
-  (match raised_step with
-  | Some m ->
-    Alcotest.(check bool) "names Reactive.step" true
-      (String.length m >= 13 && String.sub m 0 13 = "Reactive.step")
-  | None -> Alcotest.fail "step accepted a decreasing instr");
-  (* the failed calls must not have corrupted the high-water mark *)
+      (String.starts_with ~prefix:"Reactive.observe" m));
+  (* the failed call must not have corrupted the high-water mark *)
   Reactive.observe t ~branch:0 ~taken:true ~instr:100
 
 (* ---------------------------------------------------------------------- *)
@@ -430,51 +127,27 @@ let replay tr f =
         f ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr
       done)
 
-(* The event-for-event scalar oracle: replay decoded events through the
-   reference FSM with the engine's scoring rule. *)
-let scalar_run tr params n =
+(* The kernel against the reference FSM over a whole trace
+   ([Reference.check]); the engine result is returned too. *)
+let check_trace ?(label = "test") tr pop params =
+  Reference.check ~label ~trace:tr pop (TS.config tr) params
+
+(* A decision as a 2-bit code: bit 0 speculate, bit 1 direction. *)
+let code_of (d : Types.decision) = Bool.to_int d.speculate lor (Bool.to_int d.direction lsl 1)
+
+(* Per-event [deployed]/[observe] over the same trace, in lockstep with
+   the reference FSM: whether every decision and the final states agree,
+   and the final words, where the kernel's fast path must leave every
+   word too. *)
+let split_run tr params n =
+  let controller = Reactive.create ~n_branches:n params in
   let reference = Reference.create ~n_branches:n params in
-  let correct = ref 0 in
-  let incorrect = ref 0 in
-  let last = ref 0 in
-  let gap_count = ref 0 in
-  let gap_sum = ref 0 in
+  let same = ref true in
   replay tr (fun ~branch ~taken ~instr ->
-      let d = Reference.step reference ~branch ~taken ~instr in
-      if d.Types.speculate then begin
-        if taken = d.direction then incr correct
-        else begin
-          incr incorrect;
-          incr gap_count;
-          gap_sum := !gap_sum + (instr - !last);
-          last := instr
-        end
-      end);
-  (!correct, !incorrect, !gap_count, !gap_sum, Reference.transitions reference)
-
-(* The kernel under test: whole packed chunks through
-   [Reactive.step_chunk]. *)
-let kernel_run tr params n =
-  let controller = Reactive.create ~n_branches:n params in
-  let s = Reactive.score () in
-  TS.iter_packed tr (Reactive.step_chunk controller s);
-  ( ( s.correct,
-      s.incorrect,
-      Rs_util.Running_stats.count s.gaps,
-      int_of_float (Rs_util.Running_stats.sum s.gaps +. 0.5),
-      Reactive.transitions controller ),
-    controller )
-
-let batch_run tr params n = fst (kernel_run tr params n)
-
-(* The packed controller's final state words after per-event
-   [Reactive.step] over the same trace: the kernel's fast path must
-   leave every word exactly where the generic machine would. *)
-let stepped_words tr params n =
-  let controller = Reactive.create ~n_branches:n params in
-  replay tr (fun ~branch ~taken ~instr ->
-      ignore (Reactive.step controller ~branch ~taken ~instr : Types.decision));
-  Reactive.export_words controller
+      same := !same && Reactive.deployed controller branch = Reference.deployed reference branch;
+      Reactive.observe controller ~branch ~taken ~instr;
+      Reference.observe reference ~branch ~taken ~instr);
+  (!same && Reference.agrees reference controller, Reactive.export_words controller)
 
 let qcheck_batch_equals_scalar =
   QCheck.Test.make ~name:"Reactive.step_chunk == scalar replay through reference FSM" ~count:40
@@ -484,10 +157,8 @@ let qcheck_batch_equals_scalar =
       let cfg = { Stream.seed; instr_per_branch = 5.0; length = 30_000 + (seed mod 3) } in
       let params = gen_params (Prng.create (seed + 7)) in
       let tr = TS.record pop cfg in
-      let c1, i1, g1, s1, trs1 = scalar_run tr params n in
-      let (c2, i2, g2, s2, trs2), controller = kernel_run tr params n in
-      c1 = c2 && i1 = i2 && g1 = g2 && abs (s1 - s2) <= 1 && trs1 = trs2
-      && Reactive.export_words controller = stepped_words tr params n)
+      let agree, r = check_trace tr pop params in
+      agree && split_run tr params n = (true, Reactive.export_words r.controller))
 
 (* ---------------------------------------------------------------------- *)
 (* Kernel exit edges: events on either side of a fast-path boundary       *)
@@ -502,14 +173,13 @@ let events_trace ~n events =
    return the kernel's score and transitions once both agree. *)
 let kernel_edge name params ~n events =
   let tr = events_trace ~n events in
-  let c1, i1, g1, s1, trs1 = scalar_run tr params n in
-  let (c2, i2, g2, s2, trs2), controller = kernel_run tr params n in
-  Alcotest.(check (list int)) (name ^ ": scores") [ c1; i1; g1; s1 ] [ c2; i2; g2; s2 ];
-  Alcotest.(check bool) (name ^ ": transitions") true (trs1 = trs2);
+  let agree, r = check_trace ~label:name tr (mk_pop ~n 0) params in
+  Alcotest.(check bool) (name ^ ": kernel == reference") true agree;
   Alcotest.(check bool)
-    (name ^ ": state words") true
-    (Reactive.export_words controller = stepped_words tr params n);
-  ((c2, i2), List.map (fun (tr : Types.transition) -> (tr.kind, tr.instr)) trs2)
+    (name ^ ": split calls == reference, same words") true
+    (split_run tr params n = (true, Reactive.export_words r.controller));
+  let kinds = List.map (fun (tr : Types.transition) -> (tr.kind, tr.instr)) in
+  ((r.correct, r.incorrect), kinds (Reactive.transitions r.controller))
 
 let transition =
   Alcotest.testable
@@ -526,6 +196,46 @@ let edge_params =
     correct_step = 1;
     optimization_latency = 100;
   }
+
+(* Deterministic corner: oscillation retirement.  One branch, monitor
+   period 1, eviction after a single misspeculation, limit 1 — the
+   second selection attempt must cap the branch, and the retired branch
+   never speculates again. *)
+let test_oscillation_retirement () =
+  let params =
+    {
+      edge_params with
+      evict_threshold = 1;
+      misspec_step = 1;
+      wait_period = 3;
+      oscillation_limit = 1;
+      optimization_latency = 0;
+    }
+  in
+  let score, trs =
+    kernel_edge "retirement" params ~n:1
+      (List.mapi (fun i taken -> (0, taken, 10 * (i + 1))) [ true; false; true; true; true ])
+  in
+  Alcotest.(check (list transition))
+    "capped after one eviction" [ (Types.Selected, 10); (Evicted, 20); (Capped, 30) ] trs;
+  Alcotest.(check (pair int int)) "one misspeculation, then nothing speculated" (0, 1) score
+
+(* Deterministic corner: pending-deployment latency.  With latency L, a
+   selection at instruction I deploys at the first observation with
+   instr >= I + L — and the observation that activates it is still
+   scored against the old decision.  Selected(taken) at 20, pending
+   until 120: 119 does not activate it, 120 activates it under the old
+   code, and only the event at 130 runs the new code. *)
+let test_pending_deployment_latency () =
+  let params =
+    { edge_params with monitor_period = 2; enable_eviction = false; enable_revisit = false }
+  in
+  let events = [ (0, true, 10); (0, true, 20); (0, true, 60); (0, true, 119) ] in
+  let score, trs = kernel_edge "before pend_at" params ~n:1 events in
+  Alcotest.(check (list transition)) "selected" [ (Types.Selected, 20) ] trs;
+  Alcotest.(check (pair int int)) "nothing deployed before pend_at" (0, 0) score;
+  let score, _ = kernel_edge "pend_at" params ~n:1 (events @ [ (0, true, 120); (0, true, 130) ]) in
+  Alcotest.(check (pair int int)) "only the event after activation is correct" (1, 0) score
 
 (* The table path raises the eviction counter only while the deployed
    direction disagrees with the biased one: a branch evicted and
@@ -628,14 +338,14 @@ let test_kernel_guards () =
   let s = Reactive.score () in
   let word ~branch ~delta ~taken = (branch lsl 21) lor (delta lsl 1) lor Bool.to_int taken in
   let chunk = [| word ~branch:1 ~delta:7 ~taken:true; word ~branch:2 ~delta:3 ~taken:false |] in
-  raises_msg "branch >= n" "Reactive.step: branch out of range" (fun () ->
+  raises_msg "branch >= n" "Reactive.step_chunk: branch out of range" (fun () ->
       Reactive.step_chunk c s chunk 2);
   Alcotest.(check int) "events before the bad one applied" 7 s.instr;
   Alcotest.(check bool) "and counted" true (Reactive.touched c 1);
   let c = Reactive.create ~n_branches:2 Params.default in
   Reactive.observe c ~branch:0 ~taken:true ~instr:1000;
   raises_msg "chunk below last_instr"
-    "Reactive.step: instruction counts must be non-decreasing across calls" (fun () ->
+    "Reactive.step_chunk: instruction counts must be non-decreasing across calls" (fun () ->
       Reactive.step_chunk c (Reactive.score ()) [| word ~branch:0 ~delta:5000 ~taken:true |] 1);
   raises_msg "len past the chunk" "Reactive.step_chunk: bad chunk length" (fun () ->
       Reactive.step_chunk c (Reactive.score ()) [||] 1)
@@ -649,11 +359,6 @@ module Adv = Rs_workload.Adversary
 module MT = Rs_workload.Mistrain
 module IL = Rs_workload.Interleave
 
-let paths_agree tr params n =
-  let c1, i1, g1, s1, t1 = scalar_run tr params n in
-  let c2, i2, g2, s2, t2 = batch_run tr params n in
-  c1 = c2 && i1 = i2 && g1 = g2 && abs (s1 - s2) <= 1 && t1 = t2
-
 let qcheck_adversary_batch_equals_scalar =
   QCheck.Test.make
     ~name:"batched == scalar on threshold-flip adversarial populations" ~count:20
@@ -662,8 +367,7 @@ let qcheck_adversary_batch_equals_scalar =
       let params = gen_params (Prng.create (seed + 17)) in
       let sc = List.nth Adv.all (seed mod List.length Adv.all) in
       let pop, cfg = Adv.build sc ~params ~seed ~scale:1.0 in
-      let tr = TS.record pop cfg in
-      paths_agree tr params (Pop.size pop))
+      fst (check_trace (TS.record pop cfg) pop params))
 
 let qcheck_mistrain_batch_equals_scalar =
   QCheck.Test.make ~name:"batched == scalar on mistraining burst schedules" ~count:15
@@ -673,8 +377,7 @@ let qcheck_mistrain_batch_equals_scalar =
       let schedule = if seed mod 2 = 0 then MT.Train_then_trigger else MT.Burst_poison in
       let strength = 0.3 +. (0.65 *. float_of_int (seed mod 7) /. 6.0) in
       let b = MT.build schedule ~strength ~params ~seed ~scale:0.3 in
-      let tr = TS.record b.population b.config in
-      paths_agree tr params (Pop.size b.population))
+      fst (check_trace (TS.record b.population b.config) b.population params))
 
 (* The merged traces are fabricated (Trace_store.of_events, not a
    Stream recording): the chunk decode must agree with boxed replay on
@@ -688,7 +391,7 @@ let qcheck_interleave_batch_equals_scalar =
       let params = gen_params (Prng.create (seed + 31)) in
       let schedule = if seed mod 2 = 0 then IL.Round_robin else IL.Bursty in
       let m = IL.build schedule ~seed ~scale:0.25 in
-      let check (_, _, tr) = paths_agree tr params (TS.n_branches tr) in
+      let check (pop, _, tr) = fst (check_trace tr pop params) in
       check m.shared && check m.split)
 
 (* Engine.run: both paths — hookless batched and the observer loop —
@@ -711,27 +414,17 @@ let test_engine_paths_agree () =
       Rs_util.Running_stats.count r.misspec_gap,
       Reactive.transitions r.controller )
   in
-  let code_of (d : Types.decision) =
-    (if d.speculate then 1 else 0) lor if d.direction then 2 else 0
-  in
   (* the expected sequence, from the reference FSM: each event's
      decision, then the transitions its observation causes *)
-  let reference = Reference.create ~n_branches:n params in
   let expected = ref [] in
-  let seen = ref [] in
+  let reference =
+    Reference.create ~n_branches:n params ~on_transition:(fun t ->
+        expected := `Transition t.kind :: !expected)
+  in
   replay tr (fun ~branch ~taken ~instr ->
-      let d = Reference.step reference ~branch ~taken ~instr in
+      let d = Reference.deployed reference branch in
       expected := `Event (branch, taken, instr, code_of d) :: !expected;
-      (* the transitions this step added: the newest prefix of the
-         reversed list, up to the previous head *)
-      let rec fresh l =
-        if l == !seen then [] else match l with t :: r -> t :: fresh r | [] -> []
-      in
-      let now = reference.Reference.transitions_rev in
-      List.iter
-        (fun (t : Types.transition) -> expected := `Transition t.kind :: !expected)
-        (List.rev (fresh now));
-      seen := now);
+      Reference.observe reference ~branch ~taken ~instr);
   let observed ?trace () =
     let seq = ref [] in
     let r =
@@ -755,6 +448,118 @@ let test_engine_paths_agree () =
   Alcotest.(check bool) "live observer sees the recorded sequence" true (seq_live = seq_recorded);
   Alcotest.(check bool) "hook order: decision, then observe" true (seq_recorded = !expected);
   Alcotest.(check bool) "observer sequence nonempty" true (seq_recorded <> [])
+
+(* ---------------------------------------------------------------------- *)
+(* Exhaustive check over every reachable state of small controllers      *)
+(* ---------------------------------------------------------------------- *)
+
+(* One branch, breadth first from the initial state.  A state is its
+   export words (cursor, then the branch's 8 words) with [execs] (word
+   1) reduced to touched and the pending activation (word 5) made
+   relative to the cursor; equal keys behave alike on every future
+   event.  Each outcome is applied with an advance just before, at and
+   just past the pending activation (0, 1, 2 when none is pending).
+   [replay_three] replays a path from the start through the kernel
+   (one-event [step_chunk] chunks), the split [deployed]/[observe] calls
+   and the reference FSM: the same decision at every event, then the
+   same transitions, score and state, and the same words for the two
+   packed paths.  It returns the split controller too. *)
+let replay_three params events =
+  let kernel = Reactive.create ~n_branches:1 params and ks = Reactive.score () in
+  let split = Reactive.create ~n_branches:1 params and rs = Reactive.score () in
+  let reference = Reference.create ~n_branches:1 params in
+  let step (taken, advance) =
+    let instr = ks.instr + advance and code = Reactive.deployed_code kernel 0 in
+    let same =
+      code = Reactive.deployed_code split 0 && code = code_of (Reference.deployed reference 0)
+    in
+    Reactive.step_chunk kernel ks [| (advance lsl 1) lor Bool.to_int taken |] 1;
+    Reactive.observe split ~branch:0 ~taken ~instr;
+    Reactive.score_event rs ~taken ~instr code;
+    Reference.observe reference ~branch:0 ~taken ~instr;
+    same
+  in
+  let agree =
+    List.for_all step events
+    && Reactive.export_words kernel = Reactive.export_words split
+    && Reactive.transitions kernel = Reactive.transitions split
+    && Reference.agrees reference kernel
+    && (ks.correct, ks.incorrect) = (rs.correct, rs.incorrect)
+    && Rs_util.Running_stats.sum ks.gaps = Rs_util.Running_stats.sum rs.gaps
+  in
+  (agree, split)
+
+let state_key words =
+  let cursor = words.(0) in
+  Array.init 8 (fun i ->
+      let v = words.(i + 1) in
+      match i with 1 -> Bool.to_int (v > 0) | 5 -> if v < 0 then -1 else v - cursor | _ -> v)
+
+(* The number of reachable states; each is checked under six events. *)
+let explore name params =
+  let seen = Hashtbl.create 1024 and queue = Queue.create () in
+  let visit path words =
+    let key = state_key words in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      Queue.add (key.(5), path) queue
+    end
+  in
+  visit [] (Reactive.export_words (Reactive.create ~n_branches:1 params));
+  while not (Queue.is_empty queue) do
+    let pending, path = Queue.pop queue in
+    let advances = if pending > 0 then [ pending - 1; pending; pending + 1 ] else [ 0; 1; 2 ] in
+    List.iter
+      (fun event ->
+        let path = path @ [ event ] in
+        let agree, split = replay_three params path in
+        let words = Reactive.export_words split in
+        let trail () =
+          let show (t, a) = Printf.sprintf "%c+%d" (if t then 'T' else 'N') a in
+          String.concat " " (List.map show path)
+        in
+        if not agree then Alcotest.failf "%s: machines disagree after %s" name (trail ());
+        (match Reactive.validate_words split words with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "%s: rejected after %s: %s" name (trail ()) msg);
+        visit path words)
+      (List.concat_map (fun taken -> List.map (fun a -> (taken, a)) advances) [ true; false ])
+  done;
+  Hashtbl.length seen
+
+let test_exhaustive_reachable_states () =
+  let small =
+    {
+      Params.default with
+      monitor_period = 3;
+      selection_threshold = 0.7;
+      evict_threshold = 4;
+      misspec_step = 2;
+      correct_step = 1;
+      evict_bias = 0.6;
+      wait_period = 2;
+      oscillation_limit = 2;
+      optimization_latency = 0;
+    }
+  in
+  let sampled window samples = Params.Sampled { window; samples } in
+  List.iter
+    (fun (name, params) ->
+      let states = explore name params in
+      Printf.printf "%-40s %4d reachable states, %5d (state, event) pairs\n%!" name states
+        (6 * states);
+      Alcotest.(check bool) (name ^ ": leaves the initial state") true (states > 1))
+    [
+      ("continuous, latency 0", small);
+      ("continuous, latency 3", { small with optimization_latency = 3 });
+      ("sampled 2 of 4, latency 0", { small with eviction_mode = sampled 4 2 });
+      ( "sampled 3 of 3, latency 2",
+        { small with eviction_mode = sampled 3 3; optimization_latency = 2 } );
+      ( "no eviction, no revisit, latency 2",
+        { small with enable_eviction = false; enable_revisit = false; optimization_latency = 2 } );
+      ( "monitor stride 2, latency 1",
+        { small with monitor_period = 4; monitor_stride = 2; optimization_latency = 1 } );
+    ]
 
 let suite =
   [
@@ -785,4 +590,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_interleave_batch_equals_scalar;
     Alcotest.test_case "engine paths agree (batched/raw/both sources)" `Quick
       test_engine_paths_agree;
+    Alcotest.test_case "exhaustive reachable states: kernel == split calls == reference" `Quick
+      test_exhaustive_reachable_states;
   ]

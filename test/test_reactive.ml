@@ -293,32 +293,40 @@ let qcheck_fsm_biased_branch_always_selected =
       done;
       R.selections c 0 = 1 && (R.deployed c 0).speculate && (R.deployed c 0).direction = dir)
 
-let qcheck_step_equals_deployed_observe =
-  (* The fused [step] must return exactly what [deployed] read just
-     before the observation and leave the controller in the same state
-     as the split calls — including under a nonzero optimization
-     latency, where the pending deployment is applied inside the
-     observation itself. *)
-  QCheck.Test.make ~name:"step == deployed; observe" ~count:200
-    QCheck.(pair small_nat (small_list (pair bool (int_bound 20))))
-    (fun (seed, outcomes) ->
-      let params = { tiny with optimization_latency = 25 } in
-      let c1 = R.create ~n_branches:2 params in
-      let c2 = R.create ~n_branches:2 params in
-      let instr = ref 0 in
-      let agree = ref true in
-      List.iteri
-        (fun i (taken, gap) ->
-          instr := !instr + 1 + gap;
-          let branch = (seed + i) mod 2 in
-          let d1 = R.deployed c1 branch in
-          R.observe c1 ~branch ~taken ~instr:!instr;
-          let d2 = R.step c2 ~branch ~taken ~instr:!instr in
-          if d1 <> d2 then agree := false)
-        outcomes;
-      !agree && kinds c1 = kinds c2
-      && R.deployed c1 0 = R.deployed c2 0
-      && R.deployed c1 1 = R.deployed c2 1)
+(* [import_words] refuses words the machine can never reach and leaves
+   the controller as it was.  Word 0 is the cursor; branch [b]'s words
+   start at [1 + 8 b]: control, execs, three phase counters, pending
+   activation, selections, evictions. *)
+let test_import_rejects_unreachable () =
+  let c = R.create ~n_branches:2 { tiny with optimization_latency = 40 } in
+  (* branch 0 selected at instr 50, its code pending until 90 *)
+  ignore (feed c ~branch:0 ~taken:true ~start:5 12);
+  let good = R.export_words c in
+  Alcotest.(check bool) "reachable state accepted" true (R.validate_words c good = Ok ());
+  let forge sets =
+    let w = Array.copy good in
+    List.iter (fun (i, v) -> w.(i) <- v) sets;
+    w
+  in
+  List.iter
+    (fun (what, words) ->
+      (match R.import_words c words with
+      | () -> Alcotest.failf "%s: imported" what
+      | exception Invalid_argument m ->
+        Alcotest.(check bool)
+          (what ^ ": names import_words") true
+          (String.starts_with ~prefix:"Reactive.import_words: " m));
+      Alcotest.(check bool) (what ^ ": controller unchanged") true (R.export_words c = good))
+    [
+      ("wrong length", Array.sub good 0 9);
+      ("biased and speculating but never selected", forge [ (9, 1 lor (1 lsl 3)); (10, 30) ]);
+      ("unknown control bit", forge [ (1, good.(1) lor 128) ]);
+      ("selections past the oscillation limit", forge [ (7, 4) ]);
+      ("evictions past selections", forge [ (8, 2) ]);
+      ("monitor count past the period", forge [ (10, 3); (11, 10) ]);
+      ("activation further than the latency", forge [ (6, good.(0) + 41) ]);
+      ("pending code the phase never requests", forge [ (1, good.(1) land lnot (3 lsl 5)) ]);
+    ]
 
 let suite =
   [
@@ -341,8 +349,8 @@ let suite =
     Alcotest.test_case "independent branches" `Quick test_independent_branches;
     Alcotest.test_case "on_transition callback" `Quick test_on_transition_callback;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "import rejects unreachable states" `Quick test_import_rejects_unreachable;
     Alcotest.test_case "paper parameters" `Quick test_paper_params_select_and_evict;
     QCheck_alcotest.to_alcotest qcheck_fsm_invariants;
     QCheck_alcotest.to_alcotest qcheck_fsm_biased_branch_always_selected;
-    QCheck_alcotest.to_alcotest qcheck_step_equals_deployed_observe;
   ]

@@ -7,6 +7,7 @@ module Proto = Rs_serve.Protocol
 module Server = Rs_serve.Server
 module Client = Rs_serve.Client
 module R = Rs_core.Reactive
+module Reference = Rs_sim.Reference
 module P = Rs_core.Params
 module TS = Rs_behavior.Trace_store
 module Fault = Rs_fault.Fault
@@ -40,16 +41,19 @@ let synth_words ~seed ~n_branches ~n =
       let delta = 1 + Random.State.int st 7 in
       pack ~branch ~taken ~delta)
 
-(* Ground truth: one unsharded controller observing the same stream. *)
+(* Ground truth: the reference FSM, unsharded, observing the same
+   stream; its decisions as 2-bit codes (bit 0 speculate, bit 1 direction). *)
 let reference_codes ~params ~n_branches words =
-  let c = R.create ~n_branches params in
+  let c = Reference.create ~n_branches params in
   let instr = ref 0 in
   Array.iter
     (fun w ->
       instr := !instr + TS.packed_delta w;
-      R.observe c ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr)
+      Reference.observe c ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr)
     words;
-  Array.init n_branches (R.deployed_code c)
+  Array.init n_branches (fun b ->
+      let d = Reference.deployed c b in
+      Bool.to_int d.speculate lor (Bool.to_int d.direction lsl 1))
 
 (* --- in-process servers -------------------------------------------------- *)
 
@@ -399,6 +403,94 @@ let test_snapshot_save_failure_cleans_up () =
   | exception Sys_error _ -> ());
   Alcotest.(check bool) "no .tmp left behind" false (Sys.file_exists (path ^ ".tmp"))
 
+(* Mutated snapshots: decoding fails, or restore's checks (branch and
+   shard counts, then [Shard.import]) refuse the state, or every shard's
+   words pass [validate_words] — a mutation never installs a state the
+   controller could not reach.  Most mutations overwrite a word with a
+   small value, so many decode and reach the validation. *)
+let fuzz_n_branches = 5
+let fuzz_shards = 2
+
+let fuzz_base =
+  lazy
+    (with_fd_server ~params:tiny ~n_branches:fuzz_n_branches ~shards:fuzz_shards (fun c ->
+         Client.send_events c (synth_words ~seed:9 ~n_branches:fuzz_n_branches ~n:3_000);
+         ignore (Client.flush c);
+         Client.snapshot c))
+
+let mutate base seed =
+  let st = Random.State.make [| seed |] in
+  let b = Bytes.of_string base and len = ref (String.length base) in
+  for _ = 0 to Random.State.int st 3 do
+    match Random.State.int st 10 with
+    | 0 -> len := Random.State.int st !len
+    | 1 ->
+      let i = Random.State.int st !len in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Random.State.int st 8))
+    | _ ->
+      (* one 64-bit word past the 8-byte preamble *)
+      if !len >= 16 then
+        Bytes.set_int64_le b
+          (8 + (8 * Random.State.int st ((!len - 8) / 8)))
+          (Int64.of_int (Random.State.int st 140 - 20))
+  done;
+  Bytes.sub_string b 0 !len
+
+let qcheck_snapshot_decode_fuzz =
+  QCheck.Test.make ~name:"snapshot fuzz: decode error, refused, or valid words" ~count:500
+    QCheck.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      match Rs_serve.Snapshot.decode (mutate (Lazy.force fuzz_base) seed) with
+      | Error _ -> true
+      | Ok snap when snap.n_branches <> fuzz_n_branches || snap.shards <> fuzz_shards -> true
+      | Ok snap ->
+        snap.shard_state
+        |> Array.mapi (fun index words ->
+               let shard =
+                 Rs_serve.Shard.create ~params:tiny ~n_branches:fuzz_n_branches
+                   ~shards:fuzz_shards ~index
+               in
+               match Rs_serve.Shard.import shard words with
+               | exception Invalid_argument _ -> true
+               | () ->
+                 let c = R.create ~n_branches:(Rs_serve.Shard.owned shard) tiny in
+                 R.validate_words c words = Ok ())
+        |> Array.for_all Fun.id)
+
+(* A snapshot holding a state the machine can never reach — a branch
+   biased and speculating that was never selected — is refused at
+   startup like a shard-count mismatch, never installed. *)
+let test_restore_refuses_forged_state () =
+  let snap = Result.get_ok (Rs_serve.Snapshot.decode (Lazy.force fuzz_base)) in
+  (* shard 1's first branch: control word biased + deployed speculate,
+     selection and eviction counts zero *)
+  let words = Array.copy snap.shard_state.(1) in
+  words.(1) <- 1 lor (1 lsl 3);
+  words.(7) <- 0;
+  words.(8) <- 0;
+  let path = Filename.temp_file "rs_serve_forged" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Rs_serve.Snapshot.save ~path { snap with shard_state = [| snap.shard_state.(0); words |] };
+  let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* with its peer gone, a server that did restore stops at once *)
+  Unix.close cli_fd;
+  let transport = Server.Fd_pair (srv_fd, srv_fd) in
+  match
+    Server.run
+      {
+        params = tiny;
+        n_branches = fuzz_n_branches;
+        shards = fuzz_shards;
+        transport;
+        snapshot_path = Some path;
+      }
+  with
+  | () -> Alcotest.fail "a forged controller state was restored"
+  | exception Failure msg ->
+    Unix.close srv_fd;
+    let prefix = Printf.sprintf "serve: cannot restore snapshot %s: " path in
+    Alcotest.(check bool) ("refused: " ^ msg) true (String.starts_with ~prefix msg)
+
 (* --- protocol errors and client isolation -------------------------------- *)
 
 (* Send one raw frame and read until the server closes the connection;
@@ -576,6 +668,9 @@ let suite =
     Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
     Alcotest.test_case "snapshot/restore byte-identity" `Quick test_snapshot_restore_identity;
     Alcotest.test_case "snapshot codec validation" `Quick test_snapshot_shard_count_pinned;
+    Alcotest.test_case "restore refuses a forged controller state" `Quick
+      test_restore_refuses_forged_state;
+    QCheck_alcotest.to_alcotest qcheck_snapshot_decode_fuzz;
     Alcotest.test_case "snapshot save failure cleans up" `Quick
       test_snapshot_save_failure_cleans_up;
     Alcotest.test_case "bad client isolated" `Quick test_bad_client_isolated;
