@@ -1,18 +1,13 @@
-(* Bench harness.
+(* Bench harness: a bechamel microbenchmark per table/figure, the hot
+   kernel that the corresponding reproduction spends its time in
+   (controller steps, stream generation, profiling, distillation, MSSP
+   tasks), so regressions in the machinery that regenerates each
+   artifact are visible as timing changes.  The reproductions themselves
+   are [rspec all].
 
-   Two layers:
-
-   1. The REPRODUCTION harness: regenerates every table and figure of the
-      paper at the context given by RS_SCALE / RS_SEED / RS_TAU / RS_JOBS
-      (default scale 0.25 keeps the whole run to a few minutes; raise it
-      for more faithful counts).  This is the output that should be compared
-      against the paper, shape-wise.
-
-   2. A bechamel microbenchmark per table/figure: the hot kernel that the
-      corresponding reproduction spends its time in (controller steps,
-      stream generation, profiling, distillation, MSSP tasks), so
-      regressions in the machinery that regenerates each artifact are
-      visible as timing changes. *)
+     bench               print every kernel's estimates
+     bench --json FILE   the same kernels plus two figure5 wall-clock
+                         comparisons, as JSON for CI *)
 
 open Bechamel
 open Toolkit
@@ -353,10 +348,10 @@ let run_microbenchmarks () =
     (measure_kernels ())
 
 (* ---------------------------------------------------------------------- *)
-(* Reproductions                                                           *)
+(* JSON mode (--json FILE)                                                 *)
 (* ---------------------------------------------------------------------- *)
 
-(* The harness takes its context from the environment; a malformed
+(* The JSON mode takes its context from the environment; a malformed
    value fails naming its variable instead of falling back to a default. *)
 let env parse var default =
   match Sys.getenv_opt var with
@@ -366,58 +361,13 @@ let env parse var default =
     | Some v -> v
     | None -> failwith (Printf.sprintf "%s: malformed value %S" var s))
 
-let run_reproductions () =
-  let d = Rs_experiments.Context.default in
-  let ctx =
-    Rs_experiments.Context.create
-      ~seed:(env int_of_string_opt "RS_SEED" d.seed)
-      ~scale:(env float_of_string_opt "RS_SCALE" d.scale)
-      ~tau:(env int_of_string_opt "RS_TAU" d.tau)
-      ~jobs:(env int_of_string_opt "RS_JOBS" d.jobs)
-      ()
-  in
-  Printf.printf "== reproductions [%s] ==\n%!" (Rs_experiments.Context.describe ctx);
-  let section name f =
-    Printf.printf "\n-------- %s --------\n%!" name;
-    let t0 = Sys.time () in
-    f ctx;
-    Printf.printf "(%s took %.1fs cpu)\n%!" name (Sys.time () -. t0)
-  in
-  let via run render ctx = print_string (render (run ctx)) in
-  section "table1" (via Rs_experiments.Table1.run Rs_experiments.Table1.render);
-  section "table2" (via Rs_experiments.Table2.run Rs_experiments.Table2.render);
-  section "figure1" (via Rs_experiments.Figure1.run Rs_experiments.Figure1.render);
-  section "figure2" (via Rs_experiments.Figure2.run Rs_experiments.Figure2.render);
-  section "figure3" (via Rs_experiments.Figure3.run Rs_experiments.Figure3.render);
-  section "figure5+table4"
-    (fun ctx ->
-      let f5 = Rs_experiments.Figure5.run ctx in
-      print_string (Rs_experiments.Figure5.render f5);
-      print_string (Rs_experiments.Table4.render (Rs_experiments.Table4.of_figure5 f5)));
-  section "table3" (via Rs_experiments.Table3.run Rs_experiments.Table3.render);
-  section "figure6" (via Rs_experiments.Figure6.run Rs_experiments.Figure6.render);
-  section "figure9" (via Rs_experiments.Figure9.run Rs_experiments.Figure9.render);
-  section "table5" (via Rs_experiments.Table5.run Rs_experiments.Table5.render);
-  section "figure7" (via Rs_experiments.Figure7.run Rs_experiments.Figure7.render);
-  section "figure8" (via Rs_experiments.Figure8.run Rs_experiments.Figure8.render);
-  section "correlation (sec 4.3)" (via Rs_experiments.Correlation.run Rs_experiments.Correlation.render);
-  section "ablations" (via Rs_experiments.Ablations.run Rs_experiments.Ablations.render);
-  section "breakeven (sec 2.1)" (via Rs_experiments.Breakeven.run Rs_experiments.Breakeven.render);
-  section "extension: value speculation" (via Rs_experiments.Extension_values.run Rs_experiments.Extension_values.render);
-  section "paper-claim checklist" (via Rs_experiments.Claims.run Rs_experiments.Claims.render);
-  Printf.printf "\n%s\n%!" (Rs_experiments.Cache.describe (Rs_experiments.Cache.stats ()))
-
-(* ---------------------------------------------------------------------- *)
-(* JSON mode (--json FILE)                                                 *)
-(* ---------------------------------------------------------------------- *)
-
 (* Machine-readable results for CI and for committing alongside the
    repo: kernel estimates (ns and minor words per run), the
    trace-replay-vs-stream-generation speedup, and a wall-clock
    comparison of one real swept experiment (figure5) with trace replay
    on (the default trace-store capacity) and off (capacity 0: every
-   stream generated live).  Reproductions are skipped — this mode is
-   meant to stay cheap enough for a CI smoke stage. *)
+   stream generated live).  It stays cheap enough for a CI smoke
+   stage. *)
 
 let time_figure5 ~replay ctx =
   Rs_behavior.Trace_store.set_capacity_bytes
@@ -541,10 +491,7 @@ let run_json file =
 let () =
   match Sys.argv with
   | [| _; "--json"; file |] -> run_json file
-  | [| _ |] ->
-    run_reproductions ();
-    print_newline ();
-    run_microbenchmarks ()
+  | [| _ |] -> run_microbenchmarks ()
   | _ ->
     prerr_endline "usage: bench [--json FILE]";
     exit 2

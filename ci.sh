@@ -47,9 +47,10 @@ done
 # Same stress with the trace store's recording site also failing: the
 # pipeline records streams once and replays them, so a fault inside
 # trace_store.record must be retried away without changing a byte.
-# max_raises is a PER-SITE budget and a cache compute body now consults
-# two sites (cache.* plus trace_store.record), so the worst case is
-# max_raises * 2 raises against 3 attempts: max_raises=1 keeps the
+# max_raises is a per-(site, key) budget, and each memo compute body
+# (Rs_util.Memo) consults one raising site: a recording retries inside
+# the trace store's own memo, not inside the cache body that asked for
+# it.  Any max_raises below the retry limit (3) therefore keeps the
 # retries-always-succeed guarantee that byte-identity rests on.
 echo "== fault stress (trace_store.record site) =="
 RS_FAULTS="seed=3,rate=0.8,max_raises=1,sites=cache:trace_store,delay=0.2,delay_us=300,delay_sites=pool" \
@@ -312,12 +313,14 @@ rm -f "$BENCH_JSON"
 # scheduler counters so the CI log records the shared-work activity
 # behind the identity.  Order independence: an entry run alone from a
 # cold cache at --jobs 8 must reproduce its section of the jobs-1
-# `rspec all` — breakeven, the four MSSP entries (figure7, figure8,
-# correlation, claims) and the three entries that check the kernel
-# against the reference FSM (adversarial, mistrain, interleave) with
-# the default trace store, and the
-# trace-consuming entries with --trace-cache-mb 0, which generates every
-# stream live instead of replaying a recording.
+# `rspec all` — every entry: the trace-consuming ones (figure3,
+# figure5, figure6, figure9, table3) with --trace-cache-mb 0, which
+# generates every stream live instead of replaying a recording, the
+# rest with the default trace store, and figure6 and figure9 also with
+# the default store under injected faults in the cache and the trace
+# store.  Run alone, their recordings happen outside any cache compute
+# body, so only the trace store's own retries can absorb a recording
+# fault.
 echo "== scheduler (rspec all: jobs 1 vs 8, entries alone, live vs replay, two seeds) =="
 SCHED_DIR=$(mktemp -d /tmp/rs_sched.XXXXXX)
 run_alone() { # run_alone <seed> <entry> [flags...]: cmp against its section of j1.txt
@@ -349,8 +352,15 @@ for seed in 3 11; do
   for name in adversarial mistrain interleave; do
     run_alone "$seed" "$name"
   done
+  for name in figure1 figure2 table1 table2 table4 table5 ablations values; do
+    run_alone "$seed" "$name"
+  done
   for name in figure3 figure5 figure6 figure9 table3; do
     run_alone "$seed" "$name" --trace-cache-mb 0
+  done
+  for name in figure6 figure9; do
+    RS_FAULTS="seed=3,rate=0.8,max_raises=1,sites=cache:trace_store,delay=0.2,delay_us=300,delay_sites=pool" \
+      run_alone "$seed" "$name"
   done
   echo "scheduler identity ok at seed=$seed"
 done

@@ -157,162 +157,22 @@ let iter_chunks ?(caller = "Trace_store.iter_chunks") ?trace pop (cfg : Stream.c
 
 let default_capacity_mb = 512
 
-type entry = { trace : t; mutable stamp : int }
-type slot = In_flight | Ready of entry
-
-(* One lock guards the table, the recency stamps and the byte total;
-   recording happens outside it under an [In_flight] marker, exactly
-   like the artifact cache's compute slots. *)
-let lock = Mutex.create ()
-let published = Condition.create ()
-let table : (string * Stream.config, slot) Hashtbl.t = Hashtbl.create 16
-let tick = ref 0
-let held_bytes = ref 0
-let capacity = ref (default_capacity_mb * 1024 * 1024)
-
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let evictions = Atomic.make 0
-
-let m_hits = Rs_obs.Metrics.counter "trace_store.hits"
-let m_misses = Rs_obs.Metrics.counter "trace_store.misses"
-let m_evictions = Rs_obs.Metrics.counter "trace_store.evictions"
-let g_bytes = Rs_obs.Metrics.gauge "trace_store.bytes"
-let g_entries = Rs_obs.Metrics.gauge "trace_store.entries"
-
-let trace_event ~key outcome =
-  if Rs_obs.Trace.enabled () then
-    Rs_obs.Trace.emit "trace_store" [ S ("outcome", outcome); S ("key", key) ]
-
-let count_lookup ~key ~hit =
-  Atomic.incr (if hit then hits else misses);
-  Rs_obs.Metrics.incr (if hit then m_hits else m_misses);
-  trace_event ~key (if hit then "hit" else "miss")
-
-(* Entry/byte gauges are refreshed under [lock] after every mutation. *)
-let refresh_gauges () =
-  Rs_obs.Metrics.set g_bytes !held_bytes;
-  let entries =
-    Hashtbl.fold (fun _ slot n -> match slot with Ready _ -> n + 1 | In_flight -> n) table 0
-  in
-  Rs_obs.Metrics.set g_entries entries
-
-(* Evict least-recently-used [Ready] entries until the held bytes fit.
-   Called with [lock] held. *)
-let evict_to_fit () =
-  while
-    !held_bytes > !capacity
-    &&
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k slot ->
-        match slot with
-        | Ready e -> (
-          match !victim with
-          | Some (_, oldest) when oldest.stamp <= e.stamp -> ()
-          | _ -> victim := Some (k, e))
-        | In_flight -> ())
-      table;
-    match !victim with
-    | None -> false
-    | Some (((key, _) as k), e) ->
-      Hashtbl.remove table k;
-      held_bytes := !held_bytes - bytes e.trace;
-      Atomic.incr evictions;
-      Rs_obs.Metrics.incr m_evictions;
-      trace_event ~key "evict";
-      true
-  do
-    ()
-  done
+let store : (string * Stream.config, t) Rs_util.Memo.t =
+  Rs_util.Memo.create ~budget:(default_capacity_mb * 1024 * 1024) ~size:bytes "trace_store"
 
 let cached ~key pop cfg =
-  let k = (key, cfg) in
-  Mutex.lock lock;
-  let rec get () =
-    match Hashtbl.find_opt table k with
-    | Some (Ready e) ->
-      incr tick;
-      e.stamp <- !tick;
-      Mutex.unlock lock;
-      count_lookup ~key ~hit:true;
-      Some e.trace
-    | Some In_flight ->
-      Condition.wait published lock;
-      get ()
-    | None when bytes_for cfg > !capacity ->
-      (* could never be held: the caller generates live instead *)
-      Mutex.unlock lock;
-      count_lookup ~key ~hit:false;
-      None
-    | None ->
-      Hashtbl.replace table k In_flight;
-      Mutex.unlock lock;
-      count_lookup ~key ~hit:false;
-      let trace =
-        try record pop cfg
-        with e ->
-          (* drop our marker so waiters recompute instead of parking *)
-          Mutex.lock lock;
-          (match Hashtbl.find_opt table k with
-          | Some In_flight -> Hashtbl.remove table k
-          | _ -> ());
-          Condition.broadcast published;
-          Mutex.unlock lock;
-          raise e
-      in
-      Mutex.lock lock;
-      incr tick;
-      Hashtbl.replace table k (Ready { trace; stamp = !tick });
-      held_bytes := !held_bytes + bytes trace;
-      evict_to_fit ();
-      refresh_gauges ();
-      Condition.broadcast published;
-      Mutex.unlock lock;
-      Some trace
-  in
-  get ()
+  Rs_util.Memo.find_if_fits store ~label:key ~bytes:(bytes_for cfg) (key, cfg) (fun () ->
+      record pop cfg)
 
-type stats = { hits : int; misses : int; evictions : int; entries : int; bytes : int }
+type stats = Rs_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+  bytes : int;
+}
 
-let stats () =
-  Mutex.lock lock;
-  let entries =
-    Hashtbl.fold (fun _ slot n -> match slot with Ready _ -> n + 1 | In_flight -> n) table 0
-  in
-  let bytes = !held_bytes in
-  Mutex.unlock lock;
-  {
-    hits = Atomic.get hits;
-    misses = Atomic.get misses;
-    evictions = Atomic.get evictions;
-    entries;
-    bytes;
-  }
-
-let capacity_bytes () = !capacity
-
-let set_capacity_bytes b =
-  Mutex.lock lock;
-  capacity := max 0 b;
-  evict_to_fit ();
-  refresh_gauges ();
-  Mutex.unlock lock
-
-let clear () =
-  Mutex.lock lock;
-  (* keep [In_flight] markers: their recorder will publish (or drop)
-     them; dropping someone else's marker here would strand waiters *)
-  let ready =
-    Hashtbl.fold
-      (fun k slot acc -> match slot with Ready _ -> k :: acc | In_flight -> acc)
-      table []
-  in
-  List.iter (Hashtbl.remove table) ready;
-  held_bytes := 0;
-  Atomic.set hits 0;
-  Atomic.set misses 0;
-  Atomic.set evictions 0;
-  refresh_gauges ();
-  Condition.broadcast published;
-  Mutex.unlock lock
+let stats () = Rs_util.Memo.stats store
+let capacity_bytes () = Rs_util.Memo.budget store
+let set_capacity_bytes b = Rs_util.Memo.set_budget store b
+let clear () = Rs_util.Memo.clear store

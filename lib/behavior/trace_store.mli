@@ -15,15 +15,14 @@
     the ablations): the generator runs once and every later pass decodes
     flat memory.  A process-global, capacity-bounded LRU ({!cached})
     shares recordings across consumers, keyed on a caller-supplied
-    population key plus the stream config.  Capacity defaults to
-    {!default_capacity_mb} MB and is set with {!set_capacity_bytes} (the
-    CLI's [--trace-cache-mb]); a stream whose recording cannot fit —
-    every stream, at capacity 0 — is not recorded, and its consumers
-    generate it live.  Lookups feed the [trace_store.hits] / [.misses] /
-    [.evictions] counters and the [trace_store.bytes] / [.entries]
-    gauges of {!Rs_obs.Metrics} and, when tracing is on, emit
-    ["trace_store"] {!Rs_obs.Trace} events.  All cache operations are
-    domain-safe; concurrent requests for one key record it exactly once.
+    population key plus the stream config.  It is one
+    {!Rs_util.Memo} named ["trace_store"], so it shares that module's
+    in-flight sharing, bounded retry, waits that help the pool and
+    [trace_store.*] metrics with the experiment cache's memos.  Capacity
+    defaults to {!default_capacity_mb} MB and is set with
+    {!set_capacity_bytes} (the CLI's [--trace-cache-mb]); a stream whose
+    recording cannot fit — every stream, at capacity 0 — is not
+    recorded, and its consumers generate it live.
 
     Recording consults the ["trace_store.record"] fault-injection site
     through {!fault_hook} (wired up by [Rs_fault.Fault.configure],
@@ -97,7 +96,15 @@ val packed_branch : int -> int
 val packed_taken : int -> bool
 val packed_delta : int -> int
 
-(** {2 The process-global LRU} *)
+(** {2 The process-global LRU}
+
+    A {!Rs_util.Memo} whose values weigh their packed {!bytes} and whose
+    budget is the capacity.  A recording is a compute body of that memo:
+    concurrent requests for one key record it once, a failed recording
+    (an injected [trace_store.record] fault, say) is retried in place up
+    to {!Rs_util.Memo.retry_limit} attempts, and a latecomer in a pool
+    helps the pool while it waits.  Recording waits on nothing, which
+    keeps the memo waits acyclic (see {!Rs_util.Memo}). *)
 
 val cached : key:string -> Population.t -> Stream.config -> t option
 (** The trace for [(key, config)], recording it on a miss, or [None]
@@ -107,7 +114,8 @@ val cached : key:string -> Population.t -> Stream.config -> t option
     population (equal keys with equal configs must mean identical
     streams — the caller's contract).  Entries are evicted
     least-recently-used first whenever the packed bytes held exceed the
-    capacity. *)
+    capacity.
+    @raise the recording's exception once every retry has failed. *)
 
 type stats = {
   hits : int;
@@ -127,7 +135,8 @@ val set_capacity_bytes : int -> unit
 (** Negative values are clamped to 0; shrinking evicts immediately. *)
 
 val clear : unit -> unit
-(** Drop every cached trace and zero the hit/miss/eviction counters. *)
+(** Drop every cached trace and zero the hit/miss/eviction counters
+    ({!Rs_util.Memo.clear}). *)
 
 val fault_hook : (site:string -> key:string -> unit) ref
 (** Consulted at the ["trace_store.record"] site before each recording.

@@ -18,13 +18,6 @@ type result = {
 let fault_hook : (site:string -> key:string -> unit) ref =
   ref (fun ~site:_ ~key:_ -> ())
 
-(* Bounded retries around the pipeline, mirroring the experiment cache:
-   a fault plan with a finite per-key raise budget yields byte-identical
-   results once the budget is spent. *)
-let limit = ref 3
-let retry_limit () = !limit
-let set_retry_limit n = limit := max 1 n
-
 let distill ?(inline_budget = 8) (p : Rs_ir.Program.t) (assumptions : Assumptions.t) =
   let pass name = !fault_hook ~site:"distill.pass" ~key:name in
   let compute () =
@@ -65,10 +58,10 @@ let distill ?(inline_budget = 8) (p : Rs_ir.Program.t) (assumptions : Assumption
         };
     }
   in
-  let rec attempt n =
-    try compute () with _ when n + 1 < retry_limit () -> attempt (n + 1)
-  in
-  attempt 0
+  (* Bounded retries around the pipeline, the memos' rule: a fault plan
+     with a finite per-key raise budget yields identical results once
+     the budget is spent. *)
+  Rs_util.Memo.retry compute
 
 module Cache = struct
   type nonrec t = { prog : Rs_ir.Program.t; table : (string, result) Hashtbl.t }

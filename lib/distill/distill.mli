@@ -28,19 +28,13 @@ type result = {
 
 val distill : ?inline_budget:int -> Rs_ir.Program.t -> Assumptions.t -> result
 (** [inline_budget] (default 8) bounds the number of call sites inlined
-    along the hot path. *)
+    along the hot path.  A pipeline that raises is rerun whole under
+    {!Rs_util.Memo.retry}. *)
 
 val fault_hook : (site:string -> key:string -> unit) ref
 (** Consulted at site ["distill.pass"] before each pipeline pass (key =
     pass name).  Default no-op.  Not for general use — install
     [Rs_fault.Fault] plans via its [configure]. *)
-
-val retry_limit : unit -> int
-(** Total pipeline attempts before an injected fault propagates
-    (default 3). *)
-
-val set_retry_limit : int -> unit
-(** Clamped to at least 1; only for tests. *)
 
 (** Per-region distillation cache. *)
 module Cache : sig

@@ -35,9 +35,6 @@ val local_cse : Rs_ir.Func.t -> Rs_ir.Func.t
     [Mov] from the earlier result.  Loads are available until the next
     store (no aliasing information, so any store kills all loads). *)
 
-val merge_blocks : Rs_ir.Func.t -> Rs_ir.Func.t
-(** Merge each block into its unique jump-predecessor. *)
-
 val optimize : Rs_ir.Func.t -> Rs_ir.Func.t
 (** CSE / constant folding / DCE / block merging / CFG simplification
     iterated to a (bounded) fixpoint. *)

@@ -1,6 +1,7 @@
 module BM = Rs_workload.Benchmark
 module Static = Rs_core.Static
 module Fault = Rs_fault.Fault
+module Memo = Rs_util.Memo
 
 type stats = {
   build_hits : int;
@@ -13,200 +14,6 @@ type stats = {
   mssp_misses : int;
 }
 
-(* One lock and condition guard every table: contention is per-artifact
-   (seconds of simulation behind each entry), not per-lookup, so a finer
-   scheme would buy nothing.  A key being computed holds an [In_flight]
-   slot; latecomers for the same key wait for it instead of computing it
-   a second time.
-
-   A latecomer working in a pool of two or more domains (a worker, or
-   any domain inside one of its maps, however many external callers map
-   at once) waits by helping that pool ({!Rs_util.Pool.await}) until the
-   slot is no longer [In_flight]; any other latecomer blocks on
-   [published].  Inside a compute body a domain always blocks.  That
-   keeps waiting acyclic whichever domains help, since it rests only on
-   the compute-body depth: builds and MSSP runs never wait on anything,
-   profiles and runs only wait on builds, and a helping domain holds no
-   [In_flight] slot, so no task it picks up can need a key further down
-   its own stack. *)
-let lock = Mutex.create ()
-let published = Condition.create ()
-
-(* The pools of the waiters currently helping, one entry per waiter,
-   woken after every publish and reset whichever domain made it.
-   Guarded by [lock]. *)
-let helping : Rs_util.Pool.t list ref = ref []
-
-(* How many compute bodies this domain is inside. *)
-let computing = Domain.DLS.new_key (fun () -> ref 0)
-
-let rec remove_one p = function [] -> [] | q :: r -> if q == p then r else q :: remove_one p r
-
-(* Entered with [lock] held, which it releases. *)
-let broadcast () =
-  Condition.broadcast published;
-  let pools = !helping in
-  Mutex.unlock lock;
-  List.iter Rs_util.Pool.wake pools
-
-(* Bumped by [reset] under [lock].  A computation records the generation
-   it started under and re-checks before publishing, so a slot computed
-   before a reset can never resurrect into the post-reset table. *)
-let generation = ref 0
-
-(* Transient failures are retried in place: the computing caller invokes
-   the body up to [retry_limit ()] times before giving up, so a blip
-   (I/O hiccup, injected fault) never poisons a key.  A published
-   [Failed] slot records the attempts it consumed; lookups that find an
-   exhausted slot re-raise the stored exception — counted as misses so
-   [--cache-stats] totals add up — rather than re-running a computation
-   that deterministically fails. *)
-let limit = ref 3
-
-let retry_limit () = !limit
-let set_retry_limit n = limit := max 1 n
-
-type 'v slot = In_flight | Ready of 'v | Failed of exn * int (* attempts consumed *)
-
-(* Hit/miss counters are [Atomic.t], not plain ints: the metrics layer
-   reads them concurrently with pool workers bumping them, and the
-   profile-upgrade path below touches [misses] from whichever domain
-   noticed the stale entry. *)
-type ('k, 'v) memo = {
-  kind : string;
-  table : ('k, 'v slot) Hashtbl.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  m_hits : Rs_obs.Metrics.counter;
-  m_misses : Rs_obs.Metrics.counter;
-  m_retries : Rs_obs.Metrics.counter;
-}
-
-(* Every memo registers its clearing thunk so [reset] drops them all —
-   including the private memos the test suite creates.  Guarded by
-   [lock]. *)
-let resetters : (unit -> unit) list ref = ref []
-
-let memo kind =
-  let m =
-    {
-      kind;
-      table = Hashtbl.create 64;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      m_hits = Rs_obs.Metrics.counter (Printf.sprintf "cache.%s.hits" kind);
-      m_misses = Rs_obs.Metrics.counter (Printf.sprintf "cache.%s.misses" kind);
-      m_retries = Rs_obs.Metrics.counter (Printf.sprintf "cache.%s.retries" kind);
-    }
-  in
-  Mutex.lock lock;
-  resetters :=
-    (fun () ->
-      Hashtbl.reset m.table;
-      Atomic.set m.hits 0;
-      Atomic.set m.misses 0)
-    :: !resetters;
-  Mutex.unlock lock;
-  m
-
-let count_lookup m ~bench ~hit =
-  Atomic.incr (if hit then m.hits else m.misses);
-  Rs_obs.Metrics.incr (if hit then m.m_hits else m.m_misses);
-  if Rs_obs.Trace.enabled () then
-    Rs_obs.Trace.emit "cache"
-      [
-        S ("kind", m.kind);
-        S ("outcome", (if hit then "hit" else "miss"));
-        S ("bench", bench);
-      ]
-
-let count_retry m ~bench =
-  Rs_obs.Metrics.incr m.m_retries;
-  if Rs_obs.Trace.enabled () then
-    Rs_obs.Trace.emit "cache"
-      [ S ("kind", m.kind); S ("outcome", "retry"); S ("bench", bench) ]
-
-(* Run the compute body with bounded in-place retries, starting from
-   [attempts] already consumed by earlier rounds. *)
-let attempt_body m ~bench ~attempts f =
-  let depth = Domain.DLS.get computing in
-  let rec go n =
-    match f () with
-    | v -> Ready v
-    | exception e ->
-      let n = n + 1 in
-      if n >= !limit then Failed (e, n)
-      else begin
-        count_retry m ~bench;
-        go n
-      end
-  in
-  incr depth;
-  Fun.protect ~finally:(fun () -> decr depth) (fun () -> go attempts)
-
-(* Publish [slot] for [key] unless a [reset] raced the computation: then
-   the table was already cleared (and may hold post-reset entries), so
-   the stale result is dropped — only our own leftover [In_flight]
-   marker, if any, is removed so nobody waits on it forever. *)
-let publish m key slot ~gen0 =
-  Mutex.lock lock;
-  (if !generation = gen0 then Hashtbl.replace m.table key slot
-   else
-     match Hashtbl.find_opt m.table key with
-     | Some In_flight -> Hashtbl.remove m.table key
-     | _ -> ());
-  broadcast ()
-
-(* Wait until [key] is no longer [In_flight].  Entered and left with
-   [lock] held.  The helping waiter tests the slot under [lock], which
-   every publish and reset takes before waking the pools in [helping]:
-   no wakeup is lost. *)
-let wait_for_publish m key =
-  match Rs_util.Pool.current () with
-  | Some pool when !(Domain.DLS.get computing) = 0 ->
-    helping := pool :: !helping;
-    Mutex.unlock lock;
-    Rs_util.Pool.await pool (fun () ->
-        Mutex.lock lock;
-        let flying = match Hashtbl.find_opt m.table key with Some In_flight -> true | _ -> false in
-        Mutex.unlock lock;
-        not flying);
-    Mutex.lock lock;
-    helping := remove_one pool !helping
-  | _ -> Rs_util.Pool.blocking (fun () -> Condition.wait published lock)
-
-let find_or_compute m ~bench key f =
-  (* [compute] is entered with [lock] held and returns with it released. *)
-  let compute ~attempts =
-    Hashtbl.replace m.table key In_flight;
-    let gen0 = !generation in
-    Mutex.unlock lock;
-    count_lookup m ~bench ~hit:false;
-    let slot = attempt_body m ~bench ~attempts f in
-    publish m key slot ~gen0;
-    match slot with Ready v -> v | Failed (e, _) -> raise e | In_flight -> assert false
-  in
-  Mutex.lock lock;
-  let rec get () =
-    match Hashtbl.find_opt m.table key with
-    | Some (Ready v) ->
-      Mutex.unlock lock;
-      count_lookup m ~bench ~hit:true;
-      v
-    | Some (Failed (e, attempts)) when attempts >= !limit ->
-      Mutex.unlock lock;
-      (* waiters woken on — and later callers finding — an exhausted slot
-         count as misses so the hit/miss totals add up *)
-      count_lookup m ~bench ~hit:false;
-      raise e
-    | Some (Failed (_, attempts)) -> compute ~attempts
-    | Some In_flight ->
-      wait_for_publish m key;
-      get ()
-    | None -> compute ~attempts:0
-  in
-  get ()
-
 (* Cache keys carry the context minus [jobs]: parallelism must never
    change what is computed. *)
 type ckey = { seed : int; scale : float; tau : int; bench : string; input : BM.input }
@@ -214,14 +21,16 @@ type ckey = { seed : int; scale : float; tau : int; bench : string; input : BM.i
 let ckey (ctx : Context.t) (bm : BM.t) input =
   { seed = ctx.seed; scale = ctx.scale; tau = ctx.tau; bench = bm.name; input }
 
-let builds : (ckey, Rs_behavior.Population.t * Rs_behavior.Stream.config) memo = memo "build"
-let profiles : (ckey, Rs_sim.Profile.t) memo = memo "profile"
-let runs : (ckey * Rs_core.Params.t, Rs_sim.Engine.result) memo = memo "run"
+let builds : (ckey, Rs_behavior.Population.t * Rs_behavior.Stream.config) Memo.t =
+  Memo.create "cache.build"
+
+let profiles : (ckey, Rs_sim.Profile.t) Memo.t = Memo.create "cache.profile"
+let runs : (ckey * Rs_core.Params.t, Rs_sim.Engine.result) Memo.t = Memo.create "cache.run"
 
 let input_tag : BM.input -> string = function Ref -> "ref" | Train -> "train"
 
 let build ctx bm ~input =
-  find_or_compute builds ~bench:bm.BM.name (ckey ctx bm input) (fun () ->
+  Memo.find_or_compute builds ~label:bm.BM.name (ckey ctx bm input) (fun () ->
       Fault.hit ~site:"cache.build" ~key:(bm.BM.name ^ "/" ^ input_tag input);
       Context.build ctx bm ~input)
 
@@ -240,22 +49,13 @@ let trace ctx bm ~input =
   let pop, cfg = build ctx bm ~input in
   Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg
 
-(* Fabricated traces (the adversarial scenario families) are keyed by a
-   caller-supplied string instead of a ckey: their populations are not
-   benchmark-derived.  Routing the recording through a memo gives it the
-   same bounded-retry semantics as every other compute body — a fault at
-   the [trace_store.record] site is retried away instead of failing the
-   experiment.  The benchmark paths above get this for free because
-   their recordings happen inside the [run]/[profile] bodies.  The
-   reference checks these traces feed need a recording, so one the
-   store cannot hold is recorded for the memo alone. *)
-let fabricated : (string, Rs_behavior.Trace_store.t) memo = memo "trace"
-
+(* The reference checks fabricated traces feed need a recording, so one
+   the store cannot hold is recorded for the caller alone, with the same
+   bounded retries. *)
 let fabricated_trace ~key pop cfg =
-  find_or_compute fabricated ~bench:key key (fun () ->
-      match Rs_behavior.Trace_store.cached ~key pop cfg with
-      | Some trace -> trace
-      | None -> Rs_behavior.Trace_store.record pop cfg)
+  match Rs_behavior.Trace_store.cached ~key pop cfg with
+  | Some trace -> trace
+  | None -> Memo.retry (fun () -> Rs_behavior.Trace_store.record pop cfg)
 
 (* Every checkpoint window the suite requests anywhere: the paper-time
    windows (figure5's default profiles), the context's compressed windows
@@ -274,42 +74,24 @@ let covers p needed =
   let have = Rs_sim.Profile.windows p in
   Array.for_all (fun w -> Array.exists (( = ) w) have) needed
 
-let rec profile ?(windows = Static.windows) ctx bm ~input =
-  let key = ckey ctx bm input in
-  let collect extra =
+let profile ?(windows = Static.windows) ctx bm ~input =
+  let collect extra () =
     Fault.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
     let pop, cfg = build ctx bm ~input in
     Rs_sim.Profile.collect
       ~windows:(canonical_windows ctx extra)
       ?trace:(trace ctx bm ~input) pop cfg
   in
-  let p = find_or_compute profiles ~bench:bm.BM.name key (fun () -> collect windows) in
-  if covers p windows then p
-  else begin
-    (* A window outside the canonical set: upgrade the entry in place
-       with the union so later callers keep sharing one profile. *)
-    Mutex.lock lock;
-    match Hashtbl.find_opt profiles.table key with
-    | Some (Ready stale) when not (covers stale windows) ->
-      Hashtbl.replace profiles.table key In_flight;
-      let gen0 = !generation in
-      Mutex.unlock lock;
-      count_lookup profiles ~bench:bm.BM.name ~hit:false;
-      let slot =
-        attempt_body profiles ~bench:bm.BM.name ~attempts:0 (fun () ->
-            collect (Array.append (Rs_sim.Profile.windows stale) windows))
-      in
-      publish profiles key slot ~gen0;
-      (match slot with Ready v -> v | Failed (e, _) -> raise e | In_flight -> assert false)
-    | _ ->
-      (* Another domain upgraded, recomputed or reset the entry while we
-         looked: retry from the top (find_or_compute handles waiting). *)
-      Mutex.unlock lock;
-      profile ~windows ctx bm ~input
-  end
+  (* A window outside the canonical set upgrades the entry in place with
+     the union, so later callers keep sharing one profile. *)
+  let refresh stale =
+    if covers stale windows then None
+    else Some (collect (Array.append (Rs_sim.Profile.windows stale) windows))
+  in
+  Memo.find_or_compute profiles ~label:bm.BM.name ~refresh (ckey ctx bm input) (collect windows)
 
 let run ctx bm ~input params =
-  find_or_compute runs ~bench:bm.BM.name
+  Memo.find_or_compute runs ~label:bm.BM.name
     (ckey ctx bm input, params)
     (fun () ->
       Fault.hit ~site:"cache.run"
@@ -326,12 +108,13 @@ let run ctx bm ~input params =
    are the whole key.  The context's scale and tau never reach the
    model. *)
 let mssp_runs :
-    (int * Rs_mssp.Workload.t * Rs_core.Params.t * Rs_mssp.Config.t, Rs_mssp.Machine.stats) memo
-    =
-  memo "mssp"
+    ( int * Rs_mssp.Workload.t * Rs_core.Params.t * Rs_mssp.Config.t,
+      Rs_mssp.Machine.stats )
+    Memo.t =
+  Memo.create "cache.mssp"
 
 let mssp ?(config = Rs_mssp.Config.default) (spec : Rs_mssp.Workload.t) ~seed ~instance params =
-  find_or_compute mssp_runs ~bench:spec.name (seed, spec, params, config) (fun () ->
+  Memo.find_or_compute mssp_runs ~label:spec.name (seed, spec, params, config) (fun () ->
       Fault.hit ~site:"cache.mssp"
         ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash (params, config) land 0xffff));
       let inst = Lazy.force instance in
@@ -340,15 +123,23 @@ let mssp ?(config = Rs_mssp.Config.default) (spec : Rs_mssp.Workload.t) ~seed ~i
       Rs_mssp.Machine.run ~config inst ~seed ~params)
 
 let stats () =
+  let hits_misses m =
+    let s = Memo.stats m in
+    (s.hits, s.misses)
+  in
+  let build_hits, build_misses = hits_misses builds in
+  let profile_hits, profile_misses = hits_misses profiles in
+  let run_hits, run_misses = hits_misses runs in
+  let mssp_hits, mssp_misses = hits_misses mssp_runs in
   {
-    build_hits = Atomic.get builds.hits;
-    build_misses = Atomic.get builds.misses;
-    profile_hits = Atomic.get profiles.hits;
-    profile_misses = Atomic.get profiles.misses;
-    run_hits = Atomic.get runs.hits;
-    run_misses = Atomic.get runs.misses;
-    mssp_hits = Atomic.get mssp_runs.hits;
-    mssp_misses = Atomic.get mssp_runs.misses;
+    build_hits;
+    build_misses;
+    profile_hits;
+    profile_misses;
+    run_hits;
+    run_misses;
+    mssp_hits;
+    mssp_misses;
   }
 
 (* The rate keeps its original scope (builds, profiles, engine runs), so
@@ -367,22 +158,13 @@ let describe s =
     (100.0 *. hit_rate s) s.mssp_hits s.mssp_misses
 
 let reset () =
-  Mutex.lock lock;
-  incr generation;
-  List.iter (fun clear -> clear ()) !resetters;
-  (* wake any waiter on an [In_flight] entry the reset just dropped: it
-     re-checks, finds nothing and recomputes *)
-  broadcast ();
+  Memo.clear builds;
+  Memo.clear profiles;
+  Memo.clear runs;
+  Memo.clear mssp_runs;
   Rs_behavior.Trace_store.clear ();
   (* Collect what was just dropped (a suite's recordings alone are
      ~330 MB at scale 0.02): the major GC may not otherwise run before a
      process that resets starts over, and would hold both generations at
      once. *)
   Gc.full_major ()
-
-module Private = struct
-  type nonrec ('k, 'v) memo = ('k, 'v) memo
-
-  let memo = memo
-  let find_or_compute = find_or_compute
-end

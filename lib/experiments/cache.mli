@@ -21,35 +21,19 @@
     share one physical profile.  A request for a window outside the
     cached set upgrades the entry in place with the union.
 
-    All entries are immutable once published and all operations are
-    domain-safe: concurrent requests for one key compute it exactly once,
-    and latecomers wait until the first computation publishes.  A
-    latecomer working in a pool of two or more domains
-    ({!Rs_util.Pool.current}) helps that pool while it waits
-    ({!Rs_util.Pool.await}); any other latecomer, and any latecomer
-    inside a compute body, blocks.  Waiting cannot cycle: builds and
-    MSSP runs wait on nothing, profiles and runs wait only on builds, and
-    a helping domain is inside no compute body, so no task it runs can
-    need a key its own stack is computing.  The cache
-    is process-global — [rspec all] threads it through every experiment —
-    and hit/miss counters (lock-free [Atomic.t]s, safe against concurrent
-    pool workers) are exposed for the bench harness.  Every lookup also
-    feeds the [cache.<kind>.hits]/[.misses] counters of
-    {!Rs_obs.Metrics} and, when tracing is on, emits a ["cache"]
-    {!Rs_obs.Trace} event tagged with the artifact kind and benchmark.
-
-    Failure semantics: a compute body that raises is retried in place up
-    to {!retry_limit} total attempts (each retry counted in
-    [cache.<kind>.retries]), so a transient failure — an I/O blip, an
-    {!Rs_fault.Fault.Injected} fault whose plan lets retries succeed —
-    never poisons a key.  Only after the budget is exhausted is the
-    exception published; later lookups (and waiters) on such a key
-    re-raise it, counted as misses so the totals add up.  A {!reset}
-    racing an in-flight computation is safe: publication checks a
-    generation counter, so pre-reset results never resurrect into the
-    post-reset table.  Compute bodies consult the [cache.build] /
-    [cache.profile] / [cache.run] / [cache.mssp] fault-injection
-    sites. *)
+    Each artifact kind is one {!Rs_util.Memo}, so entries are immutable
+    once published and every operation is domain-safe: concurrent
+    requests for one key compute it exactly once, latecomers wait (and
+    help the pool while they do), a compute body that raises is retried
+    in place up to {!Rs_util.Memo.retry_limit} attempts, and a {!reset}
+    racing an in-flight computation never lets a pre-reset result into
+    the post-reset table.  {!Rs_util.Memo} states the rule that keeps
+    the waits acyclic.  The cache is process-global — [rspec all]
+    threads it through every experiment.  Lookups feed the
+    [cache.<kind>.hits] / [.misses] / [.retries] counters of
+    {!Rs_obs.Metrics}, and {!stats} totals them for the bench harness.
+    Compute bodies consult the [cache.build] / [cache.profile] /
+    [cache.run] / [cache.mssp] fault-injection sites. *)
 
 type stats = {
   build_hits : int;
@@ -121,27 +105,27 @@ val trace :
     per [(seed, scale, tau, benchmark, input)] through
     {!Rs_behavior.Trace_store.cached} and replayed by every later
     consumer ({!run}, {!profile}, and the figure experiments that drive
-    the engine with hooks).  Returns [None] when the recording would not
-    fit the trace store's capacity ([--trace-cache-mb]; always at 0) —
-    callers pass the option straight to the [?trace] parameter of the
-    sim layer, which then generates the stream live.  Both sources yield
-    the same packed chunks, so the capacity never changes results, only
-    speed and memory. *)
+    the engine with hooks).  The recording is a compute body of the trace
+    store's memo, so it gets the same bounded retries whether or not the
+    caller is itself inside a compute body.  Returns [None] when the
+    recording would not fit the trace store's capacity
+    ([--trace-cache-mb]; always at 0) — callers pass the option straight
+    to the [?trace] parameter of the sim layer, which then generates the
+    stream live.  Both sources yield the same packed chunks, so the
+    capacity never changes results, only speed and memory. *)
 
 val fabricated_trace :
   key:string ->
   Rs_behavior.Population.t ->
   Rs_behavior.Stream.config ->
   Rs_behavior.Trace_store.t
-(** Memoised {!Rs_behavior.Trace_store.cached} for fabricated (non-ckey)
+(** {!Rs_behavior.Trace_store.cached} for fabricated (non-ckey)
     populations — the adversarial scenario entries.  [key] must encode
     everything the recording depends on (scenario name, seed, scale,
-    tau).  The compute body runs with the same bounded retries as the
-    other artifact kinds, so an injected fault at the
-    [trace_store.record] site is retried away instead of failing the
-    experiment.  The reference checks these traces feed need a
-    recording, so one the trace store cannot hold is recorded anyway and
-    kept by this memo alone. *)
+    tau).  The reference checks these traces feed need a recording, so
+    one the trace store cannot hold is recorded for this caller alone,
+    under {!Rs_util.Memo.retry}: an injected fault at the
+    [trace_store.record] site is retried away either way. *)
 
 val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)
@@ -155,30 +139,10 @@ val describe : stats -> string
 (** One-line [hits/misses] summary per artifact kind, MSSP runs
     included. *)
 
-val retry_limit : unit -> int
-(** Total attempts (first try included) a compute body is given before
-    its exception is published.  Default 3. *)
-
-val set_retry_limit : int -> unit
-(** Change {!retry_limit}; values below 1 are clamped to 1. *)
-
 val reset : unit -> unit
-(** Drop every entry and zero the counters (tests and benches), including
-    the process-global {!Rs_behavior.Trace_store} LRU, then runs a full
+(** {!Rs_util.Memo.clear} every artifact memo and the process-global
+    {!Rs_behavior.Trace_store} LRU (tests and benches), then run a full
     major collection so the dropped artifacts' memory is reused by
-    whatever the process computes next instead of adding to it.  Safe
-    against in-flight computations: they complete for their own caller
-    but publish nothing (see the generation check above). *)
-
-(**/**)
-
-module Private : sig
-  type ('k, 'v) memo
-
-  val memo : string -> ('k, 'v) memo
-
-  val find_or_compute : ('k, 'v) memo -> bench:string -> 'k -> (unit -> 'v) -> 'v
-end
-(** Test-only access to the raw memo machinery, so the retry / reset-race
-    semantics can be exercised without simulating benchmarks.  Private
-    memos participate in {!reset}. *)
+    whatever the process computes next instead of adding to it.
+    In-flight computations complete for their own callers but publish
+    nothing. *)

@@ -182,4 +182,3 @@ let configure_from_env () =
   | Some s -> configure_spec s
 
 let injected () = Rs_obs.Metrics.counter_value m_injected
-let delayed () = Rs_obs.Metrics.counter_value m_delayed

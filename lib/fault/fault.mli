@@ -37,25 +37,22 @@ type plan = {
       (** site prefixes eligible to delay; [[]] means all sites *)
   max_raises : int;
       (** per-[(site, key)] raise budget; once spent, further raise draws
-          pass.  The budget is per {e site}: a cache compute body that
-          consults both a [cache.*] site and [trace_store.record] can
-          raise up to [2 * max_raises] times, so plans spanning both
-          must keep [sites-per-body * max_raises < Cache.retry_limit ()]
-          for every retry to eventually succeed *)
+          pass.  Every memo compute body ({!Rs_util.Memo}) consults
+          one raising site, so a plan with
+          [max_raises < Rs_util.Memo.retry_limit ()] lets every retry
+          eventually succeed *)
 }
-
-val default_plan : plan
-(** [seed 1], everything eligible, [rate] and [delay] 0, unlimited
-    raises: configuring it injects nothing until fields are overridden. *)
 
 exception Injected of { site : string; key : string; attempt : int }
 (** Raised by {!hit} when the plan schedules a fault at this consult. *)
 
 val parse_spec : string -> (plan, string) result
-(** Parse a comma-separated [key=value] spec over {!default_plan}, e.g.
+(** Parse a comma-separated [key=value] spec, e.g.
     ["seed=7,rate=0.4,max_raises=2,sites=cache,delay=0.2,delay_sites=pool:trace"].
     Site lists are colon-separated prefixes.  Unknown keys and malformed
-    values are reported, not ignored. *)
+    values are reported, not ignored.  A key left out keeps its
+    default: seed 1, every site eligible, [rate] and [delay] 0,
+    unlimited raises. *)
 
 val configure : plan -> unit
 (** Install [plan], clear the attempt/raise history and point the pool,
@@ -91,6 +88,3 @@ val hit : site:string -> key:string -> unit
 
 val injected : unit -> int
 (** Total faults raised since the metrics registry was last reset. *)
-
-val delayed : unit -> int
-(** Total delays injected since the metrics registry was last reset. *)

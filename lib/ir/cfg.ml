@@ -101,7 +101,6 @@ let preds t l = t.preds.(l)
 let succs t l = t.succs.(l)
 let rpo t = t.rpo
 let edges t = t.edges
-let edges_out t l = List.filter (fun e -> e.src = l) (Array.to_list t.edges)
 let idom t l = if t.idom.(l) < 0 then None else Some t.idom.(l)
 let reachable t l = t.rpo_index.(l) >= 0
 
@@ -113,11 +112,3 @@ let dominates t a b =
   end
 
 let site_of_edge e = match e.kind with Etaken s | Enot_taken s -> Some s | _ -> None
-
-let pp_edge ppf e =
-  Format.fprintf ppf "L%d->L%d%s" e.src e.dst
-    (match e.kind with
-    | Ejump -> ""
-    | Etaken s -> Printf.sprintf " [taken, site %d]" s
-    | Enot_taken s -> Printf.sprintf " [not-taken, site %d]" s
-    | Efallthru -> " [call cont]")

@@ -27,8 +27,6 @@ val succs : t -> Func.label -> Func.label list
 val edges : t -> edge array
 (** All edges, in block order. *)
 
-val edges_out : t -> Func.label -> edge list
-
 val rpo : t -> Func.label array
 (** Reverse postorder of the blocks reachable from the entry. *)
 
@@ -43,5 +41,3 @@ val dominates : t -> Func.label -> Func.label -> bool
 
 val site_of_edge : edge -> int option
 (** The branch site that conditions the edge, for branch edges. *)
-
-val pp_edge : Format.formatter -> edge -> unit

@@ -71,8 +71,6 @@ val term_def : terminator -> Instr.reg option
 val map_term_labels : (label -> label) -> terminator -> terminator
 (** Rewrite every block-label reference of the terminator. *)
 
-val map_term_regs : (Instr.reg -> Instr.reg) -> terminator -> terminator
-
 val callee : terminator -> int option
 (** The called function of a [Call]/[TailCall]. *)
 

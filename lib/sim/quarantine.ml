@@ -18,7 +18,7 @@ let create ~n_branches =
     misspecs = Array.make n_branches 0;
   }
 
-let on_event t ~branch ~taken ~instr ~code =
+let observer t ~branch ~taken ~instr ~code =
   let speculating = code land 1 = 1 in
   if speculating then begin
     if taken <> (code land 2 = 2) then begin
@@ -34,8 +34,6 @@ let on_event t ~branch ~taken ~instr ~code =
     t.quarantine_instr.(branch) <- instr
   end;
   t.execs.(branch) <- t.execs.(branch) + 1
-
-let observer t = fun ~branch ~taken ~instr ~code -> on_event t ~branch ~taken ~instr ~code
 
 let execs t branch = t.execs.(branch)
 let misspecs t branch = t.misspecs.(branch)

@@ -23,22 +23,17 @@ val create : n_branches:int -> t
 (** Fresh tracker for branches [0 .. n_branches - 1].
     @raise Invalid_argument if [n_branches <= 0]. *)
 
-val on_event : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit
-(** Feed one scored event; [code] is the deployed decision in
-    [Reactive.deployed_code]'s 2-bit encoding (bit 0 speculate, bit 1
-    direction), exactly as [Engine.run]'s observer delivers it. *)
-
 val observer : t -> branch:int -> taken:bool -> instr:int -> code:int -> unit
-(** [observer t] as a closure to pass directly as [Engine.run ~observer]. *)
+(** [observer t] feeds the tracker one scored event; pass it directly as
+    [Engine.run ~observer].  [code] is the deployed decision in
+    [Reactive.deployed_code]'s 2-bit encoding (bit 0 speculate, bit 1
+    direction). *)
 
 val execs : t -> int -> int
 (** Executions seen for this branch. *)
 
 val misspecs : t -> int -> int
 (** Misspeculations of deployed speculative code for this branch. *)
-
-val first_misspec : t -> int -> (int * int) option
-(** [(exec_index, instr)] of the branch's first misspeculation, if any. *)
 
 val quarantined : t -> int -> (int * int) option
 (** [(exec_index, instr)] of the first non-speculating execution after

@@ -20,9 +20,6 @@ val count : t -> int
 val bin_count : t -> int -> int
 (** Observations in bin [i].  @raise Invalid_argument when out of range. *)
 
-val bin_bounds : t -> int -> float * float
-(** Lower/upper edge of bin [i]. *)
-
 val bins : t -> int
 val fraction_below : t -> float -> float
 (** [fraction_below t x] estimates the CDF at [x] from bin counts (whole

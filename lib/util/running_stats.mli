@@ -14,7 +14,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 when fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 (** Smallest observation; [infinity] when empty. *)
 

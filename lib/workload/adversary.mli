@@ -41,10 +41,6 @@ val monitor_execs : Rs_core.Params.t -> int
 val evict_misses : Rs_core.Params.t -> int
 (** Consecutive misspeculations that trigger an eviction. *)
 
-val drain_execs : Rs_core.Params.t -> int
-(** Majority-direction executions that drain a continuous eviction
-    counter from one miss under the threshold back to zero. *)
-
 val latency_execs : Rs_core.Params.t -> n_branches:int -> int
 (** Deployment lag in one branch's executions when it shares the stream
     evenly with [n_branches - 1] others, padded for sampling noise. *)

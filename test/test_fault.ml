@@ -5,6 +5,7 @@
 
 module Fault = Rs_fault.Fault
 module Pool = Rs_util.Pool
+module Memo = Rs_util.Memo
 module Metrics = Rs_obs.Metrics
 module Trace = Rs_obs.Trace
 module E = Rs_experiments
@@ -89,15 +90,14 @@ let test_raise_budget () =
   Alcotest.(check (list bool)) "raises stop once the per-key budget is spent"
     [ true; true; false; false; false ] outcomes
 
-(* --- cache retry and reset semantics --------------------------------------- *)
+(* --- memo retry and clear semantics ---------------------------------------- *)
 
 let test_failed_slot_not_poisoned () =
-  E.Cache.reset ();
-  let m = E.Cache.Private.memo "test-poison" in
+  let m = Memo.create "test-poison" in
   (* a transient failure recovers within one lookup *)
   let calls = ref 0 in
   let v =
-    E.Cache.Private.find_or_compute m ~bench:"t" "k"
+    Memo.find_or_compute m ~label:"t" "k"
       (fun () ->
         incr calls;
         if !calls = 1 then failwith "transient" else 7)
@@ -112,32 +112,31 @@ let test_failed_slot_not_poisoned () =
     failwith "persistent"
   in
   (try
-     ignore (E.Cache.Private.find_or_compute m ~bench:"t" "k2" boom);
+     ignore (Memo.find_or_compute m ~label:"t" "k2" boom);
      Alcotest.fail "expected the exception to propagate"
    with Failure _ -> ());
-  Alcotest.(check int) "budget consumed in one round" (E.Cache.retry_limit ()) !boom_calls;
+  Alcotest.(check int) "budget consumed in one round" (Memo.retry_limit ()) !boom_calls;
   let later = ref 0 in
   (try
      ignore
-       (E.Cache.Private.find_or_compute m ~bench:"t" "k2"
+       (Memo.find_or_compute m ~label:"t" "k2"
           (fun () ->
             incr later;
             9));
      Alcotest.fail "expected the stored exception"
    with Failure _ -> ());
   Alcotest.(check int) "exhausted key re-raises without recomputing" 0 !later;
-  (* reset clears the failure *)
-  E.Cache.reset ();
+  (* clearing the memo clears the failure *)
+  Memo.clear m;
   Alcotest.(check int) "reset unpoisons" 9
-    (E.Cache.Private.find_or_compute m ~bench:"t" "k2" (fun () -> 9))
+    (Memo.find_or_compute m ~label:"t" "k2" (fun () -> 9))
 
 let test_reset_during_compute () =
-  E.Cache.reset ();
-  let m = E.Cache.Private.memo "test-reset-race" in
+  let m = Memo.create "test-reset-race" in
   let started = Atomic.make false and release = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        E.Cache.Private.find_or_compute m ~bench:"t" "k" (fun () ->
+        Memo.find_or_compute m ~label:"t" "k" (fun () ->
             Atomic.set started true;
             while not (Atomic.get release) do
               Domain.cpu_relax ()
@@ -147,13 +146,13 @@ let test_reset_during_compute () =
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  E.Cache.reset ();
+  Memo.clear m;
   Atomic.set release true;
   Alcotest.(check int) "in-flight computation still serves its own caller" 1 (Domain.join d);
   (* without the generation check the stale publish lands after the reset
      and this lookup would return 1 from the resurrected entry *)
   Alcotest.(check int) "post-reset lookup recomputes" 2
-    (E.Cache.Private.find_or_compute m ~bench:"t" "k" (fun () -> 2))
+    (Memo.find_or_compute m ~label:"t" "k" (fun () -> 2))
 
 (* --- the figure2/table3 pipeline under injected faults --------------------- *)
 
@@ -214,8 +213,8 @@ module D = Rs_distill.Distill
 module A = Rs_distill.Assumptions
 
 (* The distiller consults the "distill.pass" site before every pass
-   (keyed by pass name) and retries the whole distillation up to its
-   retry limit.  With rate=1.0 and max_raises=2, the four pass keys fail
+   (keyed by pass name) and retries the whole distillation up to the
+   memos' retry limit.  With rate=1.0 and max_raises=2, the four pass keys fail
    twice each, so the eighth retry is the first clean run: raising the
    limit to 9 must recover with an identical result, while the default
    limit of 3 lets the fault escape after exactly three attempts. *)
@@ -227,21 +226,21 @@ let test_distill_pass_bounded_retry () =
   let a = A.branches [ (0, true); (1, true); (4, true) ] in
   let clean = D.distill region.prog a in
   let pp r = Format.asprintf "%a" Rs_ir.Program.pp r.D.distilled in
-  D.set_retry_limit 9;
-  Fun.protect ~finally:(fun () -> D.set_retry_limit 3) @@ fun () ->
+  Memo.set_retry_limit 9;
+  Fun.protect ~finally:(fun () -> Memo.set_retry_limit 3) @@ fun () ->
   with_faults "seed=12,rate=1.0,max_raises=2,sites=distill.pass" (fun () ->
       let before = Fault.injected () in
       let r = D.distill region.prog a in
       Alcotest.(check int) "two raises per pass key" 8 (Fault.injected () - before);
       Alcotest.(check string) "identical result once retries succeed" (pp clean) (pp r));
-  D.set_retry_limit 3;
+  Memo.set_retry_limit 3;
   with_faults "seed=12,rate=1.0,sites=distill.pass" (fun () ->
       let before = Fault.injected () in
       (match D.distill region.prog a with
       | _ -> Alcotest.fail "expected the injected fault to escape"
       | exception Fault.Injected { site; _ } ->
         Alcotest.(check string) "site" "distill.pass" site);
-      Alcotest.(check int) "retry bounded at the limit" (D.retry_limit ())
+      Alcotest.(check int) "retry bounded at the limit" (Memo.retry_limit ())
         (Fault.injected () - before))
 
 (* --- pool lifecycle and degradation ---------------------------------------- *)

@@ -1,9 +1,9 @@
 (* The shared-queue scheduler: map_range over the open-job queue,
    caller-first claiming, jobs-independence under random nesting, the
-   post/close drain guarantee, and cache waits that help the pool. *)
+   post/close drain guarantee, and memo waits that help the pool. *)
 
 module Pool = Rs_util.Pool
-module Cache = Rs_experiments.Cache
+module Memo = Rs_util.Memo
 
 let busy n =
   let acc = ref 0 in
@@ -98,7 +98,7 @@ let test_jobs1_post_drained_at_close () =
   Pool.close pool;
   Alcotest.(check (list int)) "drained in submission order at close" [ 1; 2 ] (List.rev !hits)
 
-(* --- cache waits help the pool ----------------------------------------- *)
+(* --- memo waits help the pool ------------------------------------------ *)
 
 let wait_until ?(timeout = 10.0) cond =
   let t0 = Unix.gettimeofday () in
@@ -134,7 +134,7 @@ let compute_outside m key body =
   let started = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        Cache.Private.find_or_compute m ~bench:"t" key (fun () ->
+        Memo.find_or_compute m ~label:"t" key (fun () ->
             Atomic.set started true;
             body ()))
   in
@@ -145,8 +145,8 @@ let compute_outside m key body =
    helped instead, it would pop the queued task, which needs the key the
    domain is itself computing, and wait for it forever. *)
 let test_compute_body_blocks () =
-  let m = Cache.Private.memo "test-body-blocks" in
-  let find key f = Cache.Private.find_or_compute m ~bench:"t" key f in
+  let m = Memo.create "test-body-blocks" in
+  let find key f = Memo.find_or_compute m ~label:"t" key f in
   let entered = Atomic.make false and slow_done = Atomic.make false in
   let slow =
     compute_outside m "slow" (fun () ->
@@ -179,7 +179,7 @@ let test_compute_body_blocks () =
 (* A waiter on a slow key runs an independent queued task before the key
    publishes.  The key publishes once that task has run, or after 5 s. *)
 let test_waiter_helps () =
-  let m = Cache.Private.memo "test-waiter-helps" in
+  let m = Memo.create "test-waiter-helps" in
   let probe_ran = Atomic.make false and body_returned = Atomic.make false in
   let slow =
     compute_outside m "slow" (fun () ->
@@ -194,7 +194,7 @@ let test_waiter_helps () =
     with_watchdog "a helping waiter" @@ fun () ->
     let waiter = Domain.self () in
     Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
-        if i = 0 then Cache.Private.find_or_compute m ~bench:"t" "slow" (fun () -> 0)
+        if i = 0 then Memo.find_or_compute m ~label:"t" "slow" (fun () -> 0)
         else begin
           Atomic.set probe_early (not (Atomic.get body_returned));
           Atomic.set same_domain (Domain.self () = waiter);
@@ -212,7 +212,7 @@ let test_waiter_helps () =
 (* A publish from a domain outside the pool wakes a waiter that has
    helped with everything queued and gone to sleep in the pool. *)
 let test_outside_publish_wakes_helper () =
-  let m = Cache.Private.memo "test-outside-wakes" in
+  let m = Memo.create "test-outside-wakes" in
   let drained = Atomic.make false in
   let slow =
     compute_outside m "slow" (fun () ->
@@ -224,7 +224,7 @@ let test_outside_publish_wakes_helper () =
     with_busy_worker @@ fun pool ->
     with_watchdog "a sleeping helper" @@ fun () ->
     Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
-        if i = 0 then Cache.Private.find_or_compute m ~bench:"t" "slow" (fun () -> 0)
+        if i = 0 then Memo.find_or_compute m ~label:"t" "slow" (fun () -> 0)
         else begin
           Atomic.set drained true;
           7

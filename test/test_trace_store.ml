@@ -191,6 +191,47 @@ let test_capacity_too_small () =
       Alcotest.(check bool) "fits: served" true (TS.cached ~key:"k" pop cfg <> None);
       Alcotest.(check int) "fits: held" 1 (TS.stats ()).entries)
 
+(* A recording is a compute body of the trace store's memo, so an
+   injected [trace_store.record] fault is retried in place wherever the
+   lookup comes from — here, from no other compute body at all. *)
+let trace_fault_plan = "seed=3,rate=1.0,max_raises=1,sites=trace_store"
+
+let with_trace_faults f =
+  (match Rs_fault.Fault.configure_spec trace_fault_plan with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "bad fault spec: %s" msg);
+  Fun.protect ~finally:Rs_fault.Fault.disable f
+
+let test_cached_retries_faulted_record () =
+  let pop = mk_pop ~n:8 7 in
+  let cfg = { Stream.seed = 11; instr_per_branch = 5.0; length = TS.chunk_size + 7 } in
+  let clean = chunks_of (TS.iter_packed (TS.record pop cfg)) in
+  with_capacity (TS.capacity_bytes ()) @@ fun () ->
+  with_trace_faults @@ fun () ->
+  let before = Rs_fault.Fault.injected () in
+  let faulted = Option.get (TS.cached ~key:"k" pop cfg) in
+  Alcotest.(check int) "the first recording was faulted" 1 (Rs_fault.Fault.injected () - before);
+  Alcotest.(check bool) "word-identical to a clean recording" true
+    (chunks_of (TS.iter_packed faulted) = clean)
+
+let test_cache_trace_retries_outside_body () =
+  let module E = Rs_experiments in
+  let ctx = E.Context.create ~seed:7 ~scale:0.005 ~tau:10 ~jobs:1 () in
+  let bm = Rs_workload.Benchmark.find "gzip" in
+  Fun.protect ~finally:E.Cache.reset @@ fun () ->
+  E.Cache.reset ();
+  let pop, cfg = E.Cache.build ctx bm ~input:Ref in
+  let clean = chunks_of (TS.iter_packed (TS.record pop cfg)) in
+  with_trace_faults @@ fun () ->
+  let before = Rs_fault.Fault.injected () in
+  match E.Cache.trace ctx bm ~input:Ref with
+  | None -> Alcotest.fail "the default capacity holds the trace"
+  | Some trace ->
+    Alcotest.(check int) "the first recording was faulted" 1
+      (Rs_fault.Fault.injected () - before);
+    Alcotest.(check bool) "word-identical to a clean recording" true
+      (chunks_of (TS.iter_packed trace) = clean)
+
 let test_record_names_stream_guards () =
   let pop = mk_pop ~n:2 1 in
   Alcotest.check_raises "record names itself"
@@ -232,6 +273,10 @@ let suite =
     Alcotest.test_case "lru bound" `Quick test_lru_bound;
     Alcotest.test_case "capacity zero disables caching" `Quick test_capacity_zero_disables;
     Alcotest.test_case "capacity too small: not recorded" `Quick test_capacity_too_small;
+    Alcotest.test_case "cached retries a faulted recording" `Quick
+      test_cached_retries_faulted_record;
+    Alcotest.test_case "Cache.trace retries outside a compute body" `Quick
+      test_cache_trace_retries_outside_body;
     Alcotest.test_case "record names stream guards" `Quick test_record_names_stream_guards;
     Alcotest.test_case "rejects decreasing instr" `Quick test_rejects_decreasing_instr;
     Alcotest.test_case "figure5 byte-identity" `Slow test_figure5_replay_byte_identity;
