@@ -202,29 +202,19 @@ let bench_cached_profile () =
   Rs_sim.Profile.total_events p
 
 let bench_parallel_all () =
-  (* rspec-all kernel: independent experiment thunks through run_all *)
+  (* rspec-all kernel: independent experiment thunks through map_ordered *)
   let pool = Lazy.force bench_pool in
   let outs =
-    Rs_util.Pool.run_all pool
-      (List.init 8 (fun k -> fun () ->
+    Rs_util.Pool.map_ordered pool
+      (fun run -> run ())
+      (Array.init 8 (fun k () ->
            let acc = ref k in
            for j = 1 to 5_000 do
              acc := (!acc * 31) + j
            done;
            !acc))
   in
-  List.length outs
-
-let bench_post_latency () =
-  (* scheduler hand-off: post a thunk and spin until a sleeping worker
-     wakes and runs it — wakeup latency, not task cost *)
-  let pool = Lazy.force bench_pool in
-  let flag = Atomic.make false in
-  Rs_util.Pool.post pool (fun () -> Atomic.set flag true);
-  while not (Atomic.get flag) do
-    Domain.cpu_relax ()
-  done;
-  1
+  Array.length outs
 
 let bench_map_overhead () =
   (* pure scheduling overhead: trivial elements, one claim each *)
@@ -252,7 +242,6 @@ let kernels : (string * (unit -> int)) list =
     ("runner/pool-map", bench_pool_map);
     ("runner/cached-profile", bench_cached_profile);
     ("runner/parallel-all", bench_parallel_all);
-    ("scheduler/post-latency", bench_post_latency);
     ("scheduler/map-overhead", bench_map_overhead);
   ]
 

@@ -523,13 +523,13 @@ let drive_cmd =
       const run $ socket $ bench $ input $ scale $ seed $ tau $ repeat $ stats_json
       $ snapshot_out $ shutdown)
 
-(* One subcommand per registry entry, so `rspec figure2` keeps working. *)
+(* One subcommand per registry entry, so `rspec figure2` keeps working:
+   the `run` path on that one entry, failure reporting included. *)
 let cmd_of entry =
   let action ctx =
-    print_header ctx (R.name entry);
-    let out = R.execute ctx entry in
-    print_string out.text;
-    print_newline ()
+    let results, failed = execute_selection ctx [ entry ] in
+    print_texts ctx results;
+    exit_on_failures [ entry ] failed
   in
   Cmd.v (Cmd.info ~exits (R.name entry) ~doc:(R.description entry)) Term.(const action $ ctx_term)
 

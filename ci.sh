@@ -91,6 +91,18 @@ else
   echo "registry json written ($RSPEC_JSON); jq not installed, skipping assertions"
 fi
 rm -f "$RSPEC_JSON" "$RSPEC_LIST" "$RSPEC_LIST.doc"
+# A per-name subcommand reports a failing experiment the way `run` does:
+# exit 1 with `rspec: <name> failed:` on stderr, not an internal error.
+RSPEC_ERR=$(mktemp /tmp/rs_rspec_err.XXXXXX)
+status=0
+RS_FAULTS="seed=1,rate=1.0,sites=cache.build" \
+  timeout 600 "$RSPEC" table3 --scale 0.02 > /dev/null 2> "$RSPEC_ERR" || status=$?
+if [[ $status -ne 1 ]] || ! grep -q '^rspec: table3 failed:' "$RSPEC_ERR"; then
+  echo "rspec table3 under an always-failing cache.build fault: exit $status, want 1 and 'rspec: table3 failed:'" >&2
+  cat "$RSPEC_ERR" >&2
+  exit 1
+fi
+rm -f "$RSPEC_ERR"
 
 # Distillation stage: the figure1 entry's interprocedural companion —
 # a seed-derived multi-function program distilled under branch

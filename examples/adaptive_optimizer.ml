@@ -8,7 +8,8 @@
    - the reactive controller deciding which sites to assume
      (Rs_core.Reactive);
    - the distiller producing unchecked speculative code for the current
-     assumption set (Rs_distill), re-optimizing on every decision change;
+     assumption set (Rs_distill), re-optimizing whenever the deployed
+     assumptions change;
    - differential verification that every deployed version is equivalent
      to the original whenever its assumptions hold.
 
@@ -44,8 +45,8 @@ let () =
       monitor_period = 1_000; optimization_latency = 0 }
   in
   let controller = Reactive.create ~n_branches:4 params in
-  let cache = Rs_distill.Distill.Cache.create region.prog in
-  let deployed = ref (Rs_distill.Distill.Cache.get cache A.empty) in
+  let deployed_assumptions = ref A.empty in
+  let deployed = ref (Rs_distill.Distill.distill region.prog A.empty) in
   let deployments = ref 0 in
 
   let current_assumptions () =
@@ -86,8 +87,9 @@ let () =
   let instr = ref 0 in
   let redeploy () =
     let a = current_assumptions () in
-    let r = Rs_distill.Distill.Cache.get cache a in
-    if r != !deployed then begin
+    if a <> !deployed_assumptions then begin
+      let r = Rs_distill.Distill.distill region.prog a in
+      deployed_assumptions := a;
       deployed := r;
       incr deployments;
       Format.printf
@@ -126,8 +128,7 @@ let () =
   done;
 
   Printf.printf "\n  region instances:        60,000\n";
-  Printf.printf "  re-optimizations:        %d (distiller cache entries: %d)\n" !deployments
-    (Rs_distill.Distill.Cache.entries cache);
+  Printf.printf "  re-optimizations:        %d\n" !deployments;
   Printf.printf "  dynamic instructions:    %d original, %d speculative (%.0f%% saved)\n"
     !total_dyn_orig !total_dyn_master
     (100.0

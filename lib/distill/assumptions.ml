@@ -11,13 +11,6 @@ let direction t site = List.assoc_opt site t.branches
 
 let is_empty t = t.branches = [] && t.loads = []
 
-let signature t =
-  let b =
-    List.map (fun (s, d) -> Printf.sprintf "b%d%c" s (if d then 't' else 'n')) t.branches
-  in
-  let l = List.map (fun (bl, i, v) -> Printf.sprintf "l%d.%d=%d" bl i v) t.loads in
-  String.concat ";" (List.sort compare b @ List.sort compare l)
-
 let pp ppf t =
   Format.fprintf ppf "@[<h>branches: %a; loads: %a@]"
     (Format.pp_print_list

@@ -23,7 +23,4 @@ val direction : t -> int -> bool option
 
 val is_empty : t -> bool
 
-val signature : t -> string
-(** Stable key for caching distillation results. *)
-
 val pp : Format.formatter -> t -> unit

@@ -62,20 +62,3 @@ let distill ?(inline_budget = 8) (p : Rs_ir.Program.t) (assumptions : Assumption
      with a finite per-key raise budget yields identical results once
      the budget is spent. *)
   Rs_util.Memo.retry compute
-
-module Cache = struct
-  type nonrec t = { prog : Rs_ir.Program.t; table : (string, result) Hashtbl.t }
-
-  let create prog = { prog; table = Hashtbl.create 8 }
-
-  let get t assumptions =
-    let key = Assumptions.signature assumptions in
-    match Hashtbl.find_opt t.table key with
-    | Some r -> r
-    | None ->
-      let r = distill t.prog assumptions in
-      Hashtbl.add t.table key r;
-      r
-
-  let entries t = Hashtbl.length t.table
-end

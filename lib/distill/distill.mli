@@ -4,10 +4,10 @@
     program together with size accounting and per-pass statistics.  The
     pipeline prunes assumed-dead CFG edges, inlines calls along the
     speculated hot path, optimizes each function to a fixpoint and
-    splits the entry function into hot and cold regions.  Results are
-    cached by assumption signature — re-optimization requests from the
-    speculation controller hit the cache when a previously-seen
-    configuration recurs. *)
+    splits the entry function into hot and cold regions.  Distilling is
+    pure in the program and the assumptions; a caller that re-optimizes
+    repeatedly keeps its own table of versions (the MSSP region model
+    keys one on the deployed decisions). *)
 
 type stats = {
   inlined_calls : int;  (** Call sites inlined along the hot path. *)
@@ -35,16 +35,3 @@ val fault_hook : (site:string -> key:string -> unit) ref
 (** Consulted at site ["distill.pass"] before each pipeline pass (key =
     pass name).  Default no-op.  Not for general use — install
     [Rs_fault.Fault] plans via its [configure]. *)
-
-(** Per-region distillation cache. *)
-module Cache : sig
-  type t
-
-  val create : Rs_ir.Program.t -> t
-
-  val get : t -> Assumptions.t -> result
-  (** Distill or return the cached result. *)
-
-  val entries : t -> int
-  (** Distinct assumption sets distilled so far. *)
-end

@@ -63,32 +63,16 @@ let fabricated_trace ~key pop cfg =
    once with the union lets all three experiments share it; checkpoints
    are independent, so extra windows never change the counts at the
    requested ones. *)
-let canonical_windows (ctx : Context.t) extra =
-  let all =
-    Array.concat [ Static.windows; Static.windows_for ~tau:ctx.tau; [| 20_000 |]; extra ]
-  in
-  let sorted = List.sort_uniq compare (Array.to_list all) in
-  Array.of_list sorted
+let canonical_windows (ctx : Context.t) =
+  let all = Array.concat [ Static.windows; Context.windows ctx; [| 20_000 |] ] in
+  Array.of_list (List.sort_uniq compare (Array.to_list all))
 
-let covers p needed =
-  let have = Rs_sim.Profile.windows p in
-  Array.for_all (fun w -> Array.exists (( = ) w) have) needed
-
-let profile ?(windows = Static.windows) ctx bm ~input =
-  let collect extra () =
-    Fault.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
-    let pop, cfg = build ctx bm ~input in
-    Rs_sim.Profile.collect
-      ~windows:(canonical_windows ctx extra)
-      ?trace:(trace ctx bm ~input) pop cfg
-  in
-  (* A window outside the canonical set upgrades the entry in place with
-     the union, so later callers keep sharing one profile. *)
-  let refresh stale =
-    if covers stale windows then None
-    else Some (collect (Array.append (Rs_sim.Profile.windows stale) windows))
-  in
-  Memo.find_or_compute profiles ~label:bm.BM.name ~refresh (ckey ctx bm input) (collect windows)
+let profile ctx bm ~input =
+  Memo.find_or_compute profiles ~label:bm.BM.name (ckey ctx bm input) (fun () ->
+      Fault.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
+      let pop, cfg = build ctx bm ~input in
+      Rs_sim.Profile.collect ~windows:(canonical_windows ctx) ?trace:(trace ctx bm ~input) pop
+        cfg)
 
 let run ctx bm ~input params =
   Memo.find_or_compute runs ~label:bm.BM.name
@@ -101,26 +85,22 @@ let run ctx bm ~input params =
       let pop, cfg = build ctx bm ~input in
       Rs_sim.Engine.run ~label:bm.name ?trace:(trace ctx bm ~input) pop cfg params)
 
-(* MSSP timing runs: [Machine.run]'s stats are a pure function of the
-   seed, the workload spec (its [tasks] included), the controller
-   parameters and the machine configuration — a run's counters are its
-   own, however many runs shared the instance before it — so those four
-   are the whole key.  The context's scale and tau never reach the
-   model. *)
-let mssp_runs :
-    ( int * Rs_mssp.Workload.t * Rs_core.Params.t * Rs_mssp.Config.t,
-      Rs_mssp.Machine.stats )
-    Memo.t =
+(* MSSP timing runs on the default machine: [Machine.run]'s stats are a
+   pure function of the seed, the workload spec (its [tasks] included)
+   and the controller parameters — a run's counters are its own, however
+   many runs shared the instance before it — so those three are the
+   whole key.  The context's scale and tau never reach the model. *)
+let mssp_runs : (int * Rs_mssp.Workload.t * Rs_core.Params.t, Rs_mssp.Machine.stats) Memo.t =
   Memo.create "cache.mssp"
 
-let mssp ?(config = Rs_mssp.Config.default) (spec : Rs_mssp.Workload.t) ~seed ~instance params =
-  Memo.find_or_compute mssp_runs ~label:spec.name (seed, spec, params, config) (fun () ->
+let mssp (spec : Rs_mssp.Workload.t) ~seed ~instance params =
+  Memo.find_or_compute mssp_runs ~label:spec.name (seed, spec, params) (fun () ->
       Fault.hit ~site:"cache.mssp"
-        ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash (params, config) land 0xffff));
+        ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash params land 0xffff));
       let inst = Lazy.force instance in
       if inst.Rs_mssp.Workload.spec <> spec then
         invalid_arg "Cache.mssp: instance of a different workload spec";
-      Rs_mssp.Machine.run ~config inst ~seed ~params)
+      Rs_mssp.Machine.run inst ~seed ~params)
 
 let stats () =
   let hits_misses m =

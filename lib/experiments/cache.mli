@@ -14,12 +14,11 @@
     and every correlation run repeat a figure7 configuration, and the
     claims checklist reruns figure7 and figure8 whole.
 
-    Profiles are collected once per [(context, benchmark, input)] with a
-    superset of every checkpoint window the suite asks for (the default
-    {!Rs_core.Static.windows}, the context's compressed windows and
-    figure3's 20,000-execution window), so all three figure experiments
-    share one physical profile.  A request for a window outside the
-    cached set upgrades the entry in place with the union.
+    Profiles are collected once per [(context, benchmark, input)] with
+    every checkpoint window the suite asks for (the default
+    {!Rs_core.Static.windows}, the context's compressed
+    {!Context.windows} and figure3's 20,000-execution window), so all
+    three figure experiments share one physical profile.
 
     Each artifact kind is one {!Rs_util.Memo}, so entries are immutable
     once published and every operation is domain-safe: concurrent
@@ -55,16 +54,10 @@ val build :
     construction, so sharing one across domains is safe. *)
 
 val profile :
-  ?windows:int array ->
-  Context.t ->
-  Rs_workload.Benchmark.t ->
-  input:Rs_workload.Benchmark.input ->
-  Rs_sim.Profile.t
-(** Memoised {!Rs_sim.Profile.collect} over the memoised build.
-    [windows] (default {!Rs_core.Static.windows}) lists the checkpoints
-    the caller needs; the cached profile is guaranteed to contain them
-    but may contain more.  Repeat requests return the physically same
-    profile. *)
+  Context.t -> Rs_workload.Benchmark.t -> input:Rs_workload.Benchmark.input -> Rs_sim.Profile.t
+(** Memoised {!Rs_sim.Profile.collect} over the memoised build, with the
+    windows listed above; {!Rs_sim.Profile.counts_in_window} raises on
+    any other.  Repeat requests return the physically same profile. *)
 
 val run :
   Context.t ->
@@ -79,15 +72,14 @@ val run :
     skip them. *)
 
 val mssp :
-  ?config:Rs_mssp.Config.t ->
   Rs_mssp.Workload.t ->
   seed:int ->
   instance:Rs_mssp.Workload.instance Lazy.t ->
   Rs_core.Params.t ->
   Rs_mssp.Machine.stats
-(** Memoised [Rs_mssp.Machine.run ?config (Lazy.force instance) ~seed
-    ~params], keyed on [(seed, spec, params, config)] — [spec] with its
-    [tasks], [config] defaulting to {!Rs_mssp.Config.default}.
+(** Memoised [Rs_mssp.Machine.run (Lazy.force instance) ~seed ~params]
+    on the default machine, keyed on [(seed, spec, params)] — [spec]
+    with its [tasks].
     [instance] must be [Rs_mssp.Workload.instantiate spec ~seed]; it is
     forced only on a miss, so one lazy shared by a benchmark's
     configurations instantiates at most once, and not at all when every

@@ -16,16 +16,17 @@ let run ctx =
      run again. *)
   let f5, f2, f6, f7, f8 =
     match
-      Rs_util.Pool.run_all (Context.pool ctx)
-        [
+      Rs_util.Pool.map_ordered (Context.pool ctx)
+        (fun run -> run ())
+        [|
           (fun () -> `F5 (Figure5.run ctx));
           (fun () -> `F2 (Figure2.run ctx));
           (fun () -> `F6 (Figure6.run ctx));
           (fun () -> `F7 (Figure7.run ctx));
           (fun () -> `F8 (Figure8.run ctx));
-        ]
+        |]
     with
-    | [ `F5 f5; `F2 f2; `F6 f6; `F7 f7; `F8 f8 ] -> (f5, f2, f6, f7, f8)
+    | [| `F5 f5; `F2 f2; `F6 f6; `F7 f7; `F8 f8 |] -> (f5, f2, f6, f7, f8)
     | _ -> assert false
   in
 
@@ -118,7 +119,6 @@ let run ctx =
 
   { verdicts = List.rev !verdicts }
 
-let all_pass t = List.for_all (fun v -> v.pass) t.verdicts
 
 let render t =
   let buf = Buffer.create 2048 in

@@ -16,5 +16,4 @@ type verdict = {
 type t = { verdicts : verdict list }
 
 val run : Context.t -> t
-val all_pass : t -> bool
 val render : t -> string

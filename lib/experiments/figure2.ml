@@ -29,8 +29,8 @@ let downsample arr n =
 
 let run_benchmark ctx bm =
   let windows = Context.windows ctx in
-  let eval = Cache.profile ~windows ctx bm ~input:Ref in
-  let train = Cache.profile ~windows ctx bm ~input:Train in
+  let eval = Cache.profile ctx bm ~input:Ref in
+  let train = Cache.profile ctx bm ~input:Train in
   let knee =
     let p = Pareto.at_threshold eval ~threshold in
     { correct = Pareto.correct_rate eval p; incorrect = Pareto.incorrect_rate eval p }

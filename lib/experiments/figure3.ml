@@ -13,7 +13,7 @@ let run ?(benchmark = "gap") ?(count = 5) ctx =
   (* Pass 1: find branches that look invariant early (first window ~100%
      biased) but are not biased over their whole run.  The profile comes
      from the shared cache (one collection serves figures 2, 3 and 5). *)
-  let profile = Cache.profile ~windows:[| 20_000 |] ctx bm ~input:Ref in
+  let profile = Cache.profile ctx bm ~input:Ref in
   (* The scan is read-only over the collected profile, so it splits into
      stealable chunks; folding the verdict array front-to-back rebuilds
      the exact candidate list the old sequential loop accumulated. *)

@@ -20,8 +20,5 @@ type verdict = { claim : string; measured : string; pass : bool }
 
 type t = { rows : row list; verdicts : verdict list }
 
-val strengths : float list
-(** Attack strengths evaluated per schedule (descending). *)
-
 val run : Context.t -> t
 val render : t -> string

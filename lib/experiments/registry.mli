@@ -52,7 +52,6 @@ val all : entry list
 
 val name : entry -> string
 val description : entry -> string
-val paper_ref : entry -> string
 
 val find : string -> entry option
 

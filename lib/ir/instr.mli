@@ -31,7 +31,6 @@ val def : t -> reg option
 val uses : t -> reg list
 (** Registers read. *)
 
-val is_load : t -> bool
 val is_store : t -> bool
 
 val eval_binop : binop -> int -> int -> int

@@ -22,9 +22,7 @@ type field =
 
 exception Error of string
 
-type sink = { oc : out_channel; owned : bool }
-
-let sink : sink option ref = ref None
+let sink : out_channel option ref = ref None
 let sink_enabled = Atomic.make false
 let sink_lock = Mutex.create ()
 let dropped = Atomic.make 0
@@ -41,34 +39,26 @@ let dropped_events () = Atomic.get dropped
 let stop () =
   Mutex.lock sink_lock;
   Atomic.set sink_enabled false;
-  (match !sink with
-  | Some s ->
-    (try flush s.oc with Sys_error _ -> ());
-    if s.owned then close_out_noerr s.oc
-  | None -> ());
+  Option.iter close_out_noerr !sink;
   sink := None;
   Mutex.unlock sink_lock
 
 let at_exit_registered = ref false
 
-let install ~owned oc =
-  stop ();
-  Mutex.lock sink_lock;
-  sink := Some { oc; owned };
-  Atomic.set sink_enabled true;
-  if not !at_exit_registered then begin
-    at_exit_registered := true;
-    (* flush the tail even when the process dies of an uncaught
-       exception — at_exit runs on those too *)
-    at_exit stop
-  end;
-  Mutex.unlock sink_lock
-
-let to_channel oc = install ~owned:false oc
-
 let to_file path =
   match open_out path with
-  | oc -> install ~owned:true oc
+  | oc ->
+    stop ();
+    Mutex.lock sink_lock;
+    sink := Some oc;
+    Atomic.set sink_enabled true;
+    if not !at_exit_registered then begin
+      at_exit_registered := true;
+      (* flush the tail even when the process dies of an uncaught
+         exception — at_exit runs on those too *)
+      at_exit stop
+    end;
+    Mutex.unlock sink_lock
   | exception Sys_error msg -> raise (Error (Printf.sprintf "cannot open trace file: %s" msg))
 
 let add_json_string buf s =
@@ -127,7 +117,7 @@ let emit ev fields =
       Mutex.lock sink_lock;
       let failed =
         match !sink with
-        | Some s -> ( try Buffer.output_buffer s.oc buf; false with Sys_error _ -> true)
+        | Some oc -> ( try Buffer.output_buffer oc buf; false with Sys_error _ -> true)
         | None -> false
       in
       Mutex.unlock sink_lock;

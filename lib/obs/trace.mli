@@ -44,10 +44,6 @@ val to_file : string -> unit
     Installing a sink registers one [at_exit] flush, so even a run that
     dies of an uncaught exception keeps the tail of its trace. *)
 
-val to_channel : out_channel -> unit
-(** Route events to a caller-owned channel ({!stop} flushes but does not
-    close it). *)
-
 val enabled : unit -> bool
 (** Whether a sink is installed.  Call sites check this before building
     an event so disabled tracing allocates nothing. *)
@@ -60,8 +56,7 @@ val emit : string -> field list -> unit
     disabled. *)
 
 val stop : unit -> unit
-(** Flush and uninstall the sink (closing it if [to_file] opened it).
-    Idempotent. *)
+(** Flush, close and uninstall the sink.  Idempotent. *)
 
 val dropped_events : unit -> int
 (** Lines dropped because a write (or the injection hook) raised. *)

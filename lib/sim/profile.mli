@@ -39,7 +39,7 @@ val taken_of : t -> int -> int
 
 val counts_in_window : t -> int -> window:int -> Rs_core.Static.counts
 (** Counts over the first [min window execs] executions.  [window] must
-    be one of {!Rs_core.Static.windows}.
+    be one of the profile's {!windows}.
     @raise Invalid_argument otherwise. *)
 
 val counts_after_window : t -> int -> window:int -> Rs_core.Static.counts

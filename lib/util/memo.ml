@@ -193,9 +193,9 @@ let wait_for_publish m key =
     helping := remove_one pool !helping
   | _ -> Pool.blocking (fun () -> Condition.wait published lock)
 
-let lookup m ~label ?(refresh = fun _ -> None) ?(bytes = 0) key f =
+let lookup m ~label ?(bytes = 0) key f =
   (* [compute] is entered with [lock] held and returns with it released. *)
-  let compute ~from body =
+  let compute ~from =
     set m key In_flight;
     let gen0 = m.generation in
     Mutex.unlock lock;
@@ -205,7 +205,7 @@ let lookup m ~label ?(refresh = fun _ -> None) ?(bytes = 0) key f =
     let outcome =
       Fun.protect
         ~finally:(fun () -> decr depth)
-        (fun () -> attempts ~on_retry:(fun () -> count_retry m ~label) ~from body)
+        (fun () -> attempts ~on_retry:(fun () -> count_retry m ~label) ~from f)
     in
     publish m ~label key outcome ~gen0;
     match outcome with Ok v -> Some v | Error (e, _) -> raise e
@@ -213,14 +213,11 @@ let lookup m ~label ?(refresh = fun _ -> None) ?(bytes = 0) key f =
   Mutex.lock lock;
   let rec get () =
     match Hashtbl.find_opt m.table key with
-    | Some (Ready e) -> (
-      match refresh e.value with
-      | Some body -> compute ~from:0 body
-      | None ->
-        touch m e;
-        Mutex.unlock lock;
-        count_lookup m ~label ~hit:true;
-        Some e.value)
+    | Some (Ready e) ->
+      touch m e;
+      Mutex.unlock lock;
+      count_lookup m ~label ~hit:true;
+      Some e.value
     | Some In_flight ->
       wait_for_publish m key;
       get ()
@@ -234,13 +231,13 @@ let lookup m ~label ?(refresh = fun _ -> None) ?(bytes = 0) key f =
       Mutex.unlock lock;
       count_lookup m ~label ~hit:false;
       None
-    | Some (Failed (_, n)) -> compute ~from:n f
-    | None -> compute ~from:0 f
+    | Some (Failed (_, n)) -> compute ~from:n
+    | None -> compute ~from:0
   in
   get ()
 
-let find_or_compute m ~label ?refresh key f =
-  match lookup m ~label ?refresh key f with Some v -> v | None -> assert false
+let find_or_compute m ~label key f =
+  match lookup m ~label key f with Some v -> v | None -> assert false
 
 let find_if_fits m ~label ~bytes key f = lookup m ~label ~bytes key f
 

@@ -45,14 +45,10 @@ val create : ?budget:int -> ?size:('v -> int) -> string -> ('k, 'v) t
     [size] (default [fun _ -> 0]) weighs a published value; [budget]
     (default unbounded) caps the bytes held. *)
 
-val find_or_compute :
-  ('k, 'v) t -> label:string -> ?refresh:('v -> (unit -> 'v) option) -> 'k -> (unit -> 'v) -> 'v
+val find_or_compute : ('k, 'v) t -> label:string -> 'k -> (unit -> 'v) -> 'v
 (** The value for [key], computing it with [f] on a miss.  [label]
-    names the lookup in trace events.  [refresh v], consulted on a
-    published value, may return a body that recomputes it in place
-    (counted as a miss), so latecomers share the replacement; by default
-    published values are final.  [refresh] runs under the memos' lock,
-    so it must be a quick test that neither raises nor looks anything up.
+    names the lookup in trace events.  A published value is final: it
+    stays until evicted or {!clear}ed.
     @raise the exception of the body's last attempt once
     {!retry_limit} attempts have failed, and on every later lookup of
     that key until {!clear}. *)

@@ -1,12 +1,11 @@
 (* Shared-queue domain pool.
 
-   Topology: one mutex-guarded list of open jobs, newest first, plus an
-   inbox of [post]ed thunks.  A job is one [map_range]: an atomic cursor
-   over its elements that hands out [cutoff] of them per claim, so any
-   domain can take the next chunk of any open job without a lock.  The
-   pool's [jobs - 1] worker domains and every waiting caller look for
-   work in one order: a chunk of the newest open job, else the oldest
-   posted thunk.
+   Topology: one mutex-guarded list of open jobs, newest first.  A job
+   is one [map_range]: an atomic cursor over its elements that hands out
+   [cutoff] of them per claim, so any domain can take the next chunk of
+   any open job without a lock.  The pool's [jobs - 1] worker domains
+   and every waiting caller look for work in one place: the newest open
+   job.
 
    Caller first: a map's caller claims its own job's chunks until none
    are left, and only then helps until its elements have all settled.
@@ -19,7 +18,7 @@
    until it is ready.
 
    Sleeping is a two-phase check: a would-be sleeper registers in
-   [sleepers] and re-checks every source under the pool mutex before
+   [sleepers] and re-checks the open jobs under the pool mutex before
    waiting, and producers broadcast after publishing whenever [sleepers]
    is non-zero — the atomic ordering between the two makes lost wakeups
    impossible.  Results are joined by index, and [jobs = 1] runs
@@ -27,8 +26,6 @@
    machinery at all, so [jobs] never changes a pure map's result. *)
 
 module Metrics = Rs_obs.Metrics
-
-type task = unit -> unit
 
 type job = {
   cursor : int Atomic.t; (* next unclaimed element *)
@@ -40,13 +37,12 @@ type job = {
 
 type t = {
   jobs : int;
-  mutex : Mutex.t; (* guards inbox, open_jobs, live, active, retired *)
+  mutex : Mutex.t; (* guards open_jobs, live, active, retired *)
   wake : Condition.t;
-  inbox : task Queue.t;
   mutable open_jobs : job list; (* newest first *)
   sleepers : int Atomic.t;
   mutable live : bool;
-  mutable active : int; (* in-flight map_range / map_ordered / run_all *)
+  mutable active : int; (* in-flight map_range / map_ordered *)
   mutable retired : bool; (* close requested while active > 0 *)
   mutable workers : unit Domain.t list;
 }
@@ -74,13 +70,6 @@ let inside : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let current () = match !(Domain.DLS.get inside) with p :: _ -> Some p | [] -> None
 
-(* Every executor — worker domains, helping callers, the close-time
-   drain — runs posted thunks through this guard: it traps any escaping
-   exception so one raising [post]ed thunk can neither kill a worker
-   domain nor surface inside an unrelated caller's map.  Map elements
-   trap their own errors. *)
-let exec (task : task) = try task () with _ -> Metrics.incr m_worker_failures
-
 let wake t =
   if Atomic.get t.sleepers > 0 then begin
     Mutex.lock t.mutex;
@@ -106,27 +95,18 @@ let rec newest_open = function
   | [] -> no_job
   | j :: rest -> if Atomic.get j.cursor < j.size then j else newest_open rest
 
-(* Run one piece of queued work — a chunk of the newest open job, else
-   the oldest posted thunk; false when there is none. *)
+(* Run a chunk of the newest open job; false when there is none. *)
 let help_once t =
   Mutex.lock t.mutex;
   let job = newest_open t.open_jobs in
-  if job != no_job then begin
-    Mutex.unlock t.mutex;
+  Mutex.unlock t.mutex;
+  if job == no_job then false
+  else begin
     ignore (run_chunk job : bool);
     true
   end
-  else
-    match Queue.take_opt t.inbox with
-    | Some task ->
-      Mutex.unlock t.mutex;
-      exec task;
-      true
-    | None ->
-      Mutex.unlock t.mutex;
-      false
 
-(* Run one piece of queued work, or sleep until some appears; false once
+(* Run a chunk of queued work, or sleep until some appears; false once
    [stop ()] holds with nothing queued.  The sleeper registers before its
    final re-check and producers test [sleepers] after publishing, so one
    of the two always observes the other — no lost wakeups. *)
@@ -137,7 +117,7 @@ let acquire t ~stop =
        Atomic.incr t.sleepers;
        let rec wait () =
          if stop () then false
-         else if newest_open t.open_jobs != no_job || not (Queue.is_empty t.inbox) then true
+         else if newest_open t.open_jobs != no_job then true
          else begin
            Condition.wait t.wake t.mutex;
            wait ()
@@ -182,7 +162,7 @@ let worker_main t i =
   match !fault_hook ~site:"pool.worker_start" ~key:(string_of_int i) with
   | () ->
     (* [stop] is only consulted once nothing is left to run, so a
-       retiring pool drains its queues before the workers exit *)
+       retiring pool's open jobs drain before the workers exit *)
     let stop () = not t.live in
     while acquire t ~stop do
       ()
@@ -198,7 +178,6 @@ let create ?jobs () =
       jobs;
       mutex = Mutex.create ();
       wake = Condition.create ();
-      inbox = Queue.create ();
       open_jobs = [];
       sleepers = Atomic.make 0;
       live = true;
@@ -215,22 +194,15 @@ let jobs t = t.jobs
 
 (* Entered with [t.mutex] held, which it releases before joining the
    workers (they need it to observe the shutdown).  A worker performing a
-   deferred shutdown skips its own handle and exits on its own once the
-   queues drain.  The closing domain then runs the posted thunks still
-   queued, in submission order (no job is open once no map is in
-   flight): this is what guarantees [post] on a [jobs = 1] pool — which
-   has no worker to drain the inbox — still runs every thunk by [close]
-   at the latest. *)
+   deferred shutdown skips its own handle and exits on its own once no
+   job is open. *)
 let shutdown t =
   t.live <- false;
   Condition.broadcast t.wake;
   Mutex.unlock t.mutex;
   let self = Domain.self () in
   List.iter (fun d -> if Domain.get_id d <> self then Domain.join d) t.workers;
-  t.workers <- [];
-  while help_once t do
-    ()
-  done
+  t.workers <- []
 
 let close t =
   Mutex.lock t.mutex;
@@ -329,9 +301,6 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
     end
   end
 
-let parallel_for t ?cutoff ~lo ~hi f =
-  ignore (map_range t ?cutoff ~lo ~hi f : unit array)
-
 let task_event event dom i =
   Rs_obs.Trace.emit "task" [ S ("event", event); I ("domain", dom); I ("index", i) ]
 
@@ -358,19 +327,6 @@ let map_ordered t f arr =
         in
         if traced then task_event "stop" dom i;
         r)
-
-let run_all t thunks =
-  Array.to_list (map_ordered t (fun thunk -> thunk ()) (Array.of_list thunks))
-
-let post t thunk =
-  Mutex.lock t.mutex;
-  if not t.live then begin
-    Mutex.unlock t.mutex;
-    raise Closed
-  end;
-  Queue.add thunk t.inbox;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex
 
 (* --- scheduler counters ----------------------------------------------- *)
 

@@ -8,7 +8,7 @@
     with exactly [jobs]-way parallelism and a pool sized 1 never spawns a
     domain at all (maps degenerate to strict left-to-right [Array.map],
     byte-for-byte).  Idle domains take the next chunk of the newest open
-    job, else a {!post}ed thunk.
+    job: open maps are the pool's one source of work.
 
     Results are always joined in input order: a pure element function
     makes any map equivalent to its sequential form regardless of
@@ -17,8 +17,8 @@
 
     Nested use is supported: a task may itself map on the same pool.
     While a caller waits for its results it helps — running chunks of
-    the newest open map or the posted-thunk inbox — so nesting adds no
-    deadlock and wastes no worker.
+    the newest open map — so nesting adds no deadlock and wastes no
+    worker.
 
     Lifecycle: a pool is live from {!create} until {!close} completes.
     Mapping on a closed pool raises {!Closed} rather than silently
@@ -28,8 +28,8 @@
 type t
 
 exception Closed
-(** Raised by the mapping functions and {!post} on a pool whose
-    {!close} has completed. *)
+(** Raised by the mapping functions on a pool whose {!close} has
+    completed. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs] defaults
@@ -56,9 +56,6 @@ val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
     silently discarded.  The pool remains usable after a failed map.
     Raises {!Closed} if the pool has been shut down. *)
 
-val parallel_for : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** {!map_range} for effects only. *)
-
 val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_ordered t f arr] applies [f] to every element through
     {!map_range} (cutoff 1) and returns the results in input order.
@@ -66,30 +63,11 @@ val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
     [pool.task] fault-injection site keyed by index and task start/stop
     trace events.  Same error contract as {!map_range}. *)
 
-val run_all : t -> (unit -> 'a) list -> 'a list
-(** Heterogeneous fan-out: run every thunk (concurrently, order
-    unspecified) and return their results in list order.  Same exception
-    contract as {!map_ordered}. *)
-
-val post : t -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueue a thunk on the pool's inbox and return
-    immediately.  The thunk runs on whichever executor drains it next;
-    there is no completion notification.  A raising posted thunk never
-    kills its executor — every task runs under a guard that traps the
-    exception and counts it in [pool.worker_failures].  Thunks still
-    queued when the pool shuts down are drained by the closing caller in
-    submission order ({!close} below), so posts are never silently
-    dropped — in particular on a [jobs = 1] pool, which has no worker
-    domains and otherwise only drains its inbox when a concurrent map
-    helps.  Raises {!Closed} on a shut-down pool. *)
-
 val close : t -> unit
-(** Shut the workers down, join their domains, then drain: any posted
-    thunks still queued run in the closing caller, in submission order,
-    before [close] returns.  Called while maps are in flight, it retires
-    the pool instead: those maps (and their nested maps) run to
-    completion, the last one's epilogue performs the shutdown and drain,
-    and only then do new maps raise {!Closed}.  Idempotent. *)
+(** Shut the workers down and join their domains.  Called while maps are
+    in flight, it retires the pool instead: those maps (and their nested
+    maps) run to completion, the last one's epilogue performs the
+    shutdown, and only then do new maps raise {!Closed}.  Idempotent. *)
 
 val current : unit -> t option
 (** The pool the calling domain works in: a worker's own pool, or the
@@ -98,10 +76,9 @@ val current : unit -> t option
     run their maps without any pool machinery. *)
 
 val await : t -> (unit -> bool) -> unit
-(** [await t ready] returns once [ready ()] holds, running [t]'s queued
-    work meanwhile in the order a map's join uses: a chunk of the newest
-    open map, then the oldest posted thunk.  When nothing is queued it
-    sleeps until {!wake} or new work.  [ready] must become true through
+(** [await t ready] returns once [ready ()] holds, running chunks of
+    [t]'s newest open map meanwhile, as a map's join does.  When no map
+    is open it sleeps until {!wake} or new work.  [ready] must become true through
     a write followed by {!wake} [t] (or by a task's completion); it is
     polled without any lock.  Counted in the [pool.await.helped] and
     [pool.await.helped_us] metrics.  Meant for a domain working in [t]

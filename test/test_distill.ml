@@ -17,13 +17,6 @@ let test_assumptions_basics () =
   Alcotest.(check bool) "empty" true (A.is_empty A.empty);
   Alcotest.(check bool) "nonempty" false (A.is_empty a)
 
-let test_signature_stable () =
-  let a = A.branches [ (3, true); (5, false) ] in
-  let b = A.branches [ (5, false); (3, true) ] in
-  Alcotest.(check string) "order independent" (A.signature a) (A.signature b);
-  let c = A.branches [ (3, false); (5, false) ] in
-  Alcotest.(check bool) "direction matters" false (A.signature a = A.signature c)
-
 (* --- individual passes --------------------------------------------------- *)
 
 let branchy =
@@ -324,17 +317,6 @@ let test_figure1_distillation () =
     (Program.entry_func r.distilled).Func.blocks;
   Alcotest.(check bool) "cmplt r1, 32 present" true !found_cmpi32
 
-let test_cache () =
-  let p, _ = Rs_ir.Synth.figure1 () in
-  let cache = D.Cache.create p in
-  let a = A.branches [ (0, true) ] in
-  let r1 = D.Cache.get cache a in
-  let r2 = D.Cache.get cache a in
-  Alcotest.(check bool) "same result object" true (r1 == r2);
-  Alcotest.(check int) "one entry" 1 (D.Cache.entries cache);
-  let _ = D.Cache.get cache (A.branches [ (0, false) ]) in
-  Alcotest.(check int) "two entries" 2 (D.Cache.entries cache)
-
 let test_verify_catches_wrong_code () =
   let p, _ = Rs_ir.Synth.figure1 () in
   (* distill under a WRONG direction, then verify against inputs that
@@ -610,7 +592,6 @@ let qcheck_program_differential =
 let suite =
   [
     Alcotest.test_case "assumptions basics" `Quick test_assumptions_basics;
-    Alcotest.test_case "signature stable" `Quick test_signature_stable;
     Alcotest.test_case "apply branch assumptions" `Quick test_apply_assumptions;
     Alcotest.test_case "apply load assumption" `Quick test_apply_load_assumption;
     Alcotest.test_case "constant fold chain" `Quick test_constant_fold_chain;
@@ -624,9 +605,8 @@ let suite =
     Alcotest.test_case "local cse" `Quick test_local_cse;
     Alcotest.test_case "cse respects redefinition" `Quick test_cse_respects_redefinition;
     Alcotest.test_case "block merging via pipeline" `Quick test_block_merging_via_pipeline;
-    Alcotest.test_case "figure 1 distillation" `Quick test_figure1_distillation;
-    Alcotest.test_case "distillation cache" `Quick test_cache;
     Alcotest.test_case "verify catches wrong code" `Quick test_verify_catches_wrong_code;
+    Alcotest.test_case "figure 1 distillation" `Quick test_figure1_distillation;
     Alcotest.test_case "verify skips inconsistent trials" `Quick
       test_verify_skips_inconsistent_trials;
     Alcotest.test_case "inline calls (exact)" `Quick test_inline_calls;

@@ -166,13 +166,14 @@ let render_pipeline c = E.Figure2.render (E.Figure2.run c) ^ E.Table3.render (E.
    the compute bodies and delays in the pool. *)
 let render_stress_pipeline c =
   let mssp =
-    Pool.run_all (E.Context.pool c)
-      [
+    Pool.map_ordered (E.Context.pool c)
+      (fun render -> render ())
+      [|
         (fun () -> E.Figure7.render (E.Figure7.run c));
         (fun () -> E.Figure8.render (E.Figure8.run c));
-      ]
+      |]
   in
-  render_pipeline c ^ String.concat "" mssp
+  render_pipeline c ^ String.concat "" (Array.to_list mssp)
 
 (* max_raises=2 < retry_limit=3, so every cache key fails at most twice
    and the bounded retry always recovers: output must be byte-identical

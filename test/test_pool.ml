@@ -85,15 +85,6 @@ let test_sequential_path () =
   Alcotest.(check (list int)) "strict left-to-right" [ 7; 6; 5; 4; 3; 2; 1; 0 ] !trace;
   Alcotest.(check (array int)) "identity" (Array.init 8 (fun i -> i)) out
 
-let test_run_all () =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () -> Pool.close pool) @@ fun () ->
-  let out =
-    Pool.run_all pool
-      [ (fun () -> "a"); (fun () -> ignore (busy 10_000); "b"); (fun () -> "c") ]
-  in
-  Alcotest.(check (list string)) "thunk results in order" [ "a"; "b"; "c" ] out
-
 (* A failing map re-raises only its lowest-indexed error; the rest must
    be surfaced through the pool.suppressed_failures counter instead of
    being silently discarded. *)
@@ -140,35 +131,12 @@ let test_backtrace_preserved () =
       true
       (contains bt "test_pool" || not (Printexc.backtrace_status ()))
 
-(* A posted fire-and-forget thunk that raises must be trapped and
-   counted, not kill the worker domain that ran it. *)
-let test_post_survives_raising_thunk () =
-  let c = Rs_obs.Metrics.counter "pool.worker_failures" in
-  let before = Rs_obs.Metrics.counter_value c in
-  let pool = Pool.create ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.close pool) @@ fun () ->
-  let flag = Atomic.make false in
-  Pool.post pool (fun () -> failwith "posted boom");
-  Pool.post pool (fun () -> Atomic.set flag true);
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  Alcotest.(check bool) "worker survived and ran the next thunk" true (Atomic.get flag);
-  Alcotest.(check bool) "failure counted in pool.worker_failures" true
-    (Rs_obs.Metrics.counter_value c - before >= 1);
-  (* the pool is still fully usable for ordered maps *)
-  let out = Pool.map_ordered pool (fun i -> i * 2) (Array.init 8 (fun i -> i)) in
-  Alcotest.(check int) "map after posted failure" 14 out.(7)
-
 let suite =
   [
     Alcotest.test_case "ordering under contention" `Quick test_ordering;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "reuse and nesting" `Quick test_reuse_and_nesting;
     Alcotest.test_case "sequential path" `Quick test_sequential_path;
-    Alcotest.test_case "run_all" `Quick test_run_all;
     Alcotest.test_case "suppressed failures counted" `Quick test_suppressed_failures_counted;
     Alcotest.test_case "backtrace preserved" `Quick test_backtrace_preserved;
-    Alcotest.test_case "post survives raising thunk" `Quick test_post_survives_raising_thunk;
   ]

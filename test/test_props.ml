@@ -1,37 +1,9 @@
 (* Property-based tests (via the Prop helper) for the counting utilities
-   the observability layer depends on: saturating counters, streaming
-   statistics and histograms. *)
+   the observability layer depends on: streaming statistics and
+   histograms. *)
 
-module Sat = Rs_util.Sat_counter
 module Stats = Rs_util.Running_stats
 module Hist = Rs_util.Histogram
-
-(* --- Sat_counter: bounds and monotonicity -------------------------------- *)
-
-let gen_sat_trace =
-  Prop.pair (Prop.int ~lo:1 ~hi:10_000)
-    (Prop.list_of ~min_len:1 ~max_len:200 (Prop.int ~lo:(-500) ~hi:500))
-
-let prop_sat_bounds (max, deltas) =
-  let c = Sat.create ~max () in
-  List.for_all
-    (fun d ->
-      Sat.add c d;
-      Sat.value c >= 0 && Sat.value c <= max)
-    deltas
-
-let gen_sat_incrs =
-  Prop.pair (Prop.int ~lo:1 ~hi:10_000)
-    (Prop.list_of ~min_len:1 ~max_len:200 (Prop.int ~lo:0 ~hi:500))
-
-let prop_sat_monotone (max, incrs) =
-  let c = Sat.create ~max () in
-  List.for_all
-    (fun d ->
-      let before = Sat.value c in
-      Sat.add c d;
-      Sat.value c >= before)
-    incrs
 
 (* --- Running_stats vs a naive two-pass reference -------------------------- *)
 
@@ -82,8 +54,6 @@ let prop_hist_merge (xs, ys) =
 
 let suite =
   [
-    Prop.test "sat counter stays within [0, max]" gen_sat_trace prop_sat_bounds;
-    Prop.test "sat counter monotone under increments" gen_sat_incrs prop_sat_monotone;
     Prop.test ~count:300 "running stats match two-pass reference" gen_samples prop_stats_match;
     Prop.test "histogram merge preserves counts" gen_two_samples prop_hist_merge;
   ]

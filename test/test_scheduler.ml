@@ -1,6 +1,6 @@
 (* The shared-queue scheduler: map_range over the open-job queue,
-   caller-first claiming, jobs-independence under random nesting, the
-   post/close drain guarantee, and memo waits that help the pool. *)
+   caller-first claiming, jobs-independence under random nesting, and
+   memo waits that help the pool. *)
 
 module Pool = Rs_util.Pool
 module Memo = Rs_util.Memo
@@ -28,9 +28,8 @@ let test_map_range_basics () =
   Alcotest.(check (array int)) "cutoff 16"
     expect
     (Pool.map_range pool ~cutoff:16 ~lo:0 ~hi:100 (fun i -> i * 3));
-  let sum = ref 0 in
-  Pool.parallel_for pool ~lo:0 ~hi:50 (fun i -> ignore (busy 100); ignore i);
-  ignore !sum
+  Alcotest.(check (array int)) "uneven elements" (Array.init 50 Fun.id)
+    (Pool.map_range pool ~lo:0 ~hi:50 (fun i -> ignore (busy 100); i))
 
 let test_map_range_shared () =
   let shared_before = (Pool.stats ()).shared in
@@ -86,18 +85,6 @@ let nested_identity_test =
         Prop.int ~lo:1 ~hi:5 rng ))
     nested_identity_prop
 
-(* --- post / close drain ---------------------------------------------------- *)
-
-let test_jobs1_post_drained_at_close () =
-  let pool = Pool.create ~jobs:1 () in
-  let hits = ref [] in
-  Pool.post pool (fun () -> hits := 1 :: !hits);
-  Pool.post pool (fun () -> hits := 2 :: !hits);
-  (* no worker domains: nothing may run until the close drain *)
-  Alcotest.(check (list int)) "not yet run" [] !hits;
-  Pool.close pool;
-  Alcotest.(check (list int)) "drained in submission order at close" [ 1; 2 ] (List.rev !hits)
-
 (* --- memo waits help the pool ------------------------------------------ *)
 
 let wait_until ?(timeout = 10.0) cond =
@@ -117,15 +104,31 @@ let with_watchdog ?(seconds = 20.0) what f =
   Domain.join d;
   match Atomic.get result with Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false
 
+(* Hold the one worker of a jobs-2 pool until [release ()] holds, then
+   run [f pool].  A spawned domain maps two elements that meet at a
+   barrier, so the worker runs one of them, and both wait for
+   [release]: neither that domain nor the worker takes other work
+   meanwhile.  The domain is joined before the pool closes. *)
+let with_held_worker release f =
+  with_pool ~jobs:2 @@ fun pool ->
+  let arrived = Atomic.make 0 in
+  let holder =
+    Domain.spawn (fun () ->
+        ignore
+          (Pool.map_range pool ~lo:0 ~hi:2 (fun _ ->
+               Atomic.incr arrived;
+               ignore (wait_until (fun () -> Atomic.get arrived = 2));
+               ignore (wait_until ~timeout:120.0 release))
+            : unit array))
+  in
+  ignore (wait_until (fun () -> Atomic.get arrived = 2));
+  Fun.protect ~finally:(fun () -> Domain.join holder) @@ fun () -> f pool
+
 (* A jobs-2 pool whose one worker is kept busy, so the tasks a map
    queues can only run on the domain that maps. *)
 let with_busy_worker f =
-  with_pool ~jobs:2 @@ fun pool ->
-  let stop = Atomic.make false and started = Atomic.make false in
-  Pool.post pool (fun () ->
-      Atomic.set started true;
-      ignore (wait_until ~timeout:120.0 (fun () -> Atomic.get stop)));
-  ignore (wait_until (fun () -> Atomic.get started));
+  let stop = Atomic.make false in
+  with_held_worker (fun () -> Atomic.get stop) @@ fun pool ->
   Fun.protect ~finally:(fun () -> Atomic.set stop true) @@ fun () -> f pool
 
 (* Hold [key] in flight from a domain outside every pool until [body]
@@ -237,16 +240,13 @@ let test_outside_publish_wakes_helper () =
 
 (* While an older map's job is still open, a nested map's caller claims
    all of its own elements before any element of the older job, and an
-   idle helper takes the newest open job first.  The worker is held in a
-   posted thunk until the nested map is open, so its first choice is
-   between the two jobs. *)
+   idle helper takes the newest open job first.  The worker is held
+   until the nested map is open, so its first choice is between the two
+   jobs. *)
 let test_caller_first () =
-  with_pool ~jobs:2 @@ fun pool ->
-  let held = Atomic.make false and release = Atomic.make false in
-  Pool.post pool (fun () ->
-      Atomic.set held true;
-      ignore (wait_until (fun () -> Atomic.get release)));
-  ignore (wait_until (fun () -> Atomic.get held));
+  let release = Atomic.make false in
+  with_held_worker (fun () -> Atomic.get release) @@ fun pool ->
+  Fun.protect ~finally:(fun () -> Atomic.set release true) @@ fun () ->
   let lock = Mutex.create () and log = ref [] in
   let record map i =
     Mutex.lock lock;
@@ -297,7 +297,6 @@ let suite =
     Alcotest.test_case "map_range jobs=1 strict order" `Quick test_map_range_jobs1_strict_order;
     Alcotest.test_case "nested caller claims its own elements first" `Quick test_caller_first;
     nested_identity_test;
-    Alcotest.test_case "jobs=1 post drained at close" `Quick test_jobs1_post_drained_at_close;
     Alcotest.test_case "cache wait in a compute body blocks" `Quick test_compute_body_blocks;
     Alcotest.test_case "cache waiter helps the pool" `Quick test_waiter_helps;
     Alcotest.test_case "outside publish wakes a helper" `Quick test_outside_publish_wakes_helper;

@@ -1,47 +1,7 @@
-module Sat = Rs_util.Sat_counter
 module Stats = Rs_util.Running_stats
 module Hist = Rs_util.Histogram
 module Table = Rs_util.Table
 module Csv = Rs_util.Csv
-
-(* --- saturating counters ------------------------------------------------ *)
-
-let test_sat_basic () =
-  let c = Sat.create ~max:100 () in
-  Alcotest.(check int) "starts at 0" 0 (Sat.value c);
-  Sat.add c 30;
-  Alcotest.(check int) "adds" 30 (Sat.value c);
-  Sat.add c (-50);
-  Alcotest.(check int) "clamps at 0" 0 (Sat.value c);
-  Sat.add c 1000;
-  Alcotest.(check int) "clamps at max" 100 (Sat.value c);
-  Alcotest.(check bool) "saturated" true (Sat.is_saturated c);
-  Sat.reset c;
-  Alcotest.(check int) "reset" 0 (Sat.value c)
-
-let test_sat_hysteresis_shape () =
-  (* The paper's +50/-1 counter: 200 consecutive misspeculations saturate
-     a 10,000 counter; correct speculations between bursts decay it. *)
-  let c = Sat.create ~max:10_000 () in
-  for _ = 1 to 150 do
-    Sat.add c 50
-  done;
-  Alcotest.(check bool) "150 misspecs not enough" false (Sat.is_saturated c);
-  for _ = 1 to 5_000 do
-    Sat.add c (-1)
-  done;
-  Alcotest.(check int) "decayed" 2_500 (Sat.value c);
-  for _ = 1 to 150 do
-    Sat.add c 50
-  done;
-  Alcotest.(check bool) "second burst saturates" true (Sat.is_saturated c)
-
-let test_sat_invalid () =
-  Alcotest.check_raises "bad max" (Invalid_argument "Sat_counter.create: max must be positive")
-    (fun () -> ignore (Sat.create ~max:0 ()));
-  Alcotest.check_raises "bad initial"
-    (Invalid_argument "Sat_counter.create: initial out of range") (fun () ->
-      ignore (Sat.create ~initial:11 ~max:10 ()))
 
 (* --- running stats ------------------------------------------------------ *)
 
@@ -212,9 +172,6 @@ let test_ensure_dir () =
 
 let suite =
   [
-    Alcotest.test_case "sat counter basics" `Quick test_sat_basic;
-    Alcotest.test_case "sat counter hysteresis" `Quick test_sat_hysteresis_shape;
-    Alcotest.test_case "sat counter invalid" `Quick test_sat_invalid;
     Alcotest.test_case "running stats basics" `Quick test_stats_basic;
     Alcotest.test_case "running stats empty" `Quick test_stats_empty;
     Alcotest.test_case "running stats merge" `Quick test_stats_merge;
