@@ -1,10 +1,10 @@
 (* rspec: reproduce the tables and figures of "Reactive Techniques for
    Controlling Software Speculation" (CGO 2005).
 
-   Every subcommand is a generic view over [Rs_experiments.Registry]:
-   [list] prints it, [run]/[all] execute selections of it, [export] is a
-   legacy alias for the figure CSV sheets.  Adding an experiment to the
-   registry adds it everywhere here with no change to this file. *)
+   Every experiment subcommand is a generic view over
+   [Rs_experiments.Registry]: [list] prints it, [run]/[all] execute
+   selections of it.  Adding an experiment to the registry adds it
+   everywhere here with no change to this file. *)
 
 open Cmdliner
 module E = Rs_experiments
@@ -21,6 +21,23 @@ let exits =
       info 2 ~doc:"on a usage error: a malformed or out-of-range option or environment value.";
       info internal_error ~doc:"on an unexpected internal error.";
     ]
+
+let fail_cli fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "rspec: %s\n" msg;
+      exit 2)
+    fmt
+
+(* --faults SPEC, or RS_FAULTS when the flag is absent. *)
+let configure_faults faults =
+  match
+    match faults with
+    | Some spec -> Rs_fault.Fault.configure_spec spec
+    | None -> Rs_fault.Fault.configure_from_env ()
+  with
+  | Ok () -> ()
+  | Error msg -> fail_cli "%s" msg
 
 (* Shared by every command that takes --seed or --scale. *)
 let seed_env = Cmd.Env.info "RS_SEED"
@@ -56,17 +73,6 @@ let ctx_term =
     in
     let env = Cmd.Env.info "RS_JOBS" in
     Arg.(value & opt int E.Context.default.jobs & info [ "jobs"; "j" ] ~env ~docv:"JOBS" ~doc)
-  in
-  let cache_stats =
-    let doc = "Print artifact-cache hit/miss counters to stderr after the run." in
-    Arg.(value & flag & info [ "cache-stats" ] ~doc)
-  in
-  let pool_stats =
-    let doc =
-      "Print domain-pool counters (map elements run, chunks shared with other domains, \
-       cache waits that helped or blocked) to stderr after the run."
-    in
-    Arg.(value & flag & info [ "pool-stats" ] ~doc)
   in
   let metrics =
     let doc =
@@ -105,21 +111,8 @@ let ctx_term =
       & opt int Rs_behavior.Trace_store.default_capacity_mb
       & info [ "trace-cache-mb" ] ~env ~docv:"MB" ~doc)
   in
-  let make scale seed tau jobs cache_stats pool_stats metrics trace faults trace_cache_mb =
-    let configured =
-      match faults with
-      | Some spec -> Rs_fault.Fault.configure_spec spec
-      | None -> Rs_fault.Fault.configure_from_env ()
-    in
-    (match configured with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "rspec: %s\n" msg;
-      exit 2);
-    if cache_stats then
-      at_exit (fun () -> prerr_endline (E.Cache.describe (E.Cache.stats ())));
-    if pool_stats then
-      at_exit (fun () -> prerr_endline (Rs_util.Pool.describe (Rs_util.Pool.stats ())));
+  let make scale seed tau jobs metrics trace faults trace_cache_mb =
+    configure_faults faults;
     if metrics then
       at_exit (fun () -> prerr_string (Rs_obs.Metrics.render_summary ()));
     (match trace with
@@ -127,20 +120,14 @@ let ctx_term =
       (* Trace.to_file registers its own at_exit flush, so even a run
          that dies abnormally keeps the tail of its trace. *)
       try Rs_obs.Trace.to_file file
-      with Rs_obs.Trace.Error msg ->
-        Printf.eprintf "rspec: %s\n" msg;
-        exit 2)
+      with Rs_obs.Trace.Error msg -> fail_cli "%s" msg)
     | None -> ());
-    if trace_cache_mb < 0 then begin
-      Printf.eprintf "rspec: --trace-cache-mb (RS_TRACE_CACHE_MB) must be >= 0\n";
-      exit 2
-    end;
+    if trace_cache_mb < 0 then fail_cli "--trace-cache-mb (RS_TRACE_CACHE_MB) must be >= 0";
     Rs_behavior.Trace_store.set_capacity_bytes (trace_cache_mb * 1024 * 1024);
     E.Context.create ~seed ~scale ~tau ~jobs ()
   in
   Term.(
-    const make $ scale $ seed $ tau $ jobs $ cache_stats $ pool_stats $ metrics $ trace
-    $ faults $ trace_cache_mb)
+    const make $ scale $ seed $ tau $ jobs $ metrics $ trace $ faults $ trace_cache_mb)
 
 let print_header ctx name = Printf.printf "== %s  [%s] ==\n%!" name (E.Context.describe ctx)
 
@@ -247,9 +234,7 @@ let run_cmd =
   in
   let run ctx names format out =
     match R.select names with
-    | Error msg ->
-      Printf.eprintf "rspec: %s\n" msg;
-      exit 2
+    | Error msg -> fail_cli "%s" msg
     | Ok entries ->
       let results, failed = execute_selection ctx entries in
       emit ctx ~format ~out results;
@@ -277,28 +262,6 @@ let all_cmd =
           non-zero.")
     Term.(const run $ ctx_term)
 
-let export_cmd =
-  let dir =
-    Arg.(
-      value
-      & opt string "figures"
-      & info [ "dir" ] ~docv:"DIR" ~doc:"Directory to write the CSV series into.")
-  in
-  let run ctx dir =
-    let entries =
-      List.filter_map R.find [ "figure2"; "figure5"; "figure6"; "figure7"; "figure8" ]
-    in
-    let results, failed = execute_selection ctx entries in
-    emit ctx ~format:Csv ~out:(Some dir) results;
-    exit_on_failures entries failed
-  in
-  Cmd.v
-    (Cmd.info ~exits "export"
-       ~doc:
-         "Write the raw series behind the figures as CSV files (alias for $(b,run \
-          'figure[25678]' --format csv))")
-    Term.(const run $ ctx_term $ dir)
-
 let list_cmd =
   let run () =
     List.iter (fun e -> Printf.printf "%-9s %s\n" (R.name e) (R.description e)) R.all
@@ -308,13 +271,6 @@ let list_cmd =
 (* --- the online service (`rspec serve` / `rspec drive`) ------------- *)
 
 module Benchmark = Rs_workload.Benchmark
-
-let fail_cli fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "rspec: %s\n" msg;
-      exit 2)
-    fmt
 
 let find_bench name =
   match Benchmark.find name with
@@ -326,23 +282,21 @@ let find_bench name =
 let input_conv = Arg.enum [ ("ref", Benchmark.Ref); ("train", Benchmark.Train) ]
 let input_name = function Benchmark.Ref -> "ref" | Benchmark.Train -> "train"
 
-let serve_args =
-  let socket =
-    let doc = "Listen on a Unix-domain socket at $(docv)." in
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-  in
-  let stdio =
-    let doc = "Serve a single length-prefixed connection on stdin/stdout instead of a socket." in
-    Arg.(value & flag & info [ "stdio" ] ~doc)
-  in
-  let branches =
-    let doc = "Serve a branch id space of $(docv) branches (alternative to $(b,--bench))." in
-    Arg.(value & opt (some int) None & info [ "branches" ] ~docv:"N" ~doc)
-  in
+(* --bench --input --scale --seed --tau, shared by serve and drive: the
+   two build the same population, so their branch ids agree. *)
+type workload = {
+  bench : string option;
+  input : Benchmark.input;
+  scale : float;
+  seed : int;
+  tau : int;
+}
+
+let workload_term =
   let bench =
     let doc =
-      "Size the branch id space from this benchmark's population (see $(b,rspec list) and \
-       $(b,rspec drive))."
+      "Benchmark: $(b,serve) sizes its branch id space from its population, $(b,drive) \
+       records and ships its event stream."
     in
     Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"NAME" ~doc)
   in
@@ -356,6 +310,25 @@ let serve_args =
   let tau =
     let doc = "Time-compression factor for the controller parameters." in
     Arg.(value & opt int Benchmark.default_tau & info [ "tau" ] ~docv:"TAU" ~doc)
+  in
+  let make bench input scale seed tau = { bench; input; scale; seed; tau } in
+  Term.(const make $ bench $ input $ scale $ seed $ tau)
+
+let build_workload w name =
+  Benchmark.build (find_bench name) ~input:w.input ~seed:w.seed ~scale:w.scale ~tau:w.tau
+
+let serve_cmd =
+  let socket =
+    let doc = "Listen on a Unix-domain socket at $(docv)." in
+    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+  in
+  let stdio =
+    let doc = "Serve a single length-prefixed connection on stdin/stdout instead of a socket." in
+    Arg.(value & flag & info [ "stdio" ] ~doc)
+  in
+  let branches =
+    let doc = "Serve a branch id space of $(docv) branches (alternative to $(b,--bench))." in
+    Arg.(value & opt (some int) None & info [ "branches" ] ~docv:"N" ~doc)
   in
   let shards =
     let doc = "Worker shards: branch $(i,b) is owned by shard $(i,b) mod $(docv)." in
@@ -379,40 +352,26 @@ let serve_args =
     in
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
-  (socket, stdio, branches, bench, input, scale, seed, tau, shards, snapshot, metrics, faults)
-
-let serve_cmd =
-  let socket, stdio, branches, bench, input, scale, seed, tau, shards, snapshot, metrics, faults =
-    serve_args
-  in
-  let run socket stdio branches bench input scale seed tau shards snapshot metrics faults =
-    (match
-       match faults with
-       | Some spec -> Rs_fault.Fault.configure_spec spec
-       | None -> Rs_fault.Fault.configure_from_env ()
-     with
-    | Ok () -> ()
-    | Error msg -> fail_cli "%s" msg);
+  let run socket stdio branches w shards snapshot metrics faults =
+    configure_faults faults;
     if metrics then at_exit (fun () -> prerr_string (Rs_obs.Metrics.render_summary ()));
     let transport =
       match (socket, stdio) with
       | Some path, false -> Rs_serve.Server.Unix_socket path
-      | None, true -> Rs_serve.Server.Stdio
+      | None, true -> Rs_serve.Server.Fd_pair (Unix.stdin, Unix.stdout)
       | None, false -> fail_cli "serve needs --socket PATH or --stdio"
       | Some _, true -> fail_cli "--socket and --stdio are mutually exclusive"
     in
     let n_branches =
-      match (branches, bench) with
+      match (branches, w.bench) with
       | Some n, None -> n
-      | None, Some name ->
-        let pop, _ = Benchmark.build (find_bench name) ~input ~seed ~scale ~tau in
-        Rs_behavior.Population.size pop
+      | None, Some name -> Rs_behavior.Population.size (fst (build_workload w name))
       | None, None -> fail_cli "serve needs --branches N or --bench NAME"
       | Some _, Some _ -> fail_cli "--branches and --bench are mutually exclusive"
     in
     if n_branches <= 0 then fail_cli "--branches must be positive";
     if shards <= 0 then fail_cli "--shards must be positive";
-    let params = Rs_core.Params.compress ~factor:tau Rs_core.Params.default in
+    let params = Rs_core.Params.compress ~factor:w.tau Rs_core.Params.default in
     Rs_serve.Server.run { params; n_branches; shards; transport; snapshot_path = snapshot }
   in
   Cmd.v
@@ -423,8 +382,8 @@ let serve_cmd =
           state across worker domains, answering QUERY/STATS/SNAPSHOT requests.  See README \
           'Online service'.")
     Term.(
-      const run $ socket $ stdio $ branches $ bench $ input $ scale $ seed $ tau $ shards
-      $ snapshot $ metrics $ faults)
+      const run $ socket $ stdio $ branches $ workload_term $ shards $ snapshot $ metrics
+      $ faults)
 
 let rec connect_retry path tries =
   match Rs_serve.Client.connect path with
@@ -443,18 +402,6 @@ let drive_cmd =
     let doc = "Server socket path." in
     Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in
-  let bench =
-    let doc = "Benchmark whose recorded event stream to ship." in
-    Arg.(required & opt (some string) None & info [ "bench" ] ~docv:"NAME" ~doc)
-  in
-  let input = Arg.(value & opt input_conv Benchmark.Ref & info [ "input" ] ~docv:"INPUT") in
-  let scale =
-    Arg.(value & opt float E.Context.default.scale & info [ "scale" ] ~env:scale_env ~docv:"SCALE")
-  in
-  let seed =
-    Arg.(value & opt int E.Context.default.seed & info [ "seed" ] ~env:seed_env ~docv:"SEED")
-  in
-  let tau = Arg.(value & opt int Benchmark.default_tau & info [ "tau" ] ~docv:"TAU") in
   let repeat =
     let doc = "Ship the trace $(docv) times (one continuous logical stream)." in
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
@@ -471,10 +418,12 @@ let drive_cmd =
     let doc = "Send SHUTDOWN when done." in
     Arg.(value & flag & info [ "shutdown" ] ~doc)
   in
-  let run socket bench input scale seed tau repeat stats_json snapshot_out shutdown =
+  let run socket w repeat stats_json snapshot_out shutdown =
+    let bench =
+      match w.bench with Some name -> name | None -> fail_cli "drive needs --bench NAME"
+    in
     if repeat <= 0 then fail_cli "--repeat must be positive";
-    let b = find_bench bench in
-    let pop, stream_cfg = Benchmark.build b ~input ~seed ~scale ~tau in
+    let pop, stream_cfg = build_workload w bench in
     let trace = Rs_behavior.Trace_store.record pop stream_cfg in
     let n_branches = Rs_behavior.Population.size pop in
     let c = connect_retry socket 100 in
@@ -492,7 +441,7 @@ let drive_cmd =
       | Error msg -> fail_cli "query %d: %s" branch msg
     done;
     Printf.printf "drive: bench=%s input=%s branches=%d events=%d repeat=%d flushed=%d\n" bench
-      (input_name input) n_branches
+      (input_name w.input) n_branches
       (Rs_behavior.Trace_store.length trace * repeat)
       repeat flushed;
     Printf.printf "decisions: code0=%d code1=%d code2=%d code3=%d hash=0x%08x\n" counts.(0)
@@ -519,9 +468,7 @@ let drive_cmd =
          "Drive a running $(b,rspec serve): record a benchmark's event stream, ship it (in \
           32k-word packed frames), flush, and print a deterministic digest of the server's \
           deployed decisions — byte-identical across shard counts and snapshot/restore.")
-    Term.(
-      const run $ socket $ bench $ input $ scale $ seed $ tau $ repeat $ stats_json
-      $ snapshot_out $ shutdown)
+    Term.(const run $ socket $ workload_term $ repeat $ stats_json $ snapshot_out $ shutdown)
 
 (* One subcommand per registry entry, so `rspec figure2` keeps working:
    the `run` path on that one entry, failure reporting included. *)
@@ -537,7 +484,7 @@ let main =
   let doc = "reproduce 'Reactive Techniques for Controlling Software Speculation' (CGO 2005)" in
   let info = Cmd.info ~exits "rspec" ~version:"1.0.0" ~doc in
   Cmd.group info
-    (list_cmd :: all_cmd :: run_cmd :: export_cmd :: serve_cmd :: drive_cmd
+    (list_cmd :: all_cmd :: run_cmd :: serve_cmd :: drive_cmd
     :: List.map cmd_of R.all)
 
 let () =

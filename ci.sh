@@ -321,9 +321,9 @@ rm -f "$BENCH_JSON"
 
 # Scheduler stage: neither the shared-queue pool, the artifact cache nor
 # the trace store may change output.  `rspec all` must be byte-identical
-# between --jobs 1 and --jobs 8 at two seeds; the jobs-8 runs print their
-# scheduler counters so the CI log records the shared-work activity
-# behind the identity.  Order independence: an entry run alone from a
+# between --jobs 1 and --jobs 8 at two seeds; the jobs-8 runs print the
+# metrics summary, which must carry the pool and cache counters, so the
+# CI log records the shared work behind the identity.  Order independence: an entry run alone from a
 # cold cache at --jobs 8 must reproduce its section of the jobs-1
 # `rspec all` — every entry: the trace-consuming ones (figure3,
 # figure5, figure6, figure9, table3) with --trace-cache-mb 0, which
@@ -351,11 +351,14 @@ for seed in 3 11; do
   echo "-- seed=$seed --"
   timeout 900 "$RSPEC" all --scale 0.02 --tau 10 --seed "$seed" --jobs 1 \
     > "$SCHED_DIR/j1.txt"
-  timeout 900 "$RSPEC" all --scale 0.02 --tau 10 --seed "$seed" --jobs 8 --pool-stats \
+  timeout 900 "$RSPEC" all --scale 0.02 --tau 10 --seed "$seed" --jobs 8 --metrics \
     > "$SCHED_DIR/j8.txt" 2> "$SCHED_DIR/j8.err"
   cmp "$SCHED_DIR/j1.txt" "$SCHED_DIR/j8.txt" \
     || { echo "rspec all differs between --jobs 1 and --jobs 8 (seed=$seed)" >&2; exit 1; }
-  grep '^pool:' "$SCHED_DIR/j8.err" || true
+  for counter in pool.tasks cache.run.hits; do
+    grep -E "^ +${counter//./\\.} +[0-9]+\$" "$SCHED_DIR/j8.err" \
+      || { echo "rspec all --metrics printed no $counter line (seed=$seed)" >&2; exit 1; }
+  done
   run_alone "$seed" breakeven
   # the four entries that share Cache.mssp runs and so wait on each other
   for name in figure7 figure8 correlation claims; do

@@ -38,8 +38,6 @@ let packed_branch w = w lsr branch_shift
 let packed_taken w = w land 1 = 1
 let packed_delta w = (w lsr 1) land delta_mask
 
-let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
-
 (* The one packer.  [push] encodes an event into [buf]; each full chunk,
    and the partial rest at [finish], goes to [emit], which returns the
    buffer to fill next: the same one for a live pass that consumes the
@@ -105,7 +103,7 @@ let last_len (cfg : Stream.config) =
 
 let record pop (cfg : Stream.config) =
   let caller = "Trace_store.record" in
-  !fault_hook ~site:"trace_store.record"
+  Rs_obs.Fault_hook.hit ~site:"trace_store.record"
     ~key:(Printf.sprintf "seed=%d/len=%d" cfg.seed cfg.length);
   let n = Population.size pop in
   check_packable ~caller n;

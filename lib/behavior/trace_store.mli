@@ -25,8 +25,7 @@
     recorded, and its consumers generate it live.
 
     Recording consults the ["trace_store.record"] fault-injection site
-    through {!fault_hook} (wired up by [Rs_fault.Fault.configure],
-    mirroring the pool and trace hooks). *)
+    through {!Rs_obs.Fault_hook}. *)
 
 type t
 (** An immutable packed trace. *)
@@ -137,8 +136,3 @@ val set_capacity_bytes : int -> unit
 val clear : unit -> unit
 (** Drop every cached trace and zero the hit/miss/eviction counters
     ({!Rs_util.Memo.clear}). *)
-
-val fault_hook : (site:string -> key:string -> unit) ref
-(** Consulted at the ["trace_store.record"] site before each recording.
-    Default no-op.  Not for general use — install [Rs_fault.Fault] plans
-    via its [configure]. *)

@@ -12,14 +12,8 @@ type result = {
   stats : stats;
 }
 
-(* Fault-injection hook for [Rs_fault.Fault.configure] to wire (it sits
-   above us in the dependency graph).  Consulted once per pipeline pass
-   with site "distill.pass" and the pass name as key. *)
-let fault_hook : (site:string -> key:string -> unit) ref =
-  ref (fun ~site:_ ~key:_ -> ())
-
-let distill ?(inline_budget = 8) (p : Rs_ir.Program.t) (assumptions : Assumptions.t) =
-  let pass name = !fault_hook ~site:"distill.pass" ~key:name in
+let distill (p : Rs_ir.Program.t) (assumptions : Assumptions.t) =
+  let pass name = Rs_obs.Fault_hook.hit ~site:"distill.pass" ~key:name in
   let compute () =
     let assume = Assumptions.direction assumptions in
     pass "prune_edges";
@@ -35,7 +29,7 @@ let distill ?(inline_budget = 8) (p : Rs_ir.Program.t) (assumptions : Assumption
         p
     in
     pass "inline_calls";
-    let p2, inlined = Passes.inline_calls ~budget:inline_budget ~assume p1 in
+    let p2, inlined = Passes.inline_calls ~assume p1 in
     pass "optimize";
     let p3 = Rs_ir.Program.map_funcs (fun _ f -> Passes.optimize f) p2 in
     let p3 = Passes.prune_dead_funcs p3 in

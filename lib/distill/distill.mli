@@ -15,8 +15,7 @@ type stats = {
   cold_blocks : int;  (** Off-path blocks moved to the cold region. *)
   cold_entries : int;
       (** Distinct cold blocks directly reachable from hot code — the
-          misspeculation-recovery entry stubs the MSSP cost model
-          prices via [Config.cold_stub_cost]. *)
+          misspeculation-recovery entry stubs. *)
 }
 
 type result = {
@@ -26,12 +25,9 @@ type result = {
   stats : stats;
 }
 
-val distill : ?inline_budget:int -> Rs_ir.Program.t -> Assumptions.t -> result
-(** [inline_budget] (default 8) bounds the number of call sites inlined
-    along the hot path.  A pipeline that raises is rerun whole under
-    {!Rs_util.Memo.retry}. *)
-
-val fault_hook : (site:string -> key:string -> unit) ref
-(** Consulted at site ["distill.pass"] before each pipeline pass (key =
-    pass name).  Default no-op.  Not for general use — install
-    [Rs_fault.Fault] plans via its [configure]. *)
+val distill : Rs_ir.Program.t -> Assumptions.t -> result
+(** Inlines at most 8 call sites along the hot path
+    ({!Passes.inline_calls}' default budget).  Consults the
+    ["distill.pass"] fault-injection site ({!Rs_obs.Fault_hook}, key =
+    pass name) before each pass; a pipeline that raises is rerun whole
+    under {!Rs_util.Memo.retry}. *)

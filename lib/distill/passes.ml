@@ -583,7 +583,7 @@ let prune_dead_funcs (p : Program.t) =
    dynamic behaviour, sizes and site ids are untouched — but the layout
    exposes the misspeculation-recovery surface: each distinct cold block
    directly reachable from hot code is an entry stub the MSSP recovery
-   path funnels through, priced by [Config.cold_stub_cost]. *)
+   path funnels through. *)
 
 type split = { hot_blocks : int; cold_blocks : int; cold_entries : int }
 

@@ -14,9 +14,7 @@ type row = {
   differential_ok : bool;
 }
 
-type verdict = { claim : string; measured : string; pass : bool }
-
-type t = { rows : row list; verdicts : verdict list }
+type t = { rows : row list; verdicts : Verdict.t list }
 
 let run (ctx : Context.t) =
   let params = Context.params ctx in
@@ -53,31 +51,31 @@ let run (ctx : Context.t) =
   let verdicts =
     [
       {
-        claim = "osc_flip: the oscillation cap retires threshold-flipping branches";
+        Verdict.claim = "osc_flip: the oscillation cap retires threshold-flipping branches";
         measured =
           Printf.sprintf "%d capped after %d selections / %d evictions" osc.capped
             osc.selections osc.evictions;
         pass = osc.capped > 0 && osc.selections >= params.oscillation_limit;
       };
       {
-        claim = "near_evict: sustained misspeculation damage with zero evictions";
+        Verdict.claim = "near_evict: sustained misspeculation damage with zero evictions";
         measured =
           Printf.sprintf "incorrect %.3f%%, %d evictions" (100.0 *. near.incorrect_rate)
             near.evictions;
         pass = near.evictions = 0 && near.incorrect_rate > 0.0;
       };
       {
-        claim = "revisit_starve: monitor-window fair coins are never selected";
+        Verdict.claim = "revisit_starve: monitor-window fair coins are never selected";
         measured = Printf.sprintf "%d selections" starve.selections;
         pass = starve.selections = 0;
       };
       {
-        claim = "mixed: benign background still earns correct speculation under attack";
+        Verdict.claim = "mixed: benign background still earns correct speculation under attack";
         measured = Printf.sprintf "correct %.1f%%" (100.0 *. mixed.correct_rate);
         pass = mixed.correct_rate > 0.0;
       };
       {
-        claim = "packed-batch path agrees with scalar replay on every scenario";
+        Verdict.claim = "packed-batch path agrees with scalar replay on every scenario";
         measured =
           String.concat ", "
             (List.map
@@ -115,11 +113,5 @@ let render t =
     (fun r -> Buffer.add_string buf (Printf.sprintf "  %-14s %s\n" r.scenario r.summary))
     t.rows;
   Buffer.add_string buf "\nVerdicts:\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%s] %s\n        measured: %s\n"
-           (if v.pass then "PASS" else "FAIL")
-           v.claim v.measured))
-    t.verdicts;
+  Verdict.render buf t.verdicts;
   Buffer.contents buf

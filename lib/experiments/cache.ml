@@ -124,18 +124,11 @@ let stats () =
 
 (* The rate keeps its original scope (builds, profiles, engine runs), so
    it stays comparable with measurements taken before MSSP runs were
-   memoised; [describe] reports those separately. *)
+   memoised. *)
 let hit_rate s =
   let hits = s.build_hits + s.profile_hits + s.run_hits in
   let total = hits + s.build_misses + s.profile_misses + s.run_misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-
-let describe s =
-  Printf.sprintf
-    "cache: builds %d/%d, profiles %d/%d, runs %d/%d hit/miss (%.0f%% hit rate); mssp runs \
-     %d/%d hit/miss"
-    s.build_hits s.build_misses s.profile_hits s.profile_misses s.run_hits s.run_misses
-    (100.0 *. hit_rate s) s.mssp_hits s.mssp_misses
 
 let reset () =
   Memo.clear builds;

@@ -127,10 +127,6 @@ val hit_rate : stats -> float
     nothing was requested.  MSSP runs are left out so the rate stays
     comparable with measurements taken before they were memoised. *)
 
-val describe : stats -> string
-(** One-line [hits/misses] summary per artifact kind, MSSP runs
-    included. *)
-
 val reset : unit -> unit
 (** {!Rs_util.Memo.clear} every artifact memo and the process-global
     {!Rs_behavior.Trace_store} LRU (tests and benches), then run a full

@@ -1,12 +1,10 @@
-type verdict = { claim : string; measured : string; pass : bool }
-
-type t = { verdicts : verdict list }
+type t = { verdicts : Verdict.t list }
 
 let pct x = Printf.sprintf "%.2f%%" (x *. 100.0)
 
 let run ctx =
   let verdicts = ref [] in
-  let check claim measured pass = verdicts := { claim; measured; pass } :: !verdicts in
+  let check claim measured pass = verdicts := { Verdict.claim; measured; pass } :: !verdicts in
 
   (* The five sub-experiments behind the verdicts are independent: fan
      them out over the pool (each fans out again internally over its
@@ -123,14 +121,8 @@ let run ctx =
 let render t =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "Paper-claim checklist (shape checks, not absolute numbers):\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%s] %s\n        measured: %s\n"
-           (if v.pass then "PASS" else "FAIL")
-           v.claim v.measured))
-    t.verdicts;
-  let n_pass = List.length (List.filter (fun v -> v.pass) t.verdicts) in
+  Verdict.render buf t.verdicts;
+  let n_pass = List.length (List.filter (fun (v : Verdict.t) -> v.pass) t.verdicts) in
   Buffer.add_string buf
     (Printf.sprintf "  %d / %d claims reproduced\n" n_pass (List.length t.verdicts));
   Buffer.contents buf

@@ -7,13 +7,7 @@
     (ordering, factor, sign), not the paper's absolute numbers, which a
     synthetic scaled substrate cannot and should not match exactly. *)
 
-type verdict = {
-  claim : string;  (** The paper's statement, paraphrased. *)
-  measured : string;  (** What this run measured. *)
-  pass : bool;
-}
-
-type t = { verdicts : verdict list }
+type t = { verdicts : Verdict.t list }
 
 val run : Context.t -> t
 val render : t -> string

@@ -5,9 +5,11 @@ type track = { branch : int; series : (int * float) list }
 
 type t = { benchmark : string; block : int; tracks : track list }
 
+let benchmark = "gap"
 let block = 1_000
+let count = 5
 
-let run ?(benchmark = "gap") ?(count = 5) ctx =
+let run ctx =
   let bm = Rs_workload.Benchmark.find benchmark in
   let pop, cfg = Cache.build ctx bm ~input:Ref in
   (* Pass 1: find branches that look invariant early (first window ~100%

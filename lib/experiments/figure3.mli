@@ -11,7 +11,6 @@ type track = { branch : int; series : (int * float) list }
 
 type t = { benchmark : string; block : int; tracks : track list }
 
-val run : ?benchmark:string -> ?count:int -> Context.t -> t
-(** Default benchmark is gap, default [count] 5 tracks. *)
+val run : Context.t -> t
 
 val render : t -> string

@@ -16,7 +16,7 @@ let run ctx =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (bm : BM.t) ->
         let pop, cfg = Cache.build ctx bm ~input:Ref in
-        Rs_sim.Eviction_watch.run ~per_static:true
+        Rs_sim.Eviction_watch.run
           ?trace:(Cache.trace ctx bm ~input:Ref)
           pop cfg (Context.params ctx))
       (Array.of_list BM.all)

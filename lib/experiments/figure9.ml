@@ -1,8 +1,9 @@
 type t = { benchmark : string; buckets : int; flippers : (int * (int * int) list) list }
 
+let benchmark = "vortex"
 let buckets = 64
 
-let run ?(benchmark = "vortex") ctx =
+let run ctx =
   let bm = Rs_workload.Benchmark.find benchmark in
   let pop, cfg = Cache.build ctx bm ~input:Ref in
   let data =

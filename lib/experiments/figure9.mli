@@ -12,5 +12,5 @@ type t = {
   flippers : (int * (int * int) list) list;  (** (branch, biased spans). *)
 }
 
-val run : ?benchmark:string -> Context.t -> t
+val run : Context.t -> t
 val render : t -> string

@@ -13,9 +13,7 @@ type row = {
   differential_ok : bool;
 }
 
-type verdict = { claim : string; measured : string; pass : bool }
-
-type t = { contexts : int; per_context_events : int array; rows : row list; verdicts : verdict list }
+type t = { contexts : int; per_context_events : int array; rows : row list; verdicts : Verdict.t list }
 
 (* The merged streams give each branch a fixed [IL.execs_per_branch]
    budget, far below the benchmark workloads' — so the controller runs
@@ -77,14 +75,14 @@ let run (ctx : Context.t) =
   let verdicts =
     [
       {
-        claim = "fine-grained sharing starves selection (a shared table never speculates)";
+        Verdict.claim = "fine-grained sharing starves selection (a shared table never speculates)";
         measured =
           Printf.sprintf "round-robin shared: %d selections, correct %.1f%%"
             rr_shared.selections (100.0 *. rr_shared.correct_rate);
         pass = rr_shared.selections = 0;
       };
       {
-        claim = "per-context tables recover the speculation the shared table lost";
+        Verdict.claim = "per-context tables recover the speculation the shared table lost";
         measured =
           Printf.sprintf "per-context correct %.1f%% vs shared %.1f%%"
             (100.0 *. rr_split.correct_rate)
@@ -92,21 +90,21 @@ let run (ctx : Context.t) =
         pass = rr_split.correct_rate > 0.5 && rr_split.correct_rate > rr_shared.correct_rate;
       };
       {
-        claim = "bursty sharing speculates inside bursts but is evicted at context switches";
+        Verdict.claim = "bursty sharing speculates inside bursts but is evicted at context switches";
         measured =
           Printf.sprintf "bursty shared: %d selections, %d evictions" b_shared.selections
             b_shared.evictions;
         pass = b_shared.selections > 0 && b_shared.evictions > 0;
       };
       {
-        claim = "splitting the table removes the interference evictions";
+        Verdict.claim = "splitting the table removes the interference evictions";
         measured =
           Printf.sprintf "bursty per-context %d evictions vs shared %d" b_split.evictions
             b_shared.evictions;
         pass = b_split.evictions < b_shared.evictions;
       };
       {
-        claim = "packed-batch path agrees with scalar replay on every merged trace";
+        Verdict.claim = "packed-batch path agrees with scalar replay on every merged trace";
         measured =
           Printf.sprintf "%d / %d runs agree"
             (List.length (List.filter (fun r -> r.differential_ok) rows))
@@ -147,11 +145,5 @@ let render t =
        (String.concat ", "
           (Array.to_list (Array.map Table.fmt_int t.per_context_events))));
   Buffer.add_string buf "\nVerdicts:\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%s] %s\n        measured: %s\n"
-           (if v.pass then "PASS" else "FAIL")
-           v.claim v.measured))
-    t.verdicts;
+  Verdict.render buf t.verdicts;
   Buffer.contents buf

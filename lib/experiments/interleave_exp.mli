@@ -15,13 +15,11 @@ type row = {
   differential_ok : bool;  (** {!Rs_sim.Reference.check} agreed. *)
 }
 
-type verdict = { claim : string; measured : string; pass : bool }
-
 type t = {
   contexts : int;
   per_context_events : int array;
   rows : row list;
-  verdicts : verdict list;
+  verdicts : Verdict.t list;
 }
 
 val params : Context.t -> Rs_core.Params.t

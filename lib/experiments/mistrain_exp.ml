@@ -15,9 +15,7 @@ type row = {
   differential_ok : bool;
 }
 
-type verdict = { claim : string; measured : string; pass : bool }
-
-type t = { rows : row list; verdicts : verdict list }
+type t = { rows : row list; verdicts : Verdict.t list }
 
 (* Strength 1.0 is deliberately absent: a fully inverted victim is not a
    mistraining attack but a clean direction reversal — after the
@@ -117,7 +115,7 @@ let run (ctx : Context.t) =
   let verdicts =
     [
       {
-        claim = "the reactive controller quarantines every victim at every strength";
+        Verdict.claim = "the reactive controller quarantines every victim at every strength";
         measured =
           Printf.sprintf "%d / %d victims quarantined"
             (total (fun r -> r.quarantined))
@@ -125,7 +123,7 @@ let run (ctx : Context.t) =
         pass = List.for_all (fun r -> r.quarantined = r.victims) rows;
       };
       {
-        claim = "stronger mistraining is quarantined no slower";
+        Verdict.claim = "stronger mistraining is quarantined no slower";
         measured =
           String.concat ", "
             (List.map
@@ -137,14 +135,14 @@ let run (ctx : Context.t) =
         pass = monotone;
       };
       {
-        claim = "reactive damage is a small fraction of static always-speculate damage";
+        Verdict.claim = "reactive damage is a small fraction of static always-speculate damage";
         measured =
           Printf.sprintf "reactive %d vs static %d misspeculations" reactive_total
             static_total;
         pass = reactive_total * 2 < static_total && reactive_total > 0;
       };
       {
-        claim = "packed-batch path agrees with scalar replay on every schedule";
+        Verdict.claim = "packed-batch path agrees with scalar replay on every schedule";
         measured =
           Printf.sprintf "%d / %d runs agree"
             (List.length (List.filter (fun r -> r.differential_ok) rows))
@@ -183,11 +181,5 @@ let render t =
     "  quarantine time = victim executions (and instructions) between the first\n\
     \  poisoned misspeculation and the deployed code ceasing to speculate.\n\
      \nVerdicts:\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%s] %s\n        measured: %s\n"
-           (if v.pass then "PASS" else "FAIL")
-           v.claim v.measured))
-    t.verdicts;
+  Verdict.render buf t.verdicts;
   Buffer.contents buf

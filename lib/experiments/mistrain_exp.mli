@@ -16,9 +16,7 @@ type row = {
   differential_ok : bool;  (** {!Rs_sim.Reference.check} agreed. *)
 }
 
-type verdict = { claim : string; measured : string; pass : bool }
-
-type t = { rows : row list; verdicts : verdict list }
+type t = { rows : row list; verdicts : Verdict.t list }
 
 val run : Context.t -> t
 val render : t -> string

@@ -35,6 +35,16 @@ let int n = { col = n; kind = Int }
 let flt n = { col = n; kind = Float }
 let bool n = { col = n; kind = Bool }
 
+(* The one [verdicts] sheet: claims and the three adversarial entries. *)
+let verdict_sheet verdicts =
+  {
+    sheet = "verdicts";
+    columns = [ str "claim"; str "measured"; bool "pass" ];
+    rows =
+      (fun t ->
+        List.map (fun (v : Verdict.t) -> [ S v.claim; S v.measured; B v.pass ]) (verdicts t));
+  }
+
 (* ---------------------------------------------------------------------- *)
 (* The entries, in [rspec all] (paper) order                               *)
 (* ---------------------------------------------------------------------- *)
@@ -164,7 +174,7 @@ let figure3 =
       name = "figure3";
       description = "Branches with initially invariant behaviour";
       paper_ref = "Figure 3";
-      run = (fun ctx -> Figure3.run ctx);
+      run = Figure3.run;
       render = Figure3.render;
       sheets =
         [
@@ -296,7 +306,7 @@ let figure9 =
       name = "figure9";
       description = "Correlated behaviour changes (vortex)";
       paper_ref = "Figure 9";
-      run = (fun ctx -> Figure9.run ctx);
+      run = Figure9.run;
       render = Figure9.render;
       sheets =
         [
@@ -580,24 +590,9 @@ let claims =
       render = Claims.render;
       sheets =
         [
-          {
-            sheet = "verdicts";
-            columns = [ str "claim"; str "measured"; bool "pass" ];
-            rows =
-              (fun (t : Claims.t) ->
-                List.map
-                  (fun (v : Claims.verdict) -> [ S v.claim; S v.measured; B v.pass ])
-                  t.verdicts);
-          };
+          verdict_sheet (fun (t : Claims.t) -> t.verdicts);
         ];
     }
-
-let verdict_sheet rows =
-  {
-    sheet = "verdicts";
-    columns = [ str "claim"; str "measured"; bool "pass" ];
-    rows;
-  }
 
 let adversarial =
   Entry
@@ -605,7 +600,7 @@ let adversarial =
       name = "adversarial";
       description = "Worst-case populations pinned to the controller's own thresholds";
       paper_ref = "Section 3 (adversarial extension)";
-      run = (fun ctx -> Adversarial.run ctx);
+      run = Adversarial.run;
       render = Adversarial.render;
       sheets =
         [
@@ -626,10 +621,7 @@ let adversarial =
                     ])
                   t.rows);
           };
-          verdict_sheet (fun (t : Adversarial.t) ->
-              List.map
-                (fun (v : Adversarial.verdict) -> [ S v.claim; S v.measured; B v.pass ])
-                t.verdicts);
+          verdict_sheet (fun (t : Adversarial.t) -> t.verdicts);
         ];
     }
 
@@ -639,7 +631,7 @@ let mistrain =
       name = "mistrain";
       description = "Spectre-style mistraining schedules and quarantine times";
       paper_ref = "Section 3 (adversarial extension)";
-      run = (fun ctx -> Mistrain_exp.run ctx);
+      run = Mistrain_exp.run;
       render = Mistrain_exp.render;
       sheets =
         [
@@ -663,10 +655,7 @@ let mistrain =
                     ])
                   t.rows);
           };
-          verdict_sheet (fun (t : Mistrain_exp.t) ->
-              List.map
-                (fun (v : Mistrain_exp.verdict) -> [ S v.claim; S v.measured; B v.pass ])
-                t.verdicts);
+          verdict_sheet (fun (t : Mistrain_exp.t) -> t.verdicts);
         ];
     }
 
@@ -676,7 +665,7 @@ let interleave =
       name = "interleave";
       description = "Multi-context stream merging: shared vs per-context state tables";
       paper_ref = "Section 3 (adversarial extension)";
-      run = (fun ctx -> Interleave_exp.run ctx);
+      run = Interleave_exp.run;
       render = Interleave_exp.render;
       sheets =
         [
@@ -697,10 +686,7 @@ let interleave =
                     ])
                   t.rows);
           };
-          verdict_sheet (fun (t : Interleave_exp.t) ->
-              List.map
-                (fun (v : Interleave_exp.verdict) -> [ S v.claim; S v.measured; B v.pass ])
-                t.verdicts);
+          verdict_sheet (fun (t : Interleave_exp.t) -> t.verdicts);
         ];
     }
 

@@ -7,10 +7,9 @@
    been consulted — which the call sites keep deterministic — never on
    wall-clock or domain interleaving.
 
-   Pool, Trace and the trace store sit below this library in the
-   dependency graph, so [configure] reaches them through the
-   [fault_hook] refs they expose; the cache (rs_experiments, above us)
-   calls [hit] directly. *)
+   The layers below this library in the dependency graph consult it
+   through the one [Rs_obs.Fault_hook], which [configure] points at
+   [hit]; the cache and the service (above us) call [hit] directly. *)
 
 module Prng = Rs_util.Prng
 
@@ -126,18 +125,12 @@ let reset () =
 let configure plan =
   reset ();
   Atomic.set current plan;
-  Rs_util.Pool.fault_hook := hit;
-  Rs_obs.Trace.fault_hook := hit;
-  Rs_behavior.Trace_store.fault_hook := hit;
-  Rs_distill.Distill.fault_hook := hit;
+  Rs_obs.Fault_hook.hook := hit;
   Atomic.set enabled_flag true
 
 let disable () =
   Atomic.set enabled_flag false;
-  Rs_util.Pool.fault_hook := noop;
-  Rs_obs.Trace.fault_hook := noop;
-  Rs_behavior.Trace_store.fault_hook := noop;
-  Rs_distill.Distill.fault_hook := noop
+  Rs_obs.Fault_hook.hook := noop
 
 let parse_spec s =
   let parse_sites v = List.filter (fun x -> x <> "") (String.split_on_char ':' v) in

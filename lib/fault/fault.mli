@@ -23,8 +23,8 @@
 
     Dependency note: {!Rs_util.Pool}, {!Rs_obs.Trace},
     {!Rs_behavior.Trace_store} and {!Rs_distill.Distill} sit {e below}
-    this library, so they cannot call it directly; each exposes a
-    [fault_hook] ref that {!configure} points at {!hit}. *)
+    this library, so they cannot call it directly; they consult
+    {!Rs_obs.Fault_hook}, which {!configure} points at {!hit}. *)
 
 type plan = {
   seed : int;  (** root of the per-[(site, key, attempt)] decision streams *)
@@ -55,8 +55,8 @@ val parse_spec : string -> (plan, string) result
     unlimited raises. *)
 
 val configure : plan -> unit
-(** Install [plan], clear the attempt/raise history and point the pool,
-    trace and trace-store hooks at {!hit}. *)
+(** Install [plan], clear the attempt/raise history and point
+    {!Rs_obs.Fault_hook} at {!hit}. *)
 
 val configure_spec : string -> (unit, string) result
 (** {!parse_spec} then {!configure}. *)
@@ -69,7 +69,7 @@ val configure_from_env : unit -> (unit, string) result
     otherwise. *)
 
 val disable : unit -> unit
-(** Stop injecting and restore the no-op hooks.  The attempt history is
+(** Stop injecting and restore the no-op {!Rs_obs.Fault_hook}.  The attempt history is
     kept until the next {!configure} or {!reset}. *)
 
 val enabled : unit -> bool

@@ -5,7 +5,7 @@ type t = {
   complete : bool;
 }
 
-let extract ?(max_blocks = 4096) (cfg : Cfg.t) ~assume =
+let extract (cfg : Cfg.t) ~assume =
   let f = Cfg.func cfg in
   let n = Array.length f.Func.blocks in
   let visited = Array.make n false in
@@ -13,11 +13,9 @@ let extract ?(max_blocks = 4096) (cfg : Cfg.t) ~assume =
   let assumed = ref [] in
   let predicted = ref [] in
   let complete = ref false in
-  let count = ref 0 in
   let rec go l =
-    if !count < max_blocks && not visited.(l) then begin
+    if not visited.(l) then begin
       visited.(l) <- true;
-      incr count;
       blocks := l :: !blocks;
       match (f.Func.blocks.(l)).Func.term with
       | Func.Jump l' -> go l'

@@ -16,7 +16,7 @@ type t = {
   complete : bool;  (** The path reached a [Ret]/[TailCall]. *)
 }
 
-val extract : ?max_blocks:int -> Cfg.t -> assume:(int -> bool option) -> t
+val extract : Cfg.t -> assume:(int -> bool option) -> t
 (** [assume site] is the assumed direction of a branch site, if any
     (e.g. [Assumptions.direction a] partially applied). *)
 

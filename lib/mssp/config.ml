@@ -10,7 +10,6 @@ type t = {
   max_inflight_tasks : int;
   iters_per_task : int;
   predictor_bits : int;
-  cold_stub_cost : int;
 }
 
 let default =
@@ -24,5 +23,4 @@ let default =
     max_inflight_tasks = 8;
     iters_per_task = 2;
     predictor_bits = 12;
-    cold_stub_cost = 0;
   }

@@ -29,12 +29,6 @@ type t = {
           several loop iterations, so one static branch can misspeculate
           more than once inside a single task (Section 4.3). *)
   predictor_bits : int;  (** log2 of gshare counter table (8 Kbit = 4096 entries = 12). *)
-  cold_stub_cost : int;
-      (** Cycles charged per cold-region entry stub of the squashed
-          version during misspeculation recovery: restart funnels
-          through the distilled code's hot/cold split points.  0 (the
-          paper's model folds this into [recovery_penalty]) unless an
-          experiment prices the split explicitly. *)
 }
 
 val default : t

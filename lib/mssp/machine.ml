@@ -40,8 +40,8 @@ let[@inline] fmax (x : float) y = if y > x then y else x
    holds 4^k slots, and a key's speculate bits fit the 0x5555 mask. *)
 let max_region_sites = 8
 
-let run ?(config = Config.default) (inst : Workload.instance) ~seed ~params =
-  if config.max_inflight_tasks < 1 then invalid_arg "Machine.run: max_inflight_tasks must be >= 1";
+let run (inst : Workload.instance) ~seed ~params =
+  let config = Config.default in
   Array.iter
     (fun region ->
       if Region_model.n_sites region > max_region_sites then
@@ -221,8 +221,6 @@ let run ?(config = Config.default) (inst : Workload.instance) ~seed ~params =
       master_clock :=
         verify_done
         +. float_of_int config.recovery_penalty
-        +. float_of_int
-             (config.cold_stub_cost * Region_model.Version.cold_entries version)
         +. (float_of_int orig_len /. lead_ipc)
     end
     else begin

@@ -38,24 +38,19 @@ type stats = {
 val speedup : stats -> float
 (** Baseline cycles over MSSP cycles. *)
 
-val run :
-  ?config:Config.t ->
-  Workload.instance ->
-  seed:int ->
-  params:Rs_core.Params.t ->
-  stats
-(** Simulate [instance.spec.tasks] tasks.  [params] configures the
+val run : Workload.instance -> seed:int -> params:Rs_core.Params.t -> stats
+(** Simulate [instance.spec.tasks] tasks on the Table 5 machine
+    ({!Config.default}).  [params] configures the
     reactive controller; its [optimization_latency] is interpreted in
     cycles (~ original instructions at IPC 1), covering both the decision
     deployment and the re-distillation of the region.
 
     The result is a pure function of the instance's spec and seed,
-    [seed], [params] and [config] — which is what lets
+    [seed] and [params] — which is what lets
     [Rs_experiments.Cache.mssp] memoize it.  A task allocates only when
     it meets a region, or a combination of deployed decisions, the run
     has not seen before: branch outcomes, predictor tables, the
     in-flight ring and the version lookups are flat integer and float
     arrays.  Region models share their distilled versions across runs,
     so an instance must not be run from two domains at once.
-    @raise Invalid_argument if [config.max_inflight_tasks < 1] or a
-    region has more than 8 sites. *)
+    @raise Invalid_argument if a region has more than 8 sites. *)

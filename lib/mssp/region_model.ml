@@ -32,8 +32,6 @@ module Version = struct
   let assumed_mask v = v.violated_mask
   let violated v ~outcomes = outcomes land v.violated_mask <> v.assumed_bits
 
-  let inlined_calls v = v.stats.Rs_distill.Distill.inlined_calls
-  let cold_entries v = v.stats.Rs_distill.Distill.cold_entries
   let stats v = v.stats
 
   let violations v ~outcomes =
@@ -124,20 +122,5 @@ let version_bits t ~mask ~bits =
     let v = build t ~mask ~bits in
     Hashtbl.add t.versions key v;
     v
-
-let version t (assumptions : Assumptions.t) =
-  if assumptions.loads <> [] then
-    invalid_arg "Region_model.version: load-value assumptions are not modelled";
-  let site_ids = t.region.Synth.site_ids in
-  let mask, bits =
-    List.fold_left
-      (fun (m, b) (site, dir) ->
-        let j = site_index site_ids site in
-        if j = t.k then invalid_arg "Region_model: unknown site";
-        let bit = 1 lsl j in
-        (m lor bit, if dir then b lor bit else b))
-      (0, 0) assumptions.branches
-  in
-  version_bits t ~mask ~bits
 
 let recompilations t = Hashtbl.length t.versions

@@ -55,26 +55,15 @@ module Version : sig
   val branches_executed : v -> outcomes:int -> int
   (** Branch instructions remaining on the distilled path. *)
 
-  val inlined_calls : v -> int
-  (** Call sites inlined along the speculated path. *)
-
-  val cold_entries : v -> int
-  (** Entry stubs into the cold region — misspeculation recovery
-      funnels through them, priced by [Config.cold_stub_cost]. *)
-
   val stats : v -> Rs_distill.Distill.stats
+  (** The distiller's inlining and hot/cold split counts. *)
 end
 
-val version : t -> Rs_distill.Assumptions.t -> Version.v
-(** Distill (or fetch from the region's version table) the version for a
-    set of branch assumptions on this region's sites.
-    @raise Invalid_argument on a site outside the region or on
-    load-value assumptions, which the tables do not model. *)
-
 val version_bits : t -> mask:int -> bits:int -> Version.v
-(** {!version} for the assumptions given as bit vectors over
-    {!site_ids}: site [j] is assumed iff bit [j] of [mask] is set, in
-    direction bit [j] of [bits].  The version table is keyed by this
+(** Distill (or fetch from the region's version table) the version for
+    the branch assumptions given as bit vectors over {!site_ids}: site
+    [j] is assumed iff bit [j] of [mask] is set, in direction bit [j] of
+    [bits].  The version table is keyed by this
     pair, so a hit builds no assumption list.  A miss distills the
     assumptions listed in site order.  The table is shared by every
     caller of this region model: a region model must not be used from

@@ -10,7 +10,7 @@
    Failure semantics: installing a sink registers one [at_exit] flush,
    so a run that dies of an uncaught exception still lands the tail of
    its trace — exactly the lines that matter most.  A write that raises
-   (injected via [fault_hook] or a real [Sys_error] on a full disk /
+   (injected via {!Fault_hook} or a real [Sys_error] on a full disk /
    closed channel) drops that whole line, never a partial one, and is
    counted in [dropped_events] and the [trace.dropped] metric. *)
 
@@ -27,10 +27,6 @@ let sink_enabled = Atomic.make false
 let sink_lock = Mutex.create ()
 let dropped = Atomic.make 0
 let m_dropped = Metrics.counter "trace.dropped"
-
-(* Injection point for rs_fault, which sits above this library in the
-   dependency graph and so cannot be called directly. *)
-let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
 
 let enabled () = Atomic.get sink_enabled
 
@@ -102,7 +98,7 @@ let drop_event () =
 
 let emit ev fields =
   if enabled () then begin
-    match !fault_hook ~site:"trace.write" ~key:ev with
+    match Fault_hook.hit ~site:"trace.write" ~key:ev with
     | exception _ -> drop_event ()
     | () ->
       let buf = Buffer.create 128 in

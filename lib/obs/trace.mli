@@ -61,11 +61,6 @@ val stop : unit -> unit
 val dropped_events : unit -> int
 (** Lines dropped because a write (or the injection hook) raised. *)
 
-val fault_hook : (site:string -> key:string -> unit) ref
-(** Wiring point for [Rs_fault]: consulted at the ["trace.write"] site
-    before each line is written.  The default is a no-op.  Not for
-    general use — install [Rs_fault.Fault] plans via its [configure]. *)
-
 val now : unit -> float
 (** Wall-clock seconds (epoch); the one clock the suite stamps
     [engine_run] events with. *)

@@ -26,7 +26,6 @@ module Fault = Rs_fault.Fault
 
 type transport =
   | Unix_socket of string
-  | Stdio
   | Fd_pair of Unix.file_descr * Unix.file_descr
 
 type config = {
@@ -163,7 +162,6 @@ type conn = {
   fd : Unix.file_descr;
   out_fd : Unix.file_descr;
   dec : Protocol.decoder;
-  close_fds : bool;  (* sockets yes; the process's stdio no *)
 }
 
 type state = {
@@ -210,7 +208,7 @@ let disconnect st conn =
   Metrics.incr m_disconnects;
   trace_event "serve"
     [ S ("event", "disconnect"); I ("conn", conn.id); I ("midframe_bytes", Protocol.pending conn.dec) ];
-  if conn.close_fds then (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+  try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 (* Answer a malformed frame and close: framing cannot be resynchronised. *)
 let reject st conn msg =
@@ -399,7 +397,7 @@ let handle_accept st listen_fd =
     | () ->
       Metrics.incr m_connections;
       trace_event "serve" [ S ("event", "accept"); I ("conn", id) ];
-      st.conns <- { id; fd; out_fd = fd; dec = Protocol.decoder (); close_fds = true } :: st.conns)
+      st.conns <- { id; fd; out_fd = fd; dec = Protocol.decoder () } :: st.conns)
 
 (* ---------------------------------------------------------------------- *)
 (* Lifecycle                                                               *)
@@ -453,7 +451,7 @@ let run cfg =
   in
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_w;
-  let listen_fd, stdio_conn =
+  let listen_fd, pair_conn =
     match cfg.transport with
     | Unix_socket path ->
       if Sys.file_exists path then Unix.unlink path;
@@ -461,12 +459,8 @@ let run cfg =
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;
       (Some fd, None)
-    | Stdio ->
-      ( None,
-        Some { id = 0; fd = Unix.stdin; out_fd = Unix.stdout; dec = Protocol.decoder (); close_fds = false }
-      )
     | Fd_pair (in_fd, out_fd) ->
-      (None, Some { id = 0; fd = in_fd; out_fd; dec = Protocol.decoder (); close_fds = true })
+      (None, Some { id = 0; fd = in_fd; out_fd; dec = Protocol.decoder () })
   in
   let st =
     {
@@ -478,7 +472,7 @@ let run cfg =
       rbuf = Bytes.create 65536;
       filling = Array.make shards no_batch;
       listen_fd;
-      conns = (match stdio_conn with Some c -> [ c ] | None -> []);
+      conns = (match pair_conn with Some c -> [ c ] | None -> []);
       next_conn = 1;
       running = true;
       events = 0;
@@ -493,7 +487,7 @@ let run cfg =
   in
   restore st;
   let workers = Array.map (fun rt -> Domain.spawn (fun () -> worker_loop rt)) rts in
-  let single_conn = Option.is_some stdio_conn in
+  let single_conn = Option.is_some pair_conn in
   (* Tear the workers down even if the loop raises: a dying server must
      not leak domains. *)
   Fun.protect
@@ -527,14 +521,14 @@ let run cfg =
              then handle_readable st conn)
            snapshot;
          resolve_flushes st;
-         (* In single-connection (stdio) mode, the peer closing its end
+         (* In single-connection (Fd_pair) mode, the peer closing its end
             is the shutdown signal. *)
          if single_conn && st.conns = [] then begin
            drain st;
            st.running <- false
          end
      done);
-  List.iter (fun c -> if c.close_fds then try Unix.close c.fd with Unix.Unix_error _ -> ()) st.conns;
+  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) st.conns;
   (match st.listen_fd with
   | Some fd -> (
     (try Unix.close fd with Unix.Unix_error _ -> ());

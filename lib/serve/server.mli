@@ -17,11 +17,10 @@ type transport =
   | Unix_socket of string
       (** Listen on a Unix-domain socket at this path (unlinked first if
           present, and on shutdown). *)
-  | Stdio  (** Serve one length-prefixed connection on stdin/stdout. *)
   | Fd_pair of Unix.file_descr * Unix.file_descr
-      (** Serve one connection reading the first fd, writing the second
-          (both closed on shutdown); how the tests run an in-process
-          server over [socketpair]. *)
+      (** Serve one connection reading the first fd (closed when the
+          connection ends), writing the second: [rspec serve --stdio]
+          passes stdin and stdout, the tests a [socketpair]. *)
 
 type config = {
   params : Rs_core.Params.t;

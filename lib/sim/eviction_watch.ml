@@ -9,7 +9,10 @@ type t = {
 
 type watch = { direction : bool; mutable seen : int; mutable in_dir : int }
 
-let run ?(horizon = 64) ?(per_static = false) ?trace pop config params =
+(* Executions watched after an eviction, as in the paper. *)
+let horizon = 64
+
+let run ?trace pop config params =
   let n = Rs_behavior.Population.size pop in
   let watches : watch option array = Array.make n None in
   let sampled = Array.make n false in
@@ -17,16 +20,12 @@ let run ?(horizon = 64) ?(per_static = false) ?trace pop config params =
   let finish w = finished := (float_of_int w.in_dir /. float_of_int w.seen) :: !finished in
   let directions = Array.make n false in
   let on_transition (tr : Types.transition) =
+    (* Only a branch's first eviction is watched: the paper's Figure 6
+       reports fractions of static branches, not of evictions. *)
     match tr.kind with
-    | Types.Evicted ->
-      if not (per_static && sampled.(tr.branch)) then begin
-        (* A back-to-back eviction before the previous watch completes
-           replaces it (possible only with tiny horizons). *)
-        (match watches.(tr.branch) with Some w when w.seen >= 16 -> finish w | _ -> ());
-        sampled.(tr.branch) <- true;
-        watches.(tr.branch) <- Some { direction = directions.(tr.branch); seen = 0; in_dir = 0 }
-      end
-    | Types.Selected -> ()
+    | Types.Evicted when not sampled.(tr.branch) ->
+      sampled.(tr.branch) <- true;
+      watches.(tr.branch) <- Some { direction = directions.(tr.branch); seen = 0; in_dir = 0 }
     | _ -> ()
   in
   (* Per event the observer touches only the two flat arrays — watch

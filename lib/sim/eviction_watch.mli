@@ -6,29 +6,28 @@
     the transition period — i.e. they softened or reversed — and about
     20 % become perfectly biased in the opposite direction.
 
-    This module runs a reactive simulation, and after every eviction
-    records the fraction of the branch's next [horizon] executions that
-    still go in the {e original} (pre-eviction) direction. *)
+    This module runs a reactive simulation, and after the {e first}
+    eviction of each static branch records the fraction of the branch's
+    next 64 executions that still go in the {e original} (pre-eviction)
+    direction — the paper's Figure 6 reports fractions of static
+    branches, not of evictions. *)
 
 type t = {
-  samples : int;  (** Evictions observed (with at least 16 post-executions). *)
+  samples : int;
+      (** Branches whose first eviction was watched for at least 16
+          post-eviction executions. *)
   histogram : Rs_util.Histogram.t;
-      (** Distribution over evictions of the post-eviction
+      (** Distribution over sampled branches of the post-eviction
           original-direction fraction, in [0, 1]. *)
   fraction_below_30pct : float;
   fraction_reversed : float;  (** Post-eviction bias below 5 %. *)
 }
 
 val run :
-  ?horizon:int ->
-  ?per_static:bool ->
   ?trace:Rs_behavior.Trace_store.t ->
   Rs_behavior.Population.t ->
   Rs_behavior.Stream.config ->
   Rs_core.Params.t ->
   t
-(** Default [horizon] is 64 executions, as in the paper.  With
-    [per_static] (default false) only the {e first} eviction of each
-    static branch is sampled — the paper's Figure 6 reports fractions of
-    static branches, not of evictions.  [trace] is forwarded to
-    {!Engine.run} (replay instead of regeneration; identical results). *)
+(** [trace] is forwarded to {!Engine.run} (replay instead of
+    regeneration; identical results). *)

@@ -59,10 +59,6 @@ let m_await_blocked = Metrics.counter "pool.await.blocked"
 let m_await_blocked_us = Metrics.counter "pool.await.blocked_us"
 let g_jobs = Metrics.gauge "pool.jobs"
 
-(* Injection point for rs_fault, which sits above this library in the
-   dependency graph (it needs Prng) and so cannot be called directly. *)
-let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
-
 (* The pools this domain works in, innermost first: a worker's own pool
    for its lifetime, and the pool of every map the domain is inside that
    runs on the queue (two or more elements on a [jobs >= 2] pool). *)
@@ -159,7 +155,7 @@ let worker_main t i =
   (* An injected startup failure kills just this worker: the pool
      degrades to fewer helpers, and the caller-helps rule keeps every
      map completing. *)
-  match !fault_hook ~site:"pool.worker_start" ~key:(string_of_int i) with
+  match Rs_obs.Fault_hook.hit ~site:"pool.worker_start" ~key:(string_of_int i) with
   | () ->
     (* [stop] is only consulted once nothing is left to run, so a
        retiring pool's open jobs drain before the workers exit *)
@@ -318,7 +314,7 @@ let map_ordered t f arr =
         (* re-raised in place, not boxed in a result: this runs per element *)
         let r =
           try
-            !fault_hook ~site:"pool.task" ~key:(string_of_int i);
+            Rs_obs.Fault_hook.hit ~site:"pool.task" ~key:(string_of_int i);
             f arr.(i)
           with e ->
             let bt = Printexc.get_raw_backtrace () in
@@ -354,10 +350,6 @@ let stats () =
     awaits_blocked = Metrics.counter_value m_await_blocked;
     awaits_blocked_s = seconds m_await_blocked_us;
   }
-
-let describe (s : stats) =
-  Printf.sprintf "pool: tasks %d, shared %d; waits helped %d (%.2f s), blocked %d (%.2f s)"
-    s.tasks s.shared s.awaits_helped s.awaits_helped_s s.awaits_blocked s.awaits_blocked_s
 
 (* Process-wide pool, sized by the most recent request. *)
 let shared_mutex = Mutex.create ()

@@ -23,7 +23,14 @@
     Lifecycle: a pool is live from {!create} until {!close} completes.
     Mapping on a closed pool raises {!Closed} rather than silently
     running caller-only; closing a pool with maps in flight defers the
-    shutdown until the last of them finishes. *)
+    shutdown until the last of them finishes.
+
+    Fault injection: each element consults the ["pool.task"] site and
+    each starting worker ["pool.worker_start"] through
+    {!Rs_obs.Fault_hook}.  An injected raise fails the element
+    (re-raised by the map like any task error) or kills the starting
+    worker (the pool degrades to fewer helpers, counted in
+    [pool.worker_failures]). *)
 
 type t
 
@@ -120,13 +127,3 @@ val stats : unit -> stats
 (** Process-wide scheduler counters (the [pool.*] metrics of
     {!Rs_obs.Metrics}, summed over every pool). *)
 
-val describe : stats -> string
-(** One-line rendering for [--pool-stats]. *)
-
-val fault_hook : (site:string -> key:string -> unit) ref
-(** Wiring point for [Rs_fault]: consulted at the ["pool.task"] and
-    ["pool.worker_start"] injection sites.  The default is a no-op; an
-    exception from the hook fails the task (re-raised by the map like
-    any task error) or kills the starting worker (the pool degrades to
-    fewer helpers, counted in [pool.worker_failures]).  Not for general
-    use — install {!Rs_fault.Fault} plans via its [configure]. *)

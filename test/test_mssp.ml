@@ -2,7 +2,6 @@ module M = Rs_mssp.Machine
 module W = Rs_mssp.Workload
 module RM = Rs_mssp.Region_model
 module G = Rs_mssp.Gshare
-module A = Rs_distill.Assumptions
 
 (* --- gshare -------------------------------------------------------------- *)
 
@@ -43,7 +42,8 @@ let test_region_tables_match_interp () =
 let test_region_version_semantics () =
   let r = region () in
   let model = RM.create r in
-  let v = RM.version model (A.branches [ (0, true); (2, false) ]) in
+  (* assume site 0 taken and site 2 not taken: bit j is site j *)
+  let v = RM.version_bits model ~mask:0b101 ~bits:0b001 in
   (* violations: site 0 must be taken (bit 0 set), site 2 not taken *)
   Alcotest.(check bool) "consistent vector ok" false
     (RM.Version.violated v ~outcomes:0b001);
@@ -57,13 +57,13 @@ let test_region_version_semantics () =
   Alcotest.(check bool) "fewer branches" true
     (RM.Version.branches_executed v ~outcomes:0b001 < 3);
   Alcotest.(check int) "two versions cached after another request" 2
-    (let _ = RM.version model A.empty in
+    (let _ = RM.version_bits model ~mask:0 ~bits:0 in
      RM.recompilations model)
 
 let test_region_empty_version_is_identity () =
   let r = region () in
   let model = RM.create r in
-  let v = RM.version model A.empty in
+  let v = RM.version_bits model ~mask:0 ~bits:0 in
   for outcomes = 0 to 7 do
     Alcotest.(check bool) "never violated" false (RM.Version.violated v ~outcomes);
     Alcotest.(check int) "same length as original" (RM.original_length model ~outcomes)
@@ -159,34 +159,10 @@ let test_config_defaults () =
   Alcotest.(check bool) "leading faster than trailing" true
     (c.leading.effective_ipc > c.trailing.effective_ipc)
 
-let test_cold_stub_cost () =
-  Alcotest.(check int) "cold stubs free by default (folded into recovery_penalty)" 0
-    Rs_mssp.Config.default.cold_stub_cost;
-  (* a multi-function region whose distilled versions carry a hot/cold
-     split: pricing the cold-entry stubs must slow recovery down, and
-     only recovery — a version with no cold entries is unaffected *)
-  let r =
-    Rs_ir.Synth.program ~rng:(Rs_util.Prng.create 8) ~helper_sites:2 ~loop_trips:2
-      ~first_site:0 ()
-  in
-  let model = RM.create r in
-  let v = RM.version model (A.branches [ (0, true); (1, true); (4, true) ]) in
-  Alcotest.(check bool) "version carries split stats" true
-    (RM.Version.cold_entries v >= 1 && (RM.Version.stats v).Rs_distill.Distill.inlined_calls >= 1);
-  let run cold_stub_cost =
-    let inst = W.instantiate (short (W.find "mcf")) ~seed:5 in
-    let params = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true in
-    M.run inst ~seed:5 ~params ~config:{ Rs_mssp.Config.default with cold_stub_cost }
-  in
-  let free = run 0 and priced = run 50 in
-  Alcotest.(check int) "same squashes either way" free.squashes priced.squashes;
-  Alcotest.(check bool) "pricing the stubs costs recovery cycles" true
-    (priced.mssp_cycles > free.mssp_cycles)
-
 let test_violations_count () =
   let r = region () in
   let model = RM.create r in
-  let v = RM.version model (A.branches [ (0, true); (1, true); (2, true) ]) in
+  let v = RM.version_bits model ~mask:0b111 ~bits:0b111 in
   Alcotest.(check int) "all wrong" 3 (RM.Version.violations v ~outcomes:0b000);
   Alcotest.(check int) "one wrong" 1 (RM.Version.violations v ~outcomes:0b011);
   Alcotest.(check int) "none wrong" 0 (RM.Version.violations v ~outcomes:0b111)
@@ -304,7 +280,6 @@ let suite =
     Alcotest.test_case "no speculation, no squash" `Quick test_machine_no_speculation_no_squash;
     Alcotest.test_case "latency tolerance" `Quick test_machine_latency_tolerance;
     Alcotest.test_case "config defaults (Table 5)" `Quick test_config_defaults;
-    Alcotest.test_case "cold stub cost" `Quick test_cold_stub_cost;
     Alcotest.test_case "violation counting" `Quick test_violations_count;
     Alcotest.test_case "stats are per-run" `Quick test_stats_are_per_run;
     Alcotest.test_case "Cache.mssp memoizes" `Quick test_cache_mssp_memoizes;

@@ -274,10 +274,37 @@ let test_eviction_watch () =
         (B.Stationary 1.0, 1.0);
       ]
   in
-  let w = Rs_sim.Eviction_watch.run ~horizon:64 pop (cfg 30_000) small_params in
+  let w = Rs_sim.Eviction_watch.run pop (cfg 30_000) small_params in
   Alcotest.(check int) "one eviction sampled" 1 w.samples;
   Alcotest.(check (float 1e-9)) "reversed fraction" 1.0 w.fraction_reversed;
   Alcotest.(check (float 1e-9)) "below 30%" 1.0 w.fraction_below_30pct
+
+(* Figure 6 samples static branches, not evictions: a branch evicted
+   twice (taken, then not taken, then taken again) contributes one
+   sample, from its first eviction. *)
+let test_eviction_watch_first_only () =
+  let pop =
+    pop_of
+      [
+        ( B.Phases
+            [|
+              { length = 2_000; p_taken = 1.0 };
+              { length = 3_000; p_taken = 0.0 };
+              { length = 1; p_taken = 1.0 };
+            |],
+          1.0 );
+        (B.Stationary 1.0, 1.0);
+      ]
+  in
+  let evictions = ref 0 in
+  let on_transition (tr : Rs_core.Types.transition) =
+    if tr.branch = 0 && tr.kind = Rs_core.Types.Evicted then incr evictions
+  in
+  ignore (Engine.run ~on_transition pop (cfg 30_000) small_params);
+  Alcotest.(check int) "branch 0 evicted twice" 2 !evictions;
+  let w = Rs_sim.Eviction_watch.run pop (cfg 30_000) small_params in
+  Alcotest.(check int) "one sample: the first eviction" 1 w.samples;
+  Alcotest.(check (float 1e-9)) "first eviction reversed" 1.0 w.fraction_reversed
 
 let test_exec_blocks () =
   let pop = pop_of [ (B.Flip_at { threshold = 500; first = true }, 1.0) ] in
@@ -336,6 +363,8 @@ let suite =
     Alcotest.test_case "accounting" `Quick test_accounting;
     Alcotest.test_case "accounting average" `Quick test_accounting_average;
     Alcotest.test_case "eviction watch" `Quick test_eviction_watch;
+    Alcotest.test_case "eviction watch samples first evictions" `Quick
+      test_eviction_watch_first_only;
     Alcotest.test_case "exec blocks" `Quick test_exec_blocks;
     Alcotest.test_case "intervals" `Quick test_intervals;
   ]

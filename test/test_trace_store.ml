@@ -162,10 +162,11 @@ let test_lru_bound () =
    record fault site is never reached. *)
 let without_recording cap pop cfg =
   let recorded = ref 0 in
-  let saved = !TS.fault_hook in
-  TS.fault_hook := (fun ~site:_ ~key:_ -> incr recorded);
+  let hook = Rs_obs.Fault_hook.hook in
+  let saved = !hook in
+  (hook := fun ~site ~key:_ -> if site = "trace_store.record" then incr recorded);
   Fun.protect
-    ~finally:(fun () -> TS.fault_hook := saved)
+    ~finally:(fun () -> hook := saved)
     (fun () ->
       with_capacity cap (fun () ->
           let a = TS.cached ~key:"k" pop cfg in
