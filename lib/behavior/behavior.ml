@@ -60,30 +60,6 @@ let sample t ~rng ~exec_index ~instr =
     draw rng (start +. ((finish -. start) *. float_of_int exec_index /. float_of_int over))
   | _ -> draw rng (p_taken t ~exec_index ~instr)
 
-let mean_bias t ~horizon =
-  if horizon <= 0 then 0.5
-  else begin
-    (* Average the per-execution taken-probability, then fold into a bias
-       (majority-direction fraction).  For time-varying models this is the
-       whole-run average bias a static profiler would measure. *)
-    let steps = min horizon 4096 in
-    let stride = max 1 (horizon / steps) in
-    let acc = ref 0.0 in
-    let n = ref 0 in
-    let i = ref 0 in
-    while !i < horizon do
-      acc := !acc +. p_taken t ~exec_index:!i ~instr:!i;
-      incr n;
-      i := !i + stride
-    done;
-    let p = !acc /. float_of_int !n in
-    Float.max p (1.0 -. p)
-  end
-
-let is_time_varying = function
-  | Stationary _ -> false
-  | Flip_at _ | Phases _ | Softening _ | Periodic _ | Global_phases _ -> true
-
 let pp ppf t =
   match t with
   | Stationary p -> Format.fprintf ppf "stationary(p=%.4f)" p

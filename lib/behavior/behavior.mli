@@ -47,13 +47,4 @@ val p_taken : t -> exec_index:int -> instr:int -> float
 val sample : t -> rng:Rs_util.Prng.t -> exec_index:int -> instr:int -> bool
 (** Draw one outcome. *)
 
-val mean_bias : t -> horizon:int -> float
-(** Expected fraction of executions in the majority direction over the
-    first [horizon] executions (global phases are evaluated as if
-    executions were evenly spread over instructions [0, horizon)).  Used
-    by tests and by workload calibration. *)
-
-val is_time_varying : t -> bool
-(** Whether the model can change its taken-probability over time. *)
-
 val pp : Format.formatter -> t -> unit

@@ -15,13 +15,6 @@ let create specs =
 
 let size t = Array.length t.specs
 let spec t i = t.specs.(i)
-let total_weight t = t.total_weight
-
-let weight_share t pred =
-  let selected =
-    Array.fold_left (fun acc s -> if pred s then acc +. s.weight else acc) 0.0 t.specs
-  in
-  selected /. t.total_weight
 
 module Alias = struct
   type sampler = { prob : float array; alias : int array }

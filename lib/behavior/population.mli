@@ -21,11 +21,6 @@ val create : spec array -> t
 
 val size : t -> int
 val spec : t -> int -> spec
-val total_weight : t -> float
-
-val weight_share : t -> (spec -> bool) -> float
-(** Fraction of the dynamic execution stream expected to come from the
-    branches satisfying the predicate. *)
 
 (** O(1) weighted sampling (Vose's alias method). *)
 module Alias : sig

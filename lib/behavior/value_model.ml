@@ -27,27 +27,6 @@ let next t ~rng ~exec_index ~prev =
   | Phase_constant { first; second; switch_at } ->
     if exec_index < switch_at then first else second
 
-let modal_invariance t ~horizon =
-  if horizon <= 0 then 0.0
-  else
-    match t with
-    | Constant _ -> 1.0
-    | Noisy_constant { p_other; _ } -> 1.0 -. p_other
-    | Sticky { values; p_stay } ->
-      (* stationary distribution is uniform over the support; the modal
-         share is roughly 1/n plus the inertia's local boost, which the
-         oracle cannot exploit with a single constant *)
-      if Array.length values = 0 then 1.0
-      else begin
-        ignore p_stay;
-        1.0 /. float_of_int (Array.length values)
-      end
-    | Counter _ -> 1.0 /. float_of_int horizon
-    | Phase_constant { switch_at; _ } ->
-      let a = float_of_int (min switch_at horizon) in
-      let b = float_of_int (max 0 (horizon - switch_at)) in
-      Float.max a b /. float_of_int horizon
-
 let pp ppf = function
   | Constant v -> Format.fprintf ppf "constant(%d)" v
   | Noisy_constant { value; p_other; _ } ->

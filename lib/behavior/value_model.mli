@@ -25,8 +25,4 @@ val initial : t -> int
 val next : t -> rng:Rs_util.Prng.t -> exec_index:int -> prev:int -> int
 (** The value of the given execution, given the previous one. *)
 
-val modal_invariance : t -> horizon:int -> float
-(** Fraction of the first [horizon] executions covered by the single best
-    constant — what an oracle value-speculator would achieve. *)
-
 val pp : Format.formatter -> t -> unit

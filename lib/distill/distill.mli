@@ -27,7 +27,7 @@ type result = {
 
 val distill : Rs_ir.Program.t -> Assumptions.t -> result
 (** Inlines at most 8 call sites along the hot path
-    ({!Passes.inline_calls}' default budget).  Consults the
-    ["distill.pass"] fault-injection site ({!Rs_obs.Fault_hook}, key =
-    pass name) before each pass; a pipeline that raises is rerun whole
-    under {!Rs_util.Memo.retry}. *)
+    ({!Passes.inline_calls}).  Consults the ["distill.pass"]
+    fault-injection site ({!Rs_obs.Fault_hook}, key = pass name) before
+    each pass; a pipeline that raises is rerun whole under
+    {!Rs_util.Memo.retry}. *)

@@ -522,11 +522,14 @@ let inline_once (p : Program.t) ~assume =
       end
     | _ -> None)
 
-let inline_calls ?(budget = 8) ~assume (p : Program.t) =
+(* Call sites inlined per distillation, at most. *)
+let inline_budget = 8
+
+let inline_calls ~assume (p : Program.t) =
   let count = ref 0 in
   let cur = ref p in
   let continue = ref true in
-  while !continue && !count < budget do
+  while !continue && !count < inline_budget do
     match inline_once !cur ~assume with
     | Some p' ->
       cur := p';

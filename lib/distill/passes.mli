@@ -43,17 +43,14 @@ val pipeline : Assumptions.t -> Rs_ir.Func.t -> Rs_ir.Func.t
 (** [apply_assumptions] then {!optimize}. *)
 
 val inline_calls :
-  ?budget:int ->
-  assume:(int -> bool option) ->
-  Rs_ir.Program.t ->
-  Rs_ir.Program.t * int
+  assume:(int -> bool option) -> Rs_ir.Program.t -> Rs_ir.Program.t * int
 (** Path-directed call inlining on the entry function: repeatedly
     extract the hot path under [assume] (see {!Rs_ir.Path.extract}) and
-    inline the first call it crosses, up to [budget] (default 8) call
-    sites.  Callee registers are renamed above the caller's frame; a
-    callee [Ret] becomes a move plus jump to the continuation; a callee
-    tail call inherits the call's return register and continuation —
-    becoming a plain call a later round can inline in turn.  Returns the
+    inline the first call it crosses, up to 8 call sites.  Callee
+    registers are renamed above the caller's frame; a callee [Ret]
+    becomes a move plus jump to the continuation; a callee tail call
+    inherits the call's return register and continuation — becoming a
+    plain call a later round can inline in turn.  Returns the
     program and the number of calls inlined. *)
 
 val prune_dead_funcs : Rs_ir.Program.t -> Rs_ir.Program.t

@@ -22,11 +22,7 @@ let run (ctx : Context.t) =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (sc : Adv.t) ->
         let pop, cfg = Adv.build sc ~params ~seed:ctx.seed ~scale:ctx.scale in
-        let key =
-          Printf.sprintf "adversary:%s:seed=%d:scale=%g:tau=%d" sc.name ctx.seed ctx.scale
-            ctx.tau
-        in
-        let trace = Cache.fabricated_trace ~key pop cfg in
+        let trace = Rs_util.Memo.retry (fun () -> TS.record pop cfg) in
         let differential_ok, (result : Rs_sim.Engine.result) =
           Rs_sim.Reference.check ~label:("adversarial:" ^ sc.name) ~trace pop cfg params
         in

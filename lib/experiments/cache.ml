@@ -49,14 +49,6 @@ let trace ctx bm ~input =
   let pop, cfg = build ctx bm ~input in
   Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg
 
-(* The reference checks fabricated traces feed need a recording, so one
-   the store cannot hold is recorded for the caller alone, with the same
-   bounded retries. *)
-let fabricated_trace ~key pop cfg =
-  match Rs_behavior.Trace_store.cached ~key pop cfg with
-  | Some trace -> trace
-  | None -> Memo.retry (fun () -> Rs_behavior.Trace_store.record pop cfg)
-
 (* Every checkpoint window the suite requests anywhere: the paper-time
    windows (figure5's default profiles), the context's compressed windows
    (figure2) and figure3's invariance horizon.  Collecting each profile
@@ -93,14 +85,11 @@ let run ctx bm ~input params =
 let mssp_runs : (int * Rs_mssp.Workload.t * Rs_core.Params.t, Rs_mssp.Machine.stats) Memo.t =
   Memo.create "cache.mssp"
 
-let mssp (spec : Rs_mssp.Workload.t) ~seed ~instance params =
+let mssp (spec : Rs_mssp.Workload.t) ~seed params =
   Memo.find_or_compute mssp_runs ~label:spec.name (seed, spec, params) (fun () ->
       Fault.hit ~site:"cache.mssp"
         ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash params land 0xffff));
-      let inst = Lazy.force instance in
-      if inst.Rs_mssp.Workload.spec <> spec then
-        invalid_arg "Cache.mssp: instance of a different workload spec";
-      Rs_mssp.Machine.run inst ~seed ~params)
+      Rs_mssp.Machine.run (Rs_mssp.Workload.instantiate spec ~seed) ~seed ~params)
 
 let stats () =
   let hits_misses m =

@@ -71,22 +71,12 @@ val run :
     engine directly — hooks observe the run, so a cached replay would
     skip them. *)
 
-val mssp :
-  Rs_mssp.Workload.t ->
-  seed:int ->
-  instance:Rs_mssp.Workload.instance Lazy.t ->
-  Rs_core.Params.t ->
-  Rs_mssp.Machine.stats
-(** Memoised [Rs_mssp.Machine.run (Lazy.force instance) ~seed ~params]
+val mssp : Rs_mssp.Workload.t -> seed:int -> Rs_core.Params.t -> Rs_mssp.Machine.stats
+(** Memoised
+    [Rs_mssp.Machine.run (Rs_mssp.Workload.instantiate spec ~seed) ~seed ~params]
     on the default machine, keyed on [(seed, spec, params)] — [spec]
-    with its [tasks].
-    [instance] must be [Rs_mssp.Workload.instantiate spec ~seed]; it is
-    forced only on a miss, so one lazy shared by a benchmark's
-    configurations instantiates at most once, and not at all when every
-    configuration hits.  The lazy must not be shared across domains:
-    give each pool task its own.
-    @raise Invalid_argument (on a miss) if the instance's spec is not
-    [spec]. *)
+    with its [tasks].  A miss instantiates its own workload, so no
+    instance is ever shared between domains. *)
 
 val trace :
   Context.t ->
@@ -105,19 +95,6 @@ val trace :
     to the [?trace] parameter of the sim layer, which then generates the
     stream live.  Both sources yield the same packed chunks, so the
     capacity never changes results, only speed and memory. *)
-
-val fabricated_trace :
-  key:string ->
-  Rs_behavior.Population.t ->
-  Rs_behavior.Stream.config ->
-  Rs_behavior.Trace_store.t
-(** {!Rs_behavior.Trace_store.cached} for fabricated (non-ckey)
-    populations — the adversarial scenario entries.  [key] must encode
-    everything the recording depends on (scenario name, seed, scale,
-    tau).  The reference checks these traces feed need a recording, so
-    one the trace store cannot hold is recorded for this caller alone,
-    under {!Rs_util.Memo.retry}: an injected fault at the
-    [trace_store.record] site is retried away either way. *)
 
 val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)

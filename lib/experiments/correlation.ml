@@ -16,9 +16,7 @@ let run ctx =
       (fun (spec : W.t) ->
         let seed = ctx.Context.seed in
         let s =
-          Cache.mssp spec ~seed
-            ~instance:(lazy (W.instantiate spec ~seed))
-            (Figure7.mssp_params ~monitor:1_000 ~closed:true)
+          Cache.mssp spec ~seed (Figure7.mssp_params ~monitor:1_000 ~closed:true)
         in
         {
           benchmark = spec.name;

@@ -31,39 +31,19 @@ let make_sites rng n =
           { values = Array.init (2 + Prng.int rng 6) Fun.id; p_stay = 0.5 +. Prng.float rng 0.4 }
       else VM.Counter { start = 0; stride = 1 + Prng.int rng 3 })
 
-type site_state = {
-  model : VM.t;
-  rng : Prng.t;
-  mutable execs : int;
-  mutable value : int;  (** Last produced value. *)
-  mutable assumed : int;  (** Constant baked into the speculative code. *)
-  mutable pending_assumed : int;  (** Captured at selection time. *)
+(* The load stream both policies consume: which site each load comes
+   from (drawn by weight) and the value it produces.  Equal seeds give
+   equal streams, so every policy sees the same loads. *)
+type stream = {
+  models : VM.t array;
+  rngs : Prng.t array;
+  execs : int array;  (** Loads issued per site so far. *)
+  last : int array;  (** Each site's most recent value. *)
+  sampler : Rs_behavior.Population.Alias.sampler;
+  pick : Prng.t;
 }
 
-let run_policy ~label ~params ~sites ~weights ~events ~seed =
-  let n = Array.length sites in
-  let states =
-    Array.mapi
-      (fun i model ->
-        {
-          model;
-          rng = Prng.create ((seed * 7919) + i);
-          execs = 0;
-          value = VM.initial model;
-          assumed = 0;
-          pending_assumed = 0;
-        })
-      sites
-  in
-  let on_transition (tr : Types.transition) =
-    match tr.kind with
-    | Types.Selected ->
-      (* the optimizer bakes in the value it observed when it decided *)
-      let st = states.(tr.branch) in
-      st.pending_assumed <- st.value
-    | _ -> ()
-  in
-  let c = Reactive.create ~on_transition ~n_branches:n params in
+let stream ~sites ~weights ~seed =
   let pop =
     Rs_behavior.Population.create
       (Array.mapi
@@ -72,34 +52,63 @@ let run_policy ~label ~params ~sites ~weights ~events ~seed =
              weight = w })
          weights)
   in
-  let sampler = Rs_behavior.Population.Alias.prepare pop in
-  let pick = Prng.create (seed * 31 + 5) in
+  {
+    models = sites;
+    rngs = Array.mapi (fun i _ -> Prng.create ((seed * 7919) + i)) sites;
+    execs = Array.make (Array.length sites) 0;
+    last = Array.map VM.initial sites;
+    sampler = Rs_behavior.Population.Alias.prepare pop;
+    pick = Prng.create (seed * 31 + 5);
+  }
+
+(* Issue [events] loads, calling [f i v] when site [i] produces [v];
+   [s.last.(i)] still holds the site's previous value during the call. *)
+let iter_loads s ~events f =
+  for _ = 1 to events do
+    let i = Rs_behavior.Population.Alias.draw s.sampler s.pick in
+    let v =
+      VM.next s.models.(i) ~rng:s.rngs.(i) ~exec_index:s.execs.(i) ~prev:s.last.(i)
+    in
+    s.execs.(i) <- s.execs.(i) + 1;
+    f i v;
+    s.last.(i) <- v
+  done
+
+let run_policy ~label ~params ~sites ~weights ~events ~seed =
+  let n = Array.length sites in
+  let loads = stream ~sites ~weights ~seed in
+  (* Per site: the constant baked into the speculative code, and the
+     value captured at selection time. *)
+  let assumed = Array.make n 0 in
+  let pending_assumed = Array.make n 0 in
+  let on_transition (tr : Types.transition) =
+    match tr.kind with
+    | Types.Selected ->
+      (* the optimizer bakes in the value it observed when it decided *)
+      pending_assumed.(tr.branch) <- loads.last.(tr.branch)
+    | _ -> ()
+  in
+  let c = Reactive.create ~on_transition ~n_branches:n params in
   let correct = ref 0 and incorrect = ref 0 in
   let instr = ref 0 in
-  for _ = 1 to events do
-    let i = Rs_behavior.Population.Alias.draw sampler pick in
-    let st = states.(i) in
-    let v = VM.next st.model ~rng:st.rng ~exec_index:st.execs ~prev:st.value in
-    st.execs <- st.execs + 1;
-    instr := !instr + 6;
-    let d = Reactive.deployed c i in
-    (* only the positive direction means anything for value speculation:
-       "reliably produces the assumed value".  A branch-FSM selection in
-       the negative direction ("reliably produces something else") has no
-       code-generation counterpart and is ignored. *)
-    let speculating = d.Types.speculate && d.direction in
-    if speculating then begin
-      (* newly deployed code starts using the value captured at its
-         selection *)
-      if st.assumed <> st.pending_assumed then st.assumed <- st.pending_assumed;
-      if v = st.assumed then incr correct else incr incorrect
-    end;
-    (* the observation stream: does the load still produce the value the
-       (current or would-be) speculative code would assume? *)
-    let prediction = if speculating then st.assumed else st.value in
-    Reactive.observe c ~branch:i ~taken:(v = prediction) ~instr:!instr;
-    st.value <- v
-  done;
+  iter_loads loads ~events (fun i v ->
+      instr := !instr + 6;
+      let d = Reactive.deployed c i in
+      (* only the positive direction means anything for value speculation:
+         "reliably produces the assumed value".  A branch-FSM selection in
+         the negative direction ("reliably produces something else") has no
+         code-generation counterpart and is ignored. *)
+      let speculating = d.Types.speculate && d.direction in
+      if speculating then begin
+        (* newly deployed code starts using the value captured at its
+           selection *)
+        assumed.(i) <- pending_assumed.(i);
+        if v = assumed.(i) then incr correct else incr incorrect
+      end;
+      (* the observation stream: does the load still produce the value the
+         (current or would-be) speculative code would assume? *)
+      let prediction = if speculating then assumed.(i) else loads.last.(i) in
+      Reactive.observe c ~branch:i ~taken:(v = prediction) ~instr:!instr);
   let selections = ref 0 and evictions = ref 0 in
   for i = 0 to n - 1 do
     selections := !selections + Reactive.selections c i;
@@ -118,34 +127,11 @@ let run_policy ~label ~params ~sites ~weights ~events ~seed =
 let run_oracle ~sites ~weights ~events ~seed =
   let n = Array.length sites in
   let counts = Array.init n (fun _ -> Hashtbl.create 8) in
-  let states =
-    Array.mapi
-      (fun i model ->
-        { model; rng = Prng.create ((seed * 7919) + i); execs = 0;
-          value = VM.initial model; assumed = 0; pending_assumed = 0 })
-      sites
-  in
-  let pop =
-    Rs_behavior.Population.create
-      (Array.mapi
-         (fun id w ->
-           { Rs_behavior.Population.id; behavior = Rs_behavior.Behavior.Stationary 0.5;
-             weight = w })
-         weights)
-  in
-  let sampler = Rs_behavior.Population.Alias.prepare pop in
-  let pick = Prng.create (seed * 31 + 5) in
-  let execs = Array.make n 0 in
-  for _ = 1 to events do
-    let i = Rs_behavior.Population.Alias.draw sampler pick in
-    let st = states.(i) in
-    let v = VM.next st.model ~rng:st.rng ~exec_index:st.execs ~prev:st.value in
-    st.execs <- st.execs + 1;
-    st.value <- v;
-    execs.(i) <- execs.(i) + 1;
-    let tbl = counts.(i) in
-    Hashtbl.replace tbl v (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v))
-  done;
+  let loads = stream ~sites ~weights ~seed in
+  iter_loads loads ~events (fun i v ->
+      let tbl = counts.(i) in
+      Hashtbl.replace tbl v (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v)));
+  let execs = loads.execs in
   let correct = ref 0 and incorrect = ref 0 in
   let selections = ref 0 in
   for i = 0 to n - 1 do

@@ -28,8 +28,7 @@ let run ctx =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (spec : W.t) ->
         let seed = ctx.Context.seed in
-        let instance = lazy (W.instantiate spec ~seed) in
-        let go ~monitor ~closed = Cache.mssp spec ~seed ~instance (mssp_params ~monitor ~closed) in
+        let go ~monitor ~closed = Cache.mssp spec ~seed (mssp_params ~monitor ~closed) in
         let c1 = go ~monitor:1_000 ~closed:true in
         let o1 = go ~monitor:1_000 ~closed:false in
         let c10 = go ~monitor:10_000 ~closed:true in

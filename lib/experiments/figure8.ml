@@ -11,13 +11,12 @@ let run ctx =
     Rs_util.Pool.map_ordered (Context.pool ctx)
       (fun (spec : W.t) ->
         let seed = ctx.Context.seed in
-        let instance = lazy (W.instantiate spec ~seed) in
         let go latency =
           let params =
             { (Figure7.mssp_params ~monitor:1_000 ~closed:true) with
               optimization_latency = latency }
           in
-          M.speedup (Cache.mssp spec ~seed ~instance params)
+          M.speedup (Cache.mssp spec ~seed params)
         in
         {
           benchmark = spec.name;

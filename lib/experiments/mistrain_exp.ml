@@ -55,11 +55,7 @@ let run (ctx : Context.t) =
       (fun (schedule, strength) ->
         let name = MT.schedule_name schedule in
         let b = MT.build schedule ~strength ~params ~seed:ctx.seed ~scale:ctx.scale in
-        let key =
-          Printf.sprintf "mistrain:%s:strength=%g:seed=%d:scale=%g:tau=%d" name strength
-            ctx.seed ctx.scale ctx.tau
-        in
-        let trace = Cache.fabricated_trace ~key b.population b.config in
+        let trace = Rs_util.Memo.retry (fun () -> TS.record b.population b.config) in
         let label = Printf.sprintf "mistrain:%s:%g" name strength in
         let differential_ok, _ =
           Rs_sim.Reference.check ~label ~trace b.population b.config params

@@ -7,38 +7,27 @@ let outcomes_array k packed = Array.init k (fun j -> packed land (1 lsl j) <> 0)
 (* Interpret [prog] with the region's input cells set from the packed
    outcome vector, returning its dynamic length; [hook] sees every
    executed branch, in order. *)
-let measure (region : Synth.t) prog packed ~hook =
+let measure ?hook (region : Synth.t) prog packed =
   let mem = Array.make region.mem_size 0 in
   let k = Array.length region.site_ids in
   Synth.set_inputs region ~mem (outcomes_array k packed);
-  (Interp.run ~hook prog ~mem).dyn_instrs
+  (Interp.run ?hook prog ~mem).dyn_instrs
 
 module Version = struct
   type v = {
-    assumptions : Assumptions.t;
-    static_original : int;
-    static_distilled : int;
     lengths : int array;
-    branch_counts : int array;
     violated_mask : int;  (** Bits of assumed sites. *)
     assumed_bits : int;  (** Expected values of those bits. *)
-    stats : Rs_distill.Distill.stats;
   }
 
-  let assumptions v = v.assumptions
-  let static_original v = v.static_original
-  let static_distilled v = v.static_distilled
   let length v ~outcomes = v.lengths.(outcomes)
   let assumed_mask v = v.violated_mask
   let violated v ~outcomes = outcomes land v.violated_mask <> v.assumed_bits
-
-  let stats v = v.stats
 
   let violations v ~outcomes =
     let diff = (outcomes land v.violated_mask) lxor v.assumed_bits in
     let rec popcount x acc = if x = 0 then acc else popcount (x lsr 1) (acc + (x land 1)) in
     popcount diff 0
-  let branches_executed v ~outcomes = v.branch_counts.(outcomes)
 end
 
 type t = {
@@ -72,7 +61,7 @@ let create region =
   for v = 0 to n - 1 do
     let branches = ref [] in
     let hook ~site ~taken = branches := pack_branch region site taken :: !branches in
-    orig_lengths.(v) <- measure region region.Synth.prog v ~hook;
+    orig_lengths.(v) <- measure ~hook region region.Synth.prog v;
     orig_branches.(v) <- Array.of_list (List.rev !branches)
   done;
   { region; k; orig_lengths; orig_branches; versions = Hashtbl.create 8 }
@@ -91,25 +80,8 @@ let build t ~mask ~bits =
   done;
   let assumptions = Assumptions.branches !branches in
   let result = Rs_distill.Distill.distill t.region.Synth.prog assumptions in
-  let n = 1 lsl t.k in
-  let lengths = Array.make n 0 in
-  let branch_counts = Array.make n 0 in
-  for packed = 0 to n - 1 do
-    let count = ref 0 in
-    lengths.(packed) <-
-      measure t.region result.distilled packed ~hook:(fun ~site:_ ~taken:_ -> incr count);
-    branch_counts.(packed) <- !count
-  done;
-  {
-    Version.assumptions;
-    static_original = result.original_size;
-    static_distilled = result.distilled_size;
-    lengths;
-    branch_counts;
-    violated_mask = mask;
-    assumed_bits = bits;
-    stats = result.stats;
-  }
+  let lengths = Array.init (1 lsl t.k) (measure t.region result.distilled) in
+  { Version.lengths; violated_mask = mask; assumed_bits = bits }
 
 let version_bits t ~mask ~bits =
   let full = (1 lsl t.k) - 1 in

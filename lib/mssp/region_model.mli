@@ -32,10 +32,6 @@ val original_branches : t -> outcomes:int -> int array
 module Version : sig
   type v
 
-  val assumptions : v -> Rs_distill.Assumptions.t
-  val static_original : v -> int
-  val static_distilled : v -> int
-
   val length : v -> outcomes:int -> int
   (** Dynamic instructions of the distilled code under these outcomes.
       Removed branches ignore the real outcome (they were deleted). *)
@@ -51,12 +47,6 @@ module Version : sig
   (** How many assumed sites contradict their assumptions — the paper's
       Section 4.3 observation is that several of these often fall inside
       one task, costing a single task squash. *)
-
-  val branches_executed : v -> outcomes:int -> int
-  (** Branch instructions remaining on the distilled path. *)
-
-  val stats : v -> Rs_distill.Distill.stats
-  (** The distiller's inlining and hot/cold split counts. *)
 end
 
 val version_bits : t -> mask:int -> bits:int -> Version.v

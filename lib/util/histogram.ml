@@ -27,21 +27,6 @@ let bin_bounds t i =
   if i < 0 || i >= bins t then invalid_arg "Histogram.bin_bounds: index out of range";
   (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width))
 
-let fraction_below t x =
-  if t.total = 0 then 0.0
-  else if x <= t.lo then 0.0
-  else if x >= t.hi then 1.0
-  else begin
-    let i = bin_of t x in
-    let below = ref 0 in
-    for j = 0 to i - 1 do
-      below := !below + t.counts.(j)
-    done;
-    let lo_edge, _ = bin_bounds t i in
-    let partial = (x -. lo_edge) /. t.width *. float_of_int t.counts.(i) in
-    (float_of_int !below +. partial) /. float_of_int t.total
-  end
-
 let merge a b =
   if a.lo <> b.lo || a.hi <> b.hi || bins a <> bins b then
     invalid_arg "Histogram.merge: histograms must share lo, hi and bin count";
@@ -52,25 +37,3 @@ let merge a b =
   }
 
 let to_list t = List.init (bins t) (fun i -> (bin_bounds t i, t.counts.(i)))
-
-let percentile t p =
-  if t.total = 0 then 0.0
-  else begin
-    let target = p *. float_of_int t.total in
-    let rec go i acc =
-      if i >= bins t then t.hi
-      else begin
-        let acc' = acc +. float_of_int t.counts.(i) in
-        if acc' >= target then begin
-          let lo_edge, _ = bin_bounds t i in
-          let inside =
-            if t.counts.(i) = 0 then 0.0
-            else (target -. acc) /. float_of_int t.counts.(i)
-          in
-          lo_edge +. (inside *. t.width)
-        end
-        else go (i + 1) acc'
-      end
-    in
-    go 0 0.0
-  end

@@ -1,7 +1,6 @@
 (** Fixed-bin histograms over a float range.
 
-    Used for Figure 6 (distribution of post-eviction biases) and for
-    misspeculation-distance distributions. *)
+    Used for Figure 6 (distribution of post-eviction biases). *)
 
 type t
 
@@ -21,9 +20,6 @@ val bin_count : t -> int -> int
 (** Observations in bin [i].  @raise Invalid_argument when out of range. *)
 
 val bins : t -> int
-val fraction_below : t -> float -> float
-(** [fraction_below t x] estimates the CDF at [x] from bin counts (whole
-    bins strictly below [x] plus a linear share of the straddling bin). *)
 
 val merge : t -> t -> t
 (** Bin-wise sum of two histograms over the same range and bin count (the
@@ -32,7 +28,3 @@ val merge : t -> t -> t
 
 val to_list : t -> ((float * float) * int) list
 (** All bins with their bounds and counts, in order. *)
-
-val percentile : t -> float -> float
-(** [percentile t p] (with [p] in [\[0,1\]]) estimates the p-th quantile by
-    linear interpolation within the containing bin; 0 when empty. *)

@@ -3,9 +3,9 @@
    The generator state and all arithmetic stay in immediate (unboxed)
    ints: the whole library draws hundreds of millions of samples per run,
    and a boxed Int64 implementation costs an allocation per draw.  The
-   63-bit variant passes the statistical needs here (uniform draws,
-   Bernoulli thinning, Zipf inversion); streams are split by re-seeding a
-   child from the parent's output through a splitmix-style scramble. *)
+   63-bit variant passes the statistical needs here (uniform draws and
+   Bernoulli thinning); streams are split by re-seeding a child from the
+   parent's output through a splitmix-style scramble. *)
 
 type t = { mutable s : int }
 
@@ -73,56 +73,3 @@ let bernoulli t p =
   if p >= 1.0 then true
   else if p <= 0.0 then false
   else below t p
-
-let geometric t p =
-  if p <= 0.0 then invalid_arg "Prng.geometric: p must be positive";
-  if p >= 1.0 then 0
-  else
-    let u = float t 1.0 in
-    (* inversion: floor (log (1-u) / log (1-p)) *)
-    int_of_float (floor (log (1.0 -. u) /. log (1.0 -. p)))
-
-let exponential t mean =
-  let u = float t 1.0 in
-  -.mean *. log (1.0 -. u)
-
-(* Rejection-inversion sampling for the Zipf distribution
-   (Hörmann & Derflinger, 1996): O(1) per sample, no tables. *)
-let zipf t ~n ~s =
-  if n <= 0 then invalid_arg "Prng.zipf: n must be positive";
-  if n = 1 then 1
-  else if abs_float (s -. 1.0) < 1e-9 then begin
-    (* s = 1: inverse-CDF via harmonic approximation over log space *)
-    let hn = log (float_of_int n) +. 0.5772156649015329 in
-    let rec go () =
-      let u = float t 1.0 *. hn in
-      let k = int_of_float (exp u) in
-      if k >= 1 && k <= n then k else go ()
-    in
-    go ()
-  end
-  else begin
-    let h x = exp ((1.0 -. s) *. log (1.0 +. x)) /. (1.0 -. s) in
-    let h_inv x = exp (log ((1.0 -. s) *. x) /. (1.0 -. s)) -. 1.0 in
-    let hx0 = h 0.5 -. exp (-.s *. log 1.0) in
-    let hn = h (float_of_int n +. 0.5) in
-    let rec go () =
-      let u = hn +. (float t 1.0 *. (hx0 -. hn)) in
-      let x = h_inv u in
-      let k = int_of_float (floor (x +. 1.5)) in
-      let k = if k < 1 then 1 else if k > n then n else k in
-      if float_of_int k -. x <= hx0
-         || u >= h (float_of_int k +. 0.5) -. exp (-.s *. log (float_of_int k))
-      then k
-      else go ()
-    in
-    go ()
-  end
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -59,19 +59,3 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
-
-val geometric : t -> float -> int
-(** [geometric t p] samples the number of failures before the first success
-    of a Bernoulli(p) process; returns 0 when [p >= 1.0].
-    @raise Invalid_argument if [p <= 0.]. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] samples an exponential with the given mean. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] samples ranks in [\[1, n\]] with probability proportional
-    to [1 / rank**s], by inversion over a precomputed table-free scheme
-    (rejection-inversion of Hörmann and Derflinger). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -57,13 +57,6 @@ let names = List.map (fun t -> t.name) all
 
 let find name = List.find (fun t -> t.name = name) all
 
-let scale_count scale n =
-  if n = 0 then 0 else max 1 (int_of_float (Float.round (float_of_int n *. scale)))
-
-let flip dir phases =
-  if dir then phases
-  else Array.map (fun (p : Behavior.phase) -> { p with p_taken = 1.0 -. p.p_taken }) phases
-
 (* A proto carries the behaviour and the per-branch execution budget;
    weights are proportional to budgets so every branch finishes its
    schedule at roughly the end of the stream. *)
@@ -101,7 +94,7 @@ let near_protos (p : Params.t) ~n ~cycles rng =
           :: !phases
       done;
       phases := { Behavior.length = 1; p_taken = 1.0 } :: !phases;
-      let phases = flip dir (Array.of_list (List.rev !phases)) in
+      let phases = Benchmark.flip_phases dir (Array.of_list (List.rev !phases)) in
       { budget = m + lat + (cycles * (burst + drain)); behavior = Behavior.Phases phases })
 
 (* Starve the revisit arc: a coin flip for exactly the [m] executions of
@@ -120,7 +113,7 @@ let starve_protos (p : Params.t) ~n ~cycles rng =
           :: !phases
       done;
       phases := { Behavior.length = 1; p_taken = 0.5 } :: !phases;
-      let phases = flip dir (Array.of_list (List.rev !phases)) in
+      let phases = Benchmark.flip_phases dir (Array.of_list (List.rev !phases)) in
       { budget = cycles * (m + w); behavior = Behavior.Phases phases })
 
 let background_protos ~n rng =
@@ -135,7 +128,7 @@ let build t ~params ~seed ~scale =
   | Ok () -> ()
   | Error m -> invalid_arg ("Adversary.build: " ^ m));
   let rng = Prng.create ((seed * 1_000_003) + Hashtbl.hash ("adversary:" ^ t.name)) in
-  let s = scale_count scale in
+  let s = Benchmark.scale_count scale in
   let protos =
     match t.name with
     | "osc_flip" -> osc_protos params ~n:(s 6) rng

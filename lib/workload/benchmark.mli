@@ -120,6 +120,17 @@ val build :
 
     @raise Invalid_argument if [scale] is outside (0, 1]. *)
 
+val scale_count : float -> int -> int
+(** [scale_count scale n] is [n *. scale] rounded, but at least 1 when
+    [n > 0]: how every population count shrinks with the run's scale
+    (also for the adversarial, mistraining and interleaving workloads). *)
+
+val flip_phases :
+  bool -> Rs_behavior.Behavior.phase array -> Rs_behavior.Behavior.phase array
+(** [flip_phases dir phases] is [phases] when [dir] holds, else [phases]
+    with every taken-probability mirrored — one schedule for a branch
+    of either majority direction. *)
+
 val biased_class_size : t -> scale:float -> int
 (** Number of static branches expected to enter the biased state at least
     once (the Table 3 "bias" column target, scaled). *)

@@ -29,10 +29,7 @@ type merged = {
   per_context_events : int array;  (** Events contributed by each context. *)
 }
 
-let scale_count scale n =
-  if n = 0 then 0 else max 1 (int_of_float (Float.round (float_of_int n *. scale)))
-
-let branches_per_context ~scale = max 4 (scale_count scale 16)
+let branches_per_context ~scale = max 4 (Benchmark.scale_count scale 16)
 
 (* Execution budget per branch: enough monitor windows, an eviction run
    and change-of-mind headroom under the interleave-compressed params

@@ -39,13 +39,6 @@ type build_result = {
   victims : int array;  (** Branch ids under attack (a prefix of the ids). *)
 }
 
-let flip dir phases =
-  if dir then phases
-  else Array.map (fun (p : Behavior.phase) -> { p with p_taken = 1.0 -. p.p_taken }) phases
-
-let scale_count scale n =
-  if n = 0 then 0 else max 1 (int_of_float (Float.round (float_of_int n *. scale)))
-
 let build schedule ~strength ~params ~seed ~scale =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Mistrain.build: scale must be in (0, 1]";
   if strength <= 0.0 || strength > 1.0 then
@@ -57,8 +50,8 @@ let build schedule ~strength ~params ~seed ~scale =
   let rng =
     Prng.create ((seed * 1_000_003) + Hashtbl.hash ("mistrain:" ^ schedule_name schedule))
   in
-  let n_victims = scale_count scale 3 in
-  let n_background = scale_count scale 21 in
+  let n_victims = Benchmark.scale_count scale 3 in
+  let n_background = Benchmark.scale_count scale 21 in
   let n = n_victims + n_background in
   let m = Adversary.monitor_execs p in
   let lat = Adversary.latency_execs p ~n_branches:n in
@@ -86,7 +79,7 @@ let build schedule ~strength ~params ~seed ~scale =
          its deployment even under sampling noise; the final phase
          extends to infinity, so the attack pressure never lets up. *)
       Behavior.Phases
-        (flip dir
+        (Benchmark.flip_phases dir
            [|
              { Behavior.length = train; p_taken = 1.0 };
              { Behavior.length = 1; p_taken = 1.0 -. strength };
@@ -103,7 +96,7 @@ let build schedule ~strength ~params ~seed ~scale =
           :: !phases
       done;
       phases := { Behavior.length = 1; p_taken = 1.0 -. strength } :: !phases;
-      Behavior.Phases (flip dir (Array.of_list (List.rev !phases)))
+      Behavior.Phases (Benchmark.flip_phases dir (Array.of_list (List.rev !phases)))
   in
   let victim_budget =
     match schedule with

@@ -59,18 +59,6 @@ let test_global_phases () =
   Alcotest.(check (float 0.0)) "second window" 0.05 (B.p_taken b ~exec_index:0 ~instr:150);
   Alcotest.(check (float 0.0)) "last extends" 0.5 (B.p_taken b ~exec_index:0 ~instr:10_000)
 
-let test_mean_bias () =
-  Alcotest.(check (float 1e-6)) "stationary 0.9" 0.9 (B.mean_bias (B.Stationary 0.9) ~horizon:1000);
-  Alcotest.(check (float 1e-6)) "stationary 0.1 folds" 0.9
-    (B.mean_bias (B.Stationary 0.1) ~horizon:1000);
-  (* A half/half flip has average taken-rate 0.5 => bias 0.5. *)
-  let flip = B.Flip_at { threshold = 500; first = true } in
-  Alcotest.(check (float 0.01)) "balanced flip" 0.5 (B.mean_bias flip ~horizon:1000)
-
-let test_is_time_varying () =
-  Alcotest.(check bool) "stationary" false (B.is_time_varying (B.Stationary 0.5));
-  Alcotest.(check bool) "flip" true (B.is_time_varying (B.Flip_at { threshold = 1; first = true }))
-
 let test_sample_matches_p () =
   let rng = Prng.create 31 in
   let b = B.Stationary 0.8 in
@@ -112,11 +100,6 @@ let test_population_validation () =
     (Invalid_argument "Population.create: ids must be dense and in order") (fun () ->
       ignore
         (Pop.create [| { Pop.id = 1; behavior = B.Stationary 0.5; weight = 1.0 } |]))
-
-let test_weight_share () =
-  let pop = mk_pop [ 1.0; 3.0; 6.0 ] in
-  Alcotest.(check (float 1e-9)) "share of id 2" 0.6 (Pop.weight_share pop (fun s -> s.id = 2));
-  Alcotest.(check (float 1e-9)) "total" 10.0 (Pop.total_weight pop)
 
 let test_alias_distribution () =
   let pop = mk_pop [ 1.0; 2.0; 7.0 ] in
@@ -248,12 +231,9 @@ let suite =
     Alcotest.test_case "softening" `Quick test_softening;
     Alcotest.test_case "periodic" `Quick test_periodic;
     Alcotest.test_case "global phases" `Quick test_global_phases;
-    Alcotest.test_case "mean bias" `Quick test_mean_bias;
-    Alcotest.test_case "is_time_varying" `Quick test_is_time_varying;
     Alcotest.test_case "sample matches p" `Quick test_sample_matches_p;
     QCheck_alcotest.to_alcotest qcheck_p_in_unit;
     Alcotest.test_case "population validation" `Quick test_population_validation;
-    Alcotest.test_case "weight share" `Quick test_weight_share;
     Alcotest.test_case "alias distribution" `Quick test_alias_distribution;
     Alcotest.test_case "stream determinism" `Quick test_stream_determinism;
     Alcotest.test_case "stream counts and instr" `Quick test_stream_counts_and_instr;

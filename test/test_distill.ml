@@ -486,12 +486,6 @@ let test_inline_calls () =
     Alcotest.(check bool) (Printf.sprintf "memory equal on vector %d" v) true (mem_o = mem_i)
   done
 
-let test_inline_budget_zero () =
-  let region = multi_region 5 in
-  let p, count = P.inline_calls ~budget:0 ~assume:(fun _ -> None) region.prog in
-  Alcotest.(check int) "no inlining under zero budget" 0 count;
-  Alcotest.(check bool) "program untouched" true (p == region.prog)
-
 let test_hot_cold_split () =
   let f', split = P.hot_cold_split ~assume:(fun _ -> Some true) branchy in
   Alcotest.(check int) "hot blocks" 3 split.P.hot_blocks;
@@ -520,7 +514,7 @@ let test_prune_dead_funcs () =
   let a = A.branches [ (0, true); (1, true); (4, true) ] in
   (* inline everything reachable: helpers become dead once no call
      remains, and pruning must compact them away *)
-  let inlined, count = P.inline_calls ~budget:32 ~assume:(assume_of a) region.prog in
+  let inlined, count = P.inline_calls ~assume:(assume_of a) region.prog in
   Alcotest.(check bool) "all call sites inlined" true (count >= 4);
   let pruned = P.prune_dead_funcs inlined in
   Alcotest.(check int) "only the entry survives" 1 (Program.n_funcs pruned);
@@ -610,7 +604,6 @@ let suite =
     Alcotest.test_case "verify skips inconsistent trials" `Quick
       test_verify_skips_inconsistent_trials;
     Alcotest.test_case "inline calls (exact)" `Quick test_inline_calls;
-    Alcotest.test_case "inline budget zero" `Quick test_inline_budget_zero;
     Alcotest.test_case "hot/cold split" `Quick test_hot_cold_split;
     Alcotest.test_case "prune dead funcs" `Quick test_prune_dead_funcs;
     Alcotest.test_case "distill program stats" `Quick test_distill_program_stats;

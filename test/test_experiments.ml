@@ -33,19 +33,6 @@ let test_value_models () =
   (* p_stay 0.9 plus 1/3 chance the resample repeats: ~93% *)
   Alcotest.(check bool) "sticky repeats often" true (!repeats > 9_000)
 
-let test_modal_invariance () =
-  Alcotest.(check (float 1e-9)) "constant" 1.0
-    (VM.modal_invariance (VM.Constant 3) ~horizon:100);
-  Alcotest.(check (float 1e-9)) "noisy" 0.999
-    (VM.modal_invariance (VM.Noisy_constant { value = 1; other = 2; p_other = 0.001 })
-       ~horizon:100);
-  Alcotest.(check (float 1e-9)) "counter" 0.01
-    (VM.modal_invariance (VM.Counter { start = 0; stride = 1 }) ~horizon:100);
-  Alcotest.(check (float 1e-9)) "phase" 0.7
-    (VM.modal_invariance
-       (VM.Phase_constant { first = 1; second = 2; switch_at = 30 })
-       ~horizon:100)
-
 (* --- context ------------------------------------------------------------- *)
 
 let test_context () =
@@ -268,7 +255,6 @@ let test_headroom_bisection () =
 let suite =
   [
     Alcotest.test_case "value models" `Quick test_value_models;
-    Alcotest.test_case "modal invariance" `Quick test_modal_invariance;
     Alcotest.test_case "context" `Quick test_context;
     Alcotest.test_case "figure1" `Quick test_figure1;
     Alcotest.test_case "figure2" `Slow test_figure2;

@@ -53,9 +53,6 @@ let test_region_version_semantics () =
   (* distilled code is shorter on consistent vectors *)
   Alcotest.(check bool) "distilled shorter" true
     (RM.Version.length v ~outcomes:0b001 < RM.original_length model ~outcomes:0b001);
-  (* fewer branches execute in the distilled version *)
-  Alcotest.(check bool) "fewer branches" true
-    (RM.Version.branches_executed v ~outcomes:0b001 < 3);
   Alcotest.(check int) "two versions cached after another request" 2
     (let _ = RM.version_bits model ~mask:0 ~bits:0 in
      RM.recompilations model)
@@ -170,12 +167,14 @@ let test_violations_count () =
 (* --- per-run counters ---------------------------------------------------- *)
 
 let test_stats_are_per_run () =
-  (* Region models keep every version they built, across runs.  A run's
-     stats must still be its own: here the shared instance first serves
-     a run with a low selection threshold, which also assumes the
-     moderately biased sites and so builds versions the default never
-     requests; yet its later runs match one on a fresh instance in every
-     field, recompilations included. *)
+  (* Region models still keep every version they built across runs (the
+     mssp-run bench kernel times runs on a primed instance), although
+     Cache.mssp now instantiates per run.  A run's stats must be its own:
+     here the shared instance first serves a run with a low selection
+     threshold, which also assumes the moderately biased sites and so
+     builds versions the default never requests; yet its later runs
+     match one on a fresh instance in every field, recompilations
+     included. *)
   let spec = { (W.find "mcf") with W.tasks = 40_000 } in
   let closed = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true in
   let shared = W.instantiate spec ~seed:3 in
@@ -203,39 +202,24 @@ let test_cache_mssp_memoizes () =
   Cache.reset ();
   Fun.protect ~finally:Cache.reset @@ fun () ->
   let seed = 4 in
-  let forced = ref 0 in
-  let instance ?(spec = cached_spec) () =
-    lazy
-      (incr forced;
-       W.instantiate spec ~seed)
-  in
-  let first = Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k in
-  let hit = Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k in
+  let first = Cache.mssp cached_spec ~seed closed_1k in
+  let hit = Cache.mssp cached_spec ~seed closed_1k in
   let direct = M.run (W.instantiate cached_spec ~seed) ~seed ~params:closed_1k in
   Alcotest.(check bool) "a hit returns the published stats" true (hit == first);
   Alcotest.(check bool) "equal to Machine.run on a fresh instance" true (hit = direct);
-  Alcotest.(check int) "instance forced only on the miss" 1 !forced;
   Alcotest.(check (pair int int)) "one hit, one miss" (1, 1) (mssp_counts ());
   let opened = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:false in
   let longer = { cached_spec with W.tasks = 4_000 } in
-  ignore (Cache.mssp cached_spec ~seed ~instance:(instance ()) opened : M.stats);
-  let l = Cache.mssp longer ~seed ~instance:(instance ~spec:longer ()) closed_1k in
+  ignore (Cache.mssp cached_spec ~seed opened : M.stats);
+  let l = Cache.mssp longer ~seed closed_1k in
   Alcotest.(check int) "tasks is part of the key" 4_000 l.tasks;
-  ignore (Cache.mssp cached_spec ~seed:5 ~instance:(lazy (W.instantiate cached_spec ~seed:5))
-            closed_1k : M.stats);
+  ignore (Cache.mssp cached_spec ~seed:5 closed_1k : M.stats);
   Alcotest.(check (pair int int)) "params, tasks and seed each miss" (1, 4)
     (mssp_counts ());
-  Alcotest.check_raises "an instance of another spec is refused"
-    (Invalid_argument "Cache.mssp: instance of a different workload spec") (fun () ->
-      ignore
-        (Cache.mssp cached_spec ~seed:6 ~instance:(instance ~spec:longer ()) closed_1k
-          : M.stats));
   Cache.reset ();
   Alcotest.(check (pair int int)) "reset zeroes the counters" (0, 0) (mssp_counts ());
-  forced := 0;
-  ignore (Cache.mssp cached_spec ~seed ~instance:(instance ()) closed_1k : M.stats);
-  Alcotest.(check (pair int int)) "reset drops the entries" (0, 1) (mssp_counts ());
-  Alcotest.(check int) "recomputed after reset" 1 !forced
+  ignore (Cache.mssp cached_spec ~seed closed_1k : M.stats);
+  Alcotest.(check (pair int int)) "reset drops the entries" (0, 1) (mssp_counts ())
 
 let test_cache_mssp_concurrent () =
   (* two requests for one key, on a jobs-2 pool: whichever arrives
@@ -256,7 +240,7 @@ let test_cache_mssp_concurrent () =
     while Atomic.get arrived < 2 && Unix.gettimeofday () -. t0 < 1.0 do
       Domain.cpu_relax ()
     done;
-    Cache.mssp spec ~seed ~instance:(lazy (W.instantiate spec ~seed)) closed_1k
+    Cache.mssp spec ~seed closed_1k
   in
   match Rs_util.Pool.map_ordered pool (fun request -> request ()) [| request; request |] with
   | [| a; b |] ->

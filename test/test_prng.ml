@@ -83,52 +83,6 @@ let test_bernoulli_rate () =
   let rate = float_of_int !hits /. float_of_int n in
   if abs_float (rate -. 0.3) > 0.01 then Alcotest.failf "bernoulli(0.3) rate %f" rate
 
-let test_geometric () =
-  let t = Prng.create 6 in
-  Alcotest.(check int) "p=1 is 0" 0 (Prng.geometric t 1.0);
-  let sum = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let v = Prng.geometric t 0.5 in
-    if v < 0 then Alcotest.fail "negative geometric";
-    sum := !sum + v
-  done;
-  (* mean of failures-before-success at p=0.5 is 1 *)
-  let mean = float_of_int !sum /. float_of_int n in
-  if abs_float (mean -. 1.0) > 0.05 then Alcotest.failf "geometric mean %f" mean
-
-let test_exponential_mean () =
-  let t = Prng.create 12 in
-  let sum = ref 0.0 in
-  let n = 100_000 in
-  for _ = 1 to n do
-    let v = Prng.exponential t 5.0 in
-    if v < 0.0 then Alcotest.fail "negative exponential";
-    sum := !sum +. v
-  done;
-  let mean = !sum /. float_of_int n in
-  if abs_float (mean -. 5.0) > 0.2 then Alcotest.failf "exponential mean %f" mean
-
-let test_zipf_range_and_skew () =
-  let t = Prng.create 13 in
-  let n = 100 in
-  let counts = Array.make (n + 1) 0 in
-  for _ = 1 to 50_000 do
-    let v = Prng.zipf t ~n ~s:1.2 in
-    if v < 1 || v > n then Alcotest.failf "zipf out of range: %d" v;
-    counts.(v) <- counts.(v) + 1
-  done;
-  Alcotest.(check bool) "rank 1 beats rank 10" true (counts.(1) > counts.(10));
-  Alcotest.(check bool) "rank 10 beats rank 100" true (counts.(10) > counts.(100))
-
-let test_shuffle_permutation () =
-  let t = Prng.create 14 in
-  let a = Array.init 20 Fun.id in
-  Prng.shuffle t a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "still a permutation" (Array.init 20 Fun.id) sorted
-
 let test_sibling_splits_differ () =
   let parent = Rs_util.Prng.create 21 in
   let a = Rs_util.Prng.split parent in
@@ -173,10 +127,6 @@ let suite =
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
     Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
-    Alcotest.test_case "geometric" `Quick test_geometric;
-    Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-    Alcotest.test_case "zipf range and skew" `Quick test_zipf_range_and_skew;
-    Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sibling splits differ" `Quick test_sibling_splits_differ;
     Alcotest.test_case "bits62 non-negative" `Quick test_bits62_nonneg;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;

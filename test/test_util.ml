@@ -56,33 +56,6 @@ let test_hist_clamping () =
   Alcotest.(check int) "low clamp" 1 (Hist.bin_count h 0);
   Alcotest.(check int) "high clamp" 1 (Hist.bin_count h 3)
 
-let test_hist_fraction_below () =
-  let h = Hist.create ~bins:10 () in
-  for i = 0 to 99 do
-    Hist.add h (float_of_int i /. 100.0)
-  done;
-  Alcotest.(check (float 0.02)) "median" 0.5 (Hist.fraction_below h 0.5);
-  Alcotest.(check (float 0.0)) "below range" 0.0 (Hist.fraction_below h (-1.0));
-  Alcotest.(check (float 0.0)) "above range" 1.0 (Hist.fraction_below h 2.0)
-
-let test_hist_percentile () =
-  let h = Hist.create ~bins:100 () in
-  for i = 0 to 999 do
-    Hist.add h (float_of_int i /. 1000.0)
-  done;
-  Alcotest.(check (float 0.02)) "p50" 0.5 (Hist.percentile h 0.5);
-  Alcotest.(check (float 0.02)) "p90" 0.9 (Hist.percentile h 0.9)
-
-let qcheck_percentile_in_range =
-  QCheck.Test.make ~name:"histogram percentile stays in range" ~count:200
-    QCheck.(pair (list (float_bound_exclusive 1.0)) (float_bound_inclusive 1.0))
-    (fun (xs, p) ->
-      QCheck.assume (xs <> []);
-      let h = Hist.create ~bins:16 () in
-      List.iter (Hist.add h) xs;
-      let v = Hist.percentile h p in
-      v >= 0.0 && v <= 1.0)
-
 (* --- table and csv ------------------------------------------------------ *)
 
 let contains s sub =
@@ -177,9 +150,6 @@ let suite =
     Alcotest.test_case "running stats merge" `Quick test_stats_merge;
     Alcotest.test_case "histogram binning" `Quick test_hist_binning;
     Alcotest.test_case "histogram clamping" `Quick test_hist_clamping;
-    Alcotest.test_case "histogram fraction below" `Quick test_hist_fraction_below;
-    Alcotest.test_case "histogram percentile" `Quick test_hist_percentile;
-    QCheck_alcotest.to_alcotest qcheck_percentile_in_range;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table formats" `Quick test_table_formats;
     Alcotest.test_case "csv" `Quick test_csv;
