@@ -2,7 +2,6 @@ type t =
   | Stationary of float
   | Flip_at of { threshold : int; first : bool }
   | Phases of phase array
-  | Softening of { start : float; finish : float; over : int }
   | Periodic of { region : int; p_first : float; p_second : float }
   | Global_phases of global_phase array
 
@@ -32,9 +31,6 @@ let p_taken t ~exec_index ~instr =
   | Phases phases ->
     let n = Array.length phases in
     if n = 0 then 0.5 else phase_p phases n exec_index 0 0
-  | Softening { start; finish; over } ->
-    if exec_index >= over || over <= 0 then finish
-    else start +. ((finish -. start) *. float_of_int exec_index /. float_of_int over)
   | Periodic { region; p_first; p_second } ->
     if region <= 0 then p_first
     else if exec_index / region mod 2 = 0 then p_first
@@ -51,34 +47,4 @@ let[@inline] draw rng p =
   else if p <= 0.0 then false
   else float_of_int (Rs_util.Prng.unit_bits rng) < p *. Rs_util.Prng.two53
 
-(* Every model but a softening ramp returns a probability it already
-   holds boxed; the ramp's is computed here, unboxed, rather than boxed
-   by [p_taken] on every sample. *)
-let sample t ~rng ~exec_index ~instr =
-  match t with
-  | Softening { start; finish; over } when exec_index < over && over > 0 ->
-    draw rng (start +. ((finish -. start) *. float_of_int exec_index /. float_of_int over))
-  | _ -> draw rng (p_taken t ~exec_index ~instr)
-
-let pp ppf t =
-  match t with
-  | Stationary p -> Format.fprintf ppf "stationary(p=%.4f)" p
-  | Flip_at { threshold; first } ->
-    Format.fprintf ppf "flip_at(%d, first=%b)" threshold first
-  | Phases phases ->
-    Format.fprintf ppf "phases[%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-         (fun ppf { length; p_taken } -> Format.fprintf ppf "%dx%.3f" length p_taken))
-      (Array.to_list phases)
-  | Softening { start; finish; over } ->
-    Format.fprintf ppf "softening(%.3f->%.3f over %d)" start finish over
-  | Periodic { region; p_first; p_second } ->
-    Format.fprintf ppf "periodic(region=%d, %.3f/%.3f)" region p_first p_second
-  | Global_phases phases ->
-    Format.fprintf ppf "global_phases[%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-         (fun ppf { until_instr; gp_taken } ->
-           Format.fprintf ppf "<%d:%.3f" until_instr gp_taken))
-      (Array.to_list phases)
+let sample t ~rng ~exec_index ~instr = draw rng (p_taken t ~exec_index ~instr)

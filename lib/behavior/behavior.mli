@@ -9,7 +9,7 @@
     - the deterministic induction-variable flip ("false the first 32,768
       executions, then true the rest", Section 2.3);
     - piecewise-stationary phase changes, softening and full reversal
-      (Figure 3, Figure 6);
+      (Figure 3, Figure 6), all built from {!Phases};
     - periodic two-region behaviour whose {e average} bias is moderate but
       which is highly biased within each region (the gzip/mcf case where
       the reactive model beats self-training, Section 3.2);
@@ -24,9 +24,6 @@ type t =
   | Phases of phase array
       (** Piecewise stationary in the branch's own execution count; the
           last phase extends to infinity. *)
-  | Softening of { start : float; finish : float; over : int }
-      (** Taken-probability drifts linearly from [start] to [finish] over
-          the first [over] executions, then stays at [finish]. *)
   | Periodic of { region : int; p_first : float; p_second : float }
       (** Alternating regions of [region] executions with taken
           probabilities [p_first] and [p_second]. *)
@@ -46,5 +43,3 @@ val p_taken : t -> exec_index:int -> instr:int -> float
 
 val sample : t -> rng:Rs_util.Prng.t -> exec_index:int -> instr:int -> bool
 (** Draw one outcome. *)
-
-val pp : Format.formatter -> t -> unit

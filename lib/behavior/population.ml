@@ -1,6 +1,6 @@
 type spec = { id : int; behavior : Behavior.t; weight : float }
 
-type t = { specs : spec array; total_weight : float }
+type t = spec array
 
 let create specs =
   if Array.length specs = 0 then invalid_arg "Population.create: empty population";
@@ -10,23 +10,21 @@ let create specs =
       if s.weight <= 0.0 || not (Float.is_finite s.weight) then
         invalid_arg "Population.create: weights must be positive and finite")
     specs;
-  let total_weight = Array.fold_left (fun acc s -> acc +. s.weight) 0.0 specs in
-  { specs; total_weight }
+  specs
 
-let size t = Array.length t.specs
-let spec t i = t.specs.(i)
+let size = Array.length
+let spec t i = t.(i)
 
 module Alias = struct
   type sampler = { prob : float array; alias : int array }
 
   (* Vose's alias method: linear-time table construction, O(1) draws. *)
-  let prepare t =
-    let n = size t in
+  let of_weights weights =
+    let n = Array.length weights in
+    let total = Array.fold_left ( +. ) 0.0 weights in
     let prob = Array.make n 0.0 in
     let alias = Array.make n 0 in
-    let scaled =
-      Array.map (fun s -> s.weight *. float_of_int n /. t.total_weight) t.specs
-    in
+    let scaled = Array.map (fun w -> w *. float_of_int n /. total) weights in
     let small = Queue.create () in
     let large = Queue.create () in
     Array.iteri (fun i p -> Queue.add i (if p < 1.0 then small else large)) scaled;
@@ -48,6 +46,8 @@ module Alias = struct
     flush small;
     flush large;
     { prob; alias }
+
+  let prepare t = of_weights (Array.map (fun s -> s.weight) t)
 
   (* One draw per event in every stream generator: the acceptance test is
      [Prng.float rng 1.0 < prob.(i)] spelled via [unit_bits]/[two53]

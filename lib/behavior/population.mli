@@ -26,7 +26,13 @@ val spec : t -> int -> spec
 module Alias : sig
   type sampler
 
+  val of_weights : float array -> sampler
+  (** A sampler over indices [0 .. n-1] of [n] weights, each of which
+      must be positive and finite (the check {!create} makes). *)
+
   val prepare : t -> sampler
+  (** [of_weights] over the branches' weights. *)
+
   val draw : sampler -> Rs_util.Prng.t -> int
   (** Sample a branch id with probability proportional to its weight. *)
 end

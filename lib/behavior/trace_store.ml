@@ -171,6 +171,5 @@ type stats = Rs_util.Memo.stats = {
 }
 
 let stats () = Rs_util.Memo.stats store
-let capacity_bytes () = Rs_util.Memo.budget store
 let set_capacity_bytes b = Rs_util.Memo.set_budget store b
 let clear () = Rs_util.Memo.clear store

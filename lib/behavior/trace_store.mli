@@ -128,8 +128,6 @@ val stats : unit -> stats
 
 val default_capacity_mb : int
 
-val capacity_bytes : unit -> int
-
 val set_capacity_bytes : int -> unit
 (** Negative values are clamped to 0; shrinking evicts immediately. *)
 

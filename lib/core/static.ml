@@ -4,11 +4,9 @@ let bias c =
   if c.execs = 0 then 0.5
   else float_of_int (max c.taken (c.execs - c.taken)) /. float_of_int c.execs
 
-let majority_direction c = 2 * c.taken >= c.execs
-
 let select ~threshold c =
   if c.execs > 0 && bias c >= threshold then
-    { Types.speculate = true; direction = majority_direction c }
+    { Types.speculate = true; direction = 2 * c.taken >= c.execs }
   else Types.no_speculation
 
 let score (d : Types.decision) c =

@@ -12,9 +12,6 @@ type counts = { execs : int; taken : int }
 val bias : counts -> float
 (** Majority-direction fraction; 0.5 for an empty profile. *)
 
-val majority_direction : counts -> bool
-(** [true] if taken at least as often as not taken. *)
-
 val select : threshold:float -> counts -> Types.decision
 (** Speculate in the majority direction iff the bias reaches [threshold]
     and the branch executed at least once. *)

@@ -12,7 +12,10 @@ type row = {
   evictions : int;
 }
 
-type t = { n_sites : int; events : int; rows : row list }
+type t = { rows : row list }
+
+let n_sites = 160
+let events = 4_000_000
 
 (* A small population of load sites with a behaviour mix mirroring the
    branch study: mostly invariant, some phase changes, some never
@@ -44,20 +47,12 @@ type stream = {
 }
 
 let stream ~sites ~weights ~seed =
-  let pop =
-    Rs_behavior.Population.create
-      (Array.mapi
-         (fun id w ->
-           { Rs_behavior.Population.id; behavior = Rs_behavior.Behavior.Stationary 0.5;
-             weight = w })
-         weights)
-  in
   {
     models = sites;
     rngs = Array.mapi (fun i _ -> Prng.create ((seed * 7919) + i)) sites;
     execs = Array.make (Array.length sites) 0;
     last = Array.map VM.initial sites;
-    sampler = Rs_behavior.Population.Alias.prepare pop;
+    sampler = Rs_behavior.Population.Alias.of_weights weights;
     pick = Prng.create (seed * 31 + 5);
   }
 
@@ -74,7 +69,7 @@ let iter_loads s ~events f =
     s.last.(i) <- v
   done
 
-let run_policy ~label ~params ~sites ~weights ~events ~seed =
+let run_policy ~label ~params ~sites ~weights ~seed =
   let n = Array.length sites in
   let loads = stream ~sites ~weights ~seed in
   (* Per site: the constant baked into the speculative code, and the
@@ -124,7 +119,7 @@ let run_policy ~label ~params ~sites ~weights ~events ~seed =
 
 (* Oracle: per site, the modal value over the whole run, applied when its
    share reaches the 99% threshold. *)
-let run_oracle ~sites ~weights ~events ~seed =
+let run_oracle ~sites ~weights ~seed =
   let n = Array.length sites in
   let counts = Array.init n (fun _ -> Hashtbl.create 8) in
   let loads = stream ~sites ~weights ~seed in
@@ -152,7 +147,7 @@ let run_oracle ~sites ~weights ~events ~seed =
     evictions = 0;
   }
 
-let run ?(n_sites = 160) ?(events = 4_000_000) ctx =
+let run ctx =
   let seed = ctx.Context.seed in
   let rng = Prng.create (seed + 99) in
   let sites = make_sites rng n_sites in
@@ -162,22 +157,22 @@ let run ?(n_sites = 160) ?(events = 4_000_000) ctx =
   let params = Context.params ctx in
   let rows =
     [
-      run_oracle ~sites ~weights ~events ~seed;
-      run_policy ~label:"reactive (Table 2)" ~params ~sites ~weights ~events ~seed;
+      run_oracle ~sites ~weights ~seed;
+      run_policy ~label:"reactive (Table 2)" ~params ~sites ~weights ~seed;
       run_policy ~label:"no eviction (open loop)"
         ~params:{ params with enable_eviction = false }
-        ~sites ~weights ~events ~seed;
+        ~sites ~weights ~seed;
     ]
   in
-  { n_sites; events; rows }
+  { rows }
 
 let render t =
   let tbl =
     Table.create
       ~title:
         (Printf.sprintf
-           "Extension: load-value speculation control (%d load sites, %s loads)" t.n_sites
-           (Table.fmt_int t.events))
+           "Extension: load-value speculation control (%d load sites, %s loads)" n_sites
+           (Table.fmt_int events))
       ~columns:
         [
           ("policy", Table.Left);

@@ -18,13 +18,9 @@ type row = {
   evictions : int;
 }
 
-type t = {
-  n_sites : int;
-  events : int;
-  rows : row list;  (** Oracle, reactive, and no-eviction. *)
-}
+type t = { rows : row list  (** Oracle, reactive, and no-eviction. *) }
 
-val run : ?n_sites:int -> ?events:int -> Context.t -> t
-(** Defaults: 160 sites, 4M loads. *)
+val run : Context.t -> t
+(** 160 load sites, 4M loads, whatever the context's scale. *)
 
 val render : t -> string

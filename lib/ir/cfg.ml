@@ -111,4 +111,3 @@ let dominates t a b =
     climb b
   end
 
-let site_of_edge e = match e.kind with Etaken s | Enot_taken s -> Some s | _ -> None

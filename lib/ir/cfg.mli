@@ -38,6 +38,3 @@ val idom : t -> Func.label -> Func.label option
 val dominates : t -> Func.label -> Func.label -> bool
 (** [dominates t a b]: every path from the entry to [b] passes [a].
     False when [b] is unreachable. *)
-
-val site_of_edge : edge -> int option
-(** The branch site that conditions the edge, for branch edges. *)

@@ -71,9 +71,3 @@ let run ?regs ?(hook = fun ~site:_ ~taken:_ -> ()) ?(max_steps = 1_000_000)
 
 let run_func ?regs ?hook ?max_steps f ~mem =
   run ?regs ?hook ?max_steps (Program.of_func f) ~mem
-
-let branch_outcomes p ~mem =
-  let out = ref [] in
-  let hook ~site ~taken = out := (site, taken) :: !out in
-  let _ = run ~hook p ~mem in
-  List.rev !out

@@ -39,6 +39,3 @@ val run_func :
   mem:int array ->
   result
 (** [run] on the one-function program {!Program.of_func}. *)
-
-val branch_outcomes : Program.t -> mem:int array -> (int * bool) list
-(** [(site, taken)] outcomes in execution order for one run. *)

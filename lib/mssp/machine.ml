@@ -14,7 +14,6 @@ type stats = {
   violated_branches : int;
   orig_instrs : int;
   master_instrs : int;
-  recompilations : int;
   baseline_mispredict_rate : float;
   evictions : int;
   selections : int;
@@ -36,65 +35,15 @@ let decision_key controller site_ids =
    so no float crosses a call boundary boxed. *)
 let[@inline] fmax (x : float) y = if y > x then y else x
 
-(* Largest site count a region may have here: the per-run version table
-   holds 4^k slots, and a key's speculate bits fit the 0x5555 mask. *)
-let max_region_sites = 8
-
 let run (inst : Workload.instance) ~seed ~params =
   let config = Config.default in
-  Array.iter
-    (fun region ->
-      if Region_model.n_sites region > max_region_sites then
-        invalid_arg "Machine.run: region has too many sites")
-    inst.regions;
   let rng = Prng.create ((seed * 2_654_435) + 17) in
   let site_rngs = Array.init inst.n_sites (fun _ -> Prng.split rng) in
   let site_execs = Array.make inst.n_sites 0 in
   let controller = Reactive.create ~n_branches:inst.n_sites params in
   let baseline_pred = Gshare.create ~bits:config.predictor_bits in
   let master_pred = Gshare.create ~bits:config.predictor_bits in
-  (* This run's versions, per region, indexed by decision key.  A miss
-     goes to the slot of the key's canonical form (direction bits of
-     unspeculated sites cleared), which is filled from the region
-     model's cross-run table on first use: the canonical slots filled
-     are exactly the distinct versions this run requested. *)
-  let versions = Array.make (Array.length inst.regions) [||] in
-  let recompilations = ref 0 in
-  let version_for r region key =
-    let k = Region_model.n_sites region in
-    if Array.length versions.(r) = 0 then versions.(r) <- Array.make (1 lsl (2 * k)) None;
-    let table = versions.(r) in
-    match table.(key) with
-    | Some v -> v
-    | None ->
-      let speculated = key land 0x5555 in
-      let canonical = key land (speculated lor (speculated lsl 1)) in
-      let v =
-        match table.(canonical) with
-        | Some v -> v
-        | None ->
-          let mask = ref 0 and bits = ref 0 in
-          for j = 0 to k - 1 do
-            let code = (canonical lsr (2 * j)) land 3 in
-            if code land 1 <> 0 then mask := !mask lor (1 lsl j);
-            if code land 2 <> 0 then bits := !bits lor (1 lsl j)
-          done;
-          incr recompilations;
-          let v = Region_model.version_bits region ~mask:!mask ~bits:!bits in
-          table.(canonical) <- Some v;
-          v
-      in
-      table.(key) <- Some v;
-      v
-  in
-  (* region sampler *)
-  let region_pop =
-    Rs_behavior.Population.create
-      (Array.mapi
-         (fun id w -> { Rs_behavior.Population.id; behavior = B.Stationary 0.5; weight = w })
-         inst.region_weights)
-  in
-  let sampler = Rs_behavior.Population.Alias.prepare region_pop in
+  let sampler = Rs_behavior.Population.Alias.of_weights inst.region_weights in
   let pick_rng = Prng.split rng in
   let lead_ipc = config.leading.effective_ipc in
   let trail_ipc = config.trailing.effective_ipc in
@@ -126,7 +75,7 @@ let run (inst : Workload.instance) ~seed ~params =
     let region = inst.regions.(r) in
     let site_ids = Region_model.site_ids region in
     (* current deployed speculative version of this region *)
-    let version = version_for r region (decision_key controller site_ids) in
+    let version = Region_model.version region ~key:(decision_key controller site_ids) in
     (* a task spans several iterations of the hot region; sample each
        iteration's branch outcomes independently *)
     let orig_len = ref 0 in
@@ -252,14 +201,12 @@ let run (inst : Workload.instance) ~seed ~params =
       violated_branches = !violated_branches;
       orig_instrs = !orig_instrs;
       master_instrs = !master_instrs;
-      recompilations = !recompilations;
       baseline_mispredict_rate = 1.0 -. Gshare.accuracy baseline_pred;
       evictions = !evictions;
       selections = !selections;
     }
   in
   Log.debug (fun m ->
-      m "%s: %d tasks, %d squashes, %d recompilations, speedup %.2f" inst.spec.name
-        stats.tasks stats.squashes stats.recompilations
+      m "%s: %d tasks, %d squashes, speedup %.2f" inst.spec.name stats.tasks stats.squashes
         (stats.baseline_cycles /. Float.max final 1.0));
   stats

@@ -25,11 +25,6 @@ type stats = {
           squash (Section 4.3). *)
   orig_instrs : int;  (** Original-program instructions. *)
   master_instrs : int;  (** Distilled instructions the master executed. *)
-  recompilations : int;
-      (** Distinct distilled versions this run deployed, summed over
-          regions.  Per-run: versions an earlier run on the same
-          instance already built are counted again if this run uses
-          them, so the stats never depend on run order. *)
   baseline_mispredict_rate : float;
   evictions : int;
   selections : int;
@@ -48,9 +43,9 @@ val run : Workload.instance -> seed:int -> params:Rs_core.Params.t -> stats
     The result is a pure function of the instance's spec and seed,
     [seed] and [params] — which is what lets
     [Rs_experiments.Cache.mssp] memoize it.  A task allocates only when
-    it meets a region, or a combination of deployed decisions, the run
-    has not seen before: branch outcomes, predictor tables, the
-    in-flight ring and the version lookups are flat integer and float
-    arrays.  Region models share their distilled versions across runs,
-    so an instance must not be run from two domains at once.
-    @raise Invalid_argument if a region has more than 8 sites. *)
+    it deploys a combination of decisions no run on the instance has
+    deployed before, which fills a slot of {!Region_model.version}'s
+    table: branch outcomes, predictor tables and the in-flight ring are
+    flat integer and float arrays.  Region models keep their versions
+    across runs, so an instance must not be run from two domains at
+    once. *)

@@ -35,10 +35,9 @@ type t = {
   k : int;
   orig_lengths : int array;
   orig_branches : int array array;
-  (* Every distilled version built on this region, across runs, keyed by
-     its (assumed-site mask, assumed directions) pair packed into one int:
-     [(mask lsl k) lor bits]. *)
-  versions : (int, Version.v) Hashtbl.t;
+  (* Every distilled version built on this region, across runs, indexed
+     by decision key (2 bits per site, see [version]): 4^k slots. *)
+  versions : Version.v option array;
 }
 
 (* Index of [site] in [site_ids], or [Array.length site_ids] (a bit no
@@ -54,7 +53,7 @@ let pack_branch (region : Synth.t) site taken =
 
 let create region =
   let k = Array.length region.Synth.site_ids in
-  if k > 16 then invalid_arg "Region_model.create: too many sites for table precomputation";
+  if k > 8 then invalid_arg "Region_model.create: region has more than 8 sites";
   let n = 1 lsl k in
   let orig_lengths = Array.make n 0 in
   let orig_branches = Array.make n [||] in
@@ -64,35 +63,48 @@ let create region =
     orig_lengths.(v) <- measure ~hook region region.Synth.prog v;
     orig_branches.(v) <- Array.of_list (List.rev !branches)
   done;
-  { region; k; orig_lengths; orig_branches; versions = Hashtbl.create 8 }
+  { region; k; orig_lengths; orig_branches; versions = Array.make (1 lsl (2 * k)) None }
 
-let n_sites t = t.k
 let site_ids t = t.region.Synth.site_ids
 
 let original_length t ~outcomes = t.orig_lengths.(outcomes)
 let original_branches t ~outcomes = t.orig_branches.(outcomes)
 
-let build t ~mask ~bits =
-  let branches = ref [] in
+(* Distill the version for a canonical key: site [j] is assumed iff
+   bit [2j] is set, in direction bit [2j+1]. *)
+let build t key =
+  let branches = ref [] and mask = ref 0 and bits = ref 0 in
   for j = t.k - 1 downto 0 do
-    if mask land (1 lsl j) <> 0 then
-      branches := (t.region.Synth.site_ids.(j), bits land (1 lsl j) <> 0) :: !branches
+    let code = (key lsr (2 * j)) land 3 in
+    if code land 1 <> 0 then begin
+      let taken = code land 2 <> 0 in
+      branches := (t.region.Synth.site_ids.(j), taken) :: !branches;
+      mask := !mask lor (1 lsl j);
+      if taken then bits := !bits lor (1 lsl j)
+    end
   done;
   let assumptions = Assumptions.branches !branches in
   let result = Rs_distill.Distill.distill t.region.Synth.prog assumptions in
   let lengths = Array.init (1 lsl t.k) (measure t.region result.distilled) in
-  { Version.lengths; violated_mask = mask; assumed_bits = bits }
+  { Version.lengths; violated_mask = !mask; assumed_bits = !bits }
 
-let version_bits t ~mask ~bits =
-  let full = (1 lsl t.k) - 1 in
-  if mask land lnot full <> 0 then invalid_arg "Region_model.version_bits: mask out of range";
-  let bits = bits land mask in
-  let key = (mask lsl t.k) lor bits in
-  match Hashtbl.find_opt t.versions key with
+(* A key's first request fills its own slot from the slot of its
+   canonical form (the direction bits of unspeculated sites cleared), so
+   keys that differ only there share one version, distilled once.  The
+   speculate bits of at most 8 sites fit the 0x5555 mask. *)
+let version t ~key =
+  match t.versions.(key) with
   | Some v -> v
   | None ->
-    let v = build t ~mask ~bits in
-    Hashtbl.add t.versions key v;
+    let speculated = key land 0x5555 in
+    let canonical = key land (speculated lor (speculated lsl 1)) in
+    let v =
+      match t.versions.(canonical) with
+      | Some v -> v
+      | None ->
+        let v = build t canonical in
+        t.versions.(canonical) <- Some v;
+        v
+    in
+    t.versions.(key) <- Some v;
     v
-
-let recompilations t = Hashtbl.length t.versions

@@ -36,4 +36,6 @@ type instance = {
 
 val instantiate : t -> seed:int -> instance
 (** Build the regions and assign site behaviours, deterministically in
-    the seed. *)
+    the seed.
+    @raise Invalid_argument if [sites_per_region] exceeds 8 (see
+    {!Region_model.create}). *)

@@ -86,7 +86,6 @@ let histogram_counts h =
   Array.iteri (fun i cell -> out.(i mod nb) <- out.(i mod nb) + Atomic.get cell) h.h_cells;
   out
 
-let histogram_count h = Array.fold_left ( + ) 0 (histogram_counts h)
 
 type value =
   | Counter_value of int

@@ -45,9 +45,6 @@ val histogram_counts : histogram -> int array
 (** Merged per-bucket counts, length [Array.length bounds + 1] (the last
     entry is the overflow bucket). *)
 
-val histogram_count : histogram -> int
-(** Total observations across all buckets. *)
-
 type value =
   | Counter_value of int
   | Gauge_value of int

@@ -19,9 +19,6 @@ let add_many t x k =
 let add t x = add_many t x 1
 let count t = t.total
 
-let bin_count t i =
-  if i < 0 || i >= bins t then invalid_arg "Histogram.bin_count: index out of range";
-  t.counts.(i)
 
 let bin_bounds t i =
   if i < 0 || i >= bins t then invalid_arg "Histogram.bin_bounds: index out of range";

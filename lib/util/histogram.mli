@@ -16,9 +16,6 @@ val add_many : t -> float -> int -> unit
 val count : t -> int
 (** Total observations. *)
 
-val bin_count : t -> int -> int
-(** Observations in bin [i].  @raise Invalid_argument when out of range. *)
-
 val bins : t -> int
 
 val merge : t -> t -> t

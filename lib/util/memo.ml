@@ -255,8 +255,6 @@ let stats (m : (_, _) t) =
     bytes;
   }
 
-let budget m = m.budget
-
 let set_budget m b =
   Mutex.lock lock;
   m.budget <- max 0 b;

@@ -70,8 +70,6 @@ type stats = {
 val stats : ('k, 'v) t -> stats
 (** Counters since the last {!clear} (or creation). *)
 
-val budget : ('k, 'v) t -> int
-
 val set_budget : ('k, 'v) t -> int -> unit
 (** Negative values are clamped to 0; shrinking evicts immediately. *)
 

@@ -1,26 +1,23 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
   mutable min : float;
   mutable max : float;
   mutable sum : float;
 }
 
-let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+let create () = { n = 0; mean = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.sum <- t.sum +. x
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 let min t = t.min
 let max t = t.max
 let sum t = t.sum
@@ -32,13 +29,9 @@ let merge a b =
     let n = a.n + b.n in
     let delta = b.mean -. a.mean in
     let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
     {
       n;
       mean;
-      m2;
       min = Stdlib.min a.min b.min;
       max = Stdlib.max a.max b.max;
       sum = a.sum +. b.sum;

@@ -1,4 +1,4 @@
-(** Streaming summary statistics (Welford's online algorithm). *)
+(** Streaming summary statistics: count, running mean, extremes and sum. *)
 
 type t
 
@@ -10,9 +10,6 @@ val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
 (** Mean of the observations; 0 when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; 0 when fewer than two observations. *)
 
 val min : t -> float
 (** Smallest observation; [infinity] when empty. *)

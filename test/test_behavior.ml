@@ -35,13 +35,6 @@ let test_phases () =
   Alcotest.(check (float 0.0)) "last phase extends" 0.5 (p_at b 15);
   Alcotest.(check (float 0.0)) "last phase far" 0.5 (p_at b 1_000_000)
 
-let test_softening () =
-  let b = B.Softening { start = 1.0; finish = 0.5; over = 100 } in
-  Alcotest.(check (float 1e-9)) "starts at start" 1.0 (p_at b 0);
-  Alcotest.(check (float 1e-9)) "midpoint" 0.75 (p_at b 50);
-  Alcotest.(check (float 1e-9)) "finishes" 0.5 (p_at b 100);
-  Alcotest.(check (float 1e-9)) "stays" 0.5 (p_at b 1_000)
-
 let test_periodic () =
   let b = B.Periodic { region = 10; p_first = 0.9; p_second = 0.2 } in
   Alcotest.(check (float 0.0)) "region 0" 0.9 (p_at b 5);
@@ -228,7 +221,6 @@ let suite =
     Alcotest.test_case "stationary" `Quick test_stationary;
     Alcotest.test_case "flip_at" `Quick test_flip_at;
     Alcotest.test_case "phases" `Quick test_phases;
-    Alcotest.test_case "softening" `Quick test_softening;
     Alcotest.test_case "periodic" `Quick test_periodic;
     Alcotest.test_case "global phases" `Quick test_global_phases;
     Alcotest.test_case "sample matches p" `Quick test_sample_matches_p;

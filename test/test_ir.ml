@@ -6,6 +6,13 @@ module Path = Rs_ir.Path
 module Interp = Rs_ir.Interp
 module Synth = Rs_ir.Synth
 
+(* [(site, taken)] in execution order, through the interpreter's branch
+   hook (what Region_model's path tables are built from). *)
+let branch_outcomes p ~mem =
+  let out = ref [] in
+  ignore (Interp.run ~hook:(fun ~site ~taken -> out := (site, taken) :: !out) p ~mem);
+  List.rev !out
+
 (* --- instruction helpers ------------------------------------------------ *)
 
 let test_def_uses () =
@@ -119,7 +126,7 @@ let test_interp_memory_and_branch () =
     }
   in
   let mem = [| 50; 0 |] in
-  let outcomes = Interp.branch_outcomes (Program.of_func f) ~mem in
+  let outcomes = branch_outcomes (Program.of_func f) ~mem in
   Alcotest.(check bool) "taken when >10" true (outcomes = [ (7, true) ]);
   Alcotest.(check int) "taken side stored" 111 mem.(1);
   let mem = [| 5; 0 |] in
@@ -179,7 +186,7 @@ let test_synth_outcomes_respected () =
     (fun outcomes ->
       let mem = Array.make region.mem_size 0 in
       Synth.set_inputs region ~mem outcomes;
-      let seen = Rs_ir.Interp.branch_outcomes region.prog ~mem in
+      let seen = branch_outcomes region.prog ~mem in
       Alcotest.(check int) "all sites executed" 4 (List.length seen);
       List.iteri
         (fun j (site, taken) ->
@@ -377,7 +384,10 @@ let test_cfg_edges_and_preds () =
   Alcotest.(check (list int)) "preds of 3" [ 1; 2 ] (Cfg.preds cfg 3);
   Alcotest.(check (list int)) "preds of 0" [] (Cfg.preds cfg 0);
   let sites =
-    Array.to_list (Cfg.edges cfg) |> List.filter_map Cfg.site_of_edge
+    Array.to_list (Cfg.edges cfg)
+    |> List.filter_map (function
+         | { Cfg.kind = Etaken s | Enot_taken s; _ } -> Some s
+         | _ -> None)
   in
   Alcotest.(check (list int)) "branch edges carry the site" [ 42; 42 ] sites;
   Alcotest.(check bool) "unreachable" false (Cfg.reachable cfg 4);
@@ -443,7 +453,7 @@ let test_synth_program_shape () =
   Alcotest.(check bool) "terminates with a value" true (r.Interp.return_value <> None);
   let mem = Array.make t.mem_size 0 in
   Synth.set_inputs t ~mem [| true; false; true; true; false |];
-  let seen = Interp.branch_outcomes t.prog ~mem in
+  let seen = branch_outcomes t.prog ~mem in
   let helper_sites = List.filter (fun (s, _) -> s < 5) seen in
   (* per trip: f1's 2 sites, g's site, f2's 2 sites, g's site again
      (called from f1, tail-called from f2) *)

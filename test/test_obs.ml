@@ -113,7 +113,6 @@ let test_metrics_basics () =
   Metrics.observe h 5.0;
   Metrics.observe h 50.0;
   Alcotest.(check (array int)) "buckets" [| 1; 1; 1 |] (Metrics.histogram_counts h);
-  Alcotest.(check int) "total" 3 (Metrics.histogram_count h);
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics: test.basics.counter already registered with another kind")
     (fun () -> ignore (Metrics.gauge "test.basics.counter"));

@@ -123,13 +123,15 @@ let test_engine_rejects_mismatch () =
 
 (* Run [f] with the trace-store capacity set to [cap], restoring the
    previous capacity and clearing afterwards whatever happens. *)
+(* Every test here restores this capacity, so no other test sets one. *)
+let default_bytes = TS.default_capacity_mb * 1024 * 1024
+
 let with_capacity cap f =
-  let saved = TS.capacity_bytes () in
   TS.clear ();
   TS.set_capacity_bytes cap;
   Fun.protect
     ~finally:(fun () ->
-      TS.set_capacity_bytes saved;
+      TS.set_capacity_bytes default_bytes;
       TS.clear ())
     f
 
@@ -207,7 +209,7 @@ let test_cached_retries_faulted_record () =
   let pop = mk_pop ~n:8 7 in
   let cfg = { Stream.seed = 11; instr_per_branch = 5.0; length = TS.chunk_size + 7 } in
   let clean = chunks_of (TS.iter_packed (TS.record pop cfg)) in
-  with_capacity (TS.capacity_bytes ()) @@ fun () ->
+  with_capacity (default_bytes) @@ fun () ->
   with_trace_faults @@ fun () ->
   let before = Rs_fault.Fault.injected () in
   let faulted = Option.get (TS.cached ~key:"k" pop cfg) in
@@ -263,7 +265,7 @@ let test_figure5_replay_byte_identity () =
   in
   Fun.protect ~finally:Rs_experiments.Cache.reset (fun () ->
       let live = render 0 in
-      let replayed = render (TS.capacity_bytes ()) in
+      let replayed = render (default_bytes) in
       Alcotest.(check string) "figure5 via replay == via live generation" live replayed)
 
 let suite =

@@ -12,14 +12,11 @@ let test_stats_basic () =
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
   Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
   Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s);
-  Alcotest.(check (float 1e-9)) "sum" 40.0 (Stats.sum s);
-  (* sample variance of that set is 32/7 *)
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Stats.variance s)
+  Alcotest.(check (float 1e-9)) "sum" 40.0 (Stats.sum s)
 
 let test_stats_empty () =
   let s = Stats.create () in
-  Alcotest.(check (float 0.0)) "mean of empty" 0.0 (Stats.mean s);
-  Alcotest.(check (float 0.0)) "variance of empty" 0.0 (Stats.variance s)
+  Alcotest.(check (float 0.0)) "mean of empty" 0.0 (Stats.mean s)
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
@@ -32,11 +29,13 @@ let test_stats_merge () =
   let merged = Stats.merge a b in
   Alcotest.(check int) "merged count" (Stats.count whole) (Stats.count merged);
   Alcotest.(check (float 1e-9)) "merged mean" (Stats.mean whole) (Stats.mean merged);
-  Alcotest.(check (float 1e-6)) "merged variance" (Stats.variance whole) (Stats.variance merged);
   Alcotest.(check (float 1e-9)) "merged min" (Stats.min whole) (Stats.min merged);
   Alcotest.(check (float 1e-9)) "merged max" (Stats.max whole) (Stats.max merged)
 
 (* --- histogram ---------------------------------------------------------- *)
+
+(* Observations in bin [i], read through [to_list] as Figure 6 does. *)
+let bin_count h i = snd (List.nth (Hist.to_list h) i)
 
 let test_hist_binning () =
   let h = Hist.create ~bins:10 () in
@@ -45,16 +44,16 @@ let test_hist_binning () =
   Hist.add h 0.15;
   Hist.add h 0.999;
   Alcotest.(check int) "total" 4 (Hist.count h);
-  Alcotest.(check int) "bin 0" 1 (Hist.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (Hist.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Hist.bin_count h 9)
+  Alcotest.(check int) "bin 0" 1 (bin_count h 0);
+  Alcotest.(check int) "bin 1" 2 (bin_count h 1);
+  Alcotest.(check int) "bin 9" 1 (bin_count h 9)
 
 let test_hist_clamping () =
   let h = Hist.create ~bins:4 () in
   Hist.add h (-5.0);
   Hist.add h 17.0;
-  Alcotest.(check int) "low clamp" 1 (Hist.bin_count h 0);
-  Alcotest.(check int) "high clamp" 1 (Hist.bin_count h 3)
+  Alcotest.(check int) "low clamp" 1 (bin_count h 0);
+  Alcotest.(check int) "high clamp" 1 (bin_count h 3)
 
 (* --- table and csv ------------------------------------------------------ *)
 
@@ -98,7 +97,7 @@ let test_hist_add_many () =
   let h = Hist.create ~bins:4 () in
   Hist.add_many h 0.1 5;
   Alcotest.(check int) "multiplicity" 5 (Hist.count h);
-  Alcotest.(check int) "in one bin" 5 (Hist.bin_count h 0)
+  Alcotest.(check int) "in one bin" 5 (bin_count h 0)
 
 let test_fmt_int_edge () =
   Alcotest.(check string) "zero" "0" (Table.fmt_int 0);
