@@ -30,11 +30,9 @@
 
    Scratch slots are shared across phases because every entry arc resets
    its own scratch, exactly as the old record version's [enter_*]
-   helpers did.  Transitions — orders of magnitude rarer than
-   observations — are packed three ints each ((branch lsl 3) lor kind,
-   instr, exec_index) into a growable buffer; boxed transition records
-   are built only for an installed [on_transition] hook and by the
-   [transitions] accessor. *)
+   helpers did.  A transition bumps its arc counter and, only when an
+   [on_transition] hook is installed, builds a boxed transition record
+   for it; the controller keeps no log of them. *)
 
 module A1 = Bigarray.Array1
 
@@ -63,8 +61,6 @@ type t = {
   monitor_samples : int;
   n_branches : int;
   state : state_table;
-  mutable tr_buf : int array;  (* packed transitions, 3 ints each *)
-  mutable tr_len : int;
   on_transition : (Types.transition -> unit) option;
   cursor : int;  (* index in [state] of the last instruction count seen *)
   fast : int array;  (* the [step_chunk] fast-path table, 4 ints per entry *)
@@ -135,8 +131,6 @@ let create ?on_transition ~n_branches params =
     monitor_samples;
     n_branches;
     state;
-    tr_buf = Array.make 512 0;
-    tr_len = 0;
     on_transition;
     cursor;
     fast = fast_table params ~monitor_samples;
@@ -178,6 +172,10 @@ let touched t b =
   check_branch t ~caller:"Reactive.touched" b;
   get t ((b * slots) + s_execs) > 0
 
+let capped t b =
+  check_branch t ~caller:"Reactive.capped" b;
+  get t ((b * slots) + s_ctrl) land 3 = phase_disabled
+
 (* One counter per state arc of Figure 4(b); transitions are orders of
    magnitude rarer than observations, so the stripe increment is noise. *)
 let m_selected = Rs_obs.Metrics.counter "reactive.transitions.selected"
@@ -186,8 +184,7 @@ let m_evicted = Rs_obs.Metrics.counter "reactive.transitions.evicted"
 let m_revisited = Rs_obs.Metrics.counter "reactive.transitions.revisited"
 let m_capped = Rs_obs.Metrics.counter "reactive.transitions.capped"
 
-(* Transition kinds as small ints, indexing the packed buffer and the
-   arc counters. *)
+(* Transition kinds as small ints, indexing the arc counters. *)
 let k_selected = 0
 let k_unbiased = 1
 let k_evicted = 2
@@ -202,39 +199,13 @@ let kind_of_code = function
   | 3 -> Types.Revisited
   | _ -> Types.Capped
 
-let transitions t =
-  let out = ref [] in
-  let i = ref (t.tr_len - 3) in
-  while !i >= 0 do
-    let w = t.tr_buf.(!i) in
-    out :=
-      {
-        Types.branch = w lsr 3;
-        instr = t.tr_buf.(!i + 1);
-        exec_index = t.tr_buf.(!i + 2);
-        kind = kind_of_code (w land 7);
-      }
-      :: !out;
-    i := !i - 3
-  done;
-  !out
-
 let record t ~branch ~instr code =
-  let execs = get t ((branch * slots) + s_execs) in
-  if t.tr_len + 3 > Array.length t.tr_buf then begin
-    let grown = Array.make (2 * Array.length t.tr_buf) 0 in
-    Array.blit t.tr_buf 0 grown 0 t.tr_len;
-    t.tr_buf <- grown
-  end;
-  let buf = t.tr_buf in
-  buf.(t.tr_len) <- (branch lsl 3) lor code;
-  buf.(t.tr_len + 1) <- instr;
-  buf.(t.tr_len + 2) <- execs;
-  t.tr_len <- t.tr_len + 3;
   Rs_obs.Metrics.incr (Array.unsafe_get arc_counters code);
   match t.on_transition with
   | None -> ()
-  | Some f -> f { Types.branch; instr; exec_index = execs; kind = kind_of_code code }
+  | Some f ->
+    let execs = get t ((branch * slots) + s_execs) in
+    f { Types.branch; instr; exec_index = execs; kind = kind_of_code code }
 
 (* Request a code change: it becomes the deployed behaviour
    [optimization_latency] instructions from now.  A newer request
@@ -377,9 +348,8 @@ let observe t ~branch ~taken ~instr =
   observe_state t branch (branch * slots) ~taken ~instr
 
 (* Snapshot surface: the packed per-branch words plus the monotonicity
-   cursor are the controller's complete observable state — every
-   [deployed]/counter accessor reads only these.  The transition log is
-   a debugging artifact and deliberately not part of it. *)
+   cursor are the controller's complete state — every [deployed]/counter
+   accessor reads only these. *)
 let export_words t =
   let n = t.n_branches * slots in
   let out = Array.make (n + 1) 0 in
@@ -462,8 +432,7 @@ let import_words t words =
   set_last_instr t words.(0);
   for i = 0 to n - 1 do
     A1.unsafe_set t.state i words.(i + 1)
-  done;
-  t.tr_len <- 0
+  done
 
 (* ---------------------------------------------------------------------- *)
 (* The batched replay kernel                                               *)
@@ -474,24 +443,15 @@ type score = {
   mutable correct : int;
   mutable incorrect : int;
   mutable last_misspec : int;
-  gaps : Rs_util.Running_stats.t;
 }
 
-let score () =
-  {
-    instr = 0;
-    correct = 0;
-    incorrect = 0;
-    last_misspec = 0;
-    gaps = Rs_util.Running_stats.create ();
-  }
+let score () = { instr = 0; correct = 0; incorrect = 0; last_misspec = 0 }
 
 let score_event s ~taken ~instr code =
   if code land 1 = 1 then
     if taken = (code land 2 = 2) then s.correct <- s.correct + 1
     else begin
       s.incorrect <- s.incorrect + 1;
-      Rs_util.Running_stats.add s.gaps (float_of_int (instr - s.last_misspec));
       s.last_misspec <- instr
     end
 

@@ -29,7 +29,8 @@ type t
 val create : ?on_transition:(Types.transition -> unit) -> n_branches:int -> Params.t -> t
 (** [create ~n_branches params] tracks branches with dense ids
     [0 .. n_branches - 1].  [on_transition] is invoked synchronously at
-    every state transition (used by the Figure 6 eviction watcher).
+    every state transition; it is the only way to see transitions, as
+    the controller keeps no log of them.
     @raise Invalid_argument if [params] fails {!Params.validate} or
     [n_branches <= 0]. *)
 
@@ -62,9 +63,7 @@ type score = {
   mutable instr : int;  (** Instruction count after the last event. *)
   mutable correct : int;  (** Correct speculations. *)
   mutable incorrect : int;  (** Misspeculations. *)
-  mutable last_misspec : int;  (** Instruction count of the last misspeculation. *)
-  gaps : Rs_util.Running_stats.t;
-      (** Instruction distances between consecutive misspeculations. *)
+  mutable last_misspec : int;  (** Instruction count of the last misspeculation (0 if none). *)
 }
 (** Scoring state threaded across {!step_chunk} calls. *)
 
@@ -75,8 +74,8 @@ val score_event : score -> taken:bool -> instr:int -> int -> unit
 (** [score_event s ~taken ~instr code] scores one event at instruction
     count [instr] against the {!deployed_code}-style decision [code] it
     ran under: a deployed speculation is correct when [taken] matches its
-    direction; a misspeculation adds the instruction distance since the
-    previous one to [s.gaps].  Leaves [s.instr] alone.  {!step_chunk}
+    direction; a misspeculation sets [s.last_misspec] to [instr].
+    Allocates nothing.  Leaves [s.instr] alone.  {!step_chunk}
     applies exactly this rule. *)
 
 val step_chunk : t -> score -> int array -> int -> unit
@@ -98,17 +97,15 @@ val step_chunk : t -> score -> int array -> int -> unit
     have been applied), or [s.instr] is below the previous call's
     instruction count. *)
 
-val transitions : t -> Types.transition list
-(** All transitions so far, oldest first. *)
-
 (** {2 State snapshot}
 
-    The controller's complete observable state as plain integers — the
-    packed per-branch state words plus the non-decreasing-[instr]
-    cursor — so a long-lived service can checkpoint controllers and
-    resume them bit-for-bit (the [rspec serve] snapshot format).  The
-    transition log is diagnostic only and is {e not} captured;
-    {!import_words} clears it. *)
+    The controller's state as plain integers — the packed per-branch
+    state words plus the non-decreasing-[instr] cursor — so a long-lived
+    service can checkpoint controllers and resume them bit-for-bit (the
+    [rspec serve] snapshot format).  {!export_words} is the complete
+    state: the controller keeps no transition log (transitions reach
+    the caller only through [on_transition]), so a restored controller
+    is indistinguishable from the one that was exported. *)
 
 val export_words : t -> int array
 (** Length [1 + n_branches * words-per-branch]: the monotonicity cursor
@@ -143,5 +140,10 @@ val evictions : t -> int -> int
 
 val touched : t -> int -> bool
 (** Whether the branch executed at least once. *)
+
+val capped : t -> int -> bool
+(** Whether the oscillation limit retired the branch: it is in the
+    disabled phase, which only a [Capped] transition enters and nothing
+    leaves. *)
 
 val n_branches : t -> int

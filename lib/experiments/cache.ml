@@ -1,6 +1,5 @@
 module BM = Rs_workload.Benchmark
 module Static = Rs_core.Static
-module Fault = Rs_fault.Fault
 module Memo = Rs_util.Memo
 
 type stats = {
@@ -31,7 +30,7 @@ let input_tag : BM.input -> string = function Ref -> "ref" | Train -> "train"
 
 let build ctx bm ~input =
   Memo.find_or_compute builds ~label:bm.BM.name (ckey ctx bm input) (fun () ->
-      Fault.hit ~site:"cache.build" ~key:(bm.BM.name ^ "/" ^ input_tag input);
+      Rs_obs.Fault_hook.hit ~site:"cache.build" ~key:(bm.BM.name ^ "/" ^ input_tag input);
       Context.build ctx bm ~input)
 
 (* Branch-event streams are pure in (population, stream config), and the
@@ -61,7 +60,7 @@ let canonical_windows (ctx : Context.t) =
 
 let profile ctx bm ~input =
   Memo.find_or_compute profiles ~label:bm.BM.name (ckey ctx bm input) (fun () ->
-      Fault.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
+      Rs_obs.Fault_hook.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
       let pop, cfg = build ctx bm ~input in
       Rs_sim.Profile.collect ~windows:(canonical_windows ctx) ?trace:(trace ctx bm ~input) pop
         cfg)
@@ -70,7 +69,7 @@ let run ctx bm ~input params =
   Memo.find_or_compute runs ~label:bm.BM.name
     (ckey ctx bm input, params)
     (fun () ->
-      Fault.hit ~site:"cache.run"
+      Rs_obs.Fault_hook.hit ~site:"cache.run"
         ~key:
           (Printf.sprintf "%s/%s/%04x" bm.BM.name (input_tag input)
              (Hashtbl.hash params land 0xffff));
@@ -87,7 +86,7 @@ let mssp_runs : (int * Rs_mssp.Workload.t * Rs_core.Params.t, Rs_mssp.Machine.st
 
 let mssp (spec : Rs_mssp.Workload.t) ~seed params =
   Memo.find_or_compute mssp_runs ~label:spec.name (seed, spec, params) (fun () ->
-      Fault.hit ~site:"cache.mssp"
+      Rs_obs.Fault_hook.hit ~site:"cache.mssp"
         ~key:(Printf.sprintf "%s/%04x" spec.name (Hashtbl.hash params land 0xffff));
       Rs_mssp.Machine.run (Rs_mssp.Workload.instantiate spec ~seed) ~seed ~params)
 

@@ -21,7 +21,7 @@ let run ctx =
           pop cfg (Context.params ctx))
       (Array.of_list BM.all)
   in
-  let hist = Rs_util.Histogram.create ~bins:20 () in
+  let hist = ref (Rs_util.Histogram.create ~bins:20 ()) in
   let samples = ref 0 in
   let below = ref 0.0 in
   let reversed = ref 0.0 in
@@ -30,14 +30,12 @@ let run ctx =
       samples := !samples + w.samples;
       below := !below +. (w.fraction_below_30pct *. float_of_int w.samples);
       reversed := !reversed +. (w.fraction_reversed *. float_of_int w.samples);
-      List.iter
-        (fun ((lo, _), count) -> Rs_util.Histogram.add_many hist (lo +. 0.01) count)
-        (Rs_util.Histogram.to_list w.histogram))
+      hist := Rs_util.Histogram.merge !hist w.histogram)
     watches;
   let n = float_of_int (max 1 !samples) in
   {
     samples = !samples;
-    histogram = Rs_util.Histogram.to_list hist;
+    histogram = Rs_util.Histogram.to_list !hist;
     below_30pct = !below /. n;
     reversed = !reversed /. n;
   }

@@ -7,9 +7,9 @@
    been consulted — which the call sites keep deterministic — never on
    wall-clock or domain interleaving.
 
-   The layers below this library in the dependency graph consult it
-   through the one [Rs_obs.Fault_hook], which [configure] points at
-   [hit]; the cache and the service (above us) call [hit] directly. *)
+   Every injection site consults it through the one [Rs_obs.Fault_hook],
+   which [configure] points at [hit]; only the CLI, which installs a
+   plan, depends on this library. *)
 
 module Prng = Rs_util.Prng
 

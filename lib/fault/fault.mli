@@ -21,10 +21,11 @@
 
     With no plan configured (the default) a site costs one atomic load.
 
-    Dependency note: {!Rs_util.Pool}, {!Rs_obs.Trace},
-    {!Rs_behavior.Trace_store} and {!Rs_distill.Distill} sit {e below}
-    this library, so they cannot call it directly; they consult
-    {!Rs_obs.Fault_hook}, which {!configure} points at {!hit}. *)
+    Dependency note: every site — the pool, the trace sink, the trace
+    store, the distiller, the artifact cache and the service — consults
+    {!Rs_obs.Fault_hook}, which {!configure} points at {!hit}, so this
+    library depends on nothing above {!Rs_util} and {!Rs_obs}, and none
+    of those layers depends on it. *)
 
 type plan = {
   seed : int;  (** root of the per-[(site, key, attempt)] decision streams *)

@@ -1,11 +1,11 @@
-(** The one fault-injection point of the layers below [Rs_fault].
+(** The one fault-injection point.
 
-    The pool, the trace sink, the trace store and the distiller sit
-    below [Rs_fault] in the dependency graph, so they consult its
-    injection sites through this hook, which [Rs_fault.Fault.configure]
-    points at [Rs_fault.Fault.hit] and [disable] points back at a no-op.
-    Sites keep their names (["pool.task"], ["pool.worker_start"],
-    ["trace.write"], ["trace_store.record"], ["distill.pass"]), so a
+    Every injection site — the pool, the trace sink, the trace store,
+    the distiller, the artifact cache and the service — consults
+    [Rs_fault]'s plan through this hook, which [Rs_fault.Fault.configure]
+    points at [Rs_fault.Fault.hit] and [disable] points back at a no-op,
+    so none of those layers depends on [Rs_fault].  Sites keep their
+    names (["pool.task"], ["cache.build"], ["serve.read"], ...), so a
     plan's schedule is the same whichever layer consults it. *)
 
 val hook : (site:string -> key:string -> unit) ref

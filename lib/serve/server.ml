@@ -22,7 +22,6 @@
    never results). *)
 
 module Metrics = Rs_obs.Metrics
-module Fault = Rs_fault.Fault
 
 type transport =
   | Unix_socket of string
@@ -123,7 +122,7 @@ let give_back rt b =
 let shard_gate index =
   let key = string_of_int index in
   let rec go n =
-    match Fault.hit ~site:"serve.shard" ~key with
+    match Rs_obs.Fault_hook.hit ~site:"serve.shard" ~key with
     | () -> ()
     | exception _ when n < 1000 ->
       Metrics.incr m_shard_faults;
@@ -363,7 +362,7 @@ let resolve_flushes st =
     done_
 
 let handle_readable st conn =
-  match Fault.hit ~site:"serve.read" ~key:(string_of_int conn.id) with
+  match Rs_obs.Fault_hook.hit ~site:"serve.read" ~key:(string_of_int conn.id) with
   | exception _ ->
     Metrics.incr m_read_faults;
     disconnect st conn
@@ -390,7 +389,7 @@ let handle_accept st listen_fd =
   | fd, _ -> (
     let id = st.next_conn in
     st.next_conn <- id + 1;
-    match Fault.hit ~site:"serve.accept" ~key:(string_of_int id) with
+    match Rs_obs.Fault_hook.hit ~site:"serve.accept" ~key:(string_of_int id) with
     | exception _ ->
       Metrics.incr m_accept_faults;
       (try Unix.close fd with Unix.Unix_error _ -> ())

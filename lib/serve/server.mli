@@ -6,7 +6,7 @@
     there are no cross-shard locks and QUERY answers are byte-identical
     at any shard count (see {!Shard}).
 
-    Fault sites consulted through {!Rs_fault.Fault}: [serve.accept]
+    Fault sites consulted through {!Rs_obs.Fault_hook}: [serve.accept]
     (key: connection id; an injected raise drops the new connection),
     [serve.read] (key: connection id; disconnects the client exactly
     like a peer dying mid-frame), and [serve.shard] (key: shard index;

@@ -19,6 +19,7 @@ let of_result (r : Engine.result) =
   let evicted = ref 0 in
   let total_ev = ref 0 in
   let total_sel = ref 0 in
+  let capped = ref 0 in
   for b = 0 to Reactive.n_branches c - 1 do
     if Reactive.touched c b then incr touched;
     let sel = Reactive.selections c b in
@@ -26,21 +27,16 @@ let of_result (r : Engine.result) =
     total_sel := !total_sel + sel;
     let ev = Reactive.evictions c b in
     if ev > 0 then incr evicted;
-    total_ev := !total_ev + ev
+    total_ev := !total_ev + ev;
+    if Reactive.capped c b then incr capped
   done;
-  let capped =
-    List.length
-      (List.filter
-         (fun (t : Rs_core.Types.transition) -> t.kind = Rs_core.Types.Capped)
-         (Reactive.transitions c))
-  in
   {
     touched = !touched;
     entered_biased = !entered;
     evicted = !evicted;
     total_evictions = !total_ev;
     total_selections = !total_sel;
-    capped;
+    capped = !capped;
     correct_rate = Engine.correct_rate r;
     incorrect_rate = Engine.incorrect_rate r;
     misspec_distance = Engine.misspec_distance r;

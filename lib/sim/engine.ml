@@ -10,7 +10,7 @@ type result = {
   total_instructions : int;
   correct : int;
   incorrect : int;
-  misspec_gap : Rs_util.Running_stats.t;
+  last_misspec : int;
   controller : Reactive.t;
 }
 
@@ -100,7 +100,7 @@ let run ?(label = "") ?observer ?on_transition ?trace pop config params =
     total_instructions;
     correct = s.correct;
     incorrect = s.incorrect;
-    misspec_gap = s.gaps;
+    last_misspec = s.last_misspec;
     controller;
   }
 

@@ -18,8 +18,10 @@ type result = {
   total_instructions : int;
   correct : int;  (** Correct speculations (eliminated branches). *)
   incorrect : int;  (** Misspeculations. *)
-  misspec_gap : Rs_util.Running_stats.t;
-      (** Instruction distances between consecutive misspeculations. *)
+  last_misspec : int;
+      (** Instruction count of the last misspeculation, 0 if there was
+          none: the distances between consecutive misspeculations, the
+          first measured from 0, sum to it. *)
   controller : Rs_core.Reactive.t;  (** Post-run controller state. *)
 }
 
@@ -43,7 +45,7 @@ val run :
 
     [trace] replays a prerecorded {!Rs_behavior.Trace_store} trace of
     the same (population, config) instead of generating the stream live:
-    the result — counters, misspeculation gaps, controller state,
+    the result — counters, last misspeculation, controller state,
     observer/transition hook sequence — is identical, since both sources
     yield the same packed chunks.
     @raise Invalid_argument if the trace does not match the

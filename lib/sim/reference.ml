@@ -2,7 +2,6 @@ module Params = Rs_core.Params
 module Types = Rs_core.Types
 module Reactive = Rs_core.Reactive
 module TS = Rs_behavior.Trace_store
-module Stats = Rs_util.Running_stats
 
 (* The four states of Figure 4(b), each carrying its own counters:
    monitoring counts sampled executions and how many were taken;
@@ -152,11 +151,16 @@ let agrees t c =
     && Reactive.selections c b = br.selections
     && Reactive.evictions c b = br.evictions
     && Reactive.touched c b = (br.execs > 0)
+    && Reactive.capped c b = (br.phase = Disabled)
   in
-  Reactive.transitions c = List.rev t.log && Array.for_all Fun.id (Array.mapi same t.branches)
+  Array.for_all Fun.id (Array.mapi same t.branches)
 
 let check ~label ~trace pop cfg params =
-  let r = Engine.run ~label ~trace pop cfg params in
+  let transitions = ref [] in
+  let r =
+    Engine.run ~label ~on_transition:(fun tr -> transitions := tr :: !transitions) ~trace pop cfg
+      params
+  in
   let reference = create ~n_branches:(Reactive.n_branches r.controller) params in
   let s = Reactive.score () in
   let events = ref 0 in
@@ -171,7 +175,7 @@ let check ~label ~trace pop cfg params =
   ( !events = r.total_events
     && s.correct = r.correct
     && s.incorrect = r.incorrect
-    && Stats.count s.gaps = Stats.count r.misspec_gap
-    && Stats.sum s.gaps = Stats.sum r.misspec_gap
+    && s.last_misspec = r.last_misspec
+    && !transitions = reference.log
     && agrees reference r.controller,
     r )

@@ -16,8 +16,9 @@ val deployed : t -> int -> Rs_core.Types.decision
 val observe : t -> branch:int -> taken:bool -> instr:int -> unit
 
 val agrees : t -> Rs_core.Reactive.t -> bool
-(** Same transitions, and the same [deployed]/[selections]/[evictions]/
-    [touched] for every branch. *)
+(** The same [deployed]/[selections]/[evictions]/[touched]/[capped] for
+    every branch.  Transitions are not part of a controller's state:
+    compare them by collecting both machines' [on_transition] events. *)
 
 val check :
   label:string ->
@@ -29,8 +30,9 @@ val check :
 (** Run [trace] once through the batched {!Engine.run} (tagged [label])
     and once through the reference scored by the engine's rule
     ({!Rs_core.Reactive.score_event}): [true] when both give the same
-    event, correct and incorrect counts, misspeculation-gap count and
-    sum, and their final states {!agrees}.  Returns the engine's result
-    alongside.
+    event, correct and incorrect counts, the same last misspeculation,
+    the same transitions in the same order (the engine's collected
+    through its [on_transition] hook), and their final states
+    {!agrees}.  Returns the engine's result alongside.
     @raise Invalid_argument if the trace does not match the
     (population, config) pair. *)

@@ -11,14 +11,12 @@ let bin_of t x =
   let i = int_of_float ((x -. t.lo) /. t.width) in
   if i < 0 then 0 else if i >= bins t then bins t - 1 else i
 
-let add_many t x k =
+let add t x =
   let i = bin_of t x in
-  t.counts.(i) <- t.counts.(i) + k;
-  t.total <- t.total + k
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.total <- t.total + 1
 
-let add t x = add_many t x 1
 let count t = t.total
-
 
 let bin_bounds t i =
   if i < 0 || i >= bins t then invalid_arg "Histogram.bin_bounds: index out of range";

@@ -10,8 +10,7 @@ val create : ?lo:float -> ?hi:float -> bins:int -> unit -> t
     @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)
 
 val add : t -> float -> unit
-val add_many : t -> float -> int -> unit
-(** [add_many t x k] records [x] with multiplicity [k]. *)
+(** Record one observation. *)
 
 val count : t -> int
 (** Total observations. *)

@@ -59,16 +59,24 @@ let gen_fsm_case rng =
 let print_fsm_case c =
   Format.asprintf "seed=%d n=%d len=%d params=@[%a@]" c.seed c.n c.length Params.pp c.params
 
+(* A transition log, newest first, and the [on_transition] hook that
+   fills it. *)
+let transition_log () =
+  let log = ref [] in
+  (log, fun (tr : Types.transition) -> log := tr :: !log)
+
 (* Random events through [deployed] then [observe] on both machines:
-   every decision agrees, and so do the final transitions and
+   every decision agrees, and so do the transitions and the final
    per-branch states. *)
 let fsm_equivalent { seed; params; n; length } =
   (match Params.validate params with
   | Ok () -> ()
   | Error m -> Alcotest.failf "generated invalid params: %s" m);
   let rng = Prng.create seed in
-  let packed = Reactive.create ~n_branches:n params in
-  let reference = Reference.create ~n_branches:n params in
+  let packed_log, on_packed = transition_log () in
+  let reference_log, on_reference = transition_log () in
+  let packed = Reactive.create ~on_transition:on_packed ~n_branches:n params in
+  let reference = Reference.create ~on_transition:on_reference ~n_branches:n params in
   let biases = Array.init n (fun _ -> Prng.float rng 1.0) in
   let instr = ref 0 in
   let ok = ref true in
@@ -82,7 +90,7 @@ let fsm_equivalent { seed; params; n; length } =
     Reactive.observe packed ~branch:b ~taken ~instr:!instr;
     Reference.observe reference ~branch:b ~taken ~instr:!instr
   done;
-  !ok && Reference.agrees reference packed
+  !ok && !packed_log = !reference_log && Reference.agrees reference packed
 
 (* Regression: the documented non-decreasing-instr precondition is now
    checked.  A decreasing instruction count must raise Invalid_argument
@@ -136,18 +144,21 @@ let check_trace ?(label = "test") tr pop params =
 let code_of (d : Types.decision) = Bool.to_int d.speculate lor (Bool.to_int d.direction lsl 1)
 
 (* Per-event [deployed]/[observe] over the same trace, in lockstep with
-   the reference FSM: whether every decision and the final states agree,
-   and the final words, where the kernel's fast path must leave every
-   word too. *)
+   the reference FSM: whether every decision, the transitions and the
+   final states agree, and the final words, where the kernel's fast path
+   must leave every word too. *)
 let split_run tr params n =
-  let controller = Reactive.create ~n_branches:n params in
-  let reference = Reference.create ~n_branches:n params in
+  let split_log, on_split = transition_log () in
+  let reference_log, on_reference = transition_log () in
+  let controller = Reactive.create ~on_transition:on_split ~n_branches:n params in
+  let reference = Reference.create ~on_transition:on_reference ~n_branches:n params in
   let same = ref true in
   replay tr (fun ~branch ~taken ~instr ->
       same := !same && Reactive.deployed controller branch = Reference.deployed reference branch;
       Reactive.observe controller ~branch ~taken ~instr;
       Reference.observe reference ~branch ~taken ~instr);
-  (!same && Reference.agrees reference controller, Reactive.export_words controller)
+  ( !same && !split_log = !reference_log && Reference.agrees reference controller,
+    Reactive.export_words controller )
 
 let qcheck_batch_equals_scalar =
   QCheck.Test.make ~name:"Reactive.step_chunk == scalar replay through reference FSM" ~count:40
@@ -178,8 +189,10 @@ let kernel_edge name params ~n events =
   Alcotest.(check bool)
     (name ^ ": split calls == reference, same words") true
     (split_run tr params n = (true, Reactive.export_words r.controller));
-  let kinds = List.map (fun (tr : Types.transition) -> (tr.kind, tr.instr)) in
-  ((r.correct, r.incorrect), kinds (Reactive.transitions r.controller))
+  let log, on_transition = transition_log () in
+  ignore (Rs_sim.Engine.run ~on_transition ~trace:tr (mk_pop ~n 0) (TS.config tr) params);
+  let kinds = List.rev_map (fun (tr : Types.transition) -> (tr.kind, tr.instr)) in
+  ((r.correct, r.incorrect), kinds !log)
 
 let transition =
   Alcotest.testable
@@ -406,13 +419,13 @@ let test_engine_paths_agree () =
   let cfg = { Stream.seed = 21; instr_per_branch = 5.0; length = 30_000 } in
   let params = Params.compress ~factor:200 { Params.default with monitor_period = 50 } in
   let tr = TS.record pop cfg in
-  let summary (r : Rs_sim.Engine.result) =
-    ( r.total_events,
-      r.total_instructions,
-      r.correct,
-      r.incorrect,
-      Rs_util.Running_stats.count r.misspec_gap,
-      Reactive.transitions r.controller )
+  let summary (r : Rs_sim.Engine.result) transitions =
+    (r.total_events, r.total_instructions, r.correct, r.incorrect, r.last_misspec, transitions)
+  in
+  let batched ?trace () =
+    let log, on_transition = transition_log () in
+    let r = Rs_sim.Engine.run ~on_transition ?trace pop cfg params in
+    summary r !log
   in
   (* the expected sequence, from the reference FSM: each event's
      decision, then the transitions its observation causes *)
@@ -427,24 +440,25 @@ let test_engine_paths_agree () =
       Reference.observe reference ~branch ~taken ~instr);
   let observed ?trace () =
     let seq = ref [] in
+    let log, log_transition = transition_log () in
     let r =
       Rs_sim.Engine.run
         ~observer:(fun ~branch ~taken ~instr ~code ->
           seq := `Event (branch, taken, instr, code) :: !seq)
-        ~on_transition:(fun t -> seq := `Transition t.kind :: !seq)
+        ~on_transition:(fun t ->
+          seq := `Transition t.kind :: !seq;
+          log_transition t)
         ?trace pop cfg params
     in
-    (r, !seq)
+    (summary r !log, !seq)
   in
   let r_observed, seq_recorded = observed ~trace:tr () in
   let r_observed_live, seq_live = observed () in
-  let r_batched = Rs_sim.Engine.run ~trace:tr pop cfg params in
-  let r_live = Rs_sim.Engine.run pop cfg params in
-  Alcotest.(check bool) "batched == observer result" true (summary r_batched = summary r_observed);
-  Alcotest.(check bool) "live batched == observer result" true
-    (summary r_live = summary r_observed);
-  Alcotest.(check bool) "live observer == observer result" true
-    (summary r_observed_live = summary r_observed);
+  let r_batched = batched ~trace:tr () in
+  let r_live = batched () in
+  Alcotest.(check bool) "batched == observer result" true (r_batched = r_observed);
+  Alcotest.(check bool) "live batched == observer result" true (r_live = r_observed);
+  Alcotest.(check bool) "live observer == observer result" true (r_observed_live = r_observed);
   Alcotest.(check bool) "live observer sees the recorded sequence" true (seq_live = seq_recorded);
   Alcotest.(check bool) "hook order: decision, then observe" true (seq_recorded = !expected);
   Alcotest.(check bool) "observer sequence nonempty" true (seq_recorded <> [])
@@ -465,9 +479,13 @@ let test_engine_paths_agree () =
    same transitions, score and state, and the same words for the two
    packed paths.  It returns the split controller too. *)
 let replay_three params events =
-  let kernel = Reactive.create ~n_branches:1 params and ks = Reactive.score () in
-  let split = Reactive.create ~n_branches:1 params and rs = Reactive.score () in
-  let reference = Reference.create ~n_branches:1 params in
+  let kernel_log, on_kernel = transition_log () in
+  let split_log, on_split = transition_log () in
+  let reference_log, on_reference = transition_log () in
+  let kernel = Reactive.create ~on_transition:on_kernel ~n_branches:1 params in
+  let split = Reactive.create ~on_transition:on_split ~n_branches:1 params in
+  let reference = Reference.create ~on_transition:on_reference ~n_branches:1 params in
+  let ks = Reactive.score () and rs = Reactive.score () in
   let step (taken, advance) =
     let instr = ks.instr + advance and code = Reactive.deployed_code kernel 0 in
     let same =
@@ -482,10 +500,11 @@ let replay_three params events =
   let agree =
     List.for_all step events
     && Reactive.export_words kernel = Reactive.export_words split
-    && Reactive.transitions kernel = Reactive.transitions split
+    && !kernel_log = !split_log
+    && !kernel_log = !reference_log
     && Reference.agrees reference kernel
     && (ks.correct, ks.incorrect) = (rs.correct, rs.incorrect)
-    && Rs_util.Running_stats.sum ks.gaps = Rs_util.Running_stats.sum rs.gaps
+    && ks.last_misspec = rs.last_misspec
   in
   (agree, split)
 

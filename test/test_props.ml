@@ -1,23 +1,7 @@
 (* Property-based tests (via the Prop helper) for the counting utilities
-   the observability layer depends on: streaming statistics and
-   histograms. *)
+   the observability layer depends on: histograms. *)
 
-module Stats = Rs_util.Running_stats
 module Hist = Rs_util.Histogram
-
-(* --- Running_stats vs a naive two-pass reference -------------------------- *)
-
-let naive_mean xs = Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
-let gen_samples = Prop.array_of ~min_len:1 ~max_len:300 (Prop.float_ ~lo:(-1000.0) ~hi:1000.0)
-
-let close ?(eps = 1e-6) a b = abs_float (a -. b) <= eps *. (1.0 +. abs_float a +. abs_float b)
-
-let prop_stats_match xs =
-  let s = Stats.create () in
-  Array.iter (Stats.add s) xs;
-  Stats.count s = Array.length xs
-  && close (Stats.mean s) (naive_mean xs)
 
 (* --- Histogram: merge preserves counts ------------------------------------ *)
 
@@ -47,6 +31,5 @@ let prop_hist_merge (xs, ys) =
 
 let suite =
   [
-    Prop.test ~count:300 "running stats match two-pass reference" gen_samples prop_stats_match;
     Prop.test "histogram merge preserves counts" gen_two_samples prop_hist_merge;
   ]

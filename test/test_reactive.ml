@@ -24,17 +24,22 @@ let feed ?(ipb = 5) c ~branch ~taken ~start n =
   done;
   start + (n * ipb)
 
-let kinds c = List.map (fun (t : T.transition) -> t.kind) (R.transitions c)
+(* A one-branch controller whose transitions are collected through
+   [on_transition]; [kinds ()] lists their kinds so far, oldest first. *)
+let create_logged params =
+  let log = ref [] in
+  let on_transition (t : T.transition) = log := t.kind :: !log in
+  (R.create ~on_transition ~n_branches:1 params, fun () -> List.rev !log)
 
 let test_selection () =
-  let c = R.create ~n_branches:1 tiny in
+  let c, kinds = create_logged tiny in
   Alcotest.(check bool) "not deployed initially" false (R.deployed c 0).speculate;
   let _ = feed c ~branch:0 ~taken:true ~start:0 10 in
   Alcotest.(check bool) "selected after monitor" true (R.deployed c 0).speculate;
   Alcotest.(check bool) "direction taken" true (R.deployed c 0).direction;
   Alcotest.(check int) "one selection" 1 (R.selections c 0);
   Alcotest.(check (list bool)) "transition kinds" [ true ]
-    (List.map (fun k -> k = T.Selected) (kinds c))
+    (List.map (fun k -> k = T.Selected) (kinds ()))
 
 let test_selection_not_taken_direction () =
   let c = R.create ~n_branches:1 tiny in
@@ -43,22 +48,22 @@ let test_selection_not_taken_direction () =
   Alcotest.(check bool) "direction not-taken" false (R.deployed c 0).direction
 
 let test_unbiased_classification () =
-  let c = R.create ~n_branches:1 tiny in
+  let c, kinds = create_logged tiny in
   (* alternate outcomes: bias 50% *)
   for i = 0 to 9 do
     R.observe c ~branch:0 ~taken:(i mod 2 = 0) ~instr:(i * 5)
   done;
   Alcotest.(check bool) "not selected" false (R.deployed c 0).speculate;
-  Alcotest.(check bool) "declared unbiased" true (kinds c = [ T.Declared_unbiased ])
+  Alcotest.(check bool) "declared unbiased" true (kinds () = [ T.Declared_unbiased ])
 
 let test_eviction () =
-  let c = R.create ~n_branches:1 tiny in
+  let c, kinds = create_logged tiny in
   let at = feed c ~branch:0 ~taken:true ~start:0 10 in
   (* two misspeculations saturate the threshold-100 counter *)
   let at = feed c ~branch:0 ~taken:false ~start:at 2 in
   Alcotest.(check int) "evicted once" 1 (R.evictions c 0);
   Alcotest.(check bool) "despeculated" false (R.deployed c 0).speculate;
-  Alcotest.(check bool) "kinds" true (kinds c = [ T.Selected; T.Evicted ]);
+  Alcotest.(check bool) "kinds" true (kinds () = [ T.Selected; T.Evicted ]);
   (* after eviction the branch is monitored again and can be re-selected *)
   let _ = feed c ~branch:0 ~taken:true ~start:at 10 in
   Alcotest.(check int) "re-selected" 2 (R.selections c 0);
@@ -76,25 +81,25 @@ let test_eviction_hysteresis () =
   Alcotest.(check bool) "still speculating" true (R.deployed c 0).speculate
 
 let test_revisit () =
-  let c = R.create ~n_branches:1 tiny in
+  let c, kinds = create_logged tiny in
   (* unbiased monitor outcome *)
   for i = 0 to 9 do
     R.observe c ~branch:0 ~taken:(i mod 2 = 0) ~instr:(i * 5)
   done;
   (* wait period of 50 executions, then a biased phase gets picked up *)
   let at = feed c ~branch:0 ~taken:true ~start:100 50 in
-  Alcotest.(check bool) "revisited" true (List.mem T.Revisited (kinds c));
+  Alcotest.(check bool) "revisited" true (List.mem T.Revisited (kinds ()));
   let _ = feed c ~branch:0 ~taken:true ~start:at 10 in
   Alcotest.(check bool) "selected after revisit" true (R.deployed c 0).speculate
 
 let test_no_revisit () =
-  let c = R.create ~n_branches:1 { tiny with enable_revisit = false } in
+  let c, kinds = create_logged { tiny with enable_revisit = false } in
   for i = 0 to 9 do
     R.observe c ~branch:0 ~taken:(i mod 2 = 0) ~instr:(i * 5)
   done;
   let _ = feed c ~branch:0 ~taken:true ~start:100 1_000 in
   Alcotest.(check bool) "never selected" false (R.deployed c 0).speculate;
-  Alcotest.(check bool) "no revisit transition" false (List.mem T.Revisited (kinds c))
+  Alcotest.(check bool) "no revisit transition" false (List.mem T.Revisited (kinds ()))
 
 let test_no_eviction () =
   let c = R.create ~n_branches:1 { tiny with enable_eviction = false } in
@@ -104,7 +109,7 @@ let test_no_eviction () =
   Alcotest.(check bool) "still speculating (open loop)" true (R.deployed c 0).speculate
 
 let test_oscillation_cap () =
-  let c = R.create ~n_branches:1 tiny in
+  let c, kinds = create_logged tiny in
   let at = ref 0 in
   (* drive select/evict cycles until the cap (3) engages *)
   for _ = 1 to 5 do
@@ -112,7 +117,8 @@ let test_oscillation_cap () =
     at := feed c ~branch:0 ~taken:false ~start:!at 2
   done;
   Alcotest.(check int) "selections capped" tiny.oscillation_limit (R.selections c 0);
-  Alcotest.(check bool) "capped transition" true (List.mem T.Capped (kinds c));
+  Alcotest.(check bool) "capped transition" true (List.mem T.Capped (kinds ()));
+  Alcotest.(check bool) "capped phase" true (R.capped c 0);
   (* a now-perfectly-biased phase must not re-select a capped branch *)
   let _ = feed c ~branch:0 ~taken:true ~start:!at 500 in
   Alcotest.(check int) "no further selection" tiny.oscillation_limit (R.selections c 0);
@@ -267,12 +273,12 @@ let qcheck_fsm_invariants =
           optimization_latency = 40;
         }
       in
-      let c = R.create ~n_branches:1 params in
+      let c, kinds = create_logged params in
       let rng = Rs_util.Prng.create seed in
       for i = 0 to n - 1 do
         R.observe c ~branch:0 ~taken:(Rs_util.Prng.bernoulli rng p) ~instr:(i * 5)
       done;
-      let kinds = List.map (fun (t : T.transition) -> t.kind) (R.transitions c) in
+      let kinds = kinds () in
       let sel = R.selections c 0 and ev = R.evictions c 0 in
       legal_sequence kinds params.oscillation_limit
       && sel >= ev

@@ -244,6 +244,22 @@ let test_accounting () =
   Alcotest.(check bool) "correct rate sane" true
     (row.correct_rate > 0.5 && row.correct_rate < 0.7)
 
+(* [capped] counts branches in the disabled phase; that equals the
+   number of [Capped] transitions because only that arc enters the phase
+   and nothing leaves it.  osc_flip is built to drive branches into it. *)
+let test_accounting_capped () =
+  let params = Params.compress ~factor:10 Params.default in
+  let pop, cfg =
+    Rs_workload.Adversary.build (Rs_workload.Adversary.find "osc_flip") ~params ~seed:7 ~scale:0.1
+  in
+  let capped_events = ref 0 in
+  let on_transition (t : Rs_core.Types.transition) =
+    if t.kind = Capped then incr capped_events
+  in
+  let row = Rs_sim.Accounting.of_result (Engine.run ~on_transition pop cfg params) in
+  Alcotest.(check int) "capped = Capped transitions" !capped_events row.capped;
+  Alcotest.(check bool) "some branch capped" true (row.capped > 0)
+
 let test_accounting_average () =
   let mk c i =
     {
@@ -361,6 +377,7 @@ let suite =
     Alcotest.test_case "engine reversal recovery" `Quick test_engine_reversal_recovery;
     Alcotest.test_case "engine open loop pays" `Quick test_engine_open_loop_pays;
     Alcotest.test_case "accounting" `Quick test_accounting;
+    Alcotest.test_case "accounting capped = Capped transitions" `Quick test_accounting_capped;
     Alcotest.test_case "accounting average" `Quick test_accounting_average;
     Alcotest.test_case "eviction watch" `Quick test_eviction_watch;
     Alcotest.test_case "eviction watch samples first evictions" `Quick

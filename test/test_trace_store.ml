@@ -83,7 +83,7 @@ let qcheck_live_equals_recorded =
 
 let test_engine_replay_equivalence () =
   (* A full engine run off a trace must equal the run off the live
-     stream: result counters, gap statistics, hook sequences. *)
+     stream: result counters, last misspeculation, hook sequences. *)
   let pop = mk_pop ~n:12 42 in
   let cfg = { Stream.seed = 9; instr_per_branch = 5.0; length = 40_000 } in
   let params = Rs_core.Params.default in
@@ -105,8 +105,7 @@ let test_engine_replay_equivalence () =
   (* and the hook-free fast path agrees on the result counters *)
   let bare trace =
     let r = Rs_sim.Engine.run ?trace pop cfg params in
-    (r.total_events, r.total_instructions, r.correct, r.incorrect,
-     Rs_util.Running_stats.mean r.misspec_gap)
+    (r.total_events, r.total_instructions, r.correct, r.incorrect, r.last_misspec)
   in
   Alcotest.(check bool) "fast path identical" true (bare (Some tr) = bare None)
 

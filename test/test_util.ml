@@ -1,36 +1,6 @@
-module Stats = Rs_util.Running_stats
 module Hist = Rs_util.Histogram
 module Table = Rs_util.Table
 module Csv = Rs_util.Csv
-
-(* --- running stats ------------------------------------------------------ *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s);
-  Alcotest.(check (float 1e-9)) "sum" 40.0 (Stats.sum s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.0)) "mean of empty" 0.0 (Stats.mean s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  let rng = Rs_util.Prng.create 99 in
-  for i = 1 to 1000 do
-    let x = Rs_util.Prng.float rng 10.0 in
-    Stats.add (if i <= 400 then a else b) x;
-    Stats.add whole x
-  done;
-  let merged = Stats.merge a b in
-  Alcotest.(check int) "merged count" (Stats.count whole) (Stats.count merged);
-  Alcotest.(check (float 1e-9)) "merged mean" (Stats.mean whole) (Stats.mean merged);
-  Alcotest.(check (float 1e-9)) "merged min" (Stats.min whole) (Stats.min merged);
-  Alcotest.(check (float 1e-9)) "merged max" (Stats.max whole) (Stats.max merged)
 
 (* --- histogram ---------------------------------------------------------- *)
 
@@ -93,12 +63,6 @@ let test_csv_save () =
       close_in ic;
       Alcotest.(check string) "header written" "x" line)
 
-let test_hist_add_many () =
-  let h = Hist.create ~bins:4 () in
-  Hist.add_many h 0.1 5;
-  Alcotest.(check int) "multiplicity" 5 (Hist.count h);
-  Alcotest.(check int) "in one bin" 5 (bin_count h 0)
-
 let test_fmt_int_edge () =
   Alcotest.(check string) "zero" "0" (Table.fmt_int 0);
   Alcotest.(check string) "three digits" "999" (Table.fmt_int 999);
@@ -144,9 +108,6 @@ let test_ensure_dir () =
 
 let suite =
   [
-    Alcotest.test_case "running stats basics" `Quick test_stats_basic;
-    Alcotest.test_case "running stats empty" `Quick test_stats_empty;
-    Alcotest.test_case "running stats merge" `Quick test_stats_merge;
     Alcotest.test_case "histogram binning" `Quick test_hist_binning;
     Alcotest.test_case "histogram clamping" `Quick test_hist_clamping;
     Alcotest.test_case "table render" `Quick test_table_render;
@@ -155,7 +116,6 @@ let suite =
     Alcotest.test_case "csv save" `Quick test_csv_save;
     Alcotest.test_case "csv float_field" `Quick test_float_field;
     Alcotest.test_case "fsutil ensure_dir" `Quick test_ensure_dir;
-    Alcotest.test_case "histogram add_many" `Quick test_hist_add_many;
     Alcotest.test_case "fmt_int edges" `Quick test_fmt_int_edge;
     Alcotest.test_case "table render stable" `Quick test_render_stable;
   ]
