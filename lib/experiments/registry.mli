@@ -3,16 +3,23 @@
 
     Each entry packages an experiment's whole lifecycle — a typed [run]
     producing the experiment's artifact, the human-readable [render],
-    and a row schema ([sheets]: named column lists plus row extractors)
-    that drives the CSV {e and} JSON emitters from one definition.
-    [bin/main.ml] is a generic dispatcher over {!all}; adding an
-    experiment, or a new output backend, is a one-module change.
+    and its [sheets]: per sheet, the rows the artifact yields and one
+    list of typed columns, each a name, a kind and the extractor that
+    reads the column's value from a row.  That one definition drives the
+    CSV {e and} JSON emitters.  [bin/main.ml] is a generic dispatcher
+    over {!all}; adding an experiment, or a new output backend, is a
+    one-module change.
 
-    Invariants (enforced by [test/test_registry.ml]):
-    - entry names are unique, non-empty, and [a-z0-9_] only;
-    - every entry renders non-empty text;
-    - every sheet row matches its column list in arity and kind;
-    - CSV filenames are unique across the whole registry. *)
+    Invariants:
+    - every sheet row matches its column list in arity and kind by
+      construction: a row's values are its columns' extractors applied
+      to it, and a column is built only by the typed constructors in
+      [registry.ml] ([str], [int], [flt], [bool], [int_opt]);
+    - entry names are unique, non-empty, and [a-z0-9_] only, and CSV
+      filenames are unique across the whole registry (checked by
+      [test/test_registry.ml]);
+    - every entry renders non-empty text, and its text and JSON export
+      at the golden context are pinned by [test/test_golden.ml]. *)
 
 type value =
   | S of string
@@ -30,11 +37,17 @@ type column = { col : string; kind : kind }
 
 type row = value list
 
-type 'a sheet = {
-  sheet : string;  (** CSV filename suffix: [<entry>_<sheet>.csv]. *)
-  columns : column list;
-  rows : 'a -> row list;
-}
+type 'r field = private { column : column; get : 'r -> value }
+(** A typed column over rows of type ['r]: its header and the extractor
+    that reads its value, of the header's kind, from a row. *)
+
+type 'a sheet =
+  | Sheet : {
+      sheet : string;  (** CSV filename suffix: [<entry>_<sheet>.csv]. *)
+      rows : 'a -> 'r list;
+      columns : 'r field list;
+    }
+      -> 'a sheet
 
 type 'a spec = {
   name : string;

@@ -1,18 +1,12 @@
 (* Registry invariants (see registry.mli): the static shape of the
    registry — unique well-formed names, unique CSV filenames, sane glob
-   selection — plus, at a small scale, that every entry executes, renders
-   non-empty text and produces sheet rows matching its declared schema in
-   arity and kind.
+   selection, and per entry a declared schema whose sheets all have
+   columns with unique well-formed names.  Arity and kind hold by
+   construction (every value comes from a typed column's extractor);
+   executing each entry is test_golden's job, which pins its text and
+   its JSON export. *)
 
-   The execution context matches test_golden's (seed=7, scale=0.02,
-   tau=10, jobs=1) on purpose: this suite runs first and warms the
-   process-global artifact cache, so the golden suite's re-runs mostly
-   replay cached simulations. *)
-
-module E = Rs_experiments
 module R = Rs_experiments.Registry
-
-let ctx = lazy (E.Context.create ~seed:7 ~scale:0.02 ~tau:10 ~jobs:1 ())
 
 let names = List.map R.name R.all
 
@@ -33,7 +27,7 @@ let test_name_charset () =
         (n <> "" && String.for_all name_char n))
     names
 
-let sheet_names (R.Entry s) = List.map (fun (sh : _ R.sheet) -> sh.sheet) s.sheets
+let sheet_names (R.Entry s) = List.map (fun (R.Sheet sh) -> sh.sheet) s.sheets
 
 let test_unique_csv_filenames () =
   let files =
@@ -113,54 +107,34 @@ let test_verdict_sheet_schema () =
   List.iter
     (fun (R.Entry s as e) ->
       List.iter
-        (fun (sh : _ R.sheet) ->
+        (fun (R.Sheet sh) ->
           if sh.sheet = "verdicts" then
             Alcotest.(check (list string))
               (R.name e ^ " verdict sheet schema")
               [ "claim"; "measured"; "pass" ]
-              (List.map (fun (c : R.column) -> c.col) sh.columns))
+              (List.map (fun (f : _ R.field) -> f.column.col) sh.columns))
         s.sheets)
     with_verdicts
 
-let kind_matches (k : R.kind) (v : R.value) =
-  match (k, v) with
-  | _, R.Null -> true
-  | R.Str, R.S _ | R.Int, R.I _ | R.Float, R.F _ | R.Bool, R.B _ -> true
-  | _ -> false
-
-let check_output entry (out : R.output) =
-  let n = R.name entry in
-  Alcotest.(check bool) (n ^ " renders non-empty") true (String.length out.text > 0);
+(* Each sheet has columns, and its column names are unique and
+   well-formed: they are CSV header fields and JSON column names. *)
+let test_entry_schema (R.Entry s) () =
   List.iter
-    (fun (sheet, columns, rows) ->
-      Alcotest.(check bool) (Printf.sprintf "%s/%s has columns" n sheet) true (columns <> []);
-      List.iteri
-        (fun i row ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s row %d arity" n sheet i)
-            (List.length columns) (List.length row);
-          List.iter2
-            (fun (c : R.column) v ->
-              if not (kind_matches c.kind v) then
-                Alcotest.failf "%s/%s row %d column %s: value does not match kind %s" n sheet
-                  i c.col
-                  (match c.kind with
-                  | R.Str -> "string"
-                  | R.Int -> "int"
-                  | R.Float -> "float"
-                  | R.Bool -> "bool"))
-            columns row)
-        rows)
-    out.tables
-
-let test_execute_entry entry () =
-  let out = R.execute (Lazy.force ctx) entry in
-  check_output entry out;
-  Alcotest.(check bool)
-    ("experiment.runs." ^ R.name entry ^ " bumped")
-    true
-    (Rs_obs.Metrics.counter_value (Rs_obs.Metrics.counter ("experiment.runs." ^ R.name entry))
-    >= 1)
+    (fun (R.Sheet sh) ->
+      let what = Printf.sprintf "%s/%s" s.name sh.sheet in
+      let cols = List.map (fun (f : _ R.field) -> f.column.col) sh.columns in
+      Alcotest.(check bool) (what ^ " has columns") true (cols <> []);
+      Alcotest.(check int)
+        (what ^ " column names unique") (List.length cols)
+        (List.length (List.sort_uniq compare cols));
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s column %S well-formed" what c)
+            true
+            (c <> "" && String.for_all name_char c))
+        cols)
+    s.sheets
 
 let suite =
   [
@@ -173,5 +147,5 @@ let suite =
     Alcotest.test_case "verdict sheet schema" `Quick test_verdict_sheet_schema;
   ]
   @ List.map
-      (fun e -> Alcotest.test_case (R.name e ^ " schema") `Slow (test_execute_entry e))
+      (fun e -> Alcotest.test_case (R.name e ^ " schema") `Quick (test_entry_schema e))
       R.all
