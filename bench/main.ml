@@ -268,26 +268,25 @@ type kernel_estimate = {
    OCaml 5 only advances at a minor collection: a kernel that allocates a
    few thousand words a run reads 0 or a whole minor heap per sample,
    depending on where collections land, so a short sample can bill it
-   tens of thousands of words a run.  [Gc.minor_words] counts the words
-   exactly; the gates on a nonzero word budget read this measure. *)
-module Exact_minor = struct
-  type witness = unit
+   tens of thousands of words a run.  The exact count instead reads
+   [Gc.minor_words], which counts this domain's words exactly, around a
+   fixed number of calls made after the kernel's sample (so lazies and
+   caches are warm); the gates on a nonzero word budget read it. *)
+let exact_calls = 10
 
-  let load () = ()
-  let unload () = ()
-  let make () = ()
-  let get () = Gc.minor_words ()
-  let label () = "exact-minor-allocated"
-  let unit () = "mnw"
-end
-
-let exact_minor = Measure.instance (module Exact_minor) (Measure.register (module Exact_minor))
+let exact_minor_words fn =
+  let before = Gc.minor_words () in
+  for _ = 1 to exact_calls do
+    ignore (Sys.opaque_identity (fn ()) : int)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int exact_calls
 
 (* Run every kernel through bechamel once and OLS-fit every measure:
-   nanoseconds plus minor, major and promoted heap words per run.  The
-   allocation trio is the zero-allocation story in one line: minor is
-   per-event churn, major is deliberate flat-buffer allocation, promoted
-   is minor traffic that survived a collection. *)
+   nanoseconds plus minor, major and promoted heap words per run; then
+   count its minor words exactly.  The allocation trio is the
+   zero-allocation story in one line: minor is per-event churn, major is
+   deliberate flat-buffer allocation, promoted is minor traffic that
+   survived a collection. *)
 let measure_kernels () =
   (* prime outside the samples: the first cached-profile call pays the
      collection and would dominate the OLS estimate *)
@@ -296,9 +295,7 @@ let measure_kernels () =
   ignore (Lazy.force small_profile : Rs_sim.Profile.t);
   ignore (Lazy.force mssp_instance : Rs_mssp.Workload.instance);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances =
-    Instance.[ monotonic_clock; minor_allocated; exact_minor; major_allocated; promoted ]
-  in
+  let instances = Instance.[ monotonic_clock; minor_allocated; major_allocated; promoted ] in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second (quota_s ())) ~kde:None () in
   List.map
     (fun (name, fn) ->
@@ -314,7 +311,7 @@ let measure_kernels () =
         k_name = name;
         ns_per_run = estimate Instance.monotonic_clock;
         minor_words_per_run = estimate Instance.minor_allocated;
-        exact_minor_words_per_run = estimate exact_minor;
+        exact_minor_words_per_run = Some (exact_minor_words fn);
         major_words_per_run = estimate Instance.major_allocated;
         promoted_words_per_run = estimate Instance.promoted;
       })
@@ -365,18 +362,6 @@ let time_figure5 ~replay ctx =
   let t0 = Unix.gettimeofday () in
   let rendered = Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx) in
   (Unix.gettimeofday () -. t0, rendered)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let json_float = function
   | Some f when Float.is_finite f -> Printf.sprintf "%.2f" f
@@ -433,12 +418,14 @@ let run_json file =
            promoted_words_per_run;
          }
        ->
+      Buffer.add_string buf "    { \"name\": ";
+      Rs_obs.Trace.add_json_string buf k_name;
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"name\": \"%s\", \"ns_per_run\": %s, \"minor_words_per_run\": %s, \
+           ", \"ns_per_run\": %s, \"minor_words_per_run\": %s, \
             \"exact_minor_words_per_run\": %s, \"major_words_per_run\": %s, \
             \"promoted_words_per_run\": %s }%s\n"
-           (json_escape k_name) (json_float ns_per_run) (json_float minor_words_per_run)
+           (json_float ns_per_run) (json_float minor_words_per_run)
            (json_float exact_minor_words_per_run)
            (json_float major_words_per_run)
            (json_float promoted_words_per_run)
