@@ -3,9 +3,9 @@ type result = { return_value : int option; dyn_instrs : int; blocks_visited : in
 exception Stuck of string
 
 let max_call_depth = 256
+let max_steps = 1_000_000
 
-let run ?regs ?(hook = fun ~site:_ ~taken:_ -> ()) ?(max_steps = 1_000_000)
-    (p : Program.t) ~mem =
+let run ?(hook = fun ~site:_ ~taken:_ -> ()) (p : Program.t) ~mem =
   let mem_size = Array.length mem in
   let steps = ref 0 in
   let blocks = ref 0 in
@@ -19,9 +19,7 @@ let run ?regs ?(hook = fun ~site:_ ~taken:_ -> ()) ?(max_steps = 1_000_000)
     if depth > max_call_depth then raise (Stuck "call depth exceeded");
     let f = p.Program.funcs.(fid) in
     let r = Array.make f.Func.nregs 0 in
-    (match args with
-    | `Seed init -> Array.blit init 0 r 0 (min (Array.length init) f.Func.nregs)
-    | `Args vs -> List.iteri (fun i v -> if i < f.Func.nregs then r.(i) <- v) vs);
+    List.iteri (fun i v -> if i < f.Func.nregs then r.(i) <- v) args;
     let exec (i : Instr.t) =
       match i with
       | Li (rd, v) -> r.(rd) <- v
@@ -50,7 +48,7 @@ let run ?regs ?(hook = fun ~site:_ ~taken:_ -> ()) ?(max_steps = 1_000_000)
         go (if t then taken else not_taken)
       | Func.Call { callee; args; ret; next } ->
         let vs = List.map (fun a -> r.(a)) args in
-        let rv = call callee (`Args vs) (depth + 1) in
+        let rv = call callee vs (depth + 1) in
         (match ret with
         | Some rd -> (
           match rv with
@@ -60,14 +58,10 @@ let run ?regs ?(hook = fun ~site:_ ~taken:_ -> ()) ?(max_steps = 1_000_000)
         go next
       | Func.TailCall { callee; args } ->
         let vs = List.map (fun a -> r.(a)) args in
-        call callee (`Args vs) (depth + 1)
+        call callee vs (depth + 1)
       | Func.Ret reg -> (match reg with Some x -> Some r.(x) | None -> None)
     in
     go f.Func.entry
   in
-  let init = match regs with Some a -> `Seed a | None -> `Args [] in
-  let return_value = call p.Program.entry init 0 in
+  let return_value = call p.Program.entry [] 0 in
   { return_value; dyn_instrs = !steps; blocks_visited = !blocks }
-
-let run_func ?regs ?hook ?max_steps f ~mem =
-  run ?regs ?hook ?max_steps (Program.of_func f) ~mem

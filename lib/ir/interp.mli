@@ -19,23 +19,7 @@ exception Stuck of string
 (** Raised on an out-of-bounds memory access, a step-budget overrun, a
     call-depth overrun, or a call expecting a value from a [Ret None]. *)
 
-val run :
-  ?regs:int array ->
-  ?hook:(site:int -> taken:bool -> unit) ->
-  ?max_steps:int ->
-  Program.t ->
-  mem:int array ->
-  result
-(** Execute from the entry function's entry block.  [regs] seeds the
-    entry frame's register file (zeros by default; the array is not
-    modified).  [max_steps] (default 1M) bounds runaway loops and
-    recursion.  Memory is modified in place and shared by all frames. *)
-
-val run_func :
-  ?regs:int array ->
-  ?hook:(site:int -> taken:bool -> unit) ->
-  ?max_steps:int ->
-  Func.t ->
-  mem:int array ->
-  result
-(** [run] on the one-function program {!Program.of_func}. *)
+val run : ?hook:(site:int -> taken:bool -> unit) -> Program.t -> mem:int array -> result
+(** Execute from the entry function's entry block, its registers all
+    zero.  A budget of 1M steps bounds runaway loops and recursion.
+    Memory is modified in place and shared by all frames. *)

@@ -78,14 +78,13 @@ let observe h x =
   Atomic.fetch_and_add h.h_cells.(cell) 1 |> ignore
 
 let counter_value c = Array.fold_left (fun a cell -> a + Atomic.get cell) 0 c.c_cells
-let gauge_value g = Atomic.get g.g_cell
 
+(* A histogram's per-bucket counts, merged over the domain stripes. *)
 let histogram_counts h =
   let nb = Array.length h.bounds + 1 in
   let out = Array.make nb 0 in
   Array.iteri (fun i cell -> out.(i mod nb) <- out.(i mod nb) + Atomic.get cell) h.h_cells;
   out
-
 
 type value =
   | Counter_value of int
@@ -101,7 +100,7 @@ let snapshot () =
          ( name,
            match m with
            | Counter c -> Counter_value (counter_value c)
-           | Gauge g -> Gauge_value (gauge_value g)
+           | Gauge g -> Gauge_value (Atomic.get g.g_cell)
            | Histogram h -> Histogram_value { bounds = h.bounds; counts = histogram_counts h } ))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 

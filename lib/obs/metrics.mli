@@ -39,16 +39,11 @@ val observe : histogram -> float -> unit
 val counter_value : counter -> int
 (** Sum over all domain stripes. *)
 
-val gauge_value : gauge -> int
-
-val histogram_counts : histogram -> int array
-(** Merged per-bucket counts, length [Array.length bounds + 1] (the last
-    entry is the overflow bucket). *)
-
 type value =
   | Counter_value of int
   | Gauge_value of int
   | Histogram_value of { bounds : float array; counts : int array }
+      (** [counts] has one entry per bound plus the overflow bucket. *)
 
 val snapshot : unit -> (string * value) list
 (** Every registered metric with its merged value, sorted by name. *)

@@ -12,7 +12,7 @@
    its trace — exactly the lines that matter most.  A write that raises
    (injected via {!Fault_hook} or a real [Sys_error] on a full disk /
    closed channel) drops that whole line, never a partial one, and is
-   counted in [dropped_events] and the [trace.dropped] metric. *)
+   counted in the [trace.dropped] metric. *)
 
 type field =
   | I of string * int
@@ -25,12 +25,9 @@ exception Error of string
 let sink : out_channel option ref = ref None
 let sink_enabled = Atomic.make false
 let sink_lock = Mutex.create ()
-let dropped = Atomic.make 0
 let m_dropped = Metrics.counter "trace.dropped"
 
 let enabled () = Atomic.get sink_enabled
-
-let dropped_events () = Atomic.get dropped
 
 let stop () =
   Mutex.lock sink_lock;
@@ -92,9 +89,7 @@ let add_field buf = function
     Buffer.add_char buf ':';
     Buffer.add_string buf (if v then "true" else "false")
 
-let drop_event () =
-  Atomic.incr dropped;
-  Metrics.incr m_dropped
+let drop_event () = Metrics.incr m_dropped
 
 let emit ev fields =
   if enabled () then begin

@@ -81,8 +81,6 @@ module Intervals = struct
         done);
     { buckets; min_execs; n; execs; taken }
 
-  let n_buckets t = t.buckets
-
   (* Classification of one branch in one bucket: 1 = biased, 0 =
      unbiased, -1 = too few executions to tell. *)
   let classify_code t ~threshold branch bucket =

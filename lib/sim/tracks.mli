@@ -48,6 +48,4 @@ module Intervals : sig
       (bias >= threshold) {e and} one classified unbiased, with their
       biased intervals as [(first_bucket, last_bucket)] spans — the
       population Figure 9 plots. *)
-
-  val n_buckets : t -> int
 end

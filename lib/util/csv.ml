@@ -26,10 +26,6 @@ let render t =
   let line cells = String.concat "," (List.map escape cells) in
   String.concat "\n" (line t.header :: List.rev_map line t.rows) ^ "\n"
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (render t))
-
 let float_field x =
   if Float.is_finite x then Printf.sprintf "%.6f" x
   else if Float.is_nan x then "nan"

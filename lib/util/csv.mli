@@ -13,9 +13,6 @@ val render : t -> string
 (** RFC-4180-style quoting of fields containing commas, quotes or
     newlines. *)
 
-val save : t -> string -> unit
-(** [save t path] writes [render t] to [path]. *)
-
 val float_field : float -> string
 (** The canonical numeric-field format shared by every machine-readable
     emitter (CSV and JSON): six decimals for finite values, and the

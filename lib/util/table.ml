@@ -77,8 +77,6 @@ let render t =
   hline ();
   Buffer.contents buf
 
-let print t = print_string (render t); print_newline ()
-
 let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let fmt_pct ?(decimals = 2) x = Printf.sprintf "%.*f%%" decimals (x *. 100.0)

@@ -1,7 +1,7 @@
 (** ASCII table rendering for experiment output.
 
-    The bench harness prints the paper's tables with these helpers so that
-    every reproduction has a uniform, diffable text form. *)
+    Every experiment renders its tables with these helpers so that every
+    reproduction has a uniform, diffable text form. *)
 
 type align = Left | Right | Center
 
@@ -19,9 +19,6 @@ val add_sep : t -> unit
 
 val render : t -> string
 (** Render with box-drawing in plain ASCII. *)
-
-val print : t -> unit
-(** [render] to stdout followed by a newline. *)
 
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point formatting helper (default 2 decimals). *)

@@ -418,7 +418,7 @@ let qcheck_pipeline_preserves_semantics =
       done;
       let mem_d = Array.copy mem_o in
       let ro = Interp.run region.prog ~mem:mem_o in
-      let rd = Interp.run_func opt ~mem:mem_d in
+      let rd = Interp.run (Program.of_func opt) ~mem:mem_d in
       ro.return_value = rd.return_value && mem_o = mem_d)
 
 let qcheck_pipeline_idempotent =
@@ -498,8 +498,8 @@ let test_hot_cold_split () =
     (fun x ->
       let mem_o = Array.make 4 x in
       let mem_s = Array.copy mem_o in
-      let ro = Interp.run_func branchy ~mem:mem_o in
-      let rs = Interp.run_func f' ~mem:mem_s in
+      let ro = Interp.run (Program.of_func branchy) ~mem:mem_o in
+      let rs = Interp.run (Program.of_func f') ~mem:mem_s in
       Alcotest.(check (option int)) "return equal" ro.Interp.return_value
         rs.Interp.return_value;
       Alcotest.(check bool) "memory equal" true (mem_o = mem_s))

@@ -312,12 +312,15 @@ let test_trace_write_faults_drop_whole_lines () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   with_faults "seed=4,rate=0.4,sites=trace.write" @@ fun () ->
   Trace.to_file path;
-  let before = Trace.dropped_events () in
+  let dropped_events () =
+    Rs_obs.Metrics.counter_value (Rs_obs.Metrics.counter "trace.dropped")
+  in
+  let before = dropped_events () in
   for i = 1 to 50 do
     Trace.emit "unit" [ I ("i", i) ]
   done;
   Trace.stop ();
-  let dropped = Trace.dropped_events () - before in
+  let dropped = dropped_events () - before in
   Alcotest.(check bool) "some writes dropped" true (dropped > 0);
   let lines = read_lines path in
   Alcotest.(check int) "every event either fully written or fully dropped" (50 - dropped)

@@ -104,7 +104,7 @@ let test_interp_arith () =
         |];
     }
   in
-  let r = Interp.run_func f ~mem:(Array.make 4 0) in
+  let r = Interp.run (Program.of_func f) ~mem:(Array.make 4 0) in
   Alcotest.(check (option int)) "6*7+100" (Some 142) r.return_value;
   Alcotest.(check int) "dyn instrs" 5 r.dyn_instrs
 
@@ -130,7 +130,7 @@ let test_interp_memory_and_branch () =
   Alcotest.(check bool) "taken when >10" true (outcomes = [ (7, true) ]);
   Alcotest.(check int) "taken side stored" 111 mem.(1);
   let mem = [| 5; 0 |] in
-  let r = Interp.run_func f ~mem in
+  let r = Interp.run (Program.of_func f) ~mem in
   Alcotest.(check (option int)) "not-taken value" (Some 222) r.return_value;
   Alcotest.(check int) "not-taken side stored" 222 mem.(1)
 
@@ -144,7 +144,7 @@ let test_interp_oob () =
     }
   in
   Alcotest.check_raises "out of bounds" (Interp.Stuck "address 99 out of bounds") (fun () ->
-      ignore (Interp.run_func f ~mem:(Array.make 4 0)))
+      ignore (Interp.run (Program.of_func f) ~mem:(Array.make 4 0)))
 
 let test_interp_step_budget () =
   let f =
@@ -156,7 +156,7 @@ let test_interp_step_budget () =
     }
   in
   Alcotest.check_raises "budget" (Interp.Stuck "step budget exceeded") (fun () ->
-      ignore (Interp.run_func ~max_steps:100 f ~mem:(Array.make 1 0)))
+      ignore (Interp.run (Program.of_func f) ~mem:(Array.make 1 0)))
 
 let test_interp_initial_regs () =
   let f =
@@ -167,7 +167,24 @@ let test_interp_initial_regs () =
       blocks = [| { Func.body = [| Instr.Addi (1, 0, 1) |]; term = Func.Ret (Some 1) } |];
     }
   in
-  let r = Interp.run_func ~regs:[| 41 |] f ~mem:(Array.make 1 0) in
+  (* A frame's initial registers are its arguments: main calls f with 41. *)
+  let main =
+    {
+      Func.name = "main";
+      entry = 0;
+      nregs = 2;
+      blocks =
+        [|
+          {
+            Func.body = [| Instr.Li (0, 41) |];
+            term = Func.Call { callee = 1; args = [ 0 ]; ret = Some 1; next = 1 };
+          };
+          { Func.body = [||]; term = Func.Ret (Some 1) };
+        |];
+    }
+  in
+  let p = { Program.name = "seeded"; funcs = [| main; f |]; entry = 0 } in
+  let r = Interp.run p ~mem:(Array.make 1 0) in
   Alcotest.(check (option int)) "seeded register" (Some 42) r.return_value
 
 (* --- synthetic regions --------------------------------------------------- *)

@@ -107,12 +107,17 @@ let test_metrics_basics () =
   Alcotest.(check bool) "idempotent registration" true (c == Metrics.counter "test.basics.counter");
   let g = Metrics.gauge "test.basics.gauge" in
   Metrics.set g 42;
-  Alcotest.(check int) "gauge last-write" 42 (Metrics.gauge_value g);
+  let snapshot_of name = List.assoc name (Metrics.snapshot ()) in
+  Alcotest.(check bool) "gauge last-write" true
+    (snapshot_of "test.basics.gauge" = Metrics.Gauge_value 42);
   let h = Metrics.histogram "test.basics.hist" ~bounds:[| 1.0; 10.0 |] in
   Metrics.observe h 0.5;
   Metrics.observe h 5.0;
   Metrics.observe h 50.0;
-  Alcotest.(check (array int)) "buckets" [| 1; 1; 1 |] (Metrics.histogram_counts h);
+  (match snapshot_of "test.basics.hist" with
+  | Metrics.Histogram_value { counts; _ } ->
+    Alcotest.(check (array int)) "buckets" [| 1; 1; 1 |] counts
+  | _ -> Alcotest.fail "test.basics.hist is not a histogram");
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics: test.basics.counter already registered with another kind")
     (fun () -> ignore (Metrics.gauge "test.basics.counter"));

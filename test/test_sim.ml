@@ -348,14 +348,29 @@ let test_intervals () =
       ]
   in
   let t = Rs_sim.Tracks.Intervals.collect pop (cfg 10_000) ~buckets:10 ~min_execs:50 in
-  Alcotest.(check int) "buckets" 10 (Rs_sim.Tracks.Intervals.n_buckets t);
   let f = Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99 in
   (* only branch 0 flips; branch 1 is always biased *)
   Alcotest.(check int) "one flipper" 1 (List.length f);
   let id, spans = List.hd f in
   Alcotest.(check int) "the global-phase branch" 0 id;
   Alcotest.(check bool) "biased span covers first half" true
-    (match spans with (0, last) :: _ -> last >= 3 && last <= 6 | _ -> false)
+    (match spans with (0, last) :: _ -> last >= 3 && last <= 6 | _ -> false);
+  (* The reverse flip, biased in the second half, runs to the last of the
+     10 buckets. *)
+  let late =
+    pop_of
+      [
+        ( B.Global_phases
+            [| { until_instr = 25_000; gp_taken = 0.5 };
+               { until_instr = 25_001; gp_taken = 1.0 } |],
+          1.0 );
+      ]
+  in
+  let t = Rs_sim.Tracks.Intervals.collect late (cfg 10_000) ~buckets:10 ~min_execs:50 in
+  Alcotest.(check bool) "buckets" true
+    (match Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99 with
+    | [ (0, spans) ] -> snd (List.nth spans (List.length spans - 1)) = 9
+    | _ -> false)
 
 let suite =
   [
