@@ -132,12 +132,7 @@ let ctx_term =
 let print_header ctx name = Printf.printf "== %s  [%s] ==\n%!" name (E.Context.describe ctx)
 
 let write_file dir filename contents =
-  Fsutil.ensure_dir dir;
-  let path = Filename.concat dir filename in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  Printf.printf "wrote %s\n" (Fsutil.write_file dir filename contents)
 
 (* Run a selection and report failures the way [all] always has: a
    failing experiment is isolated, reported on stderr, and turns the exit

@@ -10,3 +10,10 @@ let rec ensure_dir dir =
     if not (is_dir dir) then
       raise (Sys_error (dir ^ ": cannot create directory"))
   end
+
+let write_file dir filename contents =
+  ensure_dir dir;
+  let path = Filename.concat dir filename in
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents);
+  path

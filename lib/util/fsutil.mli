@@ -7,3 +7,9 @@ val ensure_dir : string -> unit
     exists afterwards.
     @raise Sys_error when creation genuinely fails (permissions, or a
     path component exists as a regular file). *)
+
+val write_file : string -> string -> string -> string
+(** [write_file dir filename contents] creates [dir] as {!ensure_dir}
+    does, writes [contents] to [dir/filename] (replacing any previous
+    file) and returns that path.  Every [rspec run --out] export goes
+    through it. *)
