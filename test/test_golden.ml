@@ -169,8 +169,49 @@ let pp_fixture =
 let test_ir_pp () =
   check_golden "ir_pp.txt" (Format.asprintf "%a" Rs_ir.Program.pp pp_fixture)
 
+(* The MSSP timing model's every counter, pinned below the rendered
+   figures (which round speedups to two places): each Section 4 workload
+   at 20,000 tasks and seed 7 under figure7's four controller
+   configurations and figure8's two nonzero optimization latencies,
+   floats in hex so a change in the last bit shows. *)
+let mssp_params =
+  let p ~monitor ~closed = E.Figure7.mssp_params ~monitor ~closed in
+  let closed_1k = p ~monitor:1_000 ~closed:true in
+  [
+    ("closed-1k", closed_1k);
+    ("open-1k", p ~monitor:1_000 ~closed:false);
+    ("closed-10k", p ~monitor:10_000 ~closed:true);
+    ("open-10k", p ~monitor:10_000 ~closed:false);
+    ("latency-100k", { closed_1k with optimization_latency = 100_000 });
+    ("latency-1m", { closed_1k with optimization_latency = 1_000_000 });
+  ]
+
+let test_mssp_stats () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (spec : Rs_mssp.Workload.t) ->
+      let spec = { spec with tasks = 20_000 } in
+      List.iter
+        (fun (label, params) ->
+          let s =
+            Rs_mssp.Machine.run (Rs_mssp.Workload.instantiate spec ~seed:7) ~seed:7 ~params
+          in
+          Printf.bprintf buf
+            "%s %s mssp_cycles=%h baseline_cycles=%h tasks=%d squashes=%d \
+             violated_branches=%d orig_instrs=%d master_instrs=%d \
+             baseline_mispredict_rate=%h evictions=%d selections=%d\n"
+            spec.name label s.mssp_cycles s.baseline_cycles s.tasks s.squashes
+            s.violated_branches s.orig_instrs s.master_instrs s.baseline_mispredict_rate
+            s.evictions s.selections)
+        mssp_params)
+    Rs_mssp.Workload.all;
+  check_golden "mssp_stats.txt" (Buffer.contents buf)
+
 let suite =
   List.map
     (fun e -> Alcotest.test_case (E.Registry.name e ^ " golden") `Slow (test_entry e))
     E.Registry.all
-  @ [ Alcotest.test_case "ir pretty-printer golden" `Quick test_ir_pp ]
+  @ [
+      Alcotest.test_case "ir pretty-printer golden" `Quick test_ir_pp;
+      Alcotest.test_case "mssp stats golden" `Quick test_mssp_stats;
+    ]
