@@ -129,16 +129,19 @@ let mssp_params = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true
 
 let mssp_instance =
   lazy
-    (let inst =
-       Rs_mssp.Workload.instantiate
-         { (Rs_mssp.Workload.find "gzip") with tasks = 5_000 }
-         ~seed:11
-     in
-     (* one run up front distills every version the kernel deploys, so
-        even a short sample measures the task loop, not the one-off
+    (Rs_mssp.Workload.instantiate
+       { (Rs_mssp.Workload.find "gzip") with tasks = 5_000 }
+       ~seed:11)
+
+let mssp_tape =
+  lazy
+    (let inst = Lazy.force mssp_instance in
+     let tape = Rs_mssp.Machine.record inst ~seed:5 in
+     (* one replay up front distills every version the kernel deploys,
+        so even a short sample measures the task loop, not the one-off
         distillation *)
-     ignore (Rs_mssp.Machine.run inst ~seed:5 ~params:mssp_params : Rs_mssp.Machine.stats);
-     inst)
+     ignore (Rs_mssp.Machine.replay inst tape ~params:mssp_params : Rs_mssp.Machine.stats);
+     tape)
 
 let bench_mssp_build () =
   (* figure7 / figure8 / table5 build kernel: workload instantiation
@@ -148,11 +151,19 @@ let bench_mssp_build () =
   in
   inst.Rs_mssp.Workload.n_sites
 
+let bench_mssp_record () =
+  (* figure7 / figure8 / table5 record kernel: sample a short run's task
+     tape (regions, branch outcomes) and price its baseline, once per
+     workload whatever the controller *)
+  let tape = Rs_mssp.Machine.record (Lazy.force mssp_instance) ~seed:5 in
+  ignore (Sys.opaque_identity tape : Rs_mssp.Machine.tape);
+  0
+
 let bench_mssp () =
-  (* figure7 / figure8 / table5 run kernel: a short MSSP run over the
-     prebuilt instance *)
-  let inst = Lazy.force mssp_instance in
-  let s = Rs_mssp.Machine.run inst ~seed:5 ~params:mssp_params in
+  (* figure7 / figure8 / table5 run kernel: a short MSSP replay of a
+     recorded tape over the prebuilt, primed instance *)
+  let tape = Lazy.force mssp_tape in
+  let s = Rs_mssp.Machine.replay (Lazy.force mssp_instance) tape ~params:mssp_params in
   s.squashes
 
 let bench_workload_build () =
@@ -235,6 +246,7 @@ let kernels : (string * (unit -> int)) list =
     ("figure1/distill-cfg", bench_distill_cfg);
     ("figure1/path-extract", bench_path_extract);
     ("figure7+8+table5/mssp-build", bench_mssp_build);
+    ("figure7+8+table5/mssp-record", bench_mssp_record);
     ("figure7+8+table5/mssp-run", bench_mssp);
     ("substrate/stream-generation", bench_stream);
     ("substrate/trace-record", bench_trace_record);
@@ -293,7 +305,7 @@ let measure_kernels () =
   ignore (Lazy.force cache_ctx : Rs_experiments.Context.t);
   ignore (Lazy.force small_trace : Rs_behavior.Trace_store.t);
   ignore (Lazy.force small_profile : Rs_sim.Profile.t);
-  ignore (Lazy.force mssp_instance : Rs_mssp.Workload.instance);
+  ignore (Lazy.force mssp_tape : Rs_mssp.Machine.tape);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock; minor_allocated; major_allocated; promoted ] in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second (quota_s ())) ~kde:None () in

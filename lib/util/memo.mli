@@ -1,7 +1,7 @@
 (** Domain-safe memo tables for shared artifacts.
 
     One module memoises everything the experiment suite shares: built
-    populations, profiles, engine and MSSP runs
+    populations, profiles, engine runs, MSSP runs and their tapes
     ([Rs_experiments.Cache]) and packed branch traces
     ([Rs_behavior.Trace_store]).  A memo maps keys to values computed
     at most once each:
@@ -26,8 +26,9 @@
     any other latecomer, and every latecomer inside a compute body of
     any memo, parks its domain ({!Pool.blocking}).  Waiting stays
     acyclic because it rests only on compute-body depth, under one
-    rule every memo's bodies must keep: {e builds, traces and MSSP runs
-    never wait; profiles and runs wait only on builds and traces.}  A
+    rule every memo's bodies must keep: {e builds, traces and MSSP tapes
+    never wait; profiles and runs wait only on builds and traces, MSSP
+    runs only on MSSP tapes.}  A
     helping domain is inside no compute body, so no task it picks up
     can need a key its own stack is computing.
 
