@@ -207,6 +207,66 @@ let test_mssp_stats () =
     Rs_mssp.Workload.all;
   check_golden "mssp_stats.txt" (Buffer.contents buf)
 
+(* The stream generator's packed output, pinned below every consumer:
+   an MD5 of each stream's packed words (8 bytes little-endian each, in
+   chunk order).  One population holds every behaviour variant and its
+   edge cases (probabilities 0, 1, out of [0, 1] and NaN; empty,
+   zero-length, negative-length and one-phase schedules; a non-positive
+   period; global phases out of order) at an integral and a fractional
+   instruction rate; the others are the 12 benchmarks' Ref streams. *)
+let edge_population =
+  let open Rs_behavior.Behavior in
+  let ph l p = { length = l; p_taken = p } and gp u p = { until_instr = u; gp_taken = p } in
+  let behaviors =
+    [|
+      Stationary 0.0; Stationary 1.0; Stationary (-0.5); Stationary 1.5; Stationary Float.nan;
+      Stationary 0.3; Stationary 0.999; Stationary Float.infinity;
+      Flip_at { threshold = 40; first = true }; Flip_at { threshold = 0; first = false };
+      Flip_at { threshold = -5; first = true }; Phases [||]; Phases [| ph 1 0.25 |];
+      Phases [| ph 0 0.9; ph 30 0.2; ph 1 0.7; ph 0 0.1; ph 50 Float.nan; ph 1 0.6 |];
+      Phases [| ph 20 1.0; ph (-7) 0.0; ph 15 0.5; ph 3 2.0 |];
+      Periodic { region = 0; p_first = 0.8; p_second = 0.1 };
+      Periodic { region = -3; p_first = 0.2; p_second = 0.9 };
+      Periodic { region = 1; p_first = 1.0; p_second = 0.0 };
+      Periodic { region = 25; p_first = 0.95; p_second = Float.nan }; Global_phases [||];
+      Global_phases [| gp 500 0.4 |];
+      Global_phases [| gp 2_000 0.9; gp 1_000 0.1; gp 5_000 (-1.0); gp 0 0.6; gp 9_000 0.05 |];
+    |]
+  in
+  Rs_behavior.Population.create
+    (Array.mapi
+       (fun id behavior ->
+         { Rs_behavior.Population.id; behavior; weight = 0.5 +. float_of_int (id mod 5) })
+       behaviors)
+
+let stream_digest pop cfg =
+  let buf = Buffer.create (8 * Rs_behavior.Trace_store.chunk_size) in
+  let chunks = Buffer.create 256 in
+  Rs_behavior.Trace_store.iter_chunks pop cfg (fun chunk len ->
+      Buffer.clear buf;
+      for i = 0 to len - 1 do
+        Buffer.add_int64_le buf (Int64.of_int chunk.(i))
+      done;
+      Buffer.add_string chunks (Digest.string (Buffer.contents buf)));
+  Digest.to_hex (Digest.string (Buffer.contents chunks))
+
+let test_stream_words () =
+  let buf = Buffer.create 2048 in
+  let line name pop (cfg : Rs_behavior.Stream.config) =
+    Printf.bprintf buf "%s seed=%d ipb=%h length=%d md5=%s\n" name cfg.seed cfg.instr_per_branch
+      cfg.length (stream_digest pop cfg)
+  in
+  List.iter
+    (fun instr_per_branch ->
+      line "edge-cases" edge_population { seed = 7; instr_per_branch; length = 70_000 })
+    [ 3.0; 5.37 ];
+  List.iter
+    (fun (bm : Rs_workload.Benchmark.t) ->
+      let pop, cfg = Rs_workload.Benchmark.build bm ~input:Ref ~seed:7 ~scale:0.02 ~tau:10 in
+      line bm.name pop cfg)
+    Rs_workload.Benchmark.all;
+  check_golden "stream_words.txt" (Buffer.contents buf)
+
 let suite =
   List.map
     (fun e -> Alcotest.test_case (E.Registry.name e ^ " golden") `Slow (test_entry e))
@@ -214,4 +274,5 @@ let suite =
   @ [
       Alcotest.test_case "ir pretty-printer golden" `Quick test_ir_pp;
       Alcotest.test_case "mssp stats golden" `Quick test_mssp_stats;
+      Alcotest.test_case "stream words golden" `Quick test_stream_words;
     ]
