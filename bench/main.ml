@@ -30,11 +30,23 @@ let stream_cfg = { Rs_behavior.Stream.seed = 7; instr_per_branch = 6.0; length =
 
 let small_trace = lazy (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
 
+(* A benchmark population mixes every behaviour variant, so its stream
+   crosses probability change points; [small_pop] is all [Stationary]
+   and never does. *)
+let mixed_stream =
+  lazy
+    (let pop, cfg =
+       Rs_workload.Benchmark.build (Rs_workload.Benchmark.find "gcc") ~input:Ref ~seed:7
+         ~scale:0.02 ~tau:10
+     in
+     (pop, { cfg with length = 20_000 }))
+
 (* Decode every field of every packed word, no event allocation: the
    work any chunk consumer does before its own. *)
-let decode_all ?trace () =
+let decode_all ?trace ?(stream = (Lazy.force small_pop, stream_cfg)) () =
+  let pop, cfg = stream in
   let acc = ref 0 in
-  Rs_behavior.Trace_store.iter_chunks ?trace (Lazy.force small_pop) stream_cfg (fun chunk len ->
+  Rs_behavior.Trace_store.iter_chunks ?trace pop cfg (fun chunk len ->
       for i = 0 to len - 1 do
         let w = Array.unsafe_get chunk i in
         acc :=
@@ -47,6 +59,8 @@ let decode_all ?trace () =
 
 (* the live chunk source: generate, pack into the reused buffer, decode *)
 let bench_stream () = decode_all ()
+
+let bench_stream_mixed () = decode_all ~stream:(Lazy.force mixed_stream) ()
 
 let bench_trace_record () =
   Rs_behavior.Trace_store.length (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
@@ -249,6 +263,7 @@ let kernels : (string * (unit -> int)) list =
     ("figure7+8+table5/mssp-record", bench_mssp_record);
     ("figure7+8+table5/mssp-run", bench_mssp);
     ("substrate/stream-generation", bench_stream);
+    ("substrate/stream-generation-mixed", bench_stream_mixed);
     ("substrate/trace-record", bench_trace_record);
     ("substrate/trace-replay", bench_trace_replay);
     ("runner/pool-map", bench_pool_map);
@@ -304,6 +319,7 @@ let measure_kernels () =
      collection and would dominate the OLS estimate *)
   ignore (Lazy.force cache_ctx : Rs_experiments.Context.t);
   ignore (Lazy.force small_trace : Rs_behavior.Trace_store.t);
+  ignore (Lazy.force mixed_stream : Rs_behavior.Population.t * Rs_behavior.Stream.config);
   ignore (Lazy.force small_profile : Rs_sim.Profile.t);
   ignore (Lazy.force mssp_tape : Rs_mssp.Machine.tape);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in

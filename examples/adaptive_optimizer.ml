@@ -16,6 +16,7 @@
    Run with: dune exec examples/adaptive_optimizer.exe *)
 
 module B = Rs_behavior.Behavior
+module Sampler = Rs_behavior.Stream.Sampler
 module Prng = Rs_util.Prng
 module Reactive = Rs_core.Reactive
 module Types = Rs_core.Types
@@ -38,8 +39,7 @@ let () =
       B.Stationary 0.55;
     |]
   in
-  let site_rngs = Array.init 4 (fun _ -> Prng.split rng) in
-  let execs = Array.make 4 0 in
+  let sites = Sampler.create behaviors rng in
   let params =
     { (Rs_core.Params.compress ~factor:10 Rs_core.Params.default) with
       monitor_period = 1_000; optimization_latency = 0 }
@@ -103,14 +103,7 @@ let () =
   let total_dyn_master = ref 0 in
   let violations = ref 0 in
   for _it = 1 to 60_000 do
-    let outcomes =
-      Array.init 4 (fun j ->
-          let t =
-            B.sample behaviors.(j) ~rng:site_rngs.(j) ~exec_index:execs.(j) ~instr:!instr
-          in
-          execs.(j) <- execs.(j) + 1;
-          t)
-    in
+    let outcomes = Array.init 4 (fun j -> Sampler.next sites j ~instr:!instr) in
     (* execute the deployed speculative version *)
     let mem = Array.make region.mem_size 0 in
     Rs_ir.Synth.set_inputs region ~mem outcomes;

@@ -39,12 +39,28 @@ let p_taken t ~exec_index ~instr =
     let n = Array.length phases in
     if n = 0 then 0.5 else global_phase_p phases n instr 0
 
-(* Per-event in every stream generator: Prng.bernoulli inlined via
-   [unit_bits]/[two53] (bit-identical, see Prng.below) so the probability
-   never crosses a function boundary as a boxed float argument. *)
-let[@inline] draw rng p =
-  if p >= 1.0 then true
-  else if p <= 0.0 then false
-  else float_of_int (Rs_util.Prng.unit_bits rng) < p *. Rs_util.Prng.two53
+(* Each end mirrors the lookup above: the phase it ends is the one
+   [p_taken] picks, and since the clocks never run backwards that pick
+   holds until the end. *)
+let rec phase_end phases n exec_index i offset =
+  if i >= n - 1 then max_int
+  else
+    let e = offset + phases.(i).length in
+    if exec_index < e then e else phase_end phases n exec_index (i + 1) e
 
-let sample t ~rng ~exec_index ~instr = draw rng (p_taken t ~exec_index ~instr)
+let rec global_phase_end phases n instr i =
+  if i >= n - 1 then max_int
+  else if instr < phases.(i).until_instr then phases.(i).until_instr
+  else global_phase_end phases n instr (i + 1)
+
+let exec_change t ~exec_index =
+  match t with
+  | Stationary _ | Global_phases _ -> max_int
+  | Flip_at { threshold; _ } -> if exec_index < threshold then threshold else max_int
+  | Phases phases -> phase_end phases (Array.length phases) exec_index 0 0
+  | Periodic { region; _ } -> if region <= 0 then max_int else (exec_index / region + 1) * region
+
+let instr_change t ~instr =
+  match t with
+  | Global_phases phases -> global_phase_end phases (Array.length phases) instr 0
+  | _ -> max_int

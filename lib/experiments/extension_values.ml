@@ -42,7 +42,7 @@ type stream = {
   rngs : Prng.t array;
   execs : int array;  (** Loads issued per site so far. *)
   last : int array;  (** Each site's most recent value. *)
-  sampler : Rs_behavior.Population.Alias.sampler;
+  sampler : Rs_behavior.Stream.Alias.t;
   pick : Prng.t;
 }
 
@@ -52,7 +52,7 @@ let stream ~sites ~weights ~seed =
     rngs = Array.mapi (fun i _ -> Prng.create ((seed * 7919) + i)) sites;
     execs = Array.make (Array.length sites) 0;
     last = Array.map VM.initial sites;
-    sampler = Rs_behavior.Population.Alias.of_weights weights;
+    sampler = Rs_behavior.Stream.Alias.of_weights weights;
     pick = Prng.create (seed * 31 + 5);
   }
 
@@ -60,7 +60,7 @@ let stream ~sites ~weights ~seed =
    [s.last.(i)] still holds the site's previous value during the call. *)
 let iter_loads s ~events f =
   for _ = 1 to events do
-    let i = Rs_behavior.Population.Alias.draw s.sampler s.pick in
+    let i = Rs_behavior.Stream.Alias.draw s.sampler s.pick in
     let v =
       VM.next s.models.(i) ~rng:s.rngs.(i) ~exec_index:s.execs.(i) ~prev:s.last.(i)
     in

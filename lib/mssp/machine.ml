@@ -1,5 +1,5 @@
 module Prng = Rs_util.Prng
-module B = Rs_behavior.Behavior
+module Sampler = Rs_behavior.Stream.Sampler
 module Reactive = Rs_core.Reactive
 
 let src = Logs.Src.create "rspec.mssp" ~doc:"MSSP asymmetric-CMP timing simulator"
@@ -55,10 +55,9 @@ let[@inline] iteration_outcomes cell it = (cell lsr (8 * it)) land 0xff
 let record (inst : Workload.instance) ~seed =
   let config = Config.default in
   let rng = Prng.create ((seed * 2_654_435) + 17) in
-  let site_rngs = Array.init inst.n_sites (fun _ -> Prng.split rng) in
-  let site_execs = Array.make inst.n_sites 0 in
+  let sites = Sampler.create inst.behaviors rng in
   let baseline_pred = Gshare.create ~bits:config.predictor_bits in
-  let sampler = Rs_behavior.Population.Alias.of_weights inst.region_weights in
+  let sampler = Rs_behavior.Stream.Alias.of_weights inst.region_weights in
   let pick_rng = Prng.split rng in
   let lead_ipc = config.leading.effective_ipc in
   let lead_depth = float_of_int config.leading.pipeline_depth in
@@ -66,7 +65,7 @@ let record (inst : Workload.instance) ~seed =
   let orig_instrs = ref 0 in
   let cells = Array.make inst.spec.tasks 0 in
   for task = 0 to inst.spec.tasks - 1 do
-    let r = Rs_behavior.Population.Alias.draw sampler pick_rng in
+    let r = Rs_behavior.Stream.Alias.draw sampler pick_rng in
     let region = inst.regions.(r) in
     let site_ids = Region_model.site_ids region in
     (* a task spans several iterations of the hot region; sample each
@@ -77,13 +76,8 @@ let record (inst : Workload.instance) ~seed =
     for it = 0 to config.iters_per_task - 1 do
       let outcomes = ref 0 in
       for j = 0 to Array.length site_ids - 1 do
-        let site = site_ids.(j) in
-        let taken =
-          B.sample inst.behaviors.(site) ~rng:site_rngs.(site) ~exec_index:site_execs.(site)
-            ~instr:!orig_instrs
-        in
-        site_execs.(site) <- site_execs.(site) + 1;
-        if taken then outcomes := !outcomes lor (1 lsl j)
+        if Sampler.next sites site_ids.(j) ~instr:!orig_instrs then
+          outcomes := !outcomes lor (1 lsl j)
       done;
       let outcomes = !outcomes in
       cell := !cell lor (outcomes lsl (8 * it));

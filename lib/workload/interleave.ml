@@ -52,25 +52,18 @@ let build schedule ~seed ~scale =
   if scale <= 0.0 || scale > 1.0 then invalid_arg "Interleave.build: scale must be in (0, 1]";
   let n = branches_per_context ~scale in
   let per_ctx_len = n * execs_per_branch in
-  (* Materialise each context's stream once, as flat packed columns. *)
-  let ctx_branch = Array.init n_contexts (fun _ -> Array.make per_ctx_len 0) in
-  let ctx_taken = Array.init n_contexts (fun _ -> Bytes.make per_ctx_len '\000') in
-  let ctx_delta = Array.init n_contexts (fun _ -> Array.make per_ctx_len 0) in
-  for c = 0 to n_contexts - 1 do
-    let pop = context_population ~seed ~scale ~context:c in
-    let cfg = { Stream.seed = (seed * 97) + (7 * c); instr_per_branch; length = per_ctx_len } in
-    let pos = ref 0 in
-    let last = ref 0 in
-    ignore
-      (Stream.iter_raw pop cfg (fun ~branch ~taken ~exec_index:_ ~instr ->
-           let i = !pos in
-           ctx_branch.(c).(i) <- branch;
-           Bytes.unsafe_set ctx_taken.(c) i (if taken then '\001' else '\000');
-           ctx_delta.(c).(i) <- instr - !last;
-           last := instr;
-           pos := i + 1)
-        : int array)
-  done;
+  (* Materialise each context's stream once, packed. *)
+  let ctx_words =
+    Array.init n_contexts (fun c ->
+        let pop = context_population ~seed ~scale ~context:c in
+        let cfg = { Stream.seed = (seed * 97) + (7 * c); instr_per_branch; length = per_ctx_len } in
+        let words = Array.make per_ctx_len 0 in
+        let pos = ref 0 in
+        TS.iter_chunks pop cfg (fun chunk len ->
+            Array.blit chunk 0 words !pos len;
+            pos := !pos + len);
+        words)
+  in
   (* Merge order: a context id per merged slot, fully deterministic. *)
   let total = n_contexts * per_ctx_len in
   let order = Array.make total 0 in
@@ -106,13 +99,12 @@ let build schedule ~seed ~scale =
           let instr = ref 0 in
           Array.iter
             (fun c ->
-              let i = cursor.(c) in
-              cursor.(c) <- i + 1;
-              instr := !instr + ctx_delta.(c).(i);
+              let w = ctx_words.(c).(cursor.(c)) in
+              cursor.(c) <- cursor.(c) + 1;
+              instr := !instr + TS.packed_delta w;
               push
-                ~branch:(id_of ~context:c ~slot:ctx_branch.(c).(i))
-                ~taken:(Bytes.unsafe_get ctx_taken.(c) i = '\001')
-                ~instr:!instr)
+                ~branch:(id_of ~context:c ~slot:(TS.packed_branch w))
+                ~taken:(TS.packed_taken w) ~instr:!instr)
             order)
     in
     (dummy_population n_branches, config, t)
