@@ -262,10 +262,13 @@ jq -e --argjson names "$EXACT_ALLOC_KERNELS" '
        exit 1; }
 # The live-generation kernels, from the exact count: a 20k-event run
 # generated and packed chunk by chunk allocates only its per-run setup
-# (generator state, controller, collector tables: 1.6-2.1k words).
+# (generator state, controller, collector tables: 1.6-2.1k words; 3.7k
+# for the mixed stream's 159-branch gcc population, 3.2k of it the alias
+# table's construction: boxed floats and work-queue cells).
 # One allocation per event would cost >= 20k words a run.
 LIVE_ALLOC_KERNELS='["figure5+table3+4/reactive-run","figure2/profile-pass",
-  "figure3+9/bias-tracks","figure6/eviction-watch","substrate/stream-generation"]'
+  "figure3+9/bias-tracks","figure6/eviction-watch","substrate/stream-generation",
+  "substrate/stream-generation-mixed"]'
 jq -e --argjson names "$LIVE_ALLOC_KERNELS" '
     [.kernels[] | select(.name as $n | $names | index($n) != null)
      | .exact_minor_words_per_run]

@@ -65,6 +65,9 @@ let decode s =
     let last_instr = get () in
     if n_branches <= 0 || shards <= 0 || shards > n_branches || events < 0 then
       fail "snapshot header inconsistent";
+    (* each shard takes at least its length word: a forged count must not
+       size an allocation *)
+    if shards > (String.length s - !pos) / 8 then fail "snapshot shard state truncated";
     let shard_state =
       Array.init shards (fun _ ->
           let n = get () in

@@ -379,9 +379,17 @@ let test_snapshot_shard_count_pinned () =
   (match Rs_serve.Snapshot.decode s with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "well-formed snapshot rejected: %s" msg);
-  match Rs_serve.Snapshot.decode (String.sub s 0 (String.length s - 3)) with
+  (match Rs_serve.Snapshot.decode (String.sub s 0 (String.length s - 3)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated snapshot must be rejected"
+  | Ok _ -> Alcotest.fail "truncated snapshot must be rejected");
+  (* a header claiming more shards than the bytes can hold is refused
+     before anything is sized by it *)
+  let forged = Bytes.of_string s in
+  Bytes.set_int64_le forged 8 (Int64.shift_left 1L 41);
+  Bytes.set_int64_le forged 16 (Int64.shift_left 1L 40);
+  match Rs_serve.Snapshot.decode (Bytes.to_string forged) with
+  | Error msg -> Alcotest.(check string) "forged shard count" "snapshot shard state truncated" msg
+  | Ok _ -> Alcotest.fail "forged shard count must be rejected"
 
 let test_snapshot_save_failure_cleans_up () =
   let snap =
