@@ -33,7 +33,8 @@ type t
 val record : Population.t -> Stream.config -> t
 (** Run the stream generator once and keep every packed chunk.  @raise
     Invalid_argument on a config the generator rejects, or on one whose
-    events cannot be packed (instruction deltas >= 2^20). *)
+    events cannot be packed (a [ceil instr_per_branch] of 2^20 or more),
+    before any chunk is allocated. *)
 
 val of_events :
   n_branches:int ->
@@ -86,7 +87,8 @@ val iter_chunks :
     identical word for word either way.  [caller] (default
     ["Trace_store.iter_chunks"]) names the entry point in errors.
     @raise Invalid_argument if [trace] was recorded for a different
-    config or population size, or on a config the generator rejects. *)
+    config or population size, or on a config the generator rejects or
+    whose events cannot be packed. *)
 
 val iter_packed : t -> (int array -> int -> unit) -> unit
 (** The recorded chunks of a trace, in order. *)
