@@ -115,6 +115,21 @@ let qcheck_float_in_bounds =
       let v = Prng.float t 1.0 in
       v >= 0.0 && v < 1.0)
 
+(* The integer threshold decides exactly as the float comparison
+   [bernoulli] spells out, at its ceiling's edge and at a random draw,
+   for probabilities in (0, 1) including exact multiples of 2^-53. *)
+let qcheck_threshold_exact =
+  let two53 = Float.ldexp 1.0 53 in
+  QCheck.Test.make ~name:"Prng.threshold decides as the float compare" ~count:1000
+    QCheck.(triple (int_bound ((1 lsl 53) - 1)) (int_bound ((1 lsl 53) - 1)) bool)
+    (fun (k, u, exact) ->
+      let p = if exact then float_of_int k /. two53 else Float.succ (float_of_int k /. two53) in
+      QCheck.assume (p > 0.0 && p < 1.0);
+      let th = Prng.threshold p in
+      List.for_all
+        (fun u -> (u < th) = (float_of_int u < p *. two53))
+        (List.filter (fun u -> u >= 0 && u < 1 lsl 53) [ th - 1; th; u ]))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -131,4 +146,5 @@ let suite =
     Alcotest.test_case "bits62 non-negative" `Quick test_bits62_nonneg;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_float_in_bounds;
+    QCheck_alcotest.to_alcotest qcheck_threshold_exact;
   ]
