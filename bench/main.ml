@@ -129,16 +129,6 @@ let bench_distill_cfg () =
   let d = Rs_distill.Distill.distill r.prog a in
   d.distilled_size + d.stats.Rs_distill.Distill.inlined_calls
 
-let bench_path_extract () =
-  (* CFG construction (preds/succs/edges/rpo/dominators) plus hot-path
-     extraction under branch assumptions *)
-  let r = Lazy.force multi_region in
-  let f = Rs_ir.Program.entry_func r.prog in
-  let cfg = Rs_ir.Cfg.build f in
-  let assume site = if site land 1 = 0 then Some true else None in
-  let p = Rs_ir.Path.extract cfg ~assume in
-  Array.length p.Rs_ir.Path.blocks + Array.length (Rs_ir.Cfg.rpo cfg)
-
 let mssp_params = Rs_experiments.Figure7.mssp_params ~monitor:1_000 ~closed:true
 
 let mssp_instance =
@@ -258,7 +248,6 @@ let kernels : (string * (unit -> int)) list =
     ("figure6/eviction-watch", bench_eviction_watch);
     ("figure1/distill", bench_distill);
     ("figure1/distill-cfg", bench_distill_cfg);
-    ("figure1/path-extract", bench_path_extract);
     ("figure7+8+table5/mssp-build", bench_mssp_build);
     ("figure7+8+table5/mssp-record", bench_mssp_record);
     ("figure7+8+table5/mssp-run", bench_mssp);

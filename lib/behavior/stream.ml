@@ -44,29 +44,63 @@ module Alias = struct
      probability) at [2i], its alias at [2i + 1]. *)
   type t = int array
 
-  (* Vose's alias method: linear-time table construction, O(1) draws. *)
+  (* Vose's alias method: linear-time table construction, O(1) draws.
+     The two work lists are FIFO rings over [n]-slot int arrays (an index
+     sits in at most one of them at a time) and the loops are monomorphic,
+     so construction allocates its four arrays and, per paired entry, only
+     the boxed float handed to [Prng.threshold]. *)
   let of_weights weights =
     let n = Array.length weights in
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    let table = Array.make (2 * n) 0 in
-    let set i p alias =
-      table.(2 * i) <- Prng.threshold p;
-      table.((2 * i) + 1) <- alias
-    in
-    let scaled = Array.map (fun w -> w *. float_of_int n /. total) weights in
-    let small = Queue.create () in
-    let large = Queue.create () in
-    Array.iteri (fun i p -> Queue.add i (if p < 1.0 then small else large)) scaled;
-    while not (Queue.is_empty small) && not (Queue.is_empty large) do
-      let s = Queue.pop small in
-      let l = Queue.pop large in
-      set s scaled.(s) l;
-      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-      Queue.add l (if scaled.(l) < 1.0 then small else large)
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. weights.(i)
     done;
-    let flush q = Queue.iter (fun i -> set i 1.0 i) q in
-    flush small;
-    flush large;
+    let scaled = Array.make n 0.0 in
+    let table = Array.make (2 * n) 0 in
+    (* each ring: slots, head position, length *)
+    let small = Array.make n 0 and large = Array.make n 0 in
+    let sh = ref 0 and sn = ref 0 and lh = ref 0 and ln = ref 0 in
+    for i = 0 to n - 1 do
+      let p = weights.(i) *. float_of_int n /. !total in
+      scaled.(i) <- p;
+      if p < 1.0 then begin
+        small.(!sn) <- i;
+        incr sn
+      end
+      else begin
+        large.(!ln) <- i;
+        incr ln
+      end
+    done;
+    while !sn > 0 && !ln > 0 do
+      let s = small.(!sh) in
+      sh := (!sh + 1) mod n;
+      decr sn;
+      let l = large.(!lh) in
+      lh := (!lh + 1) mod n;
+      decr ln;
+      table.(2 * s) <- Prng.threshold scaled.(s);
+      table.((2 * s) + 1) <- l;
+      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
+      if scaled.(l) < 1.0 then begin
+        small.((!sh + !sn) mod n) <- l;
+        incr sn
+      end
+      else begin
+        large.((!lh + !ln) mod n) <- l;
+        incr ln
+      end
+    done;
+    (* what is left keeps itself, with probability one *)
+    let keep ring head len =
+      for k = 0 to len - 1 do
+        let i = ring.((head + k) mod n) in
+        table.(2 * i) <- Prng.threshold 1.0;
+        table.((2 * i) + 1) <- i
+      done
+    in
+    keep small !sh !sn;
+    keep large !lh !ln;
     table
 
   (* Entry [i] drawn, with the uniform bits [u] of the acceptance test

@@ -9,8 +9,6 @@ let branches b = { branches = b; loads = [] }
 
 let direction t site = List.assoc_opt site t.branches
 
-let is_empty t = t.branches = [] && t.loads = []
-
 let pp ppf t =
   Format.fprintf ppf "@[<h>branches: %a; loads: %a@]"
     (Format.pp_print_list

@@ -21,6 +21,4 @@ val branches : (int * bool) list -> t
 val direction : t -> int -> bool option
 (** Assumed direction of a site, if any. *)
 
-val is_empty : t -> bool
-
 val pp : Format.formatter -> t -> unit

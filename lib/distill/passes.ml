@@ -1,8 +1,6 @@
 module Func = Rs_ir.Func
 module Instr = Rs_ir.Instr
 module Program = Rs_ir.Program
-module Cfg = Rs_ir.Cfg
-module Path = Rs_ir.Path
 
 (* --- assumption substitution -------------------------------------------- *)
 
@@ -77,10 +75,6 @@ let block_out f in_state label =
 
 let analyze (f : Func.t) =
   let n = Array.length f.blocks in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun l b -> List.iter (fun s -> preds.(s) <- l :: preds.(s)) (Func.successors b))
-    f.blocks;
   let unknowns () = Array.make f.nregs Unknown in
   let in_states = Array.init n (fun _ -> unknowns ()) in
   (* blocks not yet reached contribute nothing to the meet *)
@@ -442,11 +436,34 @@ let optimize f =
   in
   fix f 4
 
-let pipeline assumptions f = optimize (apply_assumptions assumptions f)
+(* --- the hot path -----------------------------------------------------------
+
+   The single path the speculated execution is expected to follow: from
+   the entry, an assumed branch goes its assumed way, an unassumed one
+   follows its taken edge (static prediction), jumps and call
+   continuations are followed, and the walk stops at a return, a tail
+   call, or the first revisited block (a loop back-edge: the path covers
+   one unrolling).  Everything off it is cold. *)
+
+let hot_path (f : Func.t) ~assume =
+  let visited = Array.make (Array.length f.blocks) false in
+  let rec go acc l =
+    if visited.(l) then acc
+    else begin
+      visited.(l) <- true;
+      let acc = l :: acc in
+      match f.blocks.(l).term with
+      | Func.Jump l' | Func.Call { next = l'; _ } -> go acc l'
+      | Func.Branch { site; taken; not_taken; _ } ->
+        go acc (if Option.value (assume site) ~default:true then taken else not_taken)
+      | Func.TailCall _ | Func.Ret _ -> acc
+    end
+  in
+  Array.of_list (List.rev (go [] f.entry))
 
 (* --- path-directed call inlining ------------------------------------------
 
-   Inlining is speculative and path-directed: each round extracts the hot
+   Inlining is speculative and path-directed: each round walks the hot
    path of the entry function under the branch assumptions and inlines
    the first call the path crosses.  The callee's blocks are spliced
    after the caller's with registers renamed above the caller's frame
@@ -462,18 +479,13 @@ let max_inline_blocks = 1024
 
 let inline_once (p : Program.t) ~assume =
   let f = Program.entry_func p in
-  let cfg = Cfg.build f in
-  let path = Path.extract cfg ~assume in
   let call_block =
-    Array.fold_left
-      (fun acc l ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match f.Func.blocks.(l).Func.term with
-          | Func.Call { callee; _ } when callee <> p.Program.entry -> Some l
-          | _ -> None))
-      None path.Path.blocks
+    Array.find_opt
+      (fun l ->
+        match f.Func.blocks.(l).Func.term with
+        | Func.Call { callee; _ } -> callee <> p.Program.entry
+        | _ -> false)
+      (hot_path f ~assume)
   in
   match call_block with
   | None -> None
@@ -591,16 +603,15 @@ let prune_dead_funcs (p : Program.t) =
 type split = { hot_blocks : int; cold_blocks : int; cold_entries : int }
 
 let hot_cold_split ~assume (f : Func.t) =
-  let cfg = Cfg.build f in
-  let path = Path.extract cfg ~assume in
+  let path = hot_path f ~assume in
   let n = Array.length f.Func.blocks in
   let on_path = Array.make n false in
-  Array.iter (fun l -> on_path.(l) <- true) path.Path.blocks;
+  Array.iter (fun l -> on_path.(l) <- true) path;
   let cold = ref [] in
   for l = n - 1 downto 0 do
     if not on_path.(l) then cold := l :: !cold
   done;
-  let nhot = Array.length path.Path.blocks in
+  let nhot = Array.length path in
   let entry_seen = Array.make n false in
   let entries = ref 0 in
   Array.iter
@@ -612,11 +623,11 @@ let hot_cold_split ~assume (f : Func.t) =
             incr entries
           end)
         (Func.successors f.Func.blocks.(l)))
-    path.Path.blocks;
+    path;
   let stats = { hot_blocks = nhot; cold_blocks = n - nhot; cold_entries = !entries } in
   if n = nhot then (f, stats)
   else begin
-    let order = Array.append path.Path.blocks (Array.of_list !cold) in
+    let order = Array.append path (Array.of_list !cold) in
     let remap = Array.make n (-1) in
     Array.iteri (fun new_l old_l -> remap.(old_l) <- new_l) order;
     let blocks =

@@ -39,14 +39,14 @@ val optimize : Rs_ir.Func.t -> Rs_ir.Func.t
 (** CSE / constant folding / DCE / block merging / CFG simplification
     iterated to a (bounded) fixpoint. *)
 
-val pipeline : Assumptions.t -> Rs_ir.Func.t -> Rs_ir.Func.t
-(** [apply_assumptions] then {!optimize}. *)
-
 val inline_calls :
   assume:(int -> bool option) -> Rs_ir.Program.t -> Rs_ir.Program.t * int
 (** Path-directed call inlining on the entry function: repeatedly
-    extract the hot path under [assume] (see {!Rs_ir.Path.extract}) and
-    inline the first call it crosses, up to 8 call sites.  Callee
+    walk the hot path under [assume] and inline the first call it
+    crosses, up to 8 call sites.  The hot path starts at the entry; an
+    assumed branch follows its assumption, an unassumed one its taken
+    edge, jumps and call continuations are followed, and the walk stops
+    at a [Ret], a [TailCall] or the first revisited block.  Callee
     registers are renamed above the caller's frame; a callee [Ret]
     becomes a move plus jump to the continuation; a callee tail call
     inherits the call's return register and continuation — becoming a
@@ -61,8 +61,9 @@ type split = { hot_blocks : int; cold_blocks : int; cold_entries : int }
 
 val hot_cold_split :
   assume:(int -> bool option) -> Rs_ir.Func.t -> Rs_ir.Func.t * split
-(** Reorder the function hot-path-first: path blocks (under [assume]) in
-    path order, off-path blocks after them as the cold region.  Purely a
-    layout change.  [cold_entries] counts the distinct cold blocks
-    directly reachable from hot code — the misspeculation entry stubs
-    priced by the MSSP recovery model. *)
+(** Reorder the function hot-path-first: the hot path's blocks (under
+    [assume], as in {!inline_calls}) in path order, off-path blocks
+    after them as the cold region.  Purely a layout change.
+    [cold_entries] counts the distinct cold blocks directly reachable
+    from hot code — the misspeculation entry stubs priced by the MSSP
+    recovery model. *)

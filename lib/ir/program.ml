@@ -2,7 +2,6 @@ type t = { name : string; funcs : Func.t array; entry : int }
 
 let of_func (f : Func.t) = { name = f.Func.name; funcs = [| f |]; entry = 0 }
 
-let func t i = t.funcs.(i)
 let entry_func t = t.funcs.(t.entry)
 let n_funcs t = Array.length t.funcs
 

@@ -14,7 +14,6 @@ type t = {
 val of_func : Func.t -> t
 (** The one-function program; entry is that function. *)
 
-val func : t -> int -> Func.t
 val entry_func : t -> Func.t
 val n_funcs : t -> int
 

@@ -13,9 +13,7 @@ let test_assumptions_basics () =
   let a = A.branches [ (3, true); (5, false) ] in
   Alcotest.(check (option bool)) "site 3" (Some true) (A.direction a 3);
   Alcotest.(check (option bool)) "site 5" (Some false) (A.direction a 5);
-  Alcotest.(check (option bool)) "unknown" None (A.direction a 9);
-  Alcotest.(check bool) "empty" true (A.is_empty A.empty);
-  Alcotest.(check bool) "nonempty" false (A.is_empty a)
+  Alcotest.(check (option bool)) "unknown" None (A.direction a 9)
 
 (* --- individual passes --------------------------------------------------- *)
 
@@ -256,7 +254,7 @@ let test_local_cse () =
   | Instr.Load (4, 7, 0) -> ()
   | i -> Alcotest.failf "load across store wrongly CSEd: %s" (Format.asprintf "%a" Instr.pp i));
   (* the full pipeline then removes the Movs *)
-  let opt = P.pipeline A.empty f in
+  let opt = P.optimize (P.apply_assumptions A.empty f) in
   Alcotest.(check bool) "pipeline shrinks the block" true
     (Func.static_size opt < Func.static_size f)
 
@@ -408,7 +406,7 @@ let qcheck_pipeline_preserves_semantics =
       let region =
         Rs_ir.Synth.generate ~rng:(Rs_util.Prng.create seed) ~n_sites:4 ~first_site:0 ()
       in
-      let opt = P.pipeline A.empty (Program.entry_func region.prog) in
+      let opt = P.optimize (P.apply_assumptions A.empty (Program.entry_func region.prog)) in
       let outcomes = Array.init 4 (fun j -> v land (1 lsl j) <> 0) in
       let mem_o = Array.make region.mem_size 0 in
       Rs_ir.Synth.set_inputs region ~mem:mem_o outcomes;
@@ -462,12 +460,45 @@ let multi_region seed =
 
 let assume_of a site = A.direction a site
 
+(* The first call on [f]'s hot path: from the entry, an assumed branch
+   goes its assumed way and an unassumed one its taken edge.  Walked
+   here as the reference the inliner's first round must agree with. *)
+let first_hot_call (f : Func.t) ~assume =
+  let rec go seen l =
+    if List.mem l seen then None
+    else
+      match (Func.block f l).term with
+      | Func.Call _ -> Some l
+      | Func.Jump l' -> go (l :: seen) l'
+      | Func.Branch { site; taken; not_taken; _ } ->
+        go (l :: seen) (if assume site = Some false then not_taken else taken)
+      | Func.TailCall _ | Func.Ret _ -> None
+  in
+  go [] f.entry
+
 let test_inline_calls () =
   let region = multi_region 5 in
-  let a = A.branches [ (0, true); (1, true); (4, true) ] in
-  let inlined, count = P.inline_calls ~assume:(assume_of a) region.prog in
+  let main = Program.entry_func region.prog in
+  let assume = assume_of (A.branches [ (0, true); (1, true); (4, true) ]) in
+  let inlined, count = P.inline_calls ~assume region.prog in
   Alcotest.(check bool) "inlined at least one call" true (count >= 1);
   Alcotest.(check bool) "still valid" true (Result.is_ok (Program.validate inlined));
+  (match first_hot_call main ~assume with
+  | None -> Alcotest.fail "the fixture's hot path crosses a call"
+  | Some l -> (
+    match (Func.block main l).term with
+    | Func.Call { callee; _ } ->
+      (* the first round splices the callee right after main's blocks *)
+      let target = Array.length main.blocks + region.prog.funcs.(callee).entry in
+      Alcotest.(check bool) "first hot call became a jump into its splice" true
+        ((Func.block (Program.entry_func inlined) l).term = Func.Jump target)
+    | _ -> Alcotest.fail "first_hot_call returned a non-call block"));
+  (* the loop branch assumed not-taken leaves no call on the hot path *)
+  let loop_site = region.loop_sites.(0) in
+  let _, none =
+    P.inline_calls ~assume:(fun s -> if s = loop_site then Some false else None) region.prog
+  in
+  Alcotest.(check int) "nothing inlined off the hot path" 0 none;
   (* inlining is exact: equivalence must hold on EVERY input, assumptions
      satisfied or not *)
   for v = 0 to 31 do

@@ -1,8 +1,7 @@
 module Instr = Rs_ir.Instr
 module Func = Rs_ir.Func
 module Program = Rs_ir.Program
-module Cfg = Rs_ir.Cfg
-module Path = Rs_ir.Path
+module P = Rs_distill.Passes
 module Interp = Rs_ir.Interp
 module Synth = Rs_ir.Synth
 
@@ -395,49 +394,42 @@ let diamond =
       |];
   }
 
-let test_cfg_edges_and_preds () =
-  let cfg = Cfg.build diamond in
-  Alcotest.(check (list int)) "succs of 0" [ 1; 2 ] (Cfg.succs cfg 0);
-  Alcotest.(check (list int)) "preds of 3" [ 1; 2 ] (Cfg.preds cfg 3);
-  Alcotest.(check (list int)) "preds of 0" [] (Cfg.preds cfg 0);
-  let sites =
-    Array.to_list (Cfg.edges cfg)
-    |> List.filter_map (function
-         | { Cfg.kind = Etaken s | Enot_taken s; _ } -> Some s
-         | _ -> None)
+(* The distiller's hot path, seen through the layout it drives:
+   [hot_cold_split] puts the path's blocks first, in path order.  In the
+   diamond, blocks 1 and 2 are both [Jump 3], so the entry branch's
+   relabelled targets tell which of them the path took. *)
+let test_hot_path_extract () =
+  let terms f = Array.map (fun b -> b.Func.term) f.Func.blocks in
+  (* assumed not-taken: old blocks 0, 2, 3 come first, then 1 and 4 *)
+  let f, split =
+    P.hot_cold_split ~assume:(fun s -> if s = 42 then Some false else None) diamond
   in
-  Alcotest.(check (list int)) "branch edges carry the site" [ 42; 42 ] sites;
-  Alcotest.(check bool) "unreachable" false (Cfg.reachable cfg 4);
-  Alcotest.(check bool) "reachable" true (Cfg.reachable cfg 3)
+  Alcotest.(check int) "hot blocks" 3 split.P.hot_blocks;
+  Alcotest.(check int) "cold blocks" 2 split.P.cold_blocks;
+  Alcotest.(check int) "cold entries" 1 split.P.cold_entries;
+  Alcotest.(check bool) "layout 0 2 3 | 1 4" true
+    (terms f
+    = [|
+        Func.Branch { cond = 0; site = 42; taken = 3; not_taken = 1 };
+        Func.Jump 2;
+        Func.Ret (Some 0);
+        Func.Jump 2;
+        Func.Ret None;
+      |]);
+  (* unassumed: static prediction follows taken, old blocks 0, 1, 3 first *)
+  let g, split = P.hot_cold_split ~assume:(fun _ -> None) diamond in
+  Alcotest.(check int) "predicted hot blocks" 3 split.P.hot_blocks;
+  Alcotest.(check bool) "layout 0 1 3 | 2 4" true
+    (terms g
+    = [|
+        Func.Branch { cond = 0; site = 42; taken = 1; not_taken = 3 };
+        Func.Jump 2;
+        Func.Ret (Some 0);
+        Func.Jump 2;
+        Func.Ret None;
+      |])
 
-let test_cfg_rpo_and_dominators () =
-  let cfg = Cfg.build diamond in
-  let rpo = Cfg.rpo cfg in
-  Alcotest.(check int) "rpo covers reachable blocks" 4 (Array.length rpo);
-  Alcotest.(check int) "rpo starts at entry" 0 rpo.(0);
-  Alcotest.(check (option int)) "entry has no idom" None (Cfg.idom cfg 0);
-  Alcotest.(check (option int)) "idom of 1" (Some 0) (Cfg.idom cfg 1);
-  Alcotest.(check (option int)) "join dominated by fork" (Some 0) (Cfg.idom cfg 3);
-  Alcotest.(check bool) "0 dominates 3" true (Cfg.dominates cfg 0 3);
-  Alcotest.(check bool) "1 does not dominate 3" false (Cfg.dominates cfg 1 3);
-  Alcotest.(check bool) "unreachable dominated by nothing" false (Cfg.dominates cfg 0 4)
-
-let test_path_extract () =
-  let cfg = Cfg.build diamond in
-  (* assumed not-taken: the path goes 0 -> 2 -> 3 *)
-  let p = Path.extract cfg ~assume:(fun s -> if s = 42 then Some false else None) in
-  Alcotest.(check bool) "blocks" true (p.Path.blocks = [| 0; 2; 3 |]);
-  Alcotest.(check bool) "complete" true p.Path.complete;
-  Alcotest.(check (list int)) "assumed" [ 42 ] p.Path.assumed_sites;
-  Alcotest.(check (list int)) "no predicted" [] p.Path.predicted_sites;
-  (* unassumed: static prediction follows taken *)
-  let q = Path.extract cfg ~assume:(fun _ -> None) in
-  Alcotest.(check bool) "predicted path" true (q.Path.blocks = [| 0; 1; 3 |]);
-  Alcotest.(check (list int)) "predicted sites" [ 42 ] q.Path.predicted_sites;
-  Alcotest.(check bool) "on path" true (Path.mem q 1);
-  Alcotest.(check bool) "off path" false (Path.mem q 2)
-
-let test_path_stops_on_loop () =
+let test_hot_path_stops_on_loop () =
   let loop =
     {
       Func.name = "loop";
@@ -450,9 +442,11 @@ let test_path_stops_on_loop () =
         |];
     }
   in
-  let p = Path.extract (Cfg.build loop) ~assume:(fun _ -> None) in
-  Alcotest.(check bool) "one unrolling" true (p.Path.blocks = [| 0; 1 |]);
-  Alcotest.(check bool) "incomplete" false p.Path.complete
+  let f, split = P.hot_cold_split ~assume:(fun _ -> None) loop in
+  Alcotest.(check int) "one unrolling" 2 split.P.hot_blocks;
+  Alcotest.(check int) "no cold blocks" 0 split.P.cold_blocks;
+  Alcotest.(check int) "no cold entries" 0 split.P.cold_entries;
+  Alcotest.(check bool) "layout unchanged" true (f == loop)
 
 let test_synth_program_shape () =
   let make () =
@@ -513,10 +507,8 @@ let suite =
     Alcotest.test_case "interp call frames isolated" `Quick test_interp_call_frames_isolated;
     Alcotest.test_case "interp call depth" `Quick test_interp_call_depth;
     Alcotest.test_case "interp valueless ret" `Quick test_interp_ret_none_into_value;
-    Alcotest.test_case "cfg edges and preds" `Quick test_cfg_edges_and_preds;
-    Alcotest.test_case "cfg rpo and dominators" `Quick test_cfg_rpo_and_dominators;
-    Alcotest.test_case "path extract" `Quick test_path_extract;
-    Alcotest.test_case "path stops on loop" `Quick test_path_stops_on_loop;
+    Alcotest.test_case "path extract" `Quick test_hot_path_extract;
+    Alcotest.test_case "path stops on loop" `Quick test_hot_path_stops_on_loop;
     Alcotest.test_case "synth program shape" `Quick test_synth_program_shape;
     Alcotest.test_case "synth program input sensitivity" `Quick test_synth_program_input_sensitivity;
   ]
