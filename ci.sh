@@ -233,17 +233,26 @@ jq -e --argjson names "$ZERO_ALLOC_KERNELS" '
        exit 1; }
 # The MSSP replay loop is allocation-free, and a primed instance's
 # regions already hold every version the run deploys: a 5,000-task
-# replay of a recorded tape allocates only its per-run setup (193 words:
-# controller, master predictor, in-flight ring; 815 while each run also
-# sampled its tasks, ~5.2k while each run kept its own version tables,
-# 559k when every task allocated).  Read from the exact count (Gc.minor_words
+# replay of a recorded tape allocates only its per-run setup (205 words:
+# controller, master predictor, in-flight ring, the controller's score
+# and one task's branch words; 193 before the controller took a task's
+# branches in one step_chunk, 815 while each run also sampled its tasks,
+# ~5.2k while each run kept its own version tables, 559k when every task
+# allocated).  Recording a 5,000-task tape allocates the same way, only
+# its setup: generators, the per-site sampler state and the region alias
+# table (274 words; the task array and predictor table are large enough
+# to go straight to the major heap).  Read from the exact count (Gc.minor_words
 # around 10 calls after the sample): a few thousand words a run is
 # below the resolution of minor_words_per_run in a smoke-length sample.
-jq -e '[.kernels[] | select(.name == "figure7+8+table5/mssp-run")
-        | .exact_minor_words_per_run]
-       | length == 1 and all(. != null and . <= 2500)' "$BENCH_JSON" >/dev/null \
-  || { echo "mssp-run gate failed: > 2,500 minor words/run" >&2
-       jq '[.kernels[] | select(.name == "figure7+8+table5/mssp-run")]' "$BENCH_JSON" >&2
+MSSP_ALLOC_KERNELS='["figure7+8+table5/mssp-run","figure7+8+table5/mssp-record"]'
+jq -e --argjson names "$MSSP_ALLOC_KERNELS" '
+    [.kernels[] | select(.name as $n | $names | index($n) != null)
+     | .exact_minor_words_per_run]
+    | (length == ($names | length)) and all(. != null and . <= 2500)' \
+  "$BENCH_JSON" >/dev/null \
+  || { echo "mssp gate failed: mssp-run or mssp-record > 2,500 minor words/run" >&2
+       jq --argjson names "$MSSP_ALLOC_KERNELS" \
+         '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
        exit 1; }
 # The replay kernels, also read from the exact count: a batched engine
 # run (Reactive.step_chunk) and a bare packed decode allocate only their

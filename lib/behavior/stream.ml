@@ -103,10 +103,17 @@ module Alias = struct
     keep large !lh !ln;
     table
 
+  (* [if u < threshold then i else alias] without the branch, whose
+     outcome is the random acceptance test: for [u] in [0, 2^53) and
+     [threshold] in [-1, max_int], [u - threshold] cannot overflow, so
+     its sign bit, smeared by [asr 62], is exactly [u < threshold]. *)
+  let[@inline] pick ~i ~alias ~threshold u =
+    alias lxor ((i lxor alias) land ((u - threshold) asr 62))
+
   (* Entry [i] drawn, with the uniform bits [u] of the acceptance test
      [Prng.float rng 1.0 < prob.(i)] on integers. *)
   let[@inline] choose t i u =
-    if u < Array.unsafe_get t (2 * i) then i else Array.unsafe_get t ((2 * i) + 1)
+    pick ~i ~alias:(Array.unsafe_get t ((2 * i) + 1)) ~threshold:(Array.unsafe_get t (2 * i)) u
 
   let draw t rng =
     let i = Prng.int rng (Array.length t lsr 1) in

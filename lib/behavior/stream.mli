@@ -38,6 +38,12 @@ module Alias : sig
 
   val draw : t -> Rs_util.Prng.t -> int
   (** Sample an index with probability proportional to its weight. *)
+
+  val pick : i:int -> alias:int -> threshold:int -> int -> int
+  (** The acceptance step of a draw: [pick ~i ~alias ~threshold u] is
+      [if u < threshold then i else alias], computed without a branch on
+      the comparison, for uniform bits [u] in [\[0, 2^53)] and a
+      {!Rs_util.Prng.threshold} in [\[-1, max_int\]]. *)
 end
 
 (** The one path every branch outcome is drawn through, the stream's and

@@ -175,73 +175,64 @@ let constant_fold (f : Func.t) =
 
 let dead_code_elimination (f : Func.t) =
   let n = Array.length f.blocks in
-  (* live-out sets per block, as boolean arrays over registers *)
-  let live_out = Array.init n (fun _ -> Array.make f.nregs false) in
-  let succs = Array.map Func.successors f.blocks in
-  (* terminator effect on liveness: a call's return register is a def
-     (killed before its argument uses are added) *)
-  let seed_term live (b : Func.block) =
+  (* Backward transfer through block [b]: turns [live] from the block's
+     live-out into its live-in.  A call's return register is a def of
+     the terminator (killed before its argument uses are added); a pure
+     definition of a dead register adds no uses, and [dead] is told its
+     index. *)
+  let transfer live (b : Func.block) ~dead =
     (match Func.term_def b.term with Some rd -> live.(rd) <- false | None -> ());
-    List.iter (fun r -> live.(r) <- true) (Func.term_uses b.term)
-  in
-  (* live-in of a block given its live-out *)
-  let live_in_of label out =
-    let live = Array.copy out in
-    seed_term live f.blocks.(label);
-    let body = f.blocks.(label).body in
-    for i = Array.length body - 1 downto 0 do
-      let instr = body.(i) in
-      (match Instr.def instr with
-      | Some rd when not (Instr.is_store instr) ->
-        if live.(rd) then begin
-          live.(rd) <- false;
-          List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
-        end
-        (* stores handled below; dead defs add no uses *)
-      | _ -> List.iter (fun r -> live.(r) <- true) (Instr.uses instr));
-      if Instr.is_store instr then
+    List.iter (fun r -> live.(r) <- true) (Func.term_uses b.term);
+    for i = Array.length b.body - 1 downto 0 do
+      let instr = b.body.(i) in
+      match Instr.def instr with
+      | Some rd when not live.(rd) -> dead i
+      | Some rd ->
+        live.(rd) <- false;
         List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
-    done;
-    live
+      | None -> List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
+    done
   in
+  (* live-out and live-in sets per block, as boolean arrays over
+     registers; a block's live-in is recomputed only when its live-out
+     grows *)
+  let live_out = Array.init n (fun _ -> Array.make f.nregs false) in
+  let live_in = Array.init n (fun _ -> Array.make f.nregs false) in
+  let update_live_in l =
+    Array.blit live_out.(l) 0 live_in.(l) 0 f.nregs;
+    transfer live_in.(l) f.blocks.(l) ~dead:ignore
+  in
+  for l = 0 to n - 1 do
+    update_live_in l
+  done;
+  let succs = Array.map Func.successors f.blocks in
   let changed = ref true in
   while !changed do
     changed := false;
     for l = n - 1 downto 0 do
       let out = live_out.(l) in
+      let grew = ref false in
       List.iter
         (fun s ->
-          let s_in = live_in_of s live_out.(s) in
+          let s_in = live_in.(s) in
           for r = 0 to f.nregs - 1 do
             if s_in.(r) && not out.(r) then begin
               out.(r) <- true;
-              changed := true
+              grew := true
             end
           done)
-        succs.(l)
+        succs.(l);
+      if !grew then begin
+        update_live_in l;
+        changed := true
+      end
     done
   done;
   (* rewrite each block, dropping dead pure definitions *)
   Func.map_blocks
     (fun label b ->
-      let live = Array.copy live_out.(label) in
-      seed_term live b;
       let keep = Array.make (Array.length b.body) true in
-      for i = Array.length b.body - 1 downto 0 do
-        let instr = b.body.(i) in
-        if Instr.is_store instr then
-          List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
-        else begin
-          match Instr.def instr with
-          | Some rd ->
-            if live.(rd) then begin
-              live.(rd) <- false;
-              List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
-            end
-            else keep.(i) <- false
-          | None -> List.iter (fun r -> live.(r) <- true) (Instr.uses instr)
-        end
-      done;
+      transfer (Array.copy live_out.(label)) b ~dead:(fun i -> keep.(i) <- false);
       let body =
         Array.of_list
           (List.filteri (fun i _ -> keep.(i)) (Array.to_list b.body))

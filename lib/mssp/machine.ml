@@ -64,10 +64,12 @@ let record (inst : Workload.instance) ~seed =
   let baseline_clock = ref 0.0 in
   let orig_instrs = ref 0 in
   let cells = Array.make inst.spec.tasks 0 in
+  let baseline_misses = ref 0 in
+  let branches_seen = ref 0 in
   for task = 0 to inst.spec.tasks - 1 do
     let r = Rs_behavior.Stream.Alias.draw sampler pick_rng in
     let region = inst.regions.(r) in
-    let site_ids = Region_model.site_ids region in
+    let site_ids = region.site_ids in
     (* a task spans several iterations of the hot region; sample each
        iteration's branch outcomes independently *)
     let cell = ref (r lsl region_shift) in
@@ -76,34 +78,37 @@ let record (inst : Workload.instance) ~seed =
     for it = 0 to config.iters_per_task - 1 do
       let outcomes = ref 0 in
       for j = 0 to Array.length site_ids - 1 do
-        if Sampler.next sites site_ids.(j) ~instr:!orig_instrs then
-          outcomes := !outcomes lor (1 lsl j)
+        outcomes :=
+          !outcomes lor (Bool.to_int (Sampler.next sites site_ids.(j) ~instr:!orig_instrs) lsl j)
       done;
       let outcomes = !outcomes in
       cell := !cell lor (outcomes lsl (8 * it));
-      orig_len := !orig_len + Region_model.original_length region ~outcomes;
+      orig_len := !orig_len + region.orig_lengths.(outcomes);
       (* the baseline (original code on the leading core) predicts every
          branch the task executes *)
-      let branches = Region_model.original_branches region ~outcomes in
+      let branches = region.orig_branches.(outcomes) in
       for i = 0 to Array.length branches - 1 do
         let b = branches.(i) in
-        let site = b lsr 6 and taken = b land 1 = 1 in
-        if not (Gshare.predict_and_update baseline_pred ~pc:(site * 97) ~taken) then
-          incr base_mp
-      done
+        base_mp :=
+          !base_mp + Gshare.step baseline_pred ~pc:((b lsr 6) * 97) ~taken:(b land 1) ~active:1
+      done;
+      branches_seen := !branches_seen + Array.length branches
     done;
     cells.(task) <- !cell;
     baseline_clock :=
       !baseline_clock
       +. (float_of_int !orig_len /. lead_ipc)
       +. (float_of_int !base_mp *. lead_depth);
+    baseline_misses := !baseline_misses + !base_mp;
     orig_instrs := !orig_instrs + !orig_len
   done;
+  let n = !branches_seen in
   {
     spec = inst.spec;
     cells;
     baseline_cycles = !baseline_clock;
-    baseline_mispredict_rate = 1.0 -. Gshare.accuracy baseline_pred;
+    baseline_mispredict_rate =
+      1.0 -. (if n = 0 then 1.0 else float_of_int (n - !baseline_misses) /. float_of_int n);
   }
 
 let replay (inst : Workload.instance) tape ~params =
@@ -134,46 +139,58 @@ let replay (inst : Workload.instance) tape ~params =
     done;
     !best
   in
+  (* the controller's input: one task's branches, packed as
+     {!Reactive.step_chunk} reads them with every delta 0, so each is
+     observed at the instruction count the task sets in [score.instr] *)
+  let max_task_branches =
+    Array.fold_left
+      (fun m (r : Region_model.t) ->
+        Array.fold_left (fun m b -> max m (Array.length b)) m r.orig_branches)
+      0 inst.regions
+  in
+  let branch_shift = Rs_behavior.Stream.branch_shift in
+  let words = Array.make (config.iters_per_task * max_task_branches) 0 in
+  let score = Reactive.score () in
   for task = 0 to Array.length tape.cells - 1 do
     let cell = tape.cells.(task) in
     let region = inst.regions.(cell lsr region_shift) in
-    let site_ids = Region_model.site_ids region in
     (* current deployed speculative version of this region *)
-    let version = Region_model.version region ~key:(decision_key controller site_ids) in
+    let version = Region_model.version region ~key:(decision_key controller region.site_ids) in
     let orig_len = ref 0 in
     let dist_len = ref 0 in
-    let violated = ref false in
     let task_violations = ref 0 in
     for it = 0 to config.iters_per_task - 1 do
       let outcomes = iteration_outcomes cell it in
-      orig_len := !orig_len + Region_model.original_length region ~outcomes;
-      dist_len := !dist_len + Region_model.Version.length version ~outcomes;
-      if Region_model.Version.violated version ~outcomes then violated := true;
-      task_violations := !task_violations + Region_model.Version.violations version ~outcomes
+      orig_len := !orig_len + region.orig_lengths.(outcomes);
+      dist_len := !dist_len + version.lengths.(outcomes);
+      task_violations := !task_violations + version.violations.(outcomes)
     done;
     let orig_len = !orig_len in
     let dist_len = !dist_len in
-    let violated = !violated in
+    let task_violations = !task_violations in
     let instr_after = !orig_instrs + orig_len in
     (* One pass over the branches the task executed, in order: the
        master predicts only those its version did not assume away; the
-       trailing execution profiles every one for the controller.  The
-       controller only feeds the next task's version, so observing here,
-       before this task is timed, changes nothing. *)
-    let assumed = Region_model.Version.assumed_mask version in
+       trailing execution profiles every one for the controller, in one
+       [step_chunk] at [instr_after].  The controller only feeds the
+       next task's version, so observing here, before this task is
+       timed, changes nothing. *)
+    let assumed = version.assumed_mask in
     let m_mp = ref 0 in
+    let n = ref 0 in
     for it = 0 to config.iters_per_task - 1 do
-      let branches = Region_model.original_branches region ~outcomes:(iteration_outcomes cell it) in
+      let branches = region.orig_branches.(iteration_outcomes cell it) in
       for i = 0 to Array.length branches - 1 do
         let b = branches.(i) in
-        let site = b lsr 6 and taken = b land 1 = 1 in
-        if
-          assumed land (1 lsl ((b lsr 1) land 31)) = 0
-          && not (Gshare.predict_and_update master_pred ~pc:(site * 97) ~taken)
-        then incr m_mp;
-        Reactive.observe controller ~branch:site ~taken ~instr:instr_after
-      done
+        let site = b lsr 6 and taken = b land 1 in
+        let active = ((assumed lsr ((b lsr 1) land 31)) land 1) lxor 1 in
+        m_mp := !m_mp + Gshare.step master_pred ~pc:(site * 97) ~taken ~active;
+        words.(!n + i) <- (site lsl branch_shift) lor taken
+      done;
+      n := !n + Array.length branches
     done;
+    score.instr <- instr_after;
+    Reactive.step_chunk controller score words !n;
     (* the master may run at most [max_inflight_tasks] tasks ahead of
        verification *)
     if !inflight_len >= max_inflight then begin
@@ -202,11 +219,11 @@ let replay (inst : Workload.instance) tape ~params =
       +. float_of_int config.coherence_hop
     in
     slave_free.(s) <- verify_done;
-    if violated then begin
+    if task_violations > 0 then begin
       (* detected at verification: roll back and re-execute the task
          non-speculatively on the master *)
       incr squashes;
-      violated_branches := !violated_branches + !task_violations;
+      violated_branches := !violated_branches + task_violations;
       inflight_len := 0;
       master_clock :=
         verify_done

@@ -13,31 +13,17 @@ let measure ?hook (region : Synth.t) prog packed =
   Synth.set_inputs region ~mem (outcomes_array k packed);
   (Interp.run ?hook prog ~mem).dyn_instrs
 
-module Version = struct
-  type v = {
-    lengths : int array;
-    violated_mask : int;  (** Bits of assumed sites. *)
-    assumed_bits : int;  (** Expected values of those bits. *)
-  }
-
-  let length v ~outcomes = v.lengths.(outcomes)
-  let assumed_mask v = v.violated_mask
-  let violated v ~outcomes = outcomes land v.violated_mask <> v.assumed_bits
-
-  let violations v ~outcomes =
-    let diff = (outcomes land v.violated_mask) lxor v.assumed_bits in
-    let rec popcount x acc = if x = 0 then acc else popcount (x lsr 1) (acc + (x land 1)) in
-    popcount diff 0
-end
+type version = { lengths : int array; violations : int array; assumed_mask : int }
+type versions = version option array
 
 type t = {
   region : Synth.t;
-  k : int;
+  site_ids : int array;
   orig_lengths : int array;
   orig_branches : int array array;
   (* Every distilled version built on this region, across runs, indexed
      by decision key (2 bits per site, see [version]): 4^k slots. *)
-  versions : Version.v option array;
+  versions : versions;
 }
 
 (* Index of [site] in [site_ids], or [Array.length site_ids] (a bit no
@@ -63,30 +49,38 @@ let create region =
     orig_lengths.(v) <- measure ~hook region region.Synth.prog v;
     orig_branches.(v) <- Array.of_list (List.rev !branches)
   done;
-  { region; k; orig_lengths; orig_branches; versions = Array.make (1 lsl (2 * k)) None }
+  {
+    region;
+    site_ids = region.Synth.site_ids;
+    orig_lengths;
+    orig_branches;
+    versions = Array.make (1 lsl (2 * k)) None;
+  }
 
-let site_ids t = t.region.Synth.site_ids
+let site_ids t = t.site_ids
 
-let original_length t ~outcomes = t.orig_lengths.(outcomes)
-let original_branches t ~outcomes = t.orig_branches.(outcomes)
+let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1)
 
 (* Distill the version for a canonical key: site [j] is assumed iff
    bit [2j] is set, in direction bit [2j+1]. *)
 let build t key =
+  let k = Array.length t.site_ids in
   let branches = ref [] and mask = ref 0 and bits = ref 0 in
-  for j = t.k - 1 downto 0 do
+  for j = k - 1 downto 0 do
     let code = (key lsr (2 * j)) land 3 in
     if code land 1 <> 0 then begin
       let taken = code land 2 <> 0 in
-      branches := (t.region.Synth.site_ids.(j), taken) :: !branches;
+      branches := (t.site_ids.(j), taken) :: !branches;
       mask := !mask lor (1 lsl j);
       if taken then bits := !bits lor (1 lsl j)
     end
   done;
   let assumptions = Assumptions.branches !branches in
   let result = Rs_distill.Distill.distill t.region.Synth.prog assumptions in
-  let lengths = Array.init (1 lsl t.k) (measure t.region result.distilled) in
-  { Version.lengths; violated_mask = !mask; assumed_bits = !bits }
+  let lengths = Array.init (1 lsl k) (measure t.region result.distilled) in
+  let mask = !mask and bits = !bits in
+  let violations = Array.init (1 lsl k) (fun o -> popcount ((o land mask) lxor bits)) in
+  { lengths; violations; assumed_mask = mask }
 
 (* A key's first request fills its own slot from the slot of its
    canonical form (the direction bits of unspeculated sites cleared), so

@@ -44,8 +44,9 @@ let collect ?(windows = Static.windows) ?trace pop config =
         let b = Rs_behavior.Trace_store.packed_branch w in
         let e = Array.unsafe_get execs b in
         Array.unsafe_set execs b (e + 1);
-        if Rs_behavior.Trace_store.packed_taken w then
-          Array.unsafe_set taken b (Array.unsafe_get taken b + 1);
+        (* bit 0 of the packed word is the outcome: count it without a
+           branch on it *)
+        Array.unsafe_set taken b (Array.unsafe_get taken b + (w land 1));
         let nw = Array.unsafe_get next_window b in
         if nw < n_windows && e + 1 = Array.unsafe_get windows nw then begin
           Array.unsafe_set window_taken ((nw * n) + b) (Array.unsafe_get taken b);

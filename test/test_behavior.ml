@@ -183,6 +183,26 @@ let test_alias_distribution () =
   Alcotest.(check (float 0.01)) "20%" 0.2 (frac 1);
   Alcotest.(check (float 0.01)) "70%" 0.7 (frac 2)
 
+(* The branch-free acceptance step against the comparison it replaces,
+   at the ends of both ranges: thresholds -1 and max_int (the
+   probabilities a draw never and always accepts), 0, 1 and 2^53 - 1,
+   and the least and greatest uniform bits. *)
+let test_alias_pick_edges () =
+  let top = (1 lsl 53) - 1 in
+  List.iter
+    (fun threshold ->
+      List.iter
+        (fun u ->
+          List.iter
+            (fun (i, alias) ->
+              Alcotest.(check int)
+                (Printf.sprintf "u %d, threshold %d, i %d, alias %d" u threshold i alias)
+                (if u < threshold then i else alias)
+                (Stream.Alias.pick ~i ~alias ~threshold u))
+            [ (0, 1); (5, 3); (7, 7); (max_int, 0) ])
+        [ 0; top ])
+    [ -1; 0; 1; top; max_int ]
+
 (* --- stream ------------------------------------------------------------- *)
 
 (* A stream's events as decoded from its live packed chunks: branch,
@@ -304,6 +324,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_p_in_unit;
     Alcotest.test_case "population validation" `Quick test_population_validation;
     Alcotest.test_case "alias distribution" `Quick test_alias_distribution;
+    Alcotest.test_case "alias pick edges" `Quick test_alias_pick_edges;
     Alcotest.test_case "stream determinism" `Quick test_stream_determinism;
     Alcotest.test_case "stream counts and instr" `Quick test_stream_counts_and_instr;
     Alcotest.test_case "stream exec index" `Quick test_stream_exec_index;
