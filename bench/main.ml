@@ -82,6 +82,18 @@ let bench_reactive_replay () =
   let r = Rs_sim.Engine.run ~trace:(Lazy.force small_trace) pop stream_cfg Rs_core.Params.default in
   r.correct
 
+(* every Figure 5 / Table 4 configuration over the same recording, with
+   the monitor period cut to 500 executions so that small_trace's 20k
+   events take its busiest branches into the biased phase, where the
+   variants differ *)
+let bench_variants_replay () =
+  let pop = Lazy.force small_pop and trace = Lazy.force small_trace in
+  List.fold_left
+    (fun acc (v : Rs_core.Variants.t) ->
+      let params = { v.params with monitor_period = 500 } in
+      acc + (Rs_sim.Engine.run ~trace pop stream_cfg params).correct)
+    0 Rs_core.Variants.all
+
 let bench_profile () =
   (* figure2 kernel: profile collection with window checkpoints *)
   let pop = Lazy.force small_pop in
@@ -245,6 +257,7 @@ let kernels : (string * (unit -> int)) list =
     ("figure3+9/bias-tracks", bench_tracks);
     ("figure5+table3+4/reactive-run", bench_reactive_observe);
     ("figure5+table3+4/reactive-run-replay", bench_reactive_replay);
+    ("figure5+table3+4/variants-replay", bench_variants_replay);
     ("figure6/eviction-watch", bench_eviction_watch);
     ("figure1/distill", bench_distill);
     ("figure1/distill-cfg", bench_distill_cfg);

@@ -13,7 +13,10 @@
     A recording ({!record}) pays off when the same stream is evaluated
     under many controller parameters (the figure5/table3/table4 sweeps,
     the ablations): the generator runs once and every later pass decodes
-    flat memory.  A process-global, capacity-bounded LRU ({!cached})
+    flat memory.  A stream read only once (the experiments' Train
+    streams) is cheaper generated live: recording it costs the
+    generation plus the memory, and in the LRU it would crowd out
+    recordings that are read again.  A process-global, capacity-bounded LRU ({!cached})
     shares recordings across consumers, keyed on a caller-supplied
     population key plus the stream config.  It is one
     {!Rs_util.Memo} named ["trace_store"], so it shares that module's

@@ -1,9 +1,9 @@
 (* Packed-integer implementation of the Figure 4(b) controller.
 
-   Per-branch state lives in one flat Bigarray of [slots] ints per
-   branch instead of a heap record per branch: the simulator's hot loop
-   touches nothing the GC scans, and an event is pure integer
-   arithmetic whose decision is a 2-bit code.
+   Per-branch state lives in one flat int array of [slots] words per
+   branch instead of a heap record per branch: the GC scans only
+   immediates, and an event is pure integer arithmetic whose decision
+   is a 2-bit code.
 
    Word layout, [base = branch * slots]:
 
@@ -12,16 +12,27 @@
                      speculate, bit 4 deployed direction, bit 5 pending
                      speculate, bit 6 pending direction
      +1  execs
-     +2  scratch A   mon_seen | eviction counter | wait_left
+     +2  scratch A   monitor: seen count (stride position when
+                     [monitor_stride > 1]) | biased: continuous eviction
+                     counter, or sampled eviction's countdown to the
+                     next window boundary | unbiased: wait_left
      +3  scratch B   mon_taken | sampled-window position
-     +4  scratch C   monitor stride position | sampled misses
+     +4  scratch C   monitor: stride position (seen count when
+                     [monitor_stride > 1]) | sampled misses
      +5  pending activation instruction count (-1 = none)
      +6  selections
      +7  evictions
 
+   The strided monitor swaps A and C, and sampled eviction keeps a
+   countdown in A, so that the event [step_chunk]'s fast path takes —
+   a sub-boundary stride step, a correct biased execution inside a
+   sample or window — moves A by one and stays inside a table range,
+   like every other fast-path event.  Continuous eviction and stride 1
+   use A, B and C exactly as the layout's first names say.
+
    After the last branch, word [n_branches * slots] holds the last
    instruction count seen (the non-decreasing-[instr] cursor), followed
-   by a cache line of padding.  It lives in the table rather than in
+   by a cache line of padding.  It lives in the array rather than in
    the record because [observe] writes it on every event: records of
    two controllers stepped from two domains (serve's shards) can sit
    side by side on the heap, and a write there invalidates a cache line
@@ -32,11 +43,14 @@
    its own scratch, exactly as the old record version's [enter_*]
    helpers did.  A transition bumps its arc counter and, only when an
    [on_transition] hook is installed, builds a boxed transition record
-   for it; the controller keeps no log of them. *)
+   for it; the controller keeps no log of them.
 
-module A1 = Bigarray.Array1
-
-type state_table = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+   [step_chunk] runs every event that changes only A, B and [execs]
+   through a call-free loop.  The events that leave it are the ones that
+   change anything else: a transition (closing a monitor interval, an
+   eviction, a revisit), a pending deployment activating, a
+   misspeculation, a strided monitor's sampled execution, and the last
+   event of a sampled-eviction sample or window. *)
 
 let slots = 8
 let s_ctrl = 0
@@ -60,16 +74,28 @@ type t = {
   params : Params.t;
   monitor_samples : int;
   n_branches : int;
-  state : state_table;
+  state : int array;
   on_transition : (Types.transition -> unit) option;
   cursor : int;  (* index in [state] of the last instruction count seen *)
+  seen : int;  (* slot of the monitor's seen count: A, or C when strided *)
+  stride : int;  (* slot of the monitor's stride position: C, or A when strided *)
   fast : int array;  (* the [step_chunk] fast-path table, 4 ints per entry *)
 }
 
-let[@inline] get t i = A1.unsafe_get t.state i
-let[@inline] set t i v = A1.unsafe_set t.state i v
+let[@inline] get t i = Array.unsafe_get t.state i
+let[@inline] set t i v = Array.unsafe_set t.state i v
 let[@inline] last_instr t = get t t.cursor
 let[@inline] set_last_instr t v = set t t.cursor v
+
+(* Sampled eviction's scratch A at window position [pos]: the events
+   left to the end of the sample, then to the end of the window.  A
+   window whose sample fills it ([samples = window]) rests at 0 after
+   its evaluation until the next event restarts it. *)
+let countdown ~window ~samples pos = if pos < samples then samples - pos else window - pos
+
+(* Scratch A on entering the biased phase (window position 0). *)
+let biased_a (p : Params.t) =
+  match p.eviction_mode with Params.Continuous -> 0 | Params.Sampled { samples; _ } -> samples
 
 (* The [step_chunk] fast-path table, derived once from [params].  Entry
    [(ctrl land 15) lsl 1 lor taken] — phase, biased direction and
@@ -77,12 +103,14 @@ let[@inline] set_last_instr t v = set t t.cursor v
    increment to scratch A, the increment to scratch B, and a range
    [lo, hi) the incremented A must fall in for the event to change
    nothing but A, B and [execs].  Any other effect — closing a monitor
-   interval, an eviction, a revisit, a sampled-eviction window, a
-   monitor stride step — gets the empty range [1, 0), sending the event
-   to [observe_state].  The kernel clamps the new A at 0, the
-   continuous eviction counter's floor: that counter's correct-outcome
-   entry has [lo = -correct_step], admitting any old A >= 0, and every
-   other range starts at 0 or 1, where the clamp is the identity. *)
+   interval, a strided monitor's sampled execution, an eviction, the
+   end of a sampled-eviction sample or window, a revisit — puts the
+   incremented A outside its range (or the entry has the empty range
+   [1, 0)), sending the event to [observe_state].  The kernel clamps
+   the new A at 0, the continuous eviction counter's floor: that
+   counter's correct-outcome entry has [lo = -correct_step], admitting
+   any old A >= 0, and every other range starts at 0 or 1, where the
+   clamp is the identity. *)
 let fast_table (p : Params.t) ~monitor_samples =
   let tbl = Array.make (32 * 4) 0 in
   for ctrl = 0 to 15 do
@@ -91,8 +119,9 @@ let fast_table (p : Params.t) ~monitor_samples =
       let always = (0, 0, 0, max_int) and never = (0, 0, 1, 0) in
       let a_inc, b_inc, lo, hi =
         match ctrl land 3 with
-        | 0 (* Monitoring *) ->
-          if p.monitor_stride = 1 then (1, taken, 0, monitor_samples) else never
+        | 0 (* Monitoring: A seen, or A the stride position when strided *) ->
+          if p.monitor_stride = 1 then (1, taken, 0, monitor_samples)
+          else (1, 0, 1, p.monitor_stride)
         | 1 (* Biased *) -> (
           if deployed_spec = 0 || not p.enable_eviction then always
           else
@@ -100,7 +129,7 @@ let fast_table (p : Params.t) ~monitor_samples =
             | Params.Continuous ->
               if taken <> direction then (p.misspec_step, 0, 0, p.evict_threshold)
               else (-p.correct_step, 0, -p.correct_step, p.evict_threshold)
-            | Params.Sampled _ -> never)
+            | Params.Sampled _ -> if taken <> direction then never else (-1, 1, 1, max_int))
         | 2 (* Unbiased *) -> if p.enable_revisit then (-1, 0, 1, max_int) else always
         | _ (* Disabled *) -> always
       in
@@ -119,13 +148,13 @@ let create ?on_transition ~n_branches params =
   | Error msg -> invalid_arg ("Reactive.create: " ^ msg));
   if n_branches <= 0 then invalid_arg "Reactive.create: n_branches must be positive";
   let cursor = n_branches * slots in
-  let state = A1.create Bigarray.Int Bigarray.C_layout (cursor + 8) in
-  A1.fill state 0;
+  let state = Array.make (cursor + 8) 0 in
   for b = 0 to n_branches - 1 do
-    A1.set state ((b * slots) + s_pend_at) (-1)
+    state.((b * slots) + s_pend_at) <- -1
   done;
-  A1.set state cursor min_int;
+  state.(cursor) <- min_int;
   let monitor_samples = Params.monitor_samples params in
+  let strided = params.monitor_stride > 1 in
   {
     params;
     monitor_samples;
@@ -133,6 +162,8 @@ let create ?on_transition ~n_branches params =
     state;
     on_transition;
     cursor;
+    seen = (if strided then s_c else s_a);
+    stride = (if strided then s_a else s_c);
     fast = fast_table params ~monitor_samples;
   }
 
@@ -237,7 +268,7 @@ let evict t branch base ~instr =
 
 (* Close a monitoring interval and classify the branch. *)
 let classify t branch base ~instr =
-  let taken = get t (base + s_b) and seen = get t (base + s_a) in
+  let taken = get t (base + s_b) and seen = get t (base + t.seen) in
   let majority = max taken (seen - taken) in
   let bias = float_of_int majority /. float_of_int seen in
   if bias >= t.params.selection_threshold then begin
@@ -252,7 +283,7 @@ let classify t branch base ~instr =
       let dir_bit = if direction then bit_direction else 0 in
       set t (base + s_ctrl)
         ((get t (base + s_ctrl) land lnot (3 lor bit_direction)) lor phase_biased lor dir_bit);
-      set t (base + s_a) 0;
+      set t (base + s_a) (biased_a t.params);
       set t (base + s_b) 0;
       set t (base + s_c) 0;
       set t (base + s_selections) (get t (base + s_selections) + 1);
@@ -263,6 +294,7 @@ let classify t branch base ~instr =
   else begin
     set t (base + s_ctrl) ((get t (base + s_ctrl) land lnot 3) lor phase_unbiased);
     set t (base + s_a) t.params.wait_period;
+    set t (base + s_c) 0;
     record t ~branch ~instr k_unbiased
   end
 
@@ -291,16 +323,18 @@ let observe_biased t branch base ctrl ~taken ~instr =
         if pos < samples && taken <> direction then
           set t (base + s_c) (get t (base + s_c) + 1);
         let pos = pos + 1 in
-        set t (base + s_b) pos;
-        if pos = samples then begin
-          let misses = get t (base + s_c) in
-          let bias = float_of_int (samples - misses) /. float_of_int samples in
-          if bias < t.params.evict_bias then evict t branch base ~instr
-          else set t (base + s_c) 0
-        end
-        else if pos >= window then begin
-          set t (base + s_b) 0;
-          set t (base + s_c) 0
+        if
+          pos = samples
+          && float_of_int (samples - get t (base + s_c)) /. float_of_int samples
+             < t.params.evict_bias
+        then evict t branch base ~instr
+        else begin
+          (* the sample ends at [samples] and is evaluated; the window
+             ends at [window] and the next one starts at 0 *)
+          let pos = if pos <> samples && pos >= window then 0 else pos in
+          if pos = samples || pos = 0 then set t (base + s_c) 0;
+          set t (base + s_b) pos;
+          set t (base + s_a) (countdown ~window ~samples pos)
         end
       end
   end
@@ -316,15 +350,15 @@ let observe_state t branch base ~taken ~instr =
   let ctrl = get t (base + s_ctrl) in
   (match ctrl land 3 with
   | 0 (* Monitoring *) ->
-    let stride = get t (base + s_c) + 1 in
+    let stride = get t (base + t.stride) + 1 in
     if stride >= t.params.monitor_stride then begin
-      set t (base + s_c) 0;
-      let seen = get t (base + s_a) + 1 in
-      set t (base + s_a) seen;
+      set t (base + t.stride) 0;
+      let seen = get t (base + t.seen) + 1 in
+      set t (base + t.seen) seen;
       if taken then set t (base + s_b) (get t (base + s_b) + 1);
       if seen >= t.monitor_samples then classify t branch base ~instr
     end
-    else set t (base + s_c) stride
+    else set t (base + t.stride) stride
   | 1 (* Biased *) -> observe_biased t branch base ctrl ~taken ~instr
   | 2 (* Unbiased *) ->
     if t.params.enable_revisit then begin
@@ -354,9 +388,7 @@ let export_words t =
   let n = t.n_branches * slots in
   let out = Array.make (n + 1) 0 in
   out.(0) <- last_instr t;
-  for i = 0 to n - 1 do
-    out.(i + 1) <- A1.unsafe_get t.state i
-  done;
+  Array.blit t.state 0 out 1 n;
   out
 
 (* The invariants every reachable branch state keeps, given the cursor
@@ -369,7 +401,7 @@ let branch_error t words ~last b =
   let p = t.params and ms = t.monitor_samples in
   let w i = words.(1 + (b * slots) + i) in
   let ctrl = w s_ctrl and a = w s_a and bw = w s_b and c = w s_c and pend_at = w s_pend_at in
-  let sel = w s_selections and ev = w s_evictions in
+  let sel = w s_selections and ev = w s_evictions and seen = w t.seen and stride = w t.stride in
   let phase = ctrl land 3 in
   let dep = (ctrl lsr dep_shift) land 3 and pend = (ctrl lsr pend_shift) land 3 in
   let target =
@@ -380,18 +412,24 @@ let branch_error t words ~last b =
   let counters_ok =
     match phase with
     | 0 (* Monitoring *) ->
-      within 0 a (ms - 1) && within 0 bw a && within 0 c (p.monitor_stride - 1)
+      within 0 seen (ms - 1) && within 0 bw seen && within 0 stride (p.monitor_stride - 1)
     | 1 (* Biased *) -> (
       match p.eviction_mode with
       | Params.Continuous -> within 0 a (p.evict_threshold - 1) && bw = 0 && c = 0
       | Params.Sampled { window; samples } ->
-        a = 0
-        && (within 0 bw (window - 1) || bw = samples)
+        (within 0 bw (window - 1) || bw = samples)
         && if bw >= samples then c = 0 else within 0 c bw)
     | 2 (* Unbiased *) ->
       (if p.enable_revisit then within 1 a p.wait_period else a = p.wait_period)
       && within 0 bw ms && c = 0
-    | _ (* Disabled *) -> a = ms && within 0 bw ms && c = 0 && sel = p.oscillation_limit
+    | _ (* Disabled *) ->
+      seen = ms && within 0 bw ms && stride = 0 && sel = p.oscillation_limit
+  in
+  let countdown_ok =
+    match p.eviction_mode with
+    | Params.Sampled { window; samples } when phase = phase_biased ->
+      a = countdown ~window ~samples bw
+    | _ -> true
   in
   let deployment_ok =
     let latency = p.optimization_latency in
@@ -410,6 +448,7 @@ let branch_error t words ~last b =
     Some "selections and evictions disagree with the phase"
   else if ev > 0 && not p.enable_eviction then Some "evictions with eviction disabled"
   else if not counters_ok then Some "phase counters out of range"
+  else if not countdown_ok then Some "sampled-eviction countdown disagrees with the window position"
   else if not deployment_ok then Some "deployed or pending code inconsistent with the phase"
   else None
 
@@ -430,9 +469,7 @@ let import_words t words =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Reactive.import_words: " ^ msg));
   set_last_instr t words.(0);
-  for i = 0 to n - 1 do
-    A1.unsafe_set t.state i words.(i + 1)
-  done
+  Array.blit words 1 t.state 0 n
 
 (* ---------------------------------------------------------------------- *)
 (* The batched replay kernel                                               *)
@@ -443,9 +480,10 @@ type score = {
   mutable correct : int;
   mutable incorrect : int;
   mutable last_misspec : int;
+  mutable slow : int;
 }
 
-let score () = { instr = 0; correct = 0; incorrect = 0; last_misspec = 0 }
+let score () = { instr = 0; correct = 0; incorrect = 0; last_misspec = 0; slow = 0 }
 
 let score_event s ~taken ~instr code =
   if code land 1 = 1 then
@@ -487,12 +525,12 @@ let fast_span t s chunk i len =
       let taken = w land 1 in
       let at = !instr + ((w lsr 1) land delta_mask) in
       let base = branch * slots in
-      let ctrl = A1.unsafe_get state (base + s_ctrl) in
+      let ctrl = Array.unsafe_get state (base + s_ctrl) in
       let spec = (ctrl lsr dep_shift) land 1 in
       let miss = spec land (taken lxor ((ctrl lsr (dep_shift + 1)) land 1)) in
-      let pend_at = A1.unsafe_get state (base + s_pend_at) in
+      let pend_at = Array.unsafe_get state (base + s_pend_at) in
       let e = ((ctrl land 15) lsl 1 lor taken) lsl 2 in
-      let a = A1.unsafe_get state (base + s_a) + Array.unsafe_get tbl e in
+      let a = Array.unsafe_get state (base + s_a) + Array.unsafe_get tbl e in
       (* negative iff: A leaves [lo, hi), a pending deployment activates
          ([pend_at >= 0] and [at >= pend_at]), or a misspeculation *)
       let slow =
@@ -503,10 +541,10 @@ let fast_span t s chunk i len =
       in
       if slow < 0 then stop := !i
       else begin
-        A1.unsafe_set state (base + s_a) (a land lnot (a asr sign));
-        A1.unsafe_set state (base + s_b)
-          (A1.unsafe_get state (base + s_b) + Array.unsafe_get tbl (e + 1));
-        A1.unsafe_set state (base + s_execs) (A1.unsafe_get state (base + s_execs) + 1);
+        Array.unsafe_set state (base + s_a) (a land lnot (a asr sign));
+        Array.unsafe_set state (base + s_b)
+          (Array.unsafe_get state (base + s_b) + Array.unsafe_get tbl (e + 1));
+        Array.unsafe_set state (base + s_execs) (Array.unsafe_get state (base + s_execs) + 1);
         correct := !correct + spec;
         instr := at;
         incr i
@@ -517,7 +555,8 @@ let fast_span t s chunk i len =
   s.correct <- !correct;
   !i
 
-(* One event through the generic machine, scored as [score_event] does. *)
+(* One event through the generic machine, scored as [score_event] does
+   and counted in [s.slow]. *)
 let slow_event t s w =
   let branch = w lsr branch_shift in
   let instr = s.instr + ((w lsr 1) land delta_mask) in
@@ -530,17 +569,36 @@ let slow_event t s w =
   let code = (get t (base + s_ctrl) lsr dep_shift) land 3 in
   observe_state t branch base ~taken ~instr;
   s.instr <- instr;
+  s.slow <- s.slow + 1;
   score_event s ~taken ~instr code
 
-let step_chunk t s chunk len =
+(* The observer's loop: each event is handed to [f] with the decision
+   it runs under, then applied as the hookless loop would, one event at
+   a time.  An out-of-range branch reaches [slow_event], which raises,
+   without a call to [f]. *)
+let observe_chunk t s f chunk len =
+  for i = 0 to len - 1 do
+    let w = Array.unsafe_get chunk i in
+    let branch = w lsr branch_shift in
+    if branch < t.n_branches then
+      f ~branch ~taken:(w land 1 = 1)
+        ~instr:(s.instr + ((w lsr 1) land delta_mask))
+        ~code:((get t ((branch * slots) + s_ctrl) lsr dep_shift) land 3);
+    if fast_span t s chunk i (i + 1) = i then slow_event t s w
+  done
+
+let step_chunk ?observer t s chunk len =
   if len < 0 || len > Array.length chunk then invalid_arg "Reactive.step_chunk: bad chunk length";
   (* Deltas are unsigned, so every event's instr is at least [s.instr]:
      one check covers the chunk. *)
   if s.instr < last_instr t then
     invalid_arg "Reactive.step_chunk: instruction counts must be non-decreasing across calls";
-  let i = ref (fast_span t s chunk 0 len) in
-  while !i < len do
-    slow_event t s (Array.unsafe_get chunk !i);
-    i := fast_span t s chunk (!i + 1) len
-  done;
+  (match observer with
+  | Some f -> observe_chunk t s f chunk len
+  | None ->
+    let i = ref (fast_span t s chunk 0 len) in
+    while !i < len do
+      slow_event t s (Array.unsafe_get chunk !i);
+      i := fast_span t s chunk (!i + 1) len
+    done);
   set_last_instr t s.instr

@@ -56,14 +56,18 @@ val observe : t -> branch:int -> taken:bool -> instr:int -> unit
 
 (** {2 Batched replay}
 
-    The simulator's hookless hot loop: whole packed chunks through the
-    controller in one call, scored in place. *)
+    The simulator's one per-event loop: whole packed chunks through the
+    controller in one call, scored in place, with or without an
+    observer. *)
 
 type score = {
   mutable instr : int;  (** Instruction count after the last event. *)
   mutable correct : int;  (** Correct speculations. *)
   mutable incorrect : int;  (** Misspeculations. *)
   mutable last_misspec : int;  (** Instruction count of the last misspeculation (0 if none). *)
+  mutable slow : int;
+      (** Events {!step_chunk} sent through the generic machine instead
+          of its fast path: a measure of the kernel, not of the run. *)
 }
 (** Scoring state threaded across {!step_chunk} calls. *)
 
@@ -78,24 +82,38 @@ val score_event : score -> taken:bool -> instr:int -> int -> unit
     Allocates nothing.  Leaves [s.instr] alone.  {!step_chunk}
     applies exactly this rule. *)
 
-val step_chunk : t -> score -> int array -> int -> unit
+val step_chunk :
+  ?observer:(branch:int -> taken:bool -> instr:int -> code:int -> unit) ->
+  t ->
+  score ->
+  int array ->
+  int ->
+  unit
 (** [step_chunk t s chunk len] feeds the first [len] packed events of
     [chunk] — the [Rs_behavior.Trace_store] encoding: bit 0 taken,
     bits 1-20 the instruction delta from the previous event, bits 21 and
     up the branch id — through the controller, each one exactly as
     {!deployed_code} then {!observe} at instruction count
     [s.instr + delta], and scores it into [s] as {!score_event} does.
-    Allocates nothing per event.
+    [observer], when given, sees each event before the controller
+    observes it, as plain integers with the decision it runs under in
+    {!deployed_code}'s 2-bit [code]; every transition the event causes
+    fires after the call.  Allocates nothing per event.
 
     Most events change only phase scratch counters; a table derived
     from the parameters at {!create} lets those run through a call-free
-    loop, and every other event (a transition, a pending deployment
-    activating, a misspeculation, sampled eviction, monitor stride) goes
-    through the same code as {!observe}.
+    loop, for every parameter set: sampled eviction and the strided
+    monitor keep their counters in the shape the table reads.  The
+    events that still go through the same code as {!observe}, each
+    counted in [s.slow], are transitions (closing a monitor interval,
+    an eviction, a revisit), a pending deployment activating, a
+    misspeculation, a strided monitor's sampled execution (one in
+    [monitor_stride]), and the last event of a sampled-eviction sample
+    or window.
     @raise Invalid_argument if [len] is outside the chunk, a branch id
     is out of range (named [Reactive.step_chunk], after the events before it
-    have been applied), or [s.instr] is below the previous call's
-    instruction count. *)
+    have been applied, and without a call to [observer]), or [s.instr]
+    is below the previous call's instruction count. *)
 
 (** {2 State snapshot}
 

@@ -34,12 +34,12 @@ let build ctx bm ~input =
       Context.build ctx bm ~input)
 
 (* Branch-event streams are pure in (population, stream config), and the
-   population is pure in the ckey, so every consumer below shares one
-   packed recording per ckey through the trace store's LRU: the sweeps
-   (figure5's variants, table3/4, the ablations, breakeven) record the
-   stream once and replay it per parameter point.  A stream the store
-   cannot hold comes back as [None] and its consumers generate it live —
-   the same chunks, so the capacity never changes results. *)
+   population is pure in the ckey, so every consumer of a Ref stream
+   shares one packed recording per ckey through the trace store's LRU:
+   the sweeps (figure5's variants, table3/4, the ablations, breakeven)
+   record the stream once and replay it per parameter point.  A stream
+   the store cannot hold comes back as [None] and its consumers generate
+   it live — the same chunks, so the capacity never changes results. *)
 let stream_key (k : ckey) =
   Printf.sprintf "%s/%s/seed=%d/scale=%g/tau=%d" k.bench (input_tag k.input) k.seed k.scale
     k.tau
@@ -58,12 +58,16 @@ let canonical_windows (ctx : Context.t) =
   let all = Array.concat [ Static.windows; Context.windows ctx; [| 20_000 |] ] in
   Array.of_list (List.sort_uniq compare (Array.to_list all))
 
+(* A Train stream has one reader, this memoised profile (figure2's
+   offline training), so it is generated live: a recording would be read
+   once, and while it sat in the LRU it would push out the Ref
+   recordings the sweeps replay, which would then be recorded again. *)
 let profile ctx bm ~input =
   Memo.find_or_compute profiles ~label:bm.BM.name (ckey ctx bm input) (fun () ->
       Rs_obs.Fault_hook.hit ~site:"cache.profile" ~key:(bm.BM.name ^ "/" ^ input_tag input);
       let pop, cfg = build ctx bm ~input in
-      Rs_sim.Profile.collect ~windows:(canonical_windows ctx) ?trace:(trace ctx bm ~input) pop
-        cfg)
+      let trace = match input with BM.Ref -> trace ctx bm ~input | Train -> None in
+      Rs_sim.Profile.collect ~windows:(canonical_windows ctx) ?trace pop cfg)
 
 let run ctx bm ~input params =
   Memo.find_or_compute runs ~label:bm.BM.name

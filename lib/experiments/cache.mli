@@ -60,7 +60,10 @@ val profile :
   Context.t -> Rs_workload.Benchmark.t -> input:Rs_workload.Benchmark.input -> Rs_sim.Profile.t
 (** Memoised {!Rs_sim.Profile.collect} over the memoised build, with the
     windows listed above; {!Rs_sim.Profile.counts_in_window} raises on
-    any other.  Repeat requests return the physically same profile. *)
+    any other.  Repeat requests return the physically same profile.  A
+    Ref profile replays the stream's {!trace}; a Train profile is the
+    only reader of its stream, so it generates the stream live and
+    records nothing. *)
 
 val run :
   Context.t ->
@@ -92,8 +95,8 @@ val trace :
 (** The packed branch-event trace for the memoised build, recorded once
     per [(seed, scale, tau, benchmark, input)] through
     {!Rs_behavior.Trace_store.cached} and replayed by every later
-    consumer ({!run}, {!profile}, and the figure experiments that drive
-    the engine with hooks).  The recording is a compute body of the trace
+    consumer ({!run}, a Ref {!profile}, and the figure experiments that
+    drive the engine with hooks).  The recording is a compute body of the trace
     store's memo, so it gets the same bounded retries whether or not the
     caller is itself inside a compute body.  Returns [None] when the
     recording would not fit the trace store's capacity

@@ -19,6 +19,7 @@ let m_events = Rs_obs.Metrics.counter "engine.events"
 let m_instructions = Rs_obs.Metrics.counter "engine.instructions"
 let m_correct = Rs_obs.Metrics.counter "engine.correct"
 let m_incorrect = Rs_obs.Metrics.counter "engine.incorrect"
+let m_slow = Rs_obs.Metrics.counter "engine.slow_events"
 
 let h_wall =
   Rs_obs.Metrics.histogram "engine.wall_seconds" ~bounds:[| 0.01; 0.1; 1.0; 10.0; 60.0 |]
@@ -51,27 +52,8 @@ let run ?(label = "") ?observer ?on_transition ?trace pop config params =
       m "run: %d branches, %d events, ipb %.1f%s" n config.Rs_behavior.Stream.length
         config.instr_per_branch
         (if trace = None then "" else " (trace replay)"));
-  (* One chunk source, recorded or live.  Hook order is part of the
-     contract — the observer sees the event after scoring but before the
-     controller does — so the observer path keeps the split
-     deployed/observe calls; a hookless run hands whole chunks to the
-     fused kernel. *)
-  let source = Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace pop config in
-  (match observer with
-  | None -> source (Reactive.step_chunk controller s)
-  | Some f ->
-    let instr = ref 0 in
-    source (fun chunk len ->
-        for i = 0 to len - 1 do
-          let w = Array.unsafe_get chunk i in
-          let branch = Rs_behavior.Trace_store.packed_branch w in
-          let taken = Rs_behavior.Trace_store.packed_taken w in
-          instr := !instr + Rs_behavior.Trace_store.packed_delta w;
-          let code = Reactive.deployed_code controller branch in
-          Reactive.score_event s ~taken ~instr:!instr code;
-          f ~branch ~taken ~instr:!instr ~code;
-          Reactive.observe controller ~branch ~taken ~instr:!instr
-        done));
+  Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace pop config
+    (Reactive.step_chunk ?observer controller s);
   Log.debug (fun m ->
       m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" s.correct
         (100.0 *. float_of_int s.correct /. float_of_int config.Rs_behavior.Stream.length)
@@ -84,6 +66,7 @@ let run ?(label = "") ?observer ?on_transition ?trace pop config params =
   Rs_obs.Metrics.add m_instructions total_instructions;
   Rs_obs.Metrics.add m_correct s.correct;
   Rs_obs.Metrics.add m_incorrect s.incorrect;
+  Rs_obs.Metrics.add m_slow s.slow;
   Rs_obs.Metrics.observe h_wall wall;
   if Rs_obs.Trace.enabled () then
     Rs_obs.Trace.emit "engine_run"

@@ -8,10 +8,12 @@
     Events arrive as packed chunks from
     {!Rs_behavior.Trace_store.iter_chunks} — a recorded trace, or the
     generator packing live — and are never materialized as values.
-    Hookless runs hand each chunk to {!Rs_core.Reactive.step_chunk}, so
-    the per-event work is integer decode, the controller step and
-    integer scoring in one call-free loop — nothing the minor heap ever
-    sees. *)
+    Every run hands each chunk to {!Rs_core.Reactive.step_chunk}, so the
+    per-event work is integer decode, the controller step and integer
+    scoring in one loop — nothing the minor heap ever sees — with the
+    observer closure, when there is one, the only call in it.  Each run
+    adds the events that left the kernel's fast path to the
+    [engine.slow_events] counter. *)
 
 type result = {
   total_events : int;

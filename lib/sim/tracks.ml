@@ -1,3 +1,11 @@
+(* The packed event layout (bit 0 taken, bits 1-20 instruction delta,
+   bits 21+ branch id), decoded inline: under the dev profile's
+   [-opaque] each [Trace_store.packed_*] accessor would be a call per
+   event.  The figure3 and figure9 goldens pin what both collectors
+   compute from it. *)
+let delta_mask = (1 lsl 20) - 1
+let branch_shift = 21
+
 module Exec_blocks = struct
   type t = { block : int; series : (int, (int * float) list ref) Hashtbl.t }
 
@@ -21,10 +29,10 @@ module Exec_blocks = struct
       (fun chunk len ->
         for i = 0 to len - 1 do
           let w = Array.unsafe_get chunk i in
-          match Array.unsafe_get accs (Rs_behavior.Trace_store.packed_branch w) with
+          match Array.unsafe_get accs (w lsr branch_shift) with
           | None -> ()
           | Some a ->
-            if Rs_behavior.Trace_store.packed_taken w then a.taken <- a.taken + 1;
+            a.taken <- a.taken + (w land 1);
             a.seen <- a.seen + 1;
             if a.seen = block then begin
               let idx = List.length a.blocks in
@@ -67,17 +75,24 @@ module Intervals = struct
     let width = max 1 (total_instr / buckets) in
     let execs = Array.make (buckets * n) 0 in
     let taken = Array.make (buckets * n) 0 in
-    let instr = ref 0 in
+    (* The current bucket [min (buckets - 1) (instr / width)], kept as
+       its row offset [k * n] and advanced when [instr] reaches the next
+       boundary — there is none after the last bucket — instead of a
+       division per event. *)
+    let instr = ref 0 and row = ref 0 in
+    let next = ref (if buckets > 1 then width else max_int) in
     Rs_behavior.Trace_store.iter_chunks ~caller:"Intervals.collect" ?trace pop config
       (fun chunk len ->
         for i = 0 to len - 1 do
           let w = Array.unsafe_get chunk i in
-          instr := !instr + Rs_behavior.Trace_store.packed_delta w;
-          let k = min (buckets - 1) (!instr / width) in
-          let j = (k * n) + Rs_behavior.Trace_store.packed_branch w in
+          instr := !instr + ((w lsr 1) land delta_mask);
+          while !instr >= !next do
+            row := !row + n;
+            next := if !row = (buckets - 1) * n then max_int else !next + width
+          done;
+          let j = !row + (w lsr branch_shift) in
           Array.unsafe_set execs j (Array.unsafe_get execs j + 1);
-          if Rs_behavior.Trace_store.packed_taken w then
-            Array.unsafe_set taken j (Array.unsafe_get taken j + 1)
+          Array.unsafe_set taken j (Array.unsafe_get taken j + (w land 1))
         done);
     { buckets; min_execs; n; execs; taken }
 

@@ -580,6 +580,38 @@ let test_exhaustive_reachable_states () =
         { small with monitor_period = 4; monitor_stride = 2; optimization_latency = 1 } );
     ]
 
+(* ---------------------------------------------------------------------- *)
+(* Fast-path coverage                                                     *)
+(* ---------------------------------------------------------------------- *)
+
+(* Every Figure 5 / Table 4 configuration replays almost every event
+   through the kernel's call-free loop: on each benchmark's Ref stream,
+   the events sent to the generic machine, misspeculations aside, stay
+   within 5% of the stream.  Misspeculations are left out because they
+   always take the generic path and some configurations (no eviction)
+   make many of them. *)
+let test_fast_path_coverage () =
+  let worst = ref (0.0, "") in
+  List.iter
+    (fun (bm : Rs_workload.Benchmark.t) ->
+      let pop, cfg = Rs_workload.Benchmark.build bm ~input:Ref ~seed:7 ~scale:0.02 ~tau:10 in
+      let tr = TS.record pop cfg in
+      List.iter
+        (fun (v : Rs_core.Variants.t) ->
+          let params = Params.compress ~factor:10 v.params in
+          let c = Reactive.create ~n_branches:(Pop.size pop) params in
+          let s = Reactive.score () in
+          TS.iter_chunks ~trace:tr pop cfg (Reactive.step_chunk c s);
+          let share = float_of_int (s.slow - s.incorrect) /. float_of_int cfg.length in
+          let name = Printf.sprintf "%s on %s" v.key bm.name in
+          if share > fst !worst then worst := (share, name);
+          if share > 0.05 then
+            Alcotest.failf "%s: %.2f%% of events left the fast path (%d slow, %d misspeculated)"
+              name (100.0 *. share) s.slow s.incorrect)
+        Rs_core.Variants.all)
+    Rs_workload.Benchmark.all;
+  Printf.printf "worst fast-path exit share: %.2f%% (%s)\n%!" (100.0 *. fst !worst) (snd !worst)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -611,4 +643,6 @@ let suite =
       test_engine_paths_agree;
     Alcotest.test_case "exhaustive reachable states: kernel == split calls == reference" `Quick
       test_exhaustive_reachable_states;
+    Alcotest.test_case "fast path covers every Figure 5 configuration" `Quick
+      test_fast_path_coverage;
   ]

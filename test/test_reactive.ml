@@ -334,6 +334,34 @@ let test_import_rejects_unreachable () =
       ("pending code the phase never requests", forge [ (1, good.(1) land lnot (3 lsl 5)) ]);
     ]
 
+(* Sampled eviction keeps, next to the window position (B), a countdown
+   to the position's next boundary in A: the end of the sample, then the
+   end of the window.  A snapshot whose A disagrees with its position
+   could never have been written, so it is refused. *)
+let test_import_rejects_sampled_countdown () =
+  let p = { tiny with eviction_mode = P.Sampled { window = 40; samples = 20 } } in
+  let c = R.create ~n_branches:1 p in
+  (* selected by the 10th execution, then 5 into the sample *)
+  ignore (feed c ~branch:0 ~taken:true ~start:5 15);
+  let good = R.export_words c in
+  Alcotest.(check (pair int int)) "window position 5, 15 to the sample's end" (5, 15)
+    (good.(4), good.(3));
+  Alcotest.(check bool) "reachable state accepted" true (R.validate_words c good = Ok ());
+  List.iter
+    (fun a ->
+      let words = Array.copy good in
+      words.(3) <- a;
+      (match R.import_words c words with
+      | () -> Alcotest.failf "countdown %d: imported" a
+      | exception Invalid_argument m ->
+        Alcotest.(check string)
+          (Printf.sprintf "countdown %d: refused" a)
+          "Reactive.import_words: branch 0: sampled-eviction countdown disagrees with the \
+           window position"
+          m);
+      Alcotest.(check bool) "controller unchanged" true (R.export_words c = good))
+    [ 0; 14; 16; 35 ]
+
 let suite =
   [
     Alcotest.test_case "selection" `Quick test_selection;
@@ -356,6 +384,8 @@ let suite =
     Alcotest.test_case "on_transition callback" `Quick test_on_transition_callback;
     Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "import rejects unreachable states" `Quick test_import_rejects_unreachable;
+    Alcotest.test_case "import rejects a sampled countdown off its window position" `Quick
+      test_import_rejects_sampled_countdown;
     Alcotest.test_case "paper parameters" `Quick test_paper_params_select_and_evict;
     QCheck_alcotest.to_alcotest qcheck_fsm_invariants;
     QCheck_alcotest.to_alcotest qcheck_fsm_biased_branch_always_selected;
