@@ -69,17 +69,54 @@ let bench_trace_record () =
    stream-generation *)
 let bench_trace_replay () = decode_all ~trace:(Lazy.force small_trace) ()
 
+(* The controller kernels' parameters: Table 2's on a clock that fits
+   a 20,000-event stream, a 500-execution monitor period and the
+   latency and wait period compressed 100-fold (10,000 instructions and
+   10,000 executions), so the busiest branches are selected and
+   deployed. *)
+let controller_params =
+  { (Rs_core.Params.compress ~factor:100 Rs_core.Params.default) with monitor_period = 500 }
+
+(* small_pop's weights, with every fourth branch reversing fully after
+   600 executions, as Figure 6's evicted branches do; recorded, and
+   checked to reach the biased phase and to watch an eviction, so the
+   controller kernels time more than the monitor phase. *)
+let reversing_stream =
+  lazy
+    (let open Rs_behavior in
+     let pop =
+       Population.create
+         (Array.init 64 (fun id ->
+              {
+                Population.id;
+                behavior =
+                  (if id mod 4 = 0 then
+                     Behavior.Phases
+                       [| { length = 600; p_taken = 0.999 }; { length = 1; p_taken = 0.0 } |]
+                   else Behavior.Stationary 0.999);
+                weight = 1.0 /. float_of_int (id + 1);
+              }))
+     in
+     let trace = Trace_store.record pop stream_cfg in
+     let r = Rs_sim.Engine.run ~trace pop stream_cfg controller_params in
+     let selections = List.init 64 (Rs_core.Reactive.selections r.controller) in
+     if List.fold_left ( + ) 0 selections = 0 then
+       failwith "bench: no branch reaches the biased phase";
+     if (Rs_sim.Eviction_watch.run ~trace pop stream_cfg controller_params).samples = 0 then
+       failwith "bench: the eviction watch watches no eviction";
+     (pop, trace))
+
 let bench_reactive_observe () =
   (* figure5 / table3 / table4 kernel: one full small engine run, the
      stream generated live *)
-  let pop = Lazy.force small_pop in
-  let r = Rs_sim.Engine.run pop stream_cfg Rs_core.Params.default in
+  let pop, _ = Lazy.force reversing_stream in
+  let r = Rs_sim.Engine.run pop stream_cfg controller_params in
   r.correct
 
 let bench_reactive_replay () =
   (* the same engine run off a prerecorded trace: the chunked hot loop *)
-  let pop = Lazy.force small_pop in
-  let r = Rs_sim.Engine.run ~trace:(Lazy.force small_trace) pop stream_cfg Rs_core.Params.default in
+  let pop, trace = Lazy.force reversing_stream in
+  let r = Rs_sim.Engine.run ~trace pop stream_cfg controller_params in
   r.correct
 
 (* every Figure 5 / Table 4 configuration over the same recording, with
@@ -114,9 +151,9 @@ let bench_tracks () =
   List.length (Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99)
 
 let bench_eviction_watch () =
-  (* figure6 kernel *)
-  let pop = Lazy.force small_pop in
-  let w = Rs_sim.Eviction_watch.run pop stream_cfg Rs_core.Params.default in
+  (* figure6 kernel, the stream generated live *)
+  let pop, _ = Lazy.force reversing_stream in
+  let w = Rs_sim.Eviction_watch.run pop stream_cfg controller_params in
   w.samples
 
 let region =

@@ -325,14 +325,17 @@ let serve_cmd =
     let doc = "Serve a branch id space of $(docv) branches (alternative to $(b,--bench))." in
     Arg.(value & opt (some int) None & info [ "branches" ] ~docv:"N" ~doc)
   in
+  (* Still parsed because the repository benchmark starts the server
+     with --shards 2; it can go when that command line changes. *)
   let shards =
-    let doc = "Worker shards: branch $(i,b) is owned by shard $(i,b) mod $(docv)." in
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc)
+    let doc = "Ignored: the service steps one controller and has no shards." in
+    let deprecated = "the service has no shards; the option has no effect" in
+    Arg.(value & opt (some int) None & info [ "shards" ] ~deprecated ~docv:"N" ~doc)
   in
   let snapshot =
     let doc =
-      "Snapshot file: restored from at startup when present (same branch and shard counts \
-       required), rewritten atomically on every SNAPSHOT request."
+      "Snapshot file: restored from at startup when present (same branch count required), \
+       rewritten atomically on every SNAPSHOT request."
     in
     Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"FILE" ~doc)
   in
@@ -343,11 +346,11 @@ let serve_cmd =
   let faults =
     let doc =
       "Deterministic fault injection spec (also $(b,RS_FAULTS)); the service consults \
-       $(b,serve.accept), $(b,serve.read) and $(b,serve.shard)."
+       $(b,serve.accept), $(b,serve.read) and $(b,serve.apply)."
     in
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
-  let run socket stdio branches w shards snapshot metrics faults =
+  let run socket stdio branches w (_ : int option) snapshot metrics faults =
     configure_faults faults;
     if metrics then at_exit (fun () -> prerr_string (Rs_obs.Metrics.render_summary ()));
     let transport =
@@ -365,16 +368,15 @@ let serve_cmd =
       | Some _, Some _ -> fail_cli "--branches and --bench are mutually exclusive"
     in
     if n_branches <= 0 then fail_cli "--branches must be positive";
-    if shards <= 0 then fail_cli "--shards must be positive";
     let params = Rs_core.Params.compress ~factor:w.tau Rs_core.Params.default in
-    Rs_serve.Server.run { params; n_branches; shards; transport; snapshot_path = snapshot }
+    Rs_serve.Server.run { params; n_branches; transport; snapshot_path = snapshot }
   in
   Cmd.v
     (Cmd.info ~exits "serve"
        ~doc:
          "Run the online speculation-control service: a long-lived process ingesting packed \
-          branch-event frames over a Unix-domain socket (or stdio), sharding controller \
-          state across worker domains, answering QUERY/STATS/SNAPSHOT requests.  See README \
+          branch-event frames over a Unix-domain socket (or stdio) into one reactive \
+          controller, answering QUERY/STATS/SNAPSHOT requests.  See README \
           'Online service'.")
     Term.(
       const run $ socket $ stdio $ branches $ workload_term $ shards $ snapshot $ metrics
@@ -388,8 +390,8 @@ let rec connect_retry path tries =
     connect_retry path (tries - 1)
 
 (* FNV-1a over the per-branch decision codes: a stable one-line digest
-   of the server's whole deployed state, diffable across shard counts
-   and snapshot/restore. *)
+   of the server's whole deployed state, diffable across
+   snapshot/restore. *)
 let fnv_fold h code = (h lxor code) * 0x01000193 land 0xffffffff
 
 let drive_cmd =
@@ -462,7 +464,7 @@ let drive_cmd =
        ~doc:
          "Drive a running $(b,rspec serve): record a benchmark's event stream, ship it (in \
           32k-word packed frames), flush, and print a deterministic digest of the server's \
-          deployed decisions — byte-identical across shard counts and snapshot/restore.")
+          deployed decisions — byte-identical across snapshot/restore.")
     Term.(const run $ socket $ workload_term $ repeat $ stats_json $ snapshot_out $ shutdown)
 
 (* One subcommand per registry entry, so `rspec figure2` keeps working:

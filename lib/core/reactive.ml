@@ -34,10 +34,11 @@
    instruction count seen (the non-decreasing-[instr] cursor), followed
    by a cache line of padding.  It lives in the array rather than in
    the record because [observe] writes it on every event: records of
-   two controllers stepped from two domains (serve's shards) can sit
-   side by side on the heap, and a write there invalidates a cache line
-   the other domain reads on every event (it cost serve's shards a
-   third of their event rate on a 2-core x86-64 box).
+   two controllers stepped from two domains (two of the pool's runs)
+   can sit side by side on the heap, and a write there invalidates a
+   cache line the other domain reads on every event (it cost the
+   sharded server, which stepped one controller per domain, a third of
+   its event rate on a 2-core x86-64 box).
 
    Scratch slots are shared across phases because every entry arc resets
    its own scratch, exactly as the old record version's [enter_*]

@@ -9,7 +9,7 @@
     (["trace.write"]), the packed trace store's recorder
     (["trace_store.record"]), the distiller's pipeline passes
     (["distill.pass"]) and the online service ({!Rs_serve},
-    ["serve.accept"], ["serve.read"], ["serve.shard"]) — into raises
+    ["serve.accept"], ["serve.read"], ["serve.apply"]) — into raises
     and delays scheduled by a {!plan}.
 
     The action at a site is a pure function of

@@ -38,7 +38,7 @@ val query : t -> int -> (int, string) result
     message (out-of-range branch). *)
 
 val stats : t -> string
-(** Server and per-shard counters as a JSON document. *)
+(** Server counters as a JSON document. *)
 
 val snapshot : t -> string
 (** The server's full serialized state ({!Snapshot} bytes); also

@@ -4,9 +4,9 @@
    event payload is the packed Trace_store word format verbatim — one
    non-negative 64-bit LE integer per event carrying the taken bit, the
    20-bit instruction delta and the branch id — batched in frames of at
-   most [max_frame_words] (= one Trace_store chunk), so the server's
-   ingest loop is the same branchless mask-and-shift decode as the
-   batched simulator path.
+   most [max_frame_words] (= one Trace_store chunk), so the server hands
+   a decoded frame to Reactive.step_chunk, the batched simulator's own
+   decode.
 
    Framing errors (unknown tag, oversized or mis-sized payload, a word
    whose sign bit is set — the negative-delta corruption the trace store

@@ -5,10 +5,10 @@
     verbatim — one non-negative 64-bit LE integer per event (bit 0
     taken, bits 1-20 instruction delta, the rest the branch id) — so a
     recorded trace ships over the wire without re-encoding and the
-    server ingests it with the same branchless mask-and-shift decode as
-    the batched simulator.  Instruction deltas are relative to the
-    server's current stream position: concatenating frames extends one
-    logical stream.
+    server hands the decoded frame to {!Rs_core.Reactive.step_chunk},
+    the batched simulator's own decode.  Instruction deltas are
+    relative to the server's current stream position: concatenating
+    frames extends one logical stream.
 
     No events frame allocates: {!encode_events} writes into the caller's
     buffer, and the incremental {!decoder} parses whatever byte slices
@@ -24,7 +24,7 @@ val version : int
 
 val max_frame_words : int
 (** 32768 — one {!Rs_behavior.Trace_store.chunk_size} of packed events
-    per frame, the unit the server's chunk decoder ingests. *)
+    per frame, the unit {!Rs_core.Reactive.step_chunk} ingests. *)
 
 val header_bytes : int
 (** Frame header size: 4-byte LE payload length plus the tag byte. *)
@@ -42,7 +42,7 @@ type request =
           decoder's own array, valid only until the next {!next_request}. *)
   | Query of int  (** "deploy or squash?" for one branch id. *)
   | Flush  (** Barrier: answered once every prior event is applied. *)
-  | Stats  (** Server and per-shard counters as a JSON document. *)
+  | Stats  (** Server counters as a JSON document. *)
   | Snapshot  (** Serialize the full controller state. *)
   | Shutdown  (** Graceful stop; answered before the server exits. *)
 

@@ -1,5 +1,5 @@
-(* The online service: wire-protocol round-trips, shard-count
-   invariance against a direct Reactive reference, snapshot/restore
+(* The online service: wire-protocol round-trips, decisions and state
+   against a plain controller fed the same stream, snapshot/restore
    byte-identity, protocol-error isolation between clients, and chaos
    under injected serve.* faults. *)
 
@@ -41,8 +41,8 @@ let synth_words ~seed ~n_branches ~n =
       let delta = 1 + Random.State.int st 7 in
       pack ~branch ~taken ~delta)
 
-(* Ground truth: the reference FSM, unsharded, observing the same
-   stream; its decisions as 2-bit codes (bit 0 speculate, bit 1 direction). *)
+(* Ground truth: the reference FSM observing the same stream; its
+   decisions as 2-bit codes (bit 0 speculate, bit 1 direction). *)
 let reference_codes ~params ~n_branches words =
   let c = Reference.create ~n_branches params in
   let instr = ref 0 in
@@ -59,12 +59,12 @@ let reference_codes ~params ~n_branches words =
 
 (* Single-connection server over a socketpair (the Fd_pair transport the
    tests exist for); the server runs in its own domain. *)
-let with_fd_server ?snapshot_path ~params ~n_branches ~shards f =
+let with_fd_server ?snapshot_path ~params ~n_branches f =
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let dom =
     Domain.spawn (fun () ->
         Server.run
-          { params; n_branches; shards; transport = Fd_pair (srv_fd, srv_fd); snapshot_path })
+          { params; n_branches; transport = Fd_pair (srv_fd, srv_fd); snapshot_path })
   in
   let c = Client.of_fd cli_fd in
   let result =
@@ -78,12 +78,12 @@ let with_fd_server ?snapshot_path ~params ~n_branches ~shards f =
   result
 
 (* Listening server on a temp socket path, for multi-client tests. *)
-let with_socket_server ~params ~n_branches ~shards f =
+let with_socket_server ~params ~n_branches f =
   let path = Filename.temp_file "rs_serve_test" ".sock" in
   Sys.remove path;
   let dom =
     Domain.spawn (fun () ->
-        Server.run { params; n_branches; shards; transport = Unix_socket path; snapshot_path = None })
+        Server.run { params; n_branches; transport = Unix_socket path; snapshot_path = None })
   in
   let rec wait n =
     if not (Sys.file_exists path) then
@@ -302,37 +302,75 @@ let test_protocol_rejects () =
   | exception Proto.Error _ -> ()
   | _ -> Alcotest.fail "negative event word must raise"
 
-(* --- shard invariance ---------------------------------------------------- *)
+(* --- a plain controller ---------------------------------------------------- *)
 
-let test_shard_invariance () =
-  let n_branches = 17 in
-  let words = synth_words ~seed:42 ~n_branches ~n:60_000 in
-  let reference = reference_codes ~params:tiny ~n_branches words in
+(* A plain controller fed the same stream event by event through
+   [Reactive.observe]: the state words the server's must equal. *)
+let plain_words ~params ~n_branches words =
+  let c = R.create ~n_branches params in
+  let instr = ref 0 in
+  Array.iter
+    (fun w ->
+      instr := !instr + TS.packed_delta w;
+      R.observe c ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr)
+    words;
+  R.export_words c
+
+let decode_snapshot s =
+  match Rs_serve.Snapshot.decode s with
+  | Ok snap -> snap
+  | Error msg -> Alcotest.failf "snapshot decode: %s" msg
+
+let test_matches_plain_controller () =
   List.iter
-    (fun shards ->
-      with_fd_server ~params:tiny ~n_branches ~shards (fun c ->
+    (fun n_branches ->
+      let words = synth_words ~seed:42 ~n_branches ~n:60_000 in
+      with_fd_server ~params:tiny ~n_branches (fun c ->
           Client.send_events c words;
-          let flushed = Client.flush c in
           Alcotest.(check int)
-            (Printf.sprintf "all events applied at %d shards" shards)
-            (Array.length words) flushed;
+            (Printf.sprintf "all events applied at %d branches" n_branches)
+            (Array.length words) (Client.flush c);
           Alcotest.(check (array int))
-            (Printf.sprintf "decisions at %d shards match unsharded reference" shards)
-            reference (query_codes c n_branches)))
-    [ 1; 3; 4; 17; 40 ]
+            (Printf.sprintf "decisions at %d branches match the reference" n_branches)
+            (reference_codes ~params:tiny ~n_branches words)
+            (query_codes c n_branches);
+          Alcotest.(check (array int))
+            (Printf.sprintf "state at %d branches matches a plain controller" n_branches)
+            (plain_words ~params:tiny ~n_branches words)
+            (decode_snapshot (Client.snapshot c)).words))
+    [ 17; 1; 40 ]
+
+(* Requests are handled in arrival order: a query sent right behind an
+   events frame, with no flush between them, sees that frame applied. *)
+let test_query_sees_preceding_frame () =
+  let n_branches = 7 in
+  let words = synth_words ~seed:21 ~n_branches ~n:4_000 in
+  let changes = ref 0 in
+  with_fd_server ~params:tiny ~n_branches (fun c ->
+      let before = ref (query_codes c n_branches) in
+      for f = 0 to 39 do
+        Client.send_events c (Array.sub words (f * 100) 100);
+        let prefix = Array.sub words 0 ((f + 1) * 100) in
+        let expected = reference_codes ~params:tiny ~n_branches prefix in
+        if expected <> !before then incr changes;
+        before := query_codes c n_branches;
+        Alcotest.(check (array int))
+          (Printf.sprintf "decisions right after frame %d" f)
+          expected !before
+      done);
+  Alcotest.(check bool) "some frame changed a decision" true (!changes > 0)
 
 (* --- snapshot/restore ---------------------------------------------------- *)
 
 let test_snapshot_restore_identity () =
   let n_branches = 11 in
-  let shards = 3 in
   let words = synth_words ~seed:7 ~n_branches ~n:50_000 in
   let cut = 23_456 in
   let prefix = Array.sub words 0 cut in
   let suffix = Array.sub words cut (Array.length words - cut) in
   (* one shot: the whole stream, snapshot at the end *)
   let full_snap, full_codes =
-    with_fd_server ~params:tiny ~n_branches ~shards (fun c ->
+    with_fd_server ~params:tiny ~n_branches (fun c ->
         Client.send_events c words;
         ignore (Client.flush c);
         (Client.snapshot c, query_codes c n_branches))
@@ -343,12 +381,12 @@ let test_snapshot_restore_identity () =
      not try to restore it *)
   Sys.remove path;
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
-  with_fd_server ~params:tiny ~n_branches ~shards ~snapshot_path:path (fun c ->
+  with_fd_server ~params:tiny ~n_branches ~snapshot_path:path (fun c ->
       Client.send_events c prefix;
       ignore (Client.flush c);
       ignore (Client.snapshot c));
   let resumed_snap, resumed_codes =
-    with_fd_server ~params:tiny ~n_branches ~shards ~snapshot_path:path (fun c ->
+    with_fd_server ~params:tiny ~n_branches ~snapshot_path:path (fun c ->
         Client.send_events c suffix;
         ignore (Client.flush c);
         (Client.snapshot c, query_codes c n_branches))
@@ -357,50 +395,60 @@ let test_snapshot_restore_identity () =
     (String.equal full_snap resumed_snap);
   Alcotest.(check (array int)) "decisions identical after restore+replay" full_codes resumed_codes;
   (* the snapshot codec itself round-trips *)
-  match Rs_serve.Snapshot.decode full_snap with
-  | Error msg -> Alcotest.failf "snapshot decode: %s" msg
-  | Ok snap ->
-    Alcotest.(check int) "snapshot records the event count" (Array.length words)
-      snap.Rs_serve.Snapshot.events;
-    Alcotest.(check bool) "snapshot re-encodes to the same bytes" true
-      (String.equal full_snap (Rs_serve.Snapshot.encode snap))
+  let snap = decode_snapshot full_snap in
+  Alcotest.(check int) "snapshot records the event count" (Array.length words)
+    snap.Rs_serve.Snapshot.events;
+  Alcotest.(check int) "the cursor is the stream position"
+    (Array.fold_left (fun acc w -> acc + TS.packed_delta w) 0 words)
+    snap.words.(0);
+  Alcotest.(check bool) "snapshot re-encodes to the same bytes" true
+    (String.equal full_snap (Rs_serve.Snapshot.encode snap))
 
-let test_snapshot_shard_count_pinned () =
-  let snap =
-    {
-      Rs_serve.Snapshot.n_branches = 4;
-      shards = 2;
-      events = 0;
-      last_instr = 0;
-      shard_state = [| [| 0 |]; [| 0 |] |];
-    }
-  in
+(* FNV-1a 64 of [s] without its last 8 bytes, written over them: what a
+   forger does to make a changed snapshot pass its checksum. *)
+let reseal s =
+  let n = String.length s - 8 in
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to n - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b n !h;
+  Bytes.to_string b
+
+(* A version-1 snapshot as the sharded server wrote it: branches,
+   shards, events and stream position, then a length-prefixed state
+   table per shard (here two empty ones). *)
+let v1_snapshot ~n_branches =
+  let b = Bytes.create (8 + (8 * 6)) in
+  Bytes.blit_string "RSSV" 0 b 0 4;
+  Bytes.set_int32_le b 4 1l;
+  List.iteri
+    (fun i v -> Bytes.set_int64_le b (8 + (8 * i)) (Int64.of_int v))
+    [ n_branches; 2; 0; 0; 0; 0 ];
+  Bytes.to_string b
+
+let test_snapshot_codec_validation () =
+  let snap = { Rs_serve.Snapshot.n_branches = 4; events = 0; words = [| min_int; 0; 0 |] } in
   let s = Rs_serve.Snapshot.encode snap in
-  (match Rs_serve.Snapshot.decode s with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "well-formed snapshot rejected: %s" msg);
+  Alcotest.(check bool) "well-formed snapshot round-trips" true
+    (Rs_serve.Snapshot.decode s = Ok snap);
+  Alcotest.(check bool) "the checksum is FNV-1a 64 of the bytes before it" true
+    (String.equal s (reseal s));
   (match Rs_serve.Snapshot.decode (String.sub s 0 (String.length s - 3)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must be rejected");
-  (* a header claiming more shards than the bytes can hold is refused
-     before anything is sized by it *)
+  (* a word count larger than the bytes hold is refused before anything
+     is sized by it, checksum or not *)
   let forged = Bytes.of_string s in
-  Bytes.set_int64_le forged 8 (Int64.shift_left 1L 41);
-  Bytes.set_int64_le forged 16 (Int64.shift_left 1L 40);
-  match Rs_serve.Snapshot.decode (Bytes.to_string forged) with
-  | Error msg -> Alcotest.(check string) "forged shard count" "snapshot shard state truncated" msg
-  | Ok _ -> Alcotest.fail "forged shard count must be rejected"
+  Bytes.set_int64_le forged 24 (Int64.shift_left 1L 40);
+  match Rs_serve.Snapshot.decode (reseal (Bytes.to_string forged)) with
+  | Error msg ->
+    Alcotest.(check string) "forged word count" "snapshot length disagrees with its word count" msg
+  | Ok _ -> Alcotest.fail "forged word count must be rejected"
 
 let test_snapshot_save_failure_cleans_up () =
-  let snap =
-    {
-      Rs_serve.Snapshot.n_branches = 4;
-      shards = 1;
-      events = 0;
-      last_instr = 0;
-      shard_state = [| [| 0 |] |];
-    }
-  in
+  let snap = { Rs_serve.Snapshot.n_branches = 4; events = 0; words = [| min_int |] } in
   (* a directory at [path] makes the final rename fail *)
   let path = Filename.temp_file "rs_serve_snapdir" "" in
   Sys.remove path;
@@ -411,17 +459,17 @@ let test_snapshot_save_failure_cleans_up () =
   | exception Sys_error _ -> ());
   Alcotest.(check bool) "no .tmp left behind" false (Sys.file_exists (path ^ ".tmp"))
 
-(* Mutated snapshots: decoding fails, or restore's checks (branch and
-   shard counts, then [Shard.import]) refuse the state, or every shard's
-   words pass [validate_words] — a mutation never installs a state the
-   controller could not reach.  Most mutations overwrite a word with a
-   small value, so many decode and reach the validation. *)
+(* Mutated snapshots, resealed so the checksum holds: decoding fails,
+   or restore's checks (branch count, then [Reactive.import_words])
+   refuse the state, or the words pass [validate_words] and import
+   exactly — a mutation never installs a state the controller could not
+   reach.  Most mutations overwrite a word with a small value, so many
+   decode and reach the validation. *)
 let fuzz_n_branches = 5
-let fuzz_shards = 2
 
 let fuzz_base =
   lazy
-    (with_fd_server ~params:tiny ~n_branches:fuzz_n_branches ~shards:fuzz_shards (fun c ->
+    (with_fd_server ~params:tiny ~n_branches:fuzz_n_branches (fun c ->
          Client.send_events c (synth_words ~seed:9 ~n_branches:fuzz_n_branches ~n:3_000);
          ignore (Client.flush c);
          Client.snapshot c))
@@ -442,7 +490,8 @@ let mutate base seed =
           (8 + (8 * Random.State.int st ((!len - 8) / 8)))
           (Int64.of_int (Random.State.int st 140 - 20))
   done;
-  Bytes.sub_string b 0 !len
+  let s = Bytes.sub_string b 0 !len in
+  if !len >= 8 then reseal s else s
 
 let qcheck_snapshot_decode_fuzz =
   QCheck.Test.make ~name:"snapshot fuzz: decode error, refused, or valid words" ~count:500
@@ -450,54 +499,82 @@ let qcheck_snapshot_decode_fuzz =
     (fun seed ->
       match Rs_serve.Snapshot.decode (mutate (Lazy.force fuzz_base) seed) with
       | Error _ -> true
-      | Ok snap when snap.n_branches <> fuzz_n_branches || snap.shards <> fuzz_shards -> true
-      | Ok snap ->
-        snap.shard_state
-        |> Array.mapi (fun index words ->
-               let shard =
-                 Rs_serve.Shard.create ~params:tiny ~n_branches:fuzz_n_branches
-                   ~shards:fuzz_shards ~index
-               in
-               match Rs_serve.Shard.import shard words with
-               | exception Invalid_argument _ -> true
-               | () ->
-                 let c = R.create ~n_branches:(Rs_serve.Shard.owned shard) tiny in
-                 R.validate_words c words = Ok ())
-        |> Array.for_all Fun.id)
+      | Ok snap when snap.n_branches <> fuzz_n_branches -> true
+      | Ok snap -> (
+        let c = R.create ~n_branches:fuzz_n_branches tiny in
+        match R.import_words c snap.words with
+        | exception Invalid_argument _ -> true
+        | () -> R.validate_words c snap.words = Ok () && R.export_words c = snap.words))
 
-(* A snapshot holding a state the machine can never reach — a branch
-   biased and speculating that was never selected — is refused at
-   startup like a shard-count mismatch, never installed. *)
-let test_restore_refuses_forged_state () =
-  let snap = Result.get_ok (Rs_serve.Snapshot.decode (Lazy.force fuzz_base)) in
-  (* shard 1's first branch: control word biased + deployed speculate,
-     selection and eviction counts zero *)
-  let words = Array.copy snap.shard_state.(1) in
-  words.(1) <- 1 lor (1 lsl 3);
-  words.(7) <- 0;
-  words.(8) <- 0;
-  let path = Filename.temp_file "rs_serve_forged" ".bin" in
+(* Start a server restoring [snap_bytes] and return its refusal. *)
+let restore_refusal snap_bytes =
+  let path = Filename.temp_file "rs_serve_refused" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Rs_serve.Snapshot.save ~path { snap with shard_state = [| snap.shard_state.(0); words |] };
+  Out_channel.with_open_bin path (fun oc -> output_string oc snap_bytes);
   let srv_fd, cli_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* with its peer gone, a server that did restore stops at once *)
   Unix.close cli_fd;
-  let transport = Server.Fd_pair (srv_fd, srv_fd) in
+  Fun.protect ~finally:(fun () -> Unix.close srv_fd) @@ fun () ->
   match
     Server.run
       {
         params = tiny;
         n_branches = fuzz_n_branches;
-        shards = fuzz_shards;
-        transport;
+        transport = Fd_pair (srv_fd, srv_fd);
         snapshot_path = Some path;
       }
   with
-  | () -> Alcotest.fail "a forged controller state was restored"
+  | () -> Alcotest.fail "the snapshot was restored"
   | exception Failure msg ->
-    Unix.close srv_fd;
     let prefix = Printf.sprintf "serve: cannot restore snapshot %s: " path in
-    Alcotest.(check bool) ("refused: " ^ msg) true (String.starts_with ~prefix msg)
+    Alcotest.(check bool) ("refused: " ^ msg) true (String.starts_with ~prefix msg);
+    String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+
+(* A snapshot holding a state the machine can never reach — a branch
+   biased and speculating that was never selected — is refused at
+   startup, never installed. *)
+let test_restore_refuses_forged_state () =
+  let snap = decode_snapshot (Lazy.force fuzz_base) in
+  (* branch 0: control word biased + deployed speculate, selection and
+     eviction counts zero *)
+  let words = Array.copy snap.words in
+  words.(1) <- 1 lor (1 lsl 3);
+  words.(7) <- 0;
+  words.(8) <- 0;
+  ignore (restore_refusal (Rs_serve.Snapshot.encode { snap with words }) : string)
+
+(* Every single flipped byte is refused by the checksum, even one inside
+   a state word that [validate_words] accepts; a version-1 snapshot is
+   refused by its version. *)
+let test_restore_refuses_flipped_byte_and_v1 () =
+  let base = Lazy.force fuzz_base in
+  let words = (decode_snapshot base).words in
+  let c = R.create ~n_branches:fuzz_n_branches tiny in
+  let flipped k =
+    let w = Array.copy words in
+    w.(k) <- w.(k) lxor 1;
+    w
+  in
+  let k =
+    match List.find_opt (fun k -> R.validate_words c (flipped k) = Ok ()) (List.init 40 succ) with
+    | Some k -> k
+    | None -> Alcotest.fail "no state word accepts a flipped low bit"
+  in
+  let b = Bytes.of_string base in
+  let off = 8 + (8 * (3 + k)) in
+  Bytes.set_uint8 b off (Bytes.get_uint8 b off lxor 1);
+  Alcotest.(check string) "flipped byte in a valid state word" "snapshot checksum mismatch"
+    (restore_refusal (Bytes.to_string b));
+  String.iteri
+    (fun i ch ->
+      let b = Bytes.of_string base in
+      Bytes.set b i (Char.chr (Char.code ch lxor 0x10));
+      match Rs_serve.Snapshot.decode (Bytes.to_string b) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "a flipped byte at %d decoded" i)
+    base;
+  Alcotest.(check string) "version-1 snapshot" "snapshot version 1 unsupported (expected 2)"
+    (restore_refusal (v1_snapshot ~n_branches:fuzz_n_branches))
 
 (* --- protocol errors and client isolation -------------------------------- *)
 
@@ -528,15 +605,13 @@ let test_bad_client_isolated () =
   let words = synth_words ~seed:3 ~n_branches ~n:20_000 in
   let cut = 12_345 in
   let reference = reference_codes ~params:tiny ~n_branches words in
-  with_socket_server ~params:tiny ~n_branches ~shards:3 (fun path ->
+  with_socket_server ~params:tiny ~n_branches (fun path ->
       let good = Client.connect path in
       Fun.protect ~finally:(fun () -> Client.close good) @@ fun () ->
       Client.send_events good (Array.sub words 0 cut);
       Alcotest.(check int) "good client flushed" cut (Client.flush good);
-      (* many valid words over every shard, then a bad branch id in the
-         last word: the error reply, a closed connection, and no state
-         change — repeated past the per-shard pool of 3 batches, which
-         deadlocks unless the rejected frame's batches are returned *)
+      (* many valid words, then a bad branch id in the last word: the
+         error reply and a closed connection, every time *)
       let valid = synth_words ~seed:5 ~n_branches ~n:30_000 in
       let frame = Array.append valid [| pack ~branch:(n_branches + 5) ~taken:true ~delta:1 |] in
       for _ = 1 to 4 do
@@ -570,8 +645,31 @@ let test_bad_client_isolated () =
         (Client.flush good);
       Alcotest.(check (array int)) "decisions unchanged" reference (query_codes good n_branches))
 
+(* A frame with a bad word after valid ones, at a nonzero stream
+   position, changes nothing: not a decision, not a state word, not the
+   next flush's count. *)
+let test_bad_frame_changes_nothing () =
+  let n_branches = 9 in
+  with_socket_server ~params:tiny ~n_branches (fun path ->
+      let good = Client.connect path in
+      Fun.protect ~finally:(fun () -> Client.close good) @@ fun () ->
+      Client.send_events good (synth_words ~seed:3 ~n_branches ~n:12_345);
+      let flushed = Client.flush good in
+      let codes = query_codes good n_branches and snap = Client.snapshot good in
+      let frame =
+        Array.append
+          (synth_words ~seed:5 ~n_branches ~n:30_000)
+          [| pack ~branch:(n_branches + 5) ~taken:true ~delta:1 |]
+      in
+      (match replies_until_closed path (Proto.encode_request (Events (frame, 30_001))) with
+      | [ Proto.Error_reply _ ] -> ()
+      | _ -> Alcotest.fail "a bad events frame must get one error reply, then a close");
+      Alcotest.(check int) "next flush acknowledges the same count" flushed (Client.flush good);
+      Alcotest.(check (array int)) "decisions unchanged" codes (query_codes good n_branches);
+      Alcotest.(check bool) "state words unchanged" true (String.equal snap (Client.snapshot good)))
+
 let test_query_error_keeps_connection () =
-  with_fd_server ~params:tiny ~n_branches:5 ~shards:2 (fun c ->
+  with_fd_server ~params:tiny ~n_branches:5 (fun c ->
       (match Client.query c 99 with
       | Error msg ->
         Alcotest.(check bool) "error names the range" true
@@ -584,22 +682,47 @@ let test_query_error_keeps_connection () =
 
 (* --- chaos ---------------------------------------------------------------- *)
 
-let test_chaos_shard_faults_deterministic () =
-  let n_branches = 13 in
-  let words = synth_words ~seed:9 ~n_branches ~n:40_000 in
-  let reference = reference_codes ~params:tiny ~n_branches words in
+(* An integer field of the server's flat STATS document. *)
+let stats_int json key =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let rec find i =
+    if String.sub json i (String.length pat) = pat then i + String.length pat else find (i + 1)
+  in
+  Scanf.sscanf (String.sub json (find 0) 20) "%d" Fun.id
+
+(* No event dropped or applied twice: the flush counts every event,
+   this process stepped each once, and the state words are those of a
+   plain controller fed the stream once. *)
+let check_exactly_once c ~n_branches words =
+  Alcotest.(check int) "flush counts every event" (Array.length words) (Client.flush c);
+  let stats = Client.stats c in
+  Alcotest.(check int) "every event stepped once" (Array.length words) (stats_int stats "applied");
+  Alcotest.(check (array int)) "state words match a plain controller"
+    (plain_words ~params:tiny ~n_branches words)
+    (decode_snapshot (Client.snapshot c)).words;
+  Alcotest.(check (array int)) "decisions match the reference"
+    (reference_codes ~params:tiny ~n_branches words)
+    (query_codes c n_branches);
+  stats_int stats "apply_faults"
+
+let with_faults spec f =
   Fun.protect
     ~finally:(fun () ->
       Fault.disable ();
       Fault.reset ())
   @@ fun () ->
-  (match
-     Fault.configure_spec
-       "seed=11,rate=0.8,max_raises=2,sites=serve.shard,delay=0.3,delay_us=200,delay_sites=serve"
-   with
+  (match Fault.configure_spec spec with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "fault spec: %s" msg);
-  with_socket_server ~params:tiny ~n_branches ~shards:3 (fun path ->
+  f ()
+
+let test_chaos_apply_faults_deterministic () =
+  let n_branches = 13 in
+  let words = synth_words ~seed:9 ~n_branches ~n:40_000 in
+  with_faults
+    "seed=11,rate=0.8,max_raises=2,sites=serve.apply,delay=0.3,delay_us=200,delay_sites=serve"
+  @@ fun () ->
+  with_socket_server ~params:tiny ~n_branches (fun path ->
       (* a client that dies mid-frame while faults fly *)
       let dying = Client.connect path in
       let junk = Bytes.of_string "\xff\x01" in
@@ -608,38 +731,28 @@ let test_chaos_shard_faults_deterministic () =
       Client.close dying;
       let c = Client.connect path in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      Client.send_events c words;
-      Alcotest.(check int) "every event applied exactly once under faults"
-        (Array.length words) (Client.flush c);
-      Alcotest.(check (array int)) "decisions unchanged by injected shard faults" reference
-        (query_codes c n_branches))
+      (* frames of 1,000 events, so the plan meets 40 frames *)
+      for f = 0 to 39 do
+        Client.send_events c (Array.sub words (f * 1000) 1000)
+      done;
+      let faults = check_exactly_once c ~n_branches words in
+      Alcotest.(check bool) "injected apply faults stalled frames" true (faults > 0))
 
-(* Every shard batch stalls up to 2 ms while the client ships 48 frames,
-   16 times the per-shard pool of 3 batches: ingest must wait for the
-   workers without deadlocking or dropping a frame. *)
-let test_backpressure_under_shard_delays () =
+(* Every frame stalls up to 2 ms while the client ships 48 frames: the
+   client meets socket backpressure, and no frame is dropped. *)
+let test_backpressure_under_apply_delays () =
   let n_branches = 13 in
   let words = synth_words ~seed:12 ~n_branches ~n:48_000 in
-  let reference = reference_codes ~params:tiny ~n_branches words in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disable ();
-      Fault.reset ())
-  @@ fun () ->
-  (match Fault.configure_spec "seed=5,rate=0,delay=1.0,delay_us=2000,delay_sites=serve.shard" with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "fault spec: %s" msg);
-  with_fd_server ~params:tiny ~n_branches ~shards:3 (fun c ->
+  with_faults "seed=5,rate=0,delay=1.0,delay_us=2000,delay_sites=serve.apply" @@ fun () ->
+  with_fd_server ~params:tiny ~n_branches (fun c ->
       for f = 0 to 47 do
         Client.send_events c (Array.sub words (f * 1000) 1000)
       done;
-      Alcotest.(check int) "every frame applied" (Array.length words) (Client.flush c);
-      Alcotest.(check (array int)) "decisions exact under backpressure" reference
-        (query_codes c n_branches))
+      ignore (check_exactly_once c ~n_branches words : int))
 
 let test_read_fault_drops_client_server_survives () =
   let n_branches = 5 in
-  with_socket_server ~params:tiny ~n_branches ~shards:2 (fun path ->
+  with_socket_server ~params:tiny ~n_branches (fun path ->
       Fun.protect
         ~finally:(fun () ->
           Fault.disable ();
@@ -673,20 +786,24 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_decoder_fuzz;
     Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
     Alcotest.test_case "protocol rejects malformed frames" `Quick test_protocol_rejects;
-    Alcotest.test_case "shard-count invariance" `Quick test_shard_invariance;
+    Alcotest.test_case "decisions match a plain controller" `Quick test_matches_plain_controller;
+    Alcotest.test_case "query sees the frame before it" `Quick test_query_sees_preceding_frame;
     Alcotest.test_case "snapshot/restore byte-identity" `Quick test_snapshot_restore_identity;
-    Alcotest.test_case "snapshot codec validation" `Quick test_snapshot_shard_count_pinned;
+    Alcotest.test_case "snapshot codec validation" `Quick test_snapshot_codec_validation;
     Alcotest.test_case "restore refuses a forged controller state" `Quick
       test_restore_refuses_forged_state;
+    Alcotest.test_case "restore refuses a flipped byte or version 1" `Quick
+      test_restore_refuses_flipped_byte_and_v1;
     QCheck_alcotest.to_alcotest qcheck_snapshot_decode_fuzz;
     Alcotest.test_case "snapshot save failure cleans up" `Quick
       test_snapshot_save_failure_cleans_up;
     Alcotest.test_case "bad client isolated" `Quick test_bad_client_isolated;
+    Alcotest.test_case "bad frame changes nothing" `Quick test_bad_frame_changes_nothing;
     Alcotest.test_case "query error keeps connection" `Quick test_query_error_keeps_connection;
-    Alcotest.test_case "chaos: shard faults deterministic" `Quick
-      test_chaos_shard_faults_deterministic;
-    Alcotest.test_case "backpressure under shard delays" `Quick
-      test_backpressure_under_shard_delays;
+    Alcotest.test_case "chaos: apply faults deterministic" `Quick
+      test_chaos_apply_faults_deterministic;
+    Alcotest.test_case "backpressure under apply delays" `Quick
+      test_backpressure_under_apply_delays;
     Alcotest.test_case "chaos: read fault drops client only" `Quick
       test_read_fault_drops_client_server_survives;
   ]
