@@ -34,8 +34,8 @@ echo "== tests (dune runtest) =="
 dune runtest
 
 # The fault stress suite re-runs the figure2/table3 pipeline, then
-# figures 7 and 8 side by side (their tasks wait on each other's MSSP
-# runs and help the pool meanwhile), at --jobs 4 under deterministic
+# figures 7 and 8 side by side (their tasks park on each other's
+# in-flight MSSP runs), at --jobs 4 under deterministic
 # injected faults (raises in the cache compute bodies, delays in the
 # pool) and asserts byte-identical output once the bounded retries
 # succeed.  Two seeds exercise two failure schedules;

@@ -20,7 +20,7 @@
     shares recordings across consumers, keyed on a caller-supplied
     population key plus the stream config.  It is one
     {!Rs_util.Memo} named ["trace_store"], so it shares that module's
-    in-flight sharing, bounded retry, waits that help the pool and
+    in-flight sharing, bounded retry, parked waits and
     [trace_store.*] metrics with the experiment cache's memos.  Capacity
     defaults to {!default_capacity_mb} MB and is set with
     {!set_capacity_bytes} (the CLI's [--trace-cache-mb]); a stream whose
@@ -106,9 +106,9 @@ val packed_delta : int -> int
     budget is the capacity.  A recording is a compute body of that memo:
     concurrent requests for one key record it once, a failed recording
     (an injected [trace_store.record] fault, say) is retried in place up
-    to {!Rs_util.Memo.retry_limit} attempts, and a latecomer in a pool
-    helps the pool while it waits.  Recording waits on nothing, which
-    keeps the memo waits acyclic (see {!Rs_util.Memo}). *)
+    to {!Rs_util.Memo.retry_limit} attempts, and a latecomer parks until
+    the recording publishes.  Recording waits on nothing, as the memo
+    wait rule requires (see {!Rs_util.Memo}). *)
 
 val cached : key:string -> Population.t -> Stream.config -> t option
 (** The trace for [(key, config)], recording it on a miss, or [None]

@@ -80,13 +80,18 @@ let analyze (f : Func.t) =
   (* blocks not yet reached contribute nothing to the meet *)
   let reached = Array.make n false in
   reached.(f.entry) <- true;
+  (* a block whose in-state changed since its last run: the meet is
+     idempotent, so re-running a clean block would change nothing *)
+  let dirty = Array.make n false in
+  dirty.(f.entry) <- true;
   let changed = ref true in
   let iter_guard = ref 0 in
   while !changed && !iter_guard < 4 * (n + 1) do
     changed := false;
     incr iter_guard;
     for l = 0 to n - 1 do
-      if reached.(l) then begin
+      if dirty.(l) then begin
+        dirty.(l) <- false;
         let out = block_out f in_states.(l) l in
         (* a call's return register is defined by the terminator, so the
            value flowing to the continuation is unknown *)
@@ -98,6 +103,7 @@ let analyze (f : Func.t) =
             if not reached.(s) then begin
               reached.(s) <- true;
               Array.blit out 0 in_states.(s) 0 f.nregs;
+              dirty.(s) <- true;
               changed := true
             end
             else
@@ -105,6 +111,7 @@ let analyze (f : Func.t) =
                 let m = meet in_states.(s).(r) out.(r) in
                 if m <> in_states.(s).(r) then begin
                   in_states.(s).(r) <- m;
+                  dirty.(s) <- true;
                   changed := true
                 end
               done)

@@ -24,14 +24,14 @@
 
     Each artifact kind is one {!Rs_util.Memo}, so entries are immutable
     once published and every operation is domain-safe: concurrent
-    requests for one key compute it exactly once, latecomers wait (and
-    help the pool while they do), a compute body that raises is retried
+    requests for one key compute it exactly once, latecomers park until
+    it is published, a compute body that raises is retried
     in place up to {!Rs_util.Memo.retry_limit} attempts, and a {!reset}
     racing an in-flight computation never lets a pre-reset result into
-    the post-reset table.  {!Rs_util.Memo} states the rule that keeps
-    the waits acyclic.  The cache is process-global — [rspec all]
+    the post-reset table.  {!Rs_util.Memo} states the one wait rule
+    that keeps parking free of deadlock.  The cache is process-global — [rspec all]
     threads it through every experiment.  Lookups feed the
-    [cache.<kind>.hits] / [.misses] / [.retries] counters of
+    [cache.<kind>.hits] / [.misses] / [.retries] / [.waits] counters of
     {!Rs_obs.Metrics}, and {!stats} totals them for the bench harness.
     Compute bodies consult the [cache.build] / [cache.profile] /
     [cache.run] / [cache.mssp] / [cache.mssp_tape] fault-injection

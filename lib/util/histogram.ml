@@ -1,9 +1,9 @@
-type t = { lo : float; hi : float; width : float; counts : int array; mutable total : int }
+type t = { lo : float; hi : float; width : float; counts : int array }
 
 let create ?(lo = 0.0) ?(hi = 1.0) ~bins () =
   if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
   if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-  { lo; hi; width = (hi -. lo) /. float_of_int bins; counts = Array.make bins 0; total = 0 }
+  { lo; hi; width = (hi -. lo) /. float_of_int bins; counts = Array.make bins 0 }
 
 let bins t = Array.length t.counts
 
@@ -13,10 +13,7 @@ let bin_of t x =
 
 let add t x =
   let i = bin_of t x in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.total <- t.total + 1
-
-let count t = t.total
+  t.counts.(i) <- t.counts.(i) + 1
 
 let bin_bounds t i =
   if i < 0 || i >= bins t then invalid_arg "Histogram.bin_bounds: index out of range";
@@ -25,10 +22,6 @@ let bin_bounds t i =
 let merge a b =
   if a.lo <> b.lo || a.hi <> b.hi || bins a <> bins b then
     invalid_arg "Histogram.merge: histograms must share lo, hi and bin count";
-  {
-    a with
-    counts = Array.init (bins a) (fun i -> a.counts.(i) + b.counts.(i));
-    total = a.total + b.total;
-  }
+  { a with counts = Array.init (bins a) (fun i -> a.counts.(i) + b.counts.(i)) }
 
 let to_list t = List.init (bins t) (fun i -> (bin_bounds t i, t.counts.(i)))

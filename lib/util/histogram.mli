@@ -12,14 +12,9 @@ val create : ?lo:float -> ?hi:float -> bins:int -> unit -> t
 val add : t -> float -> unit
 (** Record one observation. *)
 
-val count : t -> int
-(** Total observations. *)
-
-val bins : t -> int
-
 val merge : t -> t -> t
 (** Bin-wise sum of two histograms over the same range and bin count (the
-    inputs are untouched).  Total count is the sum of the inputs' counts.
+    inputs are untouched).
     @raise Invalid_argument if the shapes differ. *)
 
 val to_list : t -> ((float * float) * int) list

@@ -3,27 +3,15 @@ module Metrics = Rs_obs.Metrics
 (* One lock and condition guard every memo: contention is per-artifact
    (seconds of simulation behind each entry), not per-lookup, so a finer
    scheme would buy nothing.  A key being computed holds an [In_flight]
-   slot; latecomers for the same key wait for it (see [wait_for_publish])
-   instead of computing it a second time. *)
+   slot; latecomers for the same key park on [published] until it is
+   published instead of computing it a second time. *)
 let lock = Mutex.create ()
 let published = Condition.create ()
-
-(* The pools of the waiters currently helping, one entry per waiter,
-   woken after every publish and clear whichever domain made it.
-   Guarded by [lock]. *)
-let helping : Pool.t list ref = ref []
-
-(* How many compute bodies this domain is inside, over every memo. *)
-let computing = Domain.DLS.new_key (fun () -> ref 0)
-
-let rec remove_one p = function [] -> [] | q :: r -> if q == p then r else q :: remove_one p r
 
 (* Entered with [lock] held, which it releases. *)
 let broadcast () =
   Condition.broadcast published;
-  let pools = !helping in
-  Mutex.unlock lock;
-  List.iter Pool.wake pools
+  Mutex.unlock lock
 
 let limit = ref 3
 let retry_limit () = !limit
@@ -69,6 +57,7 @@ type ('k, 'v) t = {
   m_misses : Metrics.counter;
   m_retries : Metrics.counter;
   m_evictions : Metrics.counter;
+  m_waits : Metrics.counter;
   g_bytes : Metrics.gauge;
   g_entries : Metrics.gauge;
 }
@@ -91,6 +80,7 @@ let create ?(budget = max_int) ?(size = fun _ -> 0) name =
     m_misses = Metrics.counter (metric "misses");
     m_retries = Metrics.counter (metric "retries");
     m_evictions = Metrics.counter (metric "evictions");
+    m_waits = Metrics.counter (metric "waits");
     g_bytes = Metrics.gauge (metric "bytes");
     g_entries = Metrics.gauge (metric "entries");
   }
@@ -175,23 +165,14 @@ let publish m ~label key outcome ~gen0 =
   end;
   broadcast ()
 
-(* Wait until [key] is no longer [In_flight].  Entered and left with
-   [lock] held.  The helping waiter tests the slot under [lock], which
-   every publish and clear takes before waking the pools in [helping]:
-   no wakeup is lost. *)
+(* Park until [key] is no longer [In_flight], counted as one wait.
+   Entered and left with [lock] held; every publish and clear broadcasts
+   under it, so no wakeup is lost. *)
 let wait_for_publish m key =
-  match Pool.current () with
-  | Some pool when !(Domain.DLS.get computing) = 0 ->
-    helping := pool :: !helping;
-    Mutex.unlock lock;
-    Pool.await pool (fun () ->
-        Mutex.lock lock;
-        let flying = match Hashtbl.find_opt m.table key with Some In_flight -> true | _ -> false in
-        Mutex.unlock lock;
-        not flying);
-    Mutex.lock lock;
-    helping := remove_one pool !helping
-  | _ -> Pool.blocking (fun () -> Condition.wait published lock)
+  Metrics.incr m.m_waits;
+  while match Hashtbl.find_opt m.table key with Some In_flight -> true | _ -> false do
+    Condition.wait published lock
+  done
 
 let lookup m ~label ?(bytes = 0) key f =
   (* [compute] is entered with [lock] held and returns with it released. *)
@@ -200,13 +181,7 @@ let lookup m ~label ?(bytes = 0) key f =
     let gen0 = m.generation in
     Mutex.unlock lock;
     count_lookup m ~label ~hit:false;
-    let depth = Domain.DLS.get computing in
-    incr depth;
-    let outcome =
-      Fun.protect
-        ~finally:(fun () -> decr depth)
-        (fun () -> attempts ~on_retry:(fun () -> count_retry m ~label) ~from f)
-    in
+    let outcome = attempts ~on_retry:(fun () -> count_retry m ~label) ~from f in
     publish m ~label key outcome ~gen0;
     match outcome with Ok v -> Some v | Error (e, _) -> raise e
   in

@@ -21,19 +21,19 @@
       bodies check before publishing, so a value computed before a
       clear serves its own caller but never lands in the cleared table.
 
-    {b Waiting.}  A latecomer working in a pool of two or more domains
-    ({!Pool.current}) helps that pool while it waits ({!Pool.await});
-    any other latecomer, and every latecomer inside a compute body of
-    any memo, parks its domain ({!Pool.blocking}).  Waiting stays
-    acyclic because it rests only on compute-body depth, under one
-    rule every memo's bodies must keep: {e builds, traces and MSSP tapes
-    never wait; profiles and runs wait only on builds and traces, MSSP
-    runs only on MSSP tapes.}  A
-    helping domain is inside no compute body, so no task it picks up
-    can need a key its own stack is computing.
+    {b Waiting.}  Every latecomer, on whatever domain, parks on the
+    memo's condition until the key publishes; it runs nothing else
+    meanwhile.  Parking cannot deadlock as long as every memo's compute
+    bodies keep one rule: {e no body waits on its own layer or a higher
+    one, and no body maps on a pool.}  The layers, lowest first:
+    builds, traces and MSSP tapes wait on nothing; profiles and engine
+    runs wait only on builds and traces; MSSP runs wait only on MSSP
+    tapes.  A parked domain therefore waits on a body that waits only
+    on lower layers, and the chain ends.
 
     {b Observability.}  A memo named [name] feeds the
-    [<name>.hits] / [.misses] / [.retries] / [.evictions] counters and
+    [<name>.hits] / [.misses] / [.retries] / [.evictions] / [.waits]
+    (latecomers parked on an in-flight key) counters and
     the [<name>.bytes] / [.entries] gauges of {!Rs_obs.Metrics}, and,
     when tracing is on, emits a ["memo"] {!Rs_obs.Trace} event per
     lookup, retry and eviction, tagged with the memo's name, the

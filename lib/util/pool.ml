@@ -12,10 +12,9 @@
    Newest first keeps a helper inside the innermost nested map, so
    nesting depth and live memory stay those of a depth-first walk.
    "Help while you wait" means some domain is always running an
-   element, so nested maps on one pool cannot deadlock.
-   [await] offers the same loop to waits outside the pool: a domain
-   waiting for an artifact another domain is computing runs queued work
-   until it is ready.
+   element, so nested maps on one pool cannot deadlock.  Only a map's
+   join helps: a domain waiting on anything else (a memo's in-flight
+   key) parks without touching the queue.
 
    Sleeping is a two-phase check: a would-be sleeper registers in
    [sleepers] and re-checks the open jobs under the pool mutex before
@@ -53,18 +52,7 @@ let m_tasks = Metrics.counter "pool.tasks"
 let m_shared = Metrics.counter "pool.shared"
 let m_worker_failures = Metrics.counter "pool.worker_failures"
 let m_suppressed_failures = Metrics.counter "pool.suppressed_failures"
-let m_await_helped = Metrics.counter "pool.await.helped"
-let m_await_helped_us = Metrics.counter "pool.await.helped_us"
-let m_await_blocked = Metrics.counter "pool.await.blocked"
-let m_await_blocked_us = Metrics.counter "pool.await.blocked_us"
 let g_jobs = Metrics.gauge "pool.jobs"
-
-(* The pools this domain works in, innermost first: a worker's own pool
-   for its lifetime, and the pool of every map the domain is inside that
-   runs on the queue (two or more elements on a [jobs >= 2] pool). *)
-let inside : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let current () = match !(Domain.DLS.get inside) with p :: _ -> Some p | [] -> None
 
 let wake t =
   if Atomic.get t.sleepers > 0 then begin
@@ -125,33 +113,7 @@ let acquire t ~stop =
        found
      end
 
-(* Run queued work until [ready ()] holds: the join loop of [map_range]
-   and of [await]. *)
-let help_until t ready =
-  while not (ready ()) do
-    ignore (acquire t ~stop:ready : bool)
-  done
-
-(* Waits a domain is inside: a task run while helping can wait in
-   turn, and only the outermost wait's time is counted, so the seconds
-   are domain-seconds spent waiting. *)
-let waiting = Domain.DLS.new_key (fun () -> ref 0)
-
-let timed counter us f =
-  Metrics.incr counter;
-  let depth = Domain.DLS.get waiting in
-  let t0 = if !depth = 0 then Rs_obs.Trace.now () else 0.0 in
-  incr depth;
-  Fun.protect f ~finally:(fun () ->
-      decr depth;
-      if !depth = 0 then Metrics.add us (int_of_float ((Rs_obs.Trace.now () -. t0) *. 1e6)))
-
-let await t ready = timed m_await_helped m_await_helped_us (fun () -> help_until t ready)
-let blocking f = timed m_await_blocked m_await_blocked_us f
-
 let worker_main t i =
-  let inside = Domain.DLS.get inside in
-  inside := t :: !inside;
   (* An injected startup failure kills just this worker: the pool
      degrades to fewer helpers, and the caller-helps rule keeps every
      map completing. *)
@@ -185,8 +147,6 @@ let create ?jobs () =
   t.workers <- List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker_main t i));
   Metrics.set g_jobs jobs;
   t
-
-let jobs t = t.jobs
 
 (* Entered with [t.mutex] held, which it releases before joining the
    workers (they need it to observe the shutdown).  A worker performing a
@@ -260,23 +220,23 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
       let job =
         { cursor = Atomic.make 0; size = n; cutoff; caller = (Domain.self () :> int); run }
       in
-      let inside = Domain.DLS.get inside in
-      inside := t :: !inside;
-      Fun.protect ~finally:(fun () -> inside := List.tl !inside) (fun () ->
-          Mutex.lock t.mutex;
-          t.open_jobs <- job :: t.open_jobs;
-          Mutex.unlock t.mutex;
-          wake t;
-          while run_chunk job do
-            ()
-          done;
-          (* every element is claimed: nobody can take from the job again *)
-          Mutex.lock t.mutex;
-          t.open_jobs <- List.filter (fun j -> j != job) t.open_jobs;
-          Mutex.unlock t.mutex;
-          (* the caller is the pool's jobs-th executor: help until every
-             element of this map has settled *)
-          help_until t (fun () -> Atomic.get remaining = 0));
+      Mutex.lock t.mutex;
+      t.open_jobs <- job :: t.open_jobs;
+      Mutex.unlock t.mutex;
+      wake t;
+      while run_chunk job do
+        ()
+      done;
+      (* every element is claimed: nobody can take from the job again *)
+      Mutex.lock t.mutex;
+      t.open_jobs <- List.filter (fun j -> j != job) t.open_jobs;
+      Mutex.unlock t.mutex;
+      (* the caller is the pool's jobs-th executor: help until every
+         element of this map has settled *)
+      let settled () = Atomic.get remaining = 0 in
+      while not (settled ()) do
+        ignore (acquire t ~stop:settled : bool)
+      done;
       (* Re-raise the lowest-indexed failure with its original backtrace;
          further failures cannot also propagate, so they are surfaced
          through the [pool.suppressed_failures] counter instead of being
@@ -301,28 +261,22 @@ let task_event event dom i =
   Rs_obs.Trace.emit "task" [ S ("event", event); I ("domain", dom); I ("index", i) ]
 
 let map_ordered t f arr =
-  let n = Array.length arr in
-  if t.jobs = 1 || n <= 1 then begin
-    enter_map t;
-    Fun.protect ~finally:(fun () -> exit_map t) @@ fun () -> Array.map f arr
-  end
-  else
-    map_range t ~cutoff:1 ~lo:0 ~hi:n (fun i ->
-        let traced = Rs_obs.Trace.enabled () in
-        let dom = (Domain.self () :> int) in
-        if traced then task_event "start" dom i;
-        (* re-raised in place, not boxed in a result: this runs per element *)
-        let r =
-          try
-            Rs_obs.Fault_hook.hit ~site:"pool.task" ~key:(string_of_int i);
-            f arr.(i)
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            if traced then task_event "stop" dom i;
-            Printexc.raise_with_backtrace e bt
-        in
-        if traced then task_event "stop" dom i;
-        r)
+  map_range t ~lo:0 ~hi:(Array.length arr) (fun i ->
+      let traced = Rs_obs.Trace.enabled () in
+      let dom = (Domain.self () :> int) in
+      if traced then task_event "start" dom i;
+      (* re-raised in place, not boxed in a result: this runs per element *)
+      let r =
+        try
+          Rs_obs.Fault_hook.hit ~site:"pool.task" ~key:(string_of_int i);
+          f arr.(i)
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          if traced then task_event "stop" dom i;
+          Printexc.raise_with_backtrace e bt
+      in
+      if traced then task_event "stop" dom i;
+      r)
 
 (* --- scheduler counters ----------------------------------------------- *)
 
@@ -331,13 +285,7 @@ type stats = {
   shared : int;
   worker_failures : int;
   suppressed_failures : int;
-  awaits_helped : int;
-  awaits_helped_s : float;
-  awaits_blocked : int;
-  awaits_blocked_s : float;
 }
-
-let seconds us = float_of_int (Metrics.counter_value us) /. 1e6
 
 let stats () =
   {
@@ -345,10 +293,6 @@ let stats () =
     shared = Metrics.counter_value m_shared;
     worker_failures = Metrics.counter_value m_worker_failures;
     suppressed_failures = Metrics.counter_value m_suppressed_failures;
-    awaits_helped = Metrics.counter_value m_await_helped;
-    awaits_helped_s = seconds m_await_helped_us;
-    awaits_blocked = Metrics.counter_value m_await_blocked;
-    awaits_blocked_s = seconds m_await_blocked_us;
   }
 
 (* Process-wide pool, sized by the most recent request. *)

@@ -18,14 +18,17 @@
     Nested use is supported: a task may itself map on the same pool.
     While a caller waits for its results it helps — running chunks of
     the newest open map — so nesting adds no deadlock and wastes no
-    worker.
+    worker.  That join is the pool's only help-while-waiting: a task
+    that waits on anything else (a {!Memo} key another domain is
+    computing) parks its domain.
 
     Lifecycle: a pool is live from {!create} until {!close} completes.
     Mapping on a closed pool raises {!Closed} rather than silently
     running caller-only; closing a pool with maps in flight defers the
     shutdown until the last of them finishes.
 
-    Fault injection: each element consults the ["pool.task"] site and
+    Fault injection: each {!map_ordered} element consults the
+    ["pool.task"] site and
     each starting worker ["pool.worker_start"] through
     {!Rs_obs.Fault_hook}.  An injected raise fails the element
     (re-raised by the map like any task error) or kills the starting
@@ -44,9 +47,6 @@ val create : ?jobs:int -> unit -> t
     1.  Pools are independent; prefer {!shared} for the process-wide
     one. *)
 
-val jobs : t -> int
-(** The parallelism width this pool was created with. *)
-
 val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
 (** [map_range t ~lo ~hi f] computes [[| f lo; …; f (hi - 1) |]],
     handing [lo, hi) out to the pool's domains [cutoff] elements
@@ -61,44 +61,22 @@ val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
     via [Printexc.raise_with_backtrace].  Additional failures are
     counted in the [pool.suppressed_failures] metric rather than
     silently discarded.  The pool remains usable after a failed map.
-    Raises {!Closed} if the pool has been shut down. *)
+    Raises {!Closed} if the pool has been shut down and the range is
+    not empty. *)
 
 val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_ordered t f arr] applies [f] to every element through
     {!map_range} (cutoff 1) and returns the results in input order.
-    Adds the per-element observability of the experiment runner: a
-    [pool.task] fault-injection site keyed by index and task start/stop
-    trace events.  Same error contract as {!map_range}. *)
+    Adds the per-element observability of the experiment runner, on
+    every pool including [jobs = 1]: a [pool.task] fault-injection site
+    keyed by index and task start/stop trace events.  Same error
+    contract as {!map_range}. *)
 
 val close : t -> unit
 (** Shut the workers down and join their domains.  Called while maps are
     in flight, it retires the pool instead: those maps (and their nested
     maps) run to completion, the last one's epilogue performs the
     shutdown, and only then do new maps raise {!Closed}.  Idempotent. *)
-
-val current : unit -> t option
-(** The pool the calling domain works in: a worker's own pool, or the
-    pool of the innermost map the domain is inside.  [None] for a domain
-    outside every pool, including callers of a [jobs = 1] pool, which
-    run their maps without any pool machinery. *)
-
-val await : t -> (unit -> bool) -> unit
-(** [await t ready] returns once [ready ()] holds, running chunks of
-    [t]'s newest open map meanwhile, as a map's join does.  When no map
-    is open it sleeps until {!wake} or new work.  [ready] must become true through
-    a write followed by {!wake} [t] (or by a task's completion); it is
-    polled without any lock.  Counted in the [pool.await.helped] and
-    [pool.await.helped_us] metrics.  Meant for a domain working in [t]
-    ({!current}), though any domain may help. *)
-
-val wake : t -> unit
-(** Wake the domains sleeping in [t] (workers and {!await}ers), so they
-    re-check their exit conditions.  Cheap when nobody sleeps. *)
-
-val blocking : (unit -> unit) -> unit
-(** [blocking wait] runs [wait], a wait that parks the calling domain
-    without helping any pool, counted in the [pool.await.blocked] and
-    [pool.await.blocked_us] metrics. *)
 
 val shared : jobs:int -> t
 (** The process-wide pool, created on first use.  Asking for a different
@@ -114,14 +92,7 @@ type stats = {
   shared : int;  (** chunks run by a domain other than their map's caller *)
   worker_failures : int;
   suppressed_failures : int;
-  awaits_helped : int;  (** {!await} calls *)
-  awaits_helped_s : float;  (** seconds spent in them *)
-  awaits_blocked : int;  (** {!blocking} calls *)
-  awaits_blocked_s : float;  (** seconds spent in them *)
 }
-(** A wait entered while the domain is already inside one (a task run by
-    {!await} can wait in turn) is counted but its time is not, so the
-    seconds are domain-seconds: at most [jobs] per second of wall time. *)
 
 val stats : unit -> stats
 (** Process-wide scheduler counters (the [pool.*] metrics of

@@ -50,8 +50,6 @@ let next t = advance t * mult
 
 let bits62 t = bits62_of (advance t)
 
-let bits64 t = Int64.of_int (next t)
-
 let split t = { s = scramble (next t + 0x61C8864680B583EB) }
 
 (* Top-level recursion, not a local closure: the generators below sit in

@@ -23,9 +23,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a child generator whose stream is
     statistically independent of the parent's subsequent output. *)
 
-val bits64 : t -> int64
-(** Next raw output as an int64 (63 significant bits). *)
-
 val bits62 : t -> int
 (** Next raw output masked to a non-negative native int (62 bits). *)
 

@@ -126,6 +126,45 @@ let test_failed_slot_not_poisoned () =
      Alcotest.fail "expected the stored exception"
    with Failure _ -> ());
   Alcotest.(check int) "exhausted key re-raises without recomputing" 0 !later;
+  (* a key whose body keeps raising wakes the latecomers parked on it,
+     and each re-raises the exhausted failure without running its own
+     body *)
+  let waits = Metrics.counter "test-poison.waits" in
+  let parked = Metrics.counter_value waits + 2 in
+  let started = Atomic.make false and waiter_ran = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        Memo.find_or_compute m ~label:"t" "k3" (fun () ->
+            Atomic.set started true;
+            let t0 = Unix.gettimeofday () in
+            while Metrics.counter_value waits < parked && Unix.gettimeofday () -. t0 < 10.0 do
+              Unix.sleepf 0.001
+            done;
+            failwith "parked"))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let waiter () =
+    Domain.spawn (fun () ->
+        match
+          Memo.find_or_compute m ~label:"t" "k3" (fun () ->
+              Atomic.set waiter_ran true;
+              0)
+        with
+        | _ -> None
+        | exception Failure msg -> Some msg)
+  in
+  let waiters = [ waiter (); waiter () ] in
+  (match Domain.join owner with
+  | _ -> Alcotest.fail "expected the owner's exhausted failure"
+  | exception Failure _ -> ());
+  List.iter
+    (fun d ->
+      Alcotest.(check (option string)) "a parked waiter re-raises" (Some "parked") (Domain.join d))
+    waiters;
+  Alcotest.(check bool) "both waiters parked" true (Metrics.counter_value waits >= parked);
+  Alcotest.(check bool) "no waiter ran its body" false (Atomic.get waiter_ran);
   (* clearing the memo clears the failure *)
   Memo.clear m;
   Alcotest.(check int) "reset unpoisons" 9
@@ -161,9 +200,9 @@ let ctx jobs = E.Context.create ~seed:42 ~scale:0.02 ~tau:10 ~jobs ()
 let render_pipeline c = E.Figure2.render (E.Figure2.run c) ^ E.Table3.render (E.Table3.run c)
 
 (* Figures 7 and 8 share MSSP runs through [Cache.mssp].  Run side by
-   side, as [rspec all] runs them, their tasks wait on each other's
-   in-flight runs and help the pool meanwhile, under injected raises in
-   the compute bodies and delays in the pool. *)
+   side, as [rspec all] runs them, their tasks park on each other's
+   in-flight runs, under injected raises in the compute bodies and
+   delays in the pool. *)
 let render_stress_pipeline c =
   let mssp =
     Pool.map_ordered (E.Context.pool c)
@@ -283,18 +322,23 @@ let test_pool_worker_start_fault () =
     (Array.init 32 (fun i -> i * 2))
     out
 
+(* The site fires on every pool, a jobs-1 pool included, so results
+   under faults do not depend on --jobs. *)
 let test_pool_task_fault_propagates () =
-  with_faults "seed=8,rate=1.0,sites=pool.task" @@ fun () ->
-  let p = Pool.create ~jobs:3 () in
-  Fun.protect ~finally:(fun () -> Pool.close p) @@ fun () ->
-  (try
-     ignore (Pool.map_ordered p Fun.id (Array.init 8 Fun.id));
-     Alcotest.fail "expected an injected task fault"
-   with Fault.Injected { site; _ } -> Alcotest.(check string) "site" "pool.task" site);
-  (* the pool survives injected task failures *)
-  Fault.disable ();
-  let out = Pool.map_ordered p (fun i -> i + 1) (Array.init 8 Fun.id) in
-  Alcotest.(check int) "pool usable afterwards" 8 out.(7)
+  List.iter
+    (fun jobs ->
+      with_faults "seed=8,rate=1.0,sites=pool.task" @@ fun () ->
+      let p = Pool.create ~jobs () in
+      Fun.protect ~finally:(fun () -> Pool.close p) @@ fun () ->
+      (try
+         ignore (Pool.map_ordered p Fun.id (Array.init 8 Fun.id));
+         Alcotest.failf "expected an injected task fault at jobs=%d" jobs
+       with Fault.Injected { site; _ } -> Alcotest.(check string) "site" "pool.task" site);
+      (* the pool survives injected task failures *)
+      Fault.disable ();
+      let out = Pool.map_ordered p (fun i -> i + 1) (Array.init 8 Fun.id) in
+      Alcotest.(check int) "pool usable afterwards" 8 out.(7))
+    [ 1; 3 ]
 
 (* --- trace sink failure semantics ------------------------------------------ *)
 

@@ -4,7 +4,7 @@ let test_determinism () =
   let a = Prng.create 7 in
   let b = Prng.create 7 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
+    Alcotest.(check int) "same stream" (Prng.bits62 a) (Prng.bits62 b)
   done
 
 let test_seed_sensitivity () =
@@ -12,20 +12,20 @@ let test_seed_sensitivity () =
   let b = Prng.create 8 in
   let differs = ref false in
   for _ = 1 to 16 do
-    if not (Int64.equal (Prng.bits64 a) (Prng.bits64 b)) then differs := true
+    if Prng.bits62 a <> Prng.bits62 b then differs := true
   done;
   Alcotest.(check bool) "different seeds diverge" true !differs
 
 let test_copy_independent () =
   let a = Prng.create 3 in
-  let _ = Prng.bits64 a in
+  let _ = Prng.bits62 a in
   let b = Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Prng.bits64 a) (Prng.bits64 b);
+  Alcotest.(check int) "copy continues identically" (Prng.bits62 a) (Prng.bits62 b);
   (* advancing one does not advance the other *)
-  let _ = Prng.bits64 a in
-  let x = Prng.bits64 a in
-  let y = Prng.bits64 b in
-  Alcotest.(check bool) "copies diverge after unequal draws" false (Int64.equal x y)
+  let _ = Prng.bits62 a in
+  let x = Prng.bits62 a in
+  let y = Prng.bits62 b in
+  Alcotest.(check bool) "copies diverge after unequal draws" false (x = y)
 
 let test_split_independence () =
   let parent = Prng.create 11 in
@@ -33,7 +33,7 @@ let test_split_independence () =
   (* A child stream must not mirror its parent. *)
   let equal = ref 0 in
   for _ = 1 to 64 do
-    if Int64.equal (Prng.bits64 parent) (Prng.bits64 child) then incr equal
+    if Prng.bits62 parent = Prng.bits62 child then incr equal
   done;
   Alcotest.(check int) "no collisions in 64 draws" 0 !equal
 
@@ -89,7 +89,7 @@ let test_sibling_splits_differ () =
   let b = Rs_util.Prng.split parent in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Int64.equal (Rs_util.Prng.bits64 a) (Rs_util.Prng.bits64 b) then incr same
+    if Rs_util.Prng.bits62 a = Rs_util.Prng.bits62 b then incr same
   done;
   Alcotest.(check int) "sibling children diverge" 0 !same
 

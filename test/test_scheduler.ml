@@ -1,9 +1,10 @@
 (* The shared-queue scheduler: map_range over the open-job queue,
    caller-first claiming, jobs-independence under random nesting, and
-   memo waits that help the pool. *)
+   memo waits that park inside pool maps. *)
 
 module Pool = Rs_util.Pool
 module Memo = Rs_util.Memo
+module Metrics = Rs_obs.Metrics
 
 let busy n =
   let acc = ref 0 in
@@ -85,7 +86,7 @@ let nested_identity_test =
         Prop.int ~lo:1 ~hi:5 rng ))
     nested_identity_prop
 
-(* --- memo waits help the pool ------------------------------------------ *)
+(* --- memo waits park inside pool maps ------------------------------------- *)
 
 let wait_until ?(timeout = 10.0) cond =
   let t0 = Unix.gettimeofday () in
@@ -145,8 +146,8 @@ let compute_outside m key body =
   d
 
 (* A domain inside a compute body blocks on an in-flight key.  If it
-   helped instead, it would pop the queued task, which needs the key the
-   domain is itself computing, and wait for it forever. *)
+   helped the pool instead, it would pop the queued task, which needs
+   the key the domain is itself computing, and wait for it forever. *)
 let test_compute_body_blocks () =
   let m = Memo.create "test-body-blocks" in
   let find key f = Memo.find_or_compute m ~label:"t" key f in
@@ -158,7 +159,8 @@ let test_compute_body_blocks () =
         Atomic.set slow_done true;
         1)
   in
-  let blocked = (Pool.stats ()).awaits_blocked in
+  let waits = Metrics.counter "test-body-blocks.waits" in
+  let blocked = Metrics.counter_value waits in
   let early = Atomic.make false in
   let out =
     with_busy_worker @@ fun pool ->
@@ -176,62 +178,26 @@ let test_compute_body_blocks () =
   Alcotest.(check int) "slow key" 1 (Domain.join slow);
   Alcotest.(check (array int)) "both tasks see the outer key" [| 2; 2 |] out;
   Alcotest.(check bool) "the queued task did not run during the wait" false (Atomic.get early);
-  Alcotest.(check bool) "the wait was a blocking one" true
-    ((Pool.stats ()).awaits_blocked > blocked)
+  Alcotest.(check bool) "the wait was a parked one" true (Metrics.counter_value waits > blocked)
 
-(* A waiter on a slow key runs an independent queued task before the key
-   publishes.  The key publishes once that task has run, or after 5 s. *)
-let test_waiter_helps () =
-  let m = Memo.create "test-waiter-helps" in
-  let probe_ran = Atomic.make false and body_returned = Atomic.make false in
-  let slow =
-    compute_outside m "slow" (fun () ->
-        ignore (wait_until ~timeout:5.0 (fun () -> Atomic.get probe_ran));
-        Atomic.set body_returned true;
-        1)
-  in
-  let helped = (Pool.stats ()).awaits_helped in
-  let probe_early = Atomic.make false and same_domain = Atomic.make false in
-  let out =
-    with_busy_worker @@ fun pool ->
-    with_watchdog "a helping waiter" @@ fun () ->
-    let waiter = Domain.self () in
-    Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
-        if i = 0 then Memo.find_or_compute m ~label:"t" "slow" (fun () -> 0)
-        else begin
-          Atomic.set probe_early (not (Atomic.get body_returned));
-          Atomic.set same_domain (Domain.self () = waiter);
-          Atomic.set probe_ran true;
-          7
-        end)
-  in
-  Alcotest.(check int) "slow key" 1 (Domain.join slow);
-  Alcotest.(check (array int)) "results" [| 1; 7 |] out;
-  Alcotest.(check bool) "the queued task ran before the key published" true
-    (Atomic.get probe_early);
-  Alcotest.(check bool) "on the waiting domain" true (Atomic.get same_domain);
-  Alcotest.(check bool) "the wait helped" true ((Pool.stats ()).awaits_helped > helped)
-
-(* A publish from a domain outside the pool wakes a waiter that has
-   helped with everything queued and gone to sleep in the pool. *)
+(* A publish from a domain outside the pool wakes a waiter parked
+   inside a pool map: the map's caller, which claims the waiting element
+   first.  The key publishes once that waiter is parked. *)
 let test_outside_publish_wakes_helper () =
   let m = Memo.create "test-outside-wakes" in
-  let drained = Atomic.make false in
+  let waits = Metrics.counter "test-outside-wakes.waits" in
+  let parked = Metrics.counter_value waits + 1 in
   let slow =
     compute_outside m "slow" (fun () ->
-        ignore (wait_until (fun () -> Atomic.get drained));
+        ignore (wait_until (fun () -> Metrics.counter_value waits >= parked));
         Unix.sleepf 0.2;
         1)
   in
   let out =
     with_busy_worker @@ fun pool ->
-    with_watchdog "a sleeping helper" @@ fun () ->
+    with_watchdog "a parked waiter" @@ fun () ->
     Pool.map_range pool ~lo:0 ~hi:2 (fun i ->
-        if i = 0 then Memo.find_or_compute m ~label:"t" "slow" (fun () -> 0)
-        else begin
-          Atomic.set drained true;
-          7
-        end)
+        if i = 0 then Memo.find_or_compute m ~label:"t" "slow" (fun () -> 0) else 7)
   in
   Alcotest.(check int) "slow key" 1 (Domain.join slow);
   Alcotest.(check (array int)) "results" [| 1; 7 |] out
@@ -298,6 +264,5 @@ let suite =
     Alcotest.test_case "nested caller claims its own elements first" `Quick test_caller_first;
     nested_identity_test;
     Alcotest.test_case "cache wait in a compute body blocks" `Quick test_compute_body_blocks;
-    Alcotest.test_case "cache waiter helps the pool" `Quick test_waiter_helps;
     Alcotest.test_case "outside publish wakes a helper" `Quick test_outside_publish_wakes_helper;
   ]
