@@ -298,95 +298,6 @@ let simplify_cfg (f : Func.t) =
   in
   { f with blocks; entry = relabel f.entry }
 
-(* --- local common-subexpression elimination -------------------------------
-
-   Within a block: available pure expressions are keyed on their opcode
-   and the {e versions} of their source registers (versions bump on every
-   redefinition, so stale entries invalidate themselves); loads also key
-   on a store era that bumps at every store (no aliasing information).
-   A recomputation becomes a [Mov] from the holding register, later uses
-   are rewritten to the original register, and global DCE removes the
-   [Mov] when nothing downstream needs the duplicate name. *)
-
-type cse_key =
-  | Kbin of Instr.binop * int * int * int * int  (** op, r1, v1, r2, v2 *)
-  | Kaddi of int * int * int
-  | Kcmp of Instr.cmp * int * int * int * int
-  | Kcmpi of Instr.cmp * int * int * int
-  | Kload of int * int * int * int  (** base, version, offset, store era *)
-
-let local_cse (f : Func.t) =
-  Func.map_blocks
-    (fun _ b ->
-      let version = Array.make f.nregs 0 in
-      let avail : (cse_key, int * int) Hashtbl.t = Hashtbl.create 16 in
-      let subst : (int * int) option array = Array.make f.nregs None in
-      let era = ref 0 in
-      let resolve r =
-        match subst.(r) with
-        | Some (s, sv) when version.(s) = sv -> s
-        | _ -> r
-      in
-      let defined rd =
-        version.(rd) <- version.(rd) + 1;
-        subst.(rd) <- None
-      in
-      let rewrite (i : Instr.t) : Instr.t =
-        match i with
-        | Li _ -> i
-        | Mov (rd, rs) -> Mov (rd, resolve rs)
-        | Binop (op, rd, r1, r2) -> Binop (op, rd, resolve r1, resolve r2)
-        | Addi (rd, rs, v) -> Addi (rd, resolve rs, v)
-        | Cmp (c, rd, r1, r2) -> Cmp (c, rd, resolve r1, resolve r2)
-        | Cmpi (c, rd, rs, v) -> Cmpi (c, rd, resolve rs, v)
-        | Load (rd, rs, off) -> Load (rd, resolve rs, off)
-        | Store (r1, r2, off) -> Store (resolve r1, resolve r2, off)
-      in
-      let key_of (i : Instr.t) =
-        match i with
-        | Binop (op, _, r1, r2) -> Some (Kbin (op, r1, version.(r1), r2, version.(r2)))
-        | Addi (_, rs, v) -> Some (Kaddi (rs, version.(rs), v))
-        | Cmp (c, _, r1, r2) -> Some (Kcmp (c, r1, version.(r1), r2, version.(r2)))
-        | Cmpi (c, _, rs, v) -> Some (Kcmpi (c, rs, version.(rs), v))
-        | Load (_, rs, off) -> Some (Kload (rs, version.(rs), off, !era))
-        | Li _ | Mov _ | Store _ -> None
-      in
-      let body =
-        Array.map
-          (fun instr ->
-            let instr = rewrite instr in
-            match Instr.def instr with
-            | None ->
-              if Instr.is_store instr then incr era;
-              instr
-            | Some rd ->
-              (match key_of instr with
-              | Some key ->
-                (match Hashtbl.find_opt avail key with
-                | Some (src, sv) when version.(src) = sv && src <> rd ->
-                  defined rd;
-                  subst.(rd) <- Some (src, version.(src));
-                  Instr.Mov (rd, src)
-                | _ ->
-                  defined rd;
-                  Hashtbl.replace avail key (rd, version.(rd));
-                  instr)
-              | None ->
-                defined rd;
-                instr))
-          b.body
-      in
-      let term =
-        match b.term with
-        | Func.Branch br -> Func.Branch { br with cond = resolve br.cond }
-        | Func.Ret (Some r) -> Func.Ret (Some (resolve r))
-        | Func.Call c -> Func.Call { c with args = List.map resolve c.args }
-        | Func.TailCall c -> Func.TailCall { c with args = List.map resolve c.args }
-        | t -> t
-      in
-      { Func.body; term })
-    f
-
 (* Merge each block into its unique jump-predecessor. *)
 let merge_blocks (f : Func.t) =
   let n = Array.length f.blocks in
@@ -422,11 +333,7 @@ let optimize f =
   let rec fix f budget =
     if budget = 0 then f
     else begin
-      let f' =
-        simplify_cfg
-          (merge_blocks
-             (dead_code_elimination (constant_fold (local_cse f))))
-      in
+      let f' = simplify_cfg (merge_blocks (dead_code_elimination (constant_fold f))) in
       if Func.static_size f' = Func.static_size f && Array.length f'.blocks = Array.length f.blocks
       then f'
       else fix f' (budget - 1)

@@ -29,15 +29,9 @@ val simplify_cfg : Rs_ir.Func.t -> Rs_ir.Func.t
 (** Remove unreachable blocks, thread trivial jump chains (through jump,
     branch and call-continuation edges), and renumber labels. *)
 
-val local_cse : Rs_ir.Func.t -> Rs_ir.Func.t
-(** Local common-subexpression elimination: within a block, a pure
-    instruction recomputing an already-available expression becomes a
-    [Mov] from the earlier result.  Loads are available until the next
-    store (no aliasing information, so any store kills all loads). *)
-
 val optimize : Rs_ir.Func.t -> Rs_ir.Func.t
-(** CSE / constant folding / DCE / block merging / CFG simplification
-    iterated to a (bounded) fixpoint. *)
+(** Constant folding / DCE / block merging / CFG simplification iterated
+    to a (bounded) fixpoint. *)
 
 val inline_calls :
   assume:(int -> bool option) -> Rs_ir.Program.t -> Rs_ir.Program.t * int

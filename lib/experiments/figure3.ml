@@ -16,13 +16,8 @@ let run ctx =
      biased) but are not biased over their whole run.  The profile comes
      from the shared cache (one collection serves figures 2, 3 and 5). *)
   let profile = Cache.profile ctx bm ~input:Ref in
-  (* The scan is read-only over the collected profile, so it splits into
-     stealable chunks; folding the verdict array front-to-back rebuilds
-     the exact candidate list the old sequential loop accumulated. *)
   let verdicts =
-    Rs_util.Pool.map_range (Context.pool ctx) ~cutoff:256 ~lo:0
-      ~hi:(Profile.n_branches profile)
-      (fun b ->
+    Array.init (Profile.n_branches profile) (fun b ->
         let early = Profile.counts_in_window profile b ~window:20_000 in
         let whole = Profile.counts profile b in
         if

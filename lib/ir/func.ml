@@ -72,11 +72,6 @@ let validate t =
     !ok
   end
 
-let sites t =
-  Array.fold_right
-    (fun b acc -> match b.term with Branch { site; _ } -> site :: acc | _ -> acc)
-    t.blocks []
-
 let calls t =
   Array.fold_right
     (fun b acc -> match callee b.term with Some c -> c :: acc | None -> acc)

@@ -41,9 +41,6 @@ val validate : t -> (unit, string) result
 
 val block : t -> label -> block
 
-val sites : t -> int list
-(** All branch-site ids, in block order. *)
-
 val calls : t -> int list
 (** Callee indices of every [Call]/[TailCall], in block order. *)
 

@@ -25,8 +25,6 @@ let uses = function
   | Mov (_, rs) | Addi (_, rs, _) | Cmpi (_, _, rs, _) | Load (_, rs, _) -> [ rs ]
   | Binop (_, _, rs1, rs2) | Cmp (_, _, rs1, rs2) | Store (rs1, rs2, _) -> [ rs1; rs2 ]
 
-let is_store = function Store _ -> true | _ -> false
-
 let eval_binop op a b =
   match op with
   | Add -> a + b

@@ -31,8 +31,6 @@ val def : t -> reg option
 val uses : t -> reg list
 (** Registers read. *)
 
-val is_store : t -> bool
-
 val eval_binop : binop -> int -> int -> int
 val eval_cmp : cmp -> int -> int -> bool
 

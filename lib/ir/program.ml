@@ -41,9 +41,6 @@ let validate t =
 
 let static_size t = Array.fold_left (fun acc f -> acc + Func.static_size f) 0 t.funcs
 
-let sites t =
-  Array.fold_right (fun f acc -> Func.sites f @ acc) t.funcs []
-
 let pp ppf t =
   Format.fprintf ppf "program %s  (%d functions, entry f%d)@." t.name
     (Array.length t.funcs) t.entry;

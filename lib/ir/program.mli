@@ -28,7 +28,4 @@ val validate : t -> (unit, string) result
 val static_size : t -> int
 (** Sum of {!Func.static_size} over all functions. *)
 
-val sites : t -> int list
-(** Branch-site ids of every function, in function order. *)
-
 val pp : Format.formatter -> t -> unit

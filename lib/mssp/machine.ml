@@ -2,10 +2,6 @@ module Prng = Rs_util.Prng
 module Sampler = Rs_behavior.Stream.Sampler
 module Reactive = Rs_core.Reactive
 
-let src = Logs.Src.create "rspec.mssp" ~doc:"MSSP asymmetric-CMP timing simulator"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type stats = {
   mssp_cycles : float;
   baseline_cycles : float;
@@ -248,25 +244,17 @@ let replay (inst : Workload.instance) tape ~params =
     selections := !selections + Reactive.selections controller s;
     evictions := !evictions + Reactive.evictions controller s
   done;
-  (* the log reads the finished record: a closure capturing a clock ref
-     would keep it boxed, allocating on every task's update *)
-  let stats =
-    {
-      mssp_cycles = final;
-      baseline_cycles = tape.baseline_cycles;
-      tasks = inst.spec.tasks;
-      squashes = !squashes;
-      violated_branches = !violated_branches;
-      orig_instrs = !orig_instrs;
-      master_instrs = !master_instrs;
-      baseline_mispredict_rate = tape.baseline_mispredict_rate;
-      evictions = !evictions;
-      selections = !selections;
-    }
-  in
-  Log.debug (fun m ->
-      m "%s: %d tasks, %d squashes, speedup %.2f" inst.spec.name stats.tasks stats.squashes
-        (stats.baseline_cycles /. Float.max final 1.0));
-  stats
+  {
+    mssp_cycles = final;
+    baseline_cycles = tape.baseline_cycles;
+    tasks = inst.spec.tasks;
+    squashes = !squashes;
+    violated_branches = !violated_branches;
+    orig_instrs = !orig_instrs;
+    master_instrs = !master_instrs;
+    baseline_mispredict_rate = tape.baseline_mispredict_rate;
+    evictions = !evictions;
+    selections = !selections;
+  }
 
 let run inst ~seed ~params = replay inst (record inst ~seed) ~params

@@ -54,9 +54,9 @@ val replay : Workload.instance -> tape -> params:Rs_core.Params.t -> stats
     A task allocates only when it deploys a combination of decisions no
     run on the instance has deployed before, which fills a slot of
     {!Region_model.version}'s table: predictor tables and the in-flight
-    ring are flat integer and float arrays.  Region models keep their
-    versions across runs, so an instance must not be replayed on from
-    two domains at once.
+    ring are flat integer and float arrays.  That table belongs to the
+    instance, so an instance must not be replayed on from two domains
+    at once.
     @raise Invalid_argument if the instance's spec differs from the one
     the tape was recorded on. *)
 

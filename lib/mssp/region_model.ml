@@ -61,8 +61,8 @@ let site_ids t = t.site_ids
 
 let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1)
 
-(* Distill the version for a canonical key: site [j] is assumed iff
-   bit [2j] is set, in direction bit [2j+1]. *)
+(* Distill the version for [key]: site [j] is assumed iff bit [2j] is
+   set, in direction bit [2j+1]. *)
 let build t key =
   let k = Array.length t.site_ids in
   let branches = ref [] and mask = ref 0 and bits = ref 0 in
@@ -82,23 +82,10 @@ let build t key =
   let violations = Array.init (1 lsl k) (fun o -> popcount ((o land mask) lxor bits)) in
   { lengths; violations; assumed_mask = mask }
 
-(* A key's first request fills its own slot from the slot of its
-   canonical form (the direction bits of unspeculated sites cleared), so
-   keys that differ only there share one version, distilled once.  The
-   speculate bits of at most 8 sites fit the 0x5555 mask. *)
 let version t ~key =
   match t.versions.(key) with
   | Some v -> v
   | None ->
-    let speculated = key land 0x5555 in
-    let canonical = key land (speculated lor (speculated lsl 1)) in
-    let v =
-      match t.versions.(canonical) with
-      | Some v -> v
-      | None ->
-        let v = build t canonical in
-        t.versions.(canonical) <- Some v;
-        v
-    in
+    let v = build t key in
     t.versions.(key) <- Some v;
     v

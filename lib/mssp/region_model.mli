@@ -6,10 +6,13 @@
     branch sites (a [2^k] table), and lazily does the same for each
     distilled version the dynamic optimizer produces.  Task timing then
     reduces to table lookups.  A version is a pure function of the region
-    and its assumptions, so each region keeps one table of versions, for
-    every run on it: a version is distilled the first time any run
+    and its assumptions, so each region model keeps one table of
+    versions: a version is distilled the first time a run on the model
     deploys its decisions — which is exactly when a real system would
-    re-optimize. *)
+    re-optimize.  [Rs_experiments.Cache.mssp] instantiates a fresh
+    workload per miss, so there the table is shared within one run;
+    only bench's primed [mssp-run] kernel, perfbench's MSSP probe and
+    tests replay one instance more than once. *)
 
 type version = private {
   lengths : int array;
@@ -61,12 +64,9 @@ val version : t -> key:int -> version
 (** The version for the deployed decisions packed in [key], 2 bits per
     site: bit [2j] set iff site [j] (indexing [site_ids]) is assumed,
     bit [2j+1] its assumed direction (the {!Rs_core.Reactive.deployed_code}
-    encoding).  The table has a slot per key; a key's first request fills
-    its slot from the slot of its canonical form (direction bits of
-    unassumed sites cleared), distilling the assumptions in site order
-    only if that slot is empty too.  So keys that differ only in an
-    unassumed site's direction bit return the same version, and after
-    the first request a lookup allocates nothing.  The table is shared
+    encoding).  The table has a slot per key; a key's first request
+    distills the assumptions in site order into its slot, and later
+    requests return that record without allocating.  The table is shared
     by every caller of this region model: a region model must not be
     used from two domains at once.
     @raise Invalid_argument if [key] is not below [4^k], [k] the

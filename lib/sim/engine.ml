@@ -1,10 +1,6 @@
 module Reactive = Rs_core.Reactive
 module Types = Rs_core.Types
 
-let src = Logs.Src.create "rspec.engine" ~doc:"functional speculation simulator"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type result = {
   total_events : int;
   total_instructions : int;
@@ -48,17 +44,8 @@ let run ?(label = "") ?observer ?on_transition ?trace pop config params =
   in
   let controller = Reactive.create ?on_transition ~n_branches:n params in
   let s = Reactive.score () in
-  Log.debug (fun m ->
-      m "run: %d branches, %d events, ipb %.1f%s" n config.Rs_behavior.Stream.length
-        config.instr_per_branch
-        (if trace = None then "" else " (trace replay)"));
   Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace pop config
     (Reactive.step_chunk ?observer controller s);
-  Log.debug (fun m ->
-      m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" s.correct
-        (100.0 *. float_of_int s.correct /. float_of_int config.Rs_behavior.Stream.length)
-        s.incorrect
-        (100.0 *. float_of_int s.incorrect /. float_of_int config.Rs_behavior.Stream.length));
   let total_instructions = Rs_behavior.Stream.total_instructions config in
   let wall = Rs_obs.Trace.now () -. t0 in
   Rs_obs.Metrics.incr m_runs;

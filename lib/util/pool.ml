@@ -2,12 +2,12 @@
 
    Topology: one mutex-guarded list of open jobs, newest first.  A job
    is one [map_range]: an atomic cursor over its elements that hands out
-   [cutoff] of them per claim, so any domain can take the next chunk of
-   any open job without a lock.  The pool's [jobs - 1] worker domains
+   one per claim, so any domain can take the next element of any open
+   job without a lock.  The pool's [jobs - 1] worker domains
    and every waiting caller look for work in one place: the newest open
    job.
 
-   Caller first: a map's caller claims its own job's chunks until none
+   Caller first: a map's caller claims its own job's elements until none
    are left, and only then helps until its elements have all settled.
    Newest first keeps a helper inside the innermost nested map, so
    nesting depth and live memory stay those of a depth-first walk.
@@ -29,9 +29,8 @@ module Metrics = Rs_obs.Metrics
 type job = {
   cursor : int Atomic.t; (* next unclaimed element *)
   size : int;
-  cutoff : int;
   caller : int; (* the mapping domain *)
-  run : int -> int -> unit; (* elements [l, h) *)
+  run : int -> unit; (* one element *)
 }
 
 type t = {
@@ -61,32 +60,32 @@ let wake t =
     Mutex.unlock t.mutex
   end
 
-(* Claim the next chunk of [job] and run it; false once every element
+(* Claim the next element of [job] and run it; false once every element
    is claimed.  Allocates nothing. *)
-let run_chunk job =
-  let l = Atomic.fetch_and_add job.cursor job.cutoff in
-  l < job.size
+let run_next job =
+  let i = Atomic.fetch_and_add job.cursor 1 in
+  i < job.size
   && begin
        if (Domain.self () :> int) <> job.caller then Metrics.incr m_shared;
-       job.run l (min job.size (l + job.cutoff));
+       job.run i;
        true
      end
 
 (* Stands for "no open job", so the search below returns no option. *)
-let no_job = { cursor = Atomic.make 0; size = 0; cutoff = 1; caller = -1; run = (fun _ _ -> ()) }
+let no_job = { cursor = Atomic.make 0; size = 0; caller = -1; run = ignore }
 
 let rec newest_open = function
   | [] -> no_job
   | j :: rest -> if Atomic.get j.cursor < j.size then j else newest_open rest
 
-(* Run a chunk of the newest open job; false when there is none. *)
+(* Run an element of the newest open job; false when there is none. *)
 let help_once t =
   Mutex.lock t.mutex;
   let job = newest_open t.open_jobs in
   Mutex.unlock t.mutex;
   if job == no_job then false
   else begin
-    ignore (run_chunk job : bool);
+    ignore (run_next job : bool);
     true
   end
 
@@ -188,8 +187,7 @@ let exit_map t =
   end
   else Mutex.unlock t.mutex
 
-let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
-  if cutoff < 1 then invalid_arg "Pool.map_range: cutoff must be positive";
+let map_range (type b) t ~lo ~hi (f : int -> b) : b array =
   let n = hi - lo in
   if n <= 0 then [||]
   else begin
@@ -197,34 +195,27 @@ let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
     Fun.protect ~finally:(fun () -> exit_map t) @@ fun () ->
     if t.jobs = 1 || n = 1 then begin
       (* strictly left-to-right in the calling domain *)
-      let first = f lo in
-      let out = Array.make n first in
-      for i = 1 to n - 1 do
-        out.(i) <- f (lo + i)
-      done;
-      out
+      Array.init n (fun i ->
+          Metrics.incr m_tasks;
+          f (lo + i))
     end
     else begin
       let results : b option array = Array.make n None in
       let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
       let remaining = Atomic.make n in
-      let run l h =
-        for i = l to h - 1 do
-          Metrics.incr m_tasks;
-          try results.(i) <- Some (f (lo + i))
-          with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-        done;
-        ignore (Atomic.fetch_and_add remaining (l - h) : int);
+      let run i =
+        Metrics.incr m_tasks;
+        (try results.(i) <- Some (f (lo + i))
+         with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+        ignore (Atomic.fetch_and_add remaining (-1) : int);
         wake t
       in
-      let job =
-        { cursor = Atomic.make 0; size = n; cutoff; caller = (Domain.self () :> int); run }
-      in
+      let job = { cursor = Atomic.make 0; size = n; caller = (Domain.self () :> int); run } in
       Mutex.lock t.mutex;
       t.open_jobs <- job :: t.open_jobs;
       Mutex.unlock t.mutex;
       wake t;
-      while run_chunk job do
+      while run_next job do
         ()
       done;
       (* every element is claimed: nobody can take from the job again *)

@@ -2,12 +2,12 @@
 
     A pool owns [jobs - 1] worker domains and one queue of open maps.
     Each {!map_range} call is a job: an atomic cursor over its elements
-    that hands out [cutoff] of them per claim.  The caller of
+    that hands out one per claim.  The caller of
     {!map_range}/{!map_ordered} is the remaining executor — it claims its
     own elements first, then helps — so a pool sized [jobs] computes
     with exactly [jobs]-way parallelism and a pool sized 1 never spawns a
     domain at all (maps degenerate to strict left-to-right [Array.map],
-    byte-for-byte).  Idle domains take the next chunk of the newest open
+    byte-for-byte).  Idle domains take the next element of the newest open
     job: open maps are the pool's one source of work.
 
     Results are always joined in input order: a pure element function
@@ -16,7 +16,7 @@
     [--jobs]-independence guarantee.
 
     Nested use is supported: a task may itself map on the same pool.
-    While a caller waits for its results it helps — running chunks of
+    While a caller waits for its results it helps — running elements of
     the newest open map — so nesting adds no deadlock and wastes no
     worker.  That join is the pool's only help-while-waiting: a task
     that waits on anything else (a {!Memo} key another domain is
@@ -47,10 +47,11 @@ val create : ?jobs:int -> unit -> t
     1.  Pools are independent; prefer {!shared} for the process-wide
     one. *)
 
-val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
+val map_range : t -> lo:int -> hi:int -> (int -> 'a) -> 'a array
 (** [map_range t ~lo ~hi f] computes [[| f lo; …; f (hi - 1) |]],
-    handing [lo, hi) out to the pool's domains [cutoff] elements
-    (default 1) at a time; each such chunk runs sequentially.  Returns
+    handing [lo, hi) out to the pool's domains one element at a time.
+    Every element run counts in the [pool.tasks] metric, on every pool
+    including [jobs = 1].  Returns
     [[||]] when [hi <= lo].  On a [jobs = 1] pool the range runs
     strictly left to right in the calling domain.
 
@@ -66,7 +67,7 @@ val map_range : t -> ?cutoff:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
 
 val map_ordered : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_ordered t f arr] applies [f] to every element through
-    {!map_range} (cutoff 1) and returns the results in input order.
+    {!map_range} and returns the results in input order.
     Adds the per-element observability of the experiment runner, on
     every pool including [jobs = 1]: a [pool.task] fault-injection site
     keyed by index and task start/stop trace events.  Same error
@@ -89,7 +90,7 @@ val shared : jobs:int -> t
 
 type stats = {
   tasks : int;  (** map elements run *)
-  shared : int;  (** chunks run by a domain other than their map's caller *)
+  shared : int;  (** elements run by a domain other than their map's caller *)
   worker_failures : int;
   suppressed_failures : int;
 }

@@ -218,72 +218,6 @@ let test_simplify_cfg () =
     | _ -> Alcotest.fail "jump no longer reaches ret")
   | _ -> Alcotest.fail "entry shape changed"
 
-let test_local_cse () =
-  let f =
-    {
-      Func.name = "cse";
-      entry = 0;
-      nregs = 8;
-      blocks =
-        [|
-          {
-            Func.body =
-              [|
-                Instr.Load (0, 7, 0);
-                Instr.Binop (Add, 1, 0, 0);
-                Instr.Load (2, 7, 0) (* same load, no store between *);
-                Instr.Binop (Add, 3, 2, 2) (* same expression via the copy *);
-                Instr.Store (7, 3, 1);
-                Instr.Load (4, 7, 0) (* the store kills load availability *);
-                Instr.Store (7, 4, 2);
-                Instr.Store (7, 1, 3);
-              |];
-            term = Func.Ret None;
-          };
-        |];
-    }
-  in
-  let f' = P.local_cse f in
-  (match (Func.block f' 0).body.(2) with
-  | Instr.Mov (2, 0) -> ()
-  | i -> Alcotest.failf "redundant load not CSEd: %s" (Format.asprintf "%a" Instr.pp i));
-  (match (Func.block f' 0).body.(3) with
-  | Instr.Mov (3, 1) -> ()
-  | i -> Alcotest.failf "redundant add not CSEd: %s" (Format.asprintf "%a" Instr.pp i));
-  (match (Func.block f' 0).body.(5) with
-  | Instr.Load (4, 7, 0) -> ()
-  | i -> Alcotest.failf "load across store wrongly CSEd: %s" (Format.asprintf "%a" Instr.pp i));
-  (* the full pipeline then removes the Movs *)
-  let opt = P.optimize (P.apply_assumptions A.empty f) in
-  Alcotest.(check bool) "pipeline shrinks the block" true
-    (Func.static_size opt < Func.static_size f)
-
-let test_cse_respects_redefinition () =
-  let f =
-    {
-      Func.name = "redef";
-      entry = 0;
-      nregs = 4;
-      blocks =
-        [|
-          {
-            Func.body =
-              [|
-                Instr.Binop (Add, 1, 0, 0);
-                Instr.Addi (0, 0, 1) (* source redefined *);
-                Instr.Binop (Add, 2, 0, 0) (* NOT the same expression *);
-                Instr.Store (3, 1, 0);
-                Instr.Store (3, 2, 1);
-              |];
-            term = Func.Ret None;
-          };
-        |];
-    }
-  in
-  match (Func.block (P.local_cse f) 0).body.(2) with
-  | Instr.Binop (Add, 2, 0, 0) -> ()
-  | i -> Alcotest.failf "stale expression reused: %s" (Format.asprintf "%a" Instr.pp i)
-
 let test_block_merging_via_pipeline () =
   (* after assuming every branch, the region collapses into a single
      straight-line block *)
@@ -305,7 +239,16 @@ let test_figure1_distillation () =
     (r.distilled_size <= r.original_size - 4);
   (* the only remaining branch is site 1, and the compare is against an
      immediate 32 (the paper's cmplt r1, 32) *)
-  Alcotest.(check (list int)) "site 0 removed" [ 1 ] (Program.sites r.distilled);
+  let sites =
+    Array.fold_right
+      (fun (f : Func.t) acc ->
+        Array.fold_right
+          (fun (b : Func.block) acc ->
+            match b.term with Func.Branch { site; _ } -> site :: acc | _ -> acc)
+          f.blocks acc)
+      r.distilled.funcs []
+  in
+  Alcotest.(check (list int)) "site 0 removed" [ 1 ] sites;
   let found_cmpi32 = ref false in
   Array.iter
     (fun (b : Func.block) ->
@@ -627,14 +570,12 @@ let suite =
     Alcotest.test_case "dce after approximation (figure 1)" `Quick
       test_dce_path_sensitivity_after_approx;
     Alcotest.test_case "simplify cfg" `Quick test_simplify_cfg;
-    Alcotest.test_case "local cse" `Quick test_local_cse;
-    Alcotest.test_case "cse respects redefinition" `Quick test_cse_respects_redefinition;
     Alcotest.test_case "block merging via pipeline" `Quick test_block_merging_via_pipeline;
     Alcotest.test_case "verify catches wrong code" `Quick test_verify_catches_wrong_code;
-    Alcotest.test_case "figure 1 distillation" `Quick test_figure1_distillation;
     Alcotest.test_case "verify skips inconsistent trials" `Quick
       test_verify_skips_inconsistent_trials;
     Alcotest.test_case "inline calls (exact)" `Quick test_inline_calls;
+    Alcotest.test_case "figure 1 distillation" `Quick test_figure1_distillation;
     Alcotest.test_case "hot/cold split" `Quick test_hot_cold_split;
     Alcotest.test_case "prune dead funcs" `Quick test_prune_dead_funcs;
     Alcotest.test_case "distill program stats" `Quick test_distill_program_stats;

@@ -100,10 +100,14 @@ let test_region_version_semantics () =
     (v.lengths.(0b001) < model.orig_lengths.(0b001));
   Alcotest.(check bool) "a repeated key returns the same version" true
     (RM.version model ~key:0b01_00_11 == v);
-  (* site 1 is not assumed, so its direction bit names the same version:
-     the slot is filled from the canonical key's, not distilled again *)
-  Alcotest.(check bool) "an unassumed site's direction bit is ignored" true
-    (RM.version model ~key:0b01_10_11 == v);
+  (* site 1 is not assumed, so its direction bit changes nothing the
+     version records *)
+  let w = RM.version model ~key:0b01_10_11 in
+  Alcotest.(check (array int)) "an unassumed site's direction bit: lengths" v.lengths w.lengths;
+  Alcotest.(check (array int)) "an unassumed site's direction bit: violations" v.violations
+    w.violations;
+  Alcotest.(check int) "an unassumed site's direction bit: assumed mask" v.assumed_mask
+    w.assumed_mask;
   Alcotest.(check bool) "other assumptions, another version" true
     (RM.version model ~key:0 != v)
 

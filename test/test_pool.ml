@@ -82,7 +82,17 @@ let test_sequential_path () =
       (Array.init 8 (fun i -> i))
   in
   Alcotest.(check (list int)) "strict left-to-right" [ 7; 6; 5; 4; 3; 2; 1; 0 ] !trace;
-  Alcotest.(check (array int)) "identity" (Array.init 8 (fun i -> i)) out
+  Alcotest.(check (array int)) "identity" (Array.init 8 (fun i -> i)) out;
+  (* pool.tasks counts every element, whichever path runs it *)
+  let tasks_of p =
+    let before = (Pool.stats ()).tasks in
+    ignore (Pool.map_range p ~lo:0 ~hi:8 (fun i -> ignore (busy 1_000); i) : int array);
+    (Pool.stats ()).tasks - before
+  in
+  Alcotest.(check int) "jobs 1 counts every element" 8 (tasks_of pool);
+  let pool3 = Pool.create ~jobs:3 () in
+  Fun.protect ~finally:(fun () -> Pool.close pool3) @@ fun () ->
+  Alcotest.(check int) "jobs 3 counts every element" 8 (tasks_of pool3)
 
 (* A failing map re-raises only its lowest-indexed error; the rest must
    be surfaced through the pool.suppressed_failures counter instead of

@@ -24,11 +24,6 @@ let test_map_range_basics () =
   Alcotest.(check (array int)) "empty range" [||] (Pool.map_range pool ~lo:3 ~hi:3 Fun.id);
   Alcotest.(check (array int)) "offset range" [| 9; 16; 25 |]
     (Pool.map_range pool ~lo:3 ~hi:6 (fun i -> i * i));
-  (* a coarse cutoff changes scheduling, never results *)
-  let expect = Array.init 100 (fun i -> i * 3) in
-  Alcotest.(check (array int)) "cutoff 16"
-    expect
-    (Pool.map_range pool ~cutoff:16 ~lo:0 ~hi:100 (fun i -> i * 3));
   Alcotest.(check (array int)) "uneven elements" (Array.init 50 Fun.id)
     (Pool.map_range pool ~lo:0 ~hi:50 (fun i -> ignore (busy 100); i))
 
