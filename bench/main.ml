@@ -28,7 +28,25 @@ let small_pop =
 
 let stream_cfg = { Rs_behavior.Stream.seed = 7; instr_per_branch = 6.0; length = 20_000 }
 
+(* A recording of small_pop's stream, kept as 2-byte cells (64
+   branches, 6 instructions per branch), and the same events packed by
+   [of_events], which keeps int words: the two storage paths. *)
 let small_trace = lazy (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
+
+let small_trace_words =
+  lazy
+    (let open Rs_behavior in
+     let cells = Lazy.force small_trace in
+     Trace_store.of_events ~n_branches:(Trace_store.n_branches cells) ~config:stream_cfg
+       (fun push ->
+         let instr = ref 0 in
+         Trace_store.iter_packed cells (fun chunk len ->
+             for i = 0 to len - 1 do
+               let w = chunk.(i) in
+               instr := !instr + Trace_store.packed_delta w;
+               push ~branch:(Trace_store.packed_branch w) ~taken:(Trace_store.packed_taken w)
+                 ~instr:!instr
+             done)))
 
 (* A benchmark population mixes every behaviour variant, so its stream
    crosses probability change points; [small_pop] is all [Stationary]
@@ -66,8 +84,11 @@ let bench_trace_record () =
   Rs_behavior.Trace_store.length (Rs_behavior.Trace_store.record (Lazy.force small_pop) stream_cfg)
 
 (* the recorded chunk source: decode only — compare against
-   stream-generation *)
+   stream-generation; a cell recording's chunks are widened into one
+   reused buffer, a word trace's are handed over as stored *)
 let bench_trace_replay () = decode_all ~trace:(Lazy.force small_trace) ()
+
+let bench_trace_replay_words () = decode_all ~trace:(Lazy.force small_trace_words) ()
 
 (* The controller kernels' parameters: Table 2's on a clock that fits
    a 20,000-event stream, a 500-execution monitor period and the
@@ -305,6 +326,7 @@ let kernels : (string * (unit -> int)) list =
     ("substrate/stream-generation-mixed", bench_stream_mixed);
     ("substrate/trace-record", bench_trace_record);
     ("substrate/trace-replay", bench_trace_replay);
+    ("substrate/trace-replay-words", bench_trace_replay_words);
     ("runner/pool-map", bench_pool_map);
     ("runner/cached-profile", bench_cached_profile);
     ("runner/parallel-all", bench_parallel_all);
@@ -357,7 +379,7 @@ let measure_kernels () =
   (* prime outside the samples: the first cached-profile call pays the
      collection and would dominate the OLS estimate *)
   ignore (Lazy.force cache_ctx : Rs_experiments.Context.t);
-  ignore (Lazy.force small_trace : Rs_behavior.Trace_store.t);
+  ignore (Lazy.force small_trace_words : Rs_behavior.Trace_store.t);
   ignore (Lazy.force mixed_stream : Rs_behavior.Population.t * Rs_behavior.Stream.config);
   ignore (Lazy.force small_profile : Rs_sim.Profile.t);
   ignore (Lazy.force mssp_tape : Rs_mssp.Machine.tape);

@@ -256,16 +256,19 @@ jq -e --argjson names "$MSSP_ALLOC_KERNELS" '
          '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
        exit 1; }
 # The replay kernels, also read from the exact count: a batched engine
-# run (Reactive.step_chunk; 9 selections, 2 evictions and 5,147 correct
-# speculations over its 20k events), the same run under each of the
-# seven Figure 5 / Table 4 configurations, and a bare packed decode
-# allocate only their per-run setup (199, 1,497 and 12 words at this
-# scale, the same on every run; 222 for the engine run while the
+# run (Reactive.step_cells over a cell recording; 9 selections, 2
+# evictions and 5,147 correct speculations over its 20k events), the
+# same run under each of the seven Figure 5 / Table 4 configurations,
+# and a bare packed decode of a cell recording (its chunks widened into
+# one reused buffer) and of the same events as an of_events word trace
+# allocate only their per-run setup (198, 1,490, 12 and 12 words at
+# this scale, the same on every run; 184 and 1,392 for the first two
+# while every recording was int words, 222 for the engine run while the
 # controller's state was a Bigarray), never per event: a 20k-event run
 # allocating one word per event would read >= 20k, and the seven runs
 # >= 140k.
 REPLAY_ALLOC_BUDGETS='{"figure5+table3+4/reactive-run-replay":500,"substrate/trace-replay":500,
-  "figure5+table3+4/variants-replay":2000}'
+  "substrate/trace-replay-words":500,"figure5+table3+4/variants-replay":2000}'
 jq -e --argjson budgets "$REPLAY_ALLOC_BUDGETS" '
     [.kernels[] | select($budgets[.name] != null)
      | .exact_minor_words_per_run as $w | $w != null and $w <= $budgets[.name]]
@@ -378,6 +381,14 @@ for seed in 3 11; do
     grep -E "^ +${counter//./\\.} +[0-9]+\$" "$SCHED_DIR/j8.err" \
       || { echo "rspec all --metrics printed no $counter line (seed=$seed)" >&2; exit 1; }
   done
+  # Trace memory, a count that repeats exactly: the 12 Ref recordings
+  # are held as 2-byte cells, ~44 MB at this scale (~177 MB as int
+  # words).
+  bytes=$(awk '$1 == "trace_store.bytes" { print $2 }' "$SCHED_DIR/j8.err")
+  [[ -n $bytes && $bytes -le 48000000 ]] \
+    || { echo "rspec all holds ${bytes:-no} trace_store.bytes, want <= 48,000,000 (seed=$seed)" >&2
+         exit 1; }
+  echo "trace store ok at seed=$seed: $bytes bytes"
   # figure7, figure8 and correlation request six controller
   # configurations of each of the 12 MSSP workloads, concurrently at
   # jobs 8; every one replays its workload's single task tape

@@ -3,16 +3,24 @@
    Each event is one OCaml immediate int, the event word {!Stream}
    defines for its generator.  Chunks are plain [int array]s of
    [chunk_size] entries, so a pass touches nothing but flat memory and
-   the GC never scans per-event boxes.  A recording keeps its chunks; a
-   live pass packs into one reused buffer. *)
+   the GC never scans per-event boxes.  A live pass packs into one
+   reused buffer.  A recording keeps its chunks: as the words
+   themselves, or, when every event's branch id and delta are narrow
+   enough, as 2-byte cells that hold the word's low 4 bits (taken and a
+   3-bit delta) under a 12-bit branch id.  Cells are a storage format
+   only: word consumers see them decoded, chunk by chunk, into one
+   reused buffer. *)
 
 let chunk_bits = 15
 let chunk_size = 1 lsl chunk_bits
 
+(* Chunks are all full except possibly the last. *)
+type data = Words of int array array | Cells of Bytes.t array
+
 type t = {
   config : Stream.config;
   n_branches : int;
-  chunks : int array array;  (* all full except possibly the last *)
+  data : data;
   last_len : int;  (* live entries in the final chunk *)
 }
 
@@ -21,9 +29,29 @@ let n_branches t = t.n_branches
 let length t = t.config.Stream.length
 let n_chunks (cfg : Stream.config) = (cfg.length + chunk_size - 1) lsr chunk_bits
 
-(* header word + [chunk_size] value words per chunk, 8 bytes each *)
-let bytes_for cfg = n_chunks cfg * (chunk_size + 1) * 8
-let bytes t = bytes_for t.config
+(* The cell layout: bits 0-3 are the event word's taken bit and
+   delta, bits 4-15 its branch id.  A generated stream's delta is
+   [floor] or [ceil instr_per_branch], so [narrow] decides from the
+   population and config alone whether every event fits. *)
+let cell_branches = 1 lsl 12
+let cell_max_delta = 7
+
+let narrow n_branches (cfg : Stream.config) =
+  n_branches <= cell_branches && Float.ceil cfg.instr_per_branch <= float_of_int cell_max_delta
+
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let[@inline] cell_of_word w = ((w lsr Stream.branch_shift) lsl 4) lor (w land 15)
+let[@inline] word_of_cell c = ((c lsr 4) lsl Stream.branch_shift) lor (c land 15)
+
+(* Heap bytes per chunk, header word included: [chunk_size] value
+   words, or [2 * chunk_size] bytes plus the padding word every
+   [Bytes.t] of a whole number of words carries. *)
+let bytes_for ~narrow cfg =
+  n_chunks cfg * if narrow then ((2 * chunk_size / 8) + 2) * 8 else (chunk_size + 1) * 8
+
+let bytes t = bytes_for ~narrow:(match t.data with Cells _ -> true | Words _ -> false) t.config
 
 let packed_branch = Stream.packed_branch
 let packed_taken = Stream.packed_taken
@@ -46,17 +74,34 @@ let record pop (cfg : Stream.config) =
   let caller = "Trace_store.record" in
   Rs_obs.Fault_hook.hit ~site:"trace_store.record"
     ~key:(Printf.sprintf "seed=%d/len=%d" cfg.seed cfg.length);
-  check_packable ~caller (Population.size pop);
+  let n_branches = Population.size pop in
+  check_packable ~caller n_branches;
   Stream.validate ~caller cfg;
-  let chunks = alloc_chunks cfg in
-  (* each full chunk moves the generator on to the next; exactly
-     [cfg.length] events are generated, so none is written after the
-     final chunk *)
   let next = ref 0 in
-  Stream.generate pop cfg ~buf:chunks.(0) ~emit:(fun _ _ ->
-      incr next;
-      if !next < Array.length chunks then chunks.(!next) else [||]);
-  { config = cfg; n_branches = Population.size pop; chunks; last_len = last_len cfg }
+  let data =
+    if narrow n_branches cfg then begin
+      let cells = Array.init (n_chunks cfg) (fun _ -> Bytes.create (2 * chunk_size)) in
+      Stream.generate pop cfg ~buf:(Array.make (min cfg.length chunk_size) 0) ~emit:(fun buf len ->
+          let c = cells.(!next) in
+          for i = 0 to len - 1 do
+            set16 c (2 * i) (cell_of_word (Array.unsafe_get buf i))
+          done;
+          incr next;
+          buf);
+      Cells cells
+    end
+    else begin
+      let chunks = alloc_chunks cfg in
+      (* each full chunk moves the generator on to the next; exactly
+         [cfg.length] events are generated, so none is written after the
+         final chunk *)
+      Stream.generate pop cfg ~buf:chunks.(0) ~emit:(fun _ _ ->
+          incr next;
+          if !next < Array.length chunks then chunks.(!next) else [||]);
+      Words chunks
+    end
+  in
+  { config = cfg; n_branches; data; last_len = last_len cfg }
 
 let of_events ~n_branches ~(config : Stream.config) emit =
   let caller = "Trace_store.of_events" in
@@ -79,20 +124,37 @@ let of_events ~n_branches ~(config : Stream.config) emit =
         Stream.pack ~branch ~delta ~taken;
       incr count);
   if !count <> config.length then invalid_arg (caller ^ ": fewer events than config.length");
-  { config; n_branches; chunks; last_len = last_len config }
+  { config; n_branches; data = Words chunks; last_len = last_len config }
+
+let chunk_len t c = if c = n_chunks t.config - 1 then t.last_len else chunk_size
 
 let iter_packed t f =
-  let last = Array.length t.chunks - 1 in
-  for c = 0 to last do
-    f t.chunks.(c) (if c = last then t.last_len else chunk_size)
-  done
+  match t.data with
+  | Words chunks ->
+    for c = 0 to Array.length chunks - 1 do
+      f chunks.(c) (chunk_len t c)
+    done
+  | Cells cells ->
+    let buf = Array.make (min (length t) chunk_size) 0 in
+    for c = 0 to Array.length cells - 1 do
+      let cell = cells.(c) and len = chunk_len t c in
+      for i = 0 to len - 1 do
+        Array.unsafe_set buf i (word_of_cell (get16 cell (2 * i)))
+      done;
+      f buf len
+    done
 
-let iter_chunks ?(caller = "Trace_store.iter_chunks") ?trace pop (cfg : Stream.config) f =
+let iter_chunks ?(caller = "Trace_store.iter_chunks") ?trace ?cells pop (cfg : Stream.config) f =
   match trace with
-  | Some t ->
+  | Some t -> (
     if t.config <> cfg || t.n_branches <> Population.size pop then
       invalid_arg (caller ^ ": trace was recorded for a different (population, config)");
-    iter_packed t f
+    match (t.data, cells) with
+    | Cells cs, Some g ->
+      for c = 0 to Array.length cs - 1 do
+        g cs.(c) (chunk_len t c)
+      done
+    | _ -> iter_packed t f)
   | None ->
     check_packable ~caller (Population.size pop);
     Stream.validate ~caller cfg;
@@ -111,8 +173,10 @@ let store : (string * Stream.config, t) Rs_util.Memo.t =
   Rs_util.Memo.create ~budget:(default_capacity_mb * 1024 * 1024) ~size:bytes "trace_store"
 
 let cached ~key pop cfg =
-  Rs_util.Memo.find_if_fits store ~label:key ~bytes:(bytes_for cfg) (key, cfg) (fun () ->
-      record pop cfg)
+  Rs_util.Memo.find_if_fits store ~label:key
+    ~bytes:(bytes_for ~narrow:(narrow (Population.size pop) cfg) cfg)
+    (key, cfg)
+    (fun () -> record pop cfg)
 
 type stats = Rs_util.Memo.stats = {
   hits : int;

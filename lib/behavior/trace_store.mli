@@ -10,6 +10,16 @@
     not depend on which source fed it; a live pass holds one chunk at a
     time, a recording the whole stream.
 
+    A recording of a generated stream stores each event in a 2-byte
+    cell when the population has at most 4,096 branches and
+    [ceil instr_per_branch] is at most 7 (every benchmark at every
+    scale the experiments run): a quarter of the word's 8 bytes.  Any
+    other recording, and every {!of_events} trace, keeps the words.
+    The cells are a storage format, not a second event format: word
+    consumers get each cell chunk decoded into one reused buffer, and
+    only a consumer that asks for cells ({!iter_chunks}'s [cells], the
+    batched engine's) reads them in place.
+
     A recording ({!record}) pays off when the same stream is evaluated
     under many controller parameters (the figure5/table3/table4 sweeps,
     the ablations): the generator runs once and every later pass decodes
@@ -34,7 +44,9 @@ type t
 (** An immutable packed trace. *)
 
 val record : Population.t -> Stream.config -> t
-(** Run the stream generator once and keep every packed chunk.  @raise
+(** Run the stream generator once and keep every packed chunk, as
+    cells when the population and config are narrow enough (above),
+    as words otherwise.  @raise
     Invalid_argument on a config the generator rejects, or on one whose
     events cannot be packed (a [ceil instr_per_branch] of 2^20 or more),
     before any chunk is allocated. *)
@@ -63,7 +75,9 @@ val length : t -> int
 (** Number of events; equals [(config t).length]. *)
 
 val bytes : t -> int
-(** Heap footprint of the packed chunks (the unit of LRU accounting). *)
+(** Heap footprint of the recorded chunks, cells or words (the unit of
+    LRU accounting): about 2 bytes per event for a cell recording, 8
+    for a word one. *)
 
 (** {2 Chunked access}
 
@@ -72,13 +86,19 @@ val bytes : t -> int
     chunk consumer [f chunk len] is called for each chunk in order; only
     the first [len] entries of a chunk are live.  Every chunk but the
     last holds exactly {!chunk_size} events.  The chunk array belongs to
-    the source: a consumer must not keep it past the call. *)
+    the source: a consumer must not keep it past the call (a live
+    source and a cell recording both refill one buffer).
+
+    A cell chunk is a [Bytes.t] whose event [i] is the native-endian
+    16-bit value at byte [2 * i]: bits 0-3 are the word's bits 0-3 (the
+    taken flag and a delta below 8), bits 4-15 its branch id. *)
 
 val chunk_size : int
 
 val iter_chunks :
   ?caller:string ->
   ?trace:t ->
+  ?cells:(Bytes.t -> int -> unit) ->
   Population.t ->
   Stream.config ->
   (int array -> int -> unit) ->
@@ -87,14 +107,17 @@ val iter_chunks :
     without, run the generator for [(population, config)] and hand over
     its events packed into one reused buffer of at most {!chunk_size}
     words, so memory stays bounded by one chunk.  The chunks are
-    identical word for word either way.  [caller] (default
+    identical word for word either way.  When [trace] is a cell
+    recording and [cells] is given, [cells] gets each recorded cell
+    chunk in place of [f]: the same events, undecoded.  [caller] (default
     ["Trace_store.iter_chunks"]) names the entry point in errors.
     @raise Invalid_argument if [trace] was recorded for a different
     config or population size, or on a config the generator rejects or
     whose events cannot be packed. *)
 
 val iter_packed : t -> (int array -> int -> unit) -> unit
-(** The recorded chunks of a trace, in order. *)
+(** The recorded chunks of a trace, in order, as words: a cell
+    recording's chunks decoded one at a time into one reused buffer. *)
 
 val packed_branch : int -> int
 val packed_taken : int -> bool
@@ -102,7 +125,7 @@ val packed_delta : int -> int
 
 (** {2 The process-global LRU}
 
-    A {!Rs_util.Memo} whose values weigh their packed {!bytes} and whose
+    A {!Rs_util.Memo} whose values weigh their recorded {!bytes} and whose
     budget is the capacity.  A recording is a compute body of that memo:
     concurrent requests for one key record it once, a failed recording
     (an injected [trace_store.record] fault, say) is retried in place up
@@ -113,11 +136,12 @@ val packed_delta : int -> int
 val cached : key:string -> Population.t -> Stream.config -> t option
 (** The trace for [(key, config)], recording it on a miss, or [None]
     without recording when a recording of [config] would exceed the
-    capacity (always, at capacity 0): the caller then passes no trace and its
+    capacity (always, at capacity 0; the size is known before recording,
+    cells or words): the caller then passes no trace and its
     consumers generate the stream live.  [key] must identify the
     population (equal keys with equal configs must mean identical
     streams — the caller's contract).  Entries are evicted
-    least-recently-used first whenever the packed bytes held exceed the
+    least-recently-used first whenever the recorded bytes held exceed the
     capacity.
     @raise the recording's exception once every retry has failed. *)
 
@@ -126,7 +150,7 @@ type stats = {
   misses : int;
   evictions : int;
   entries : int;  (** traces currently held *)
-  bytes : int;  (** packed bytes currently held *)
+  bytes : int;  (** recorded bytes currently held *)
 }
 
 val stats : unit -> stats

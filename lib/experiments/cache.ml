@@ -142,7 +142,7 @@ let reset () =
   Memo.clear mssp_tapes;
   Rs_behavior.Trace_store.clear ();
   (* Collect what was just dropped (a suite's recordings alone are
-     ~330 MB at scale 0.02): the major GC may not otherwise run before a
+     ~44 MB at scale 0.02, ~273 MB at 0.25): the major GC may not otherwise run before a
      process that resets starts over, and would hold both generations at
      once; then hand the freed C heap back to the OS (Malloc.trim says
      why). *)

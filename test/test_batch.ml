@@ -160,16 +160,58 @@ let split_run tr params n =
   ( !same && !split_log = !reference_log && Reference.agrees reference controller,
     Reactive.export_words controller )
 
+(* The same events as an [of_events] trace, which keeps int words: a
+   cell recording's twin on the word path. *)
+let words_copy tr = TS.of_events ~n_branches:(TS.n_branches tr) ~config:(TS.config tr) (replay tr)
+
+let cell_case seed n =
+  let pop = mk_pop ~n seed in
+  let cfg = { Stream.seed; instr_per_branch = 5.0; length = 30_000 + (seed mod 3) } in
+  (pop, cfg, gen_params (Prng.create (seed + 7)), TS.record pop cfg)
+
+(* A recording of these streams is a cell recording, so [Reference.check]
+   runs the engine's in-place cell kernel ([Reactive.step_cells]); its
+   word twin runs [step_chunk] over the same events. *)
 let qcheck_batch_equals_scalar =
   QCheck.Test.make ~name:"Reactive.step_chunk == scalar replay through reference FSM" ~count:40
     QCheck.(pair (int_bound 100_000) (int_range 1 10))
     (fun (seed, n) ->
-      let pop = mk_pop ~n seed in
-      let cfg = { Stream.seed; instr_per_branch = 5.0; length = 30_000 + (seed mod 3) } in
-      let params = gen_params (Prng.create (seed + 7)) in
-      let tr = TS.record pop cfg in
+      let pop, _, params, tr = cell_case seed n in
+      let words = words_copy tr in
       let agree, r = check_trace tr pop params in
-      agree && split_run tr params n = (true, Reactive.export_words r.controller))
+      let agree_words, r_words = check_trace words pop params in
+      TS.bytes tr < TS.bytes words
+      && agree && agree_words
+      && Reactive.export_words r_words.controller = Reactive.export_words r.controller
+      && split_run tr params n = (true, Reactive.export_words r.controller))
+
+(* [step_cells] straight over a cell recording's chunks leaves the same
+   score — slow events included — and state words as [step_chunk] over
+   its word twin, on streams whose tiny parameter sets send events down
+   the generic path and misspeculate. *)
+let test_cells_kernel_slow_and_misspec () =
+  List.iter
+    (fun (seed, n) ->
+      let pop, cfg, params, tr = cell_case seed n in
+      let run step =
+        let c = Reactive.create ~n_branches:n params in
+        let s = Reactive.score () in
+        step c s;
+        (s, Reactive.export_words c)
+      in
+      let ((s : Reactive.score), _) as cells =
+        run (fun c s ->
+            TS.iter_chunks ~trace:tr
+              ~cells:(Reactive.step_cells c s)
+              pop cfg
+              (fun _ _ -> Alcotest.fail "a cell recording handed over words"))
+      in
+      let name = Printf.sprintf "seed %d, %d branches" seed n in
+      Alcotest.(check bool) (name ^ ": step_cells == step_chunk on words") true
+        (cells = run (fun c s -> TS.iter_packed (words_copy tr) (Reactive.step_chunk c s)));
+      if s.incorrect = 0 || s.slow <= s.incorrect then
+        Alcotest.failf "%s: %d slow events, %d misspeculations" name s.slow s.incorrect)
+    [ (1, 3); (2, 6); (3, 10); (4, 4); (5, 8) ]
 
 (* ---------------------------------------------------------------------- *)
 (* Kernel exit edges: events on either side of a fast-path boundary       *)
@@ -362,6 +404,30 @@ let test_kernel_guards () =
       Reactive.step_chunk c (Reactive.score ()) [| word ~branch:0 ~delta:5000 ~taken:true |] 1);
   raises_msg "len past the chunk" "Reactive.step_chunk: bad chunk length" (fun () ->
       Reactive.step_chunk c (Reactive.score ()) [||] 1)
+
+(* The cell kernel raises [step_chunk]'s messages on the same faults. *)
+let test_cells_kernel_guards () =
+  let cells l =
+    let b = Bytes.create (2 * List.length l) in
+    List.iteri
+      (fun i (branch, delta, taken) ->
+        Bytes.set_uint16_ne b (2 * i) ((branch lsl 4) lor (delta lsl 1) lor Bool.to_int taken))
+      l;
+    b
+  in
+  let c = Reactive.create ~n_branches:2 Params.default in
+  let s = Reactive.score () in
+  raises_msg "branch >= n" "Reactive.step_chunk: branch out of range" (fun () ->
+      Reactive.step_cells c s (cells [ (1, 7, true); (2, 3, false) ]) 2);
+  Alcotest.(check int) "events before the bad one applied" 7 s.instr;
+  Alcotest.(check bool) "and counted" true (Reactive.touched c 1);
+  let c = Reactive.create ~n_branches:2 Params.default in
+  Reactive.observe c ~branch:0 ~taken:true ~instr:1000;
+  raises_msg "chunk below last_instr"
+    "Reactive.step_chunk: instruction counts must be non-decreasing across calls" (fun () ->
+      Reactive.step_cells c (Reactive.score ()) (cells [ (0, 5, true) ]) 1);
+  raises_msg "len past the cells" "Reactive.step_chunk: bad chunk length" (fun () ->
+      Reactive.step_cells c (Reactive.score ()) (Bytes.create 3) 2)
 
 (* ---------------------------------------------------------------------- *)
 (* Adversarial corners: the workload family built to hammer the FSM's    *)
@@ -645,4 +711,8 @@ let suite =
       test_exhaustive_reachable_states;
     Alcotest.test_case "fast path covers every Figure 5 configuration" `Quick
       test_fast_path_coverage;
+    Alcotest.test_case "cell kernel guards: step_chunk's messages" `Quick
+      test_cells_kernel_guards;
+    Alcotest.test_case "cell kernel == word kernel through slow events and misspeculations"
+      `Quick test_cells_kernel_slow_and_misspec;
   ]

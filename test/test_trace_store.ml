@@ -102,6 +102,57 @@ let qcheck_live_equals_recorded =
       && events_of_chunks ~n recorded = reference_events pop cfg
       && TS.length tr = length)
 
+(* The heap bytes of a recording of [cfg] as 2-byte cells and as int
+   words: [n] chunks of a [2 * chunk_size]-byte [Bytes.t] (its padding
+   word and header) or of [chunk_size] words and a header. *)
+let n_chunks (cfg : Stream.config) = (cfg.length + TS.chunk_size - 1) / TS.chunk_size
+let cell_bytes cfg = n_chunks cfg * ((2 * TS.chunk_size / 8) + 2) * 8
+let word_bytes cfg = n_chunks cfg * (TS.chunk_size + 1) * 8
+
+(* The cell format's boundary: a recording keeps cells up to 4,096
+   branches and [ceil instr_per_branch] 7, int words past either, and
+   either way hands over the live generator's chunks word for word —
+   through [iter_packed], through [iter_chunks], and, decoded from the
+   cells the engine's kernel reads in place, through [iter_chunks
+   ~cells].  The streams reach the last branch id and the largest
+   delta, the cell fields' limits. *)
+let test_cell_format_boundary () =
+  List.iter
+    (fun (n, ipb) ->
+      let pop = mk_pop ~n 5 in
+      let cfg = { Stream.seed = 3; instr_per_branch = ipb; length = TS.chunk_size + 100 } in
+      let name = Printf.sprintf "%d branches, %.1f instr/branch" n ipb in
+      let tr = TS.record pop cfg in
+      let cells = n <= 4096 && ipb <= 7.0 in
+      Alcotest.(check int) (name ^ ": bytes") (if cells then cell_bytes cfg else word_bytes cfg)
+        (TS.bytes tr);
+      let live = chunks_of (TS.iter_chunks pop cfg) in
+      Alcotest.(check bool) (name ^ ": iter_packed == live") true
+        (chunks_of (TS.iter_packed tr) = live);
+      Alcotest.(check bool) (name ^ ": iter_chunks ~trace == live") true
+        (chunks_of (TS.iter_chunks ~trace:tr pop cfg) = live);
+      let via_cells = ref [] and via_words = ref 0 in
+      TS.iter_chunks ~trace:tr
+        ~cells:(fun b len ->
+          via_cells :=
+            Array.init len (fun i ->
+                let c = Bytes.get_uint16_ne b (2 * i) in
+                ((c lsr 4) lsl Stream.branch_shift) lor (c land 15))
+            :: !via_cells)
+        pop cfg
+        (fun _ _ -> incr via_words);
+      if cells then
+        Alcotest.(check bool) (name ^ ": cells decode to the live words") true
+          (!via_words = 0 && List.rev !via_cells = live)
+      else Alcotest.(check int) (name ^ ": no cells from a word recording") 0
+          (List.length !via_cells);
+      let max_of f = List.fold_left (Array.fold_left (fun m w -> max m (f w))) 0 live in
+      Alcotest.(check int) (name ^ ": last branch reached") (n - 1) (max_of TS.packed_branch);
+      Alcotest.(check int) (name ^ ": largest delta reached")
+        (Float.to_int (Float.ceil ipb))
+        (max_of TS.packed_delta))
+    [ (4096, 7.0); (4097, 7.0); (4096, 7.5); (4097, 7.5) ]
+
 let test_engine_replay_equivalence () =
   (* A full engine run off a trace must equal the run off the live
      stream: result counters, last misspeculation, hook sequences. *)
@@ -214,6 +265,18 @@ let test_capacity_too_small () =
       Alcotest.(check bool) "fits: served" true (TS.cached ~key:"k" pop cfg <> None);
       Alcotest.(check int) "fits: held" 1 (TS.stats ()).entries)
 
+(* The store weighs a recording by its real heap size, so a capacity
+   that holds a stream's cells but not its words admits it. *)
+let test_cached_admits_cells () =
+  let pop = mk_pop ~n:4 3 in
+  let cfg = { Stream.seed = 5; instr_per_branch = 3.0; length = (2 * TS.chunk_size) + 9 } in
+  let cap = (cell_bytes cfg + word_bytes cfg) / 2 in
+  with_capacity cap (fun () ->
+      Alcotest.(check bool) "recorded" true (TS.cached ~key:"k" pop cfg <> None);
+      let s = TS.stats () in
+      Alcotest.(check int) "held" 1 s.entries;
+      Alcotest.(check int) "weighed as cells" (cell_bytes cfg) s.bytes)
+
 (* A recording is a compute body of the trace store's memo, so an
    injected [trace_store.record] fault is retried in place wherever the
    lookup comes from — here, from no other compute body at all. *)
@@ -320,4 +383,8 @@ let suite =
     Alcotest.test_case "record refuses a wide delta before allocating" `Quick
       test_record_refuses_delta_before_allocating;
     Alcotest.test_case "figure5 byte-identity" `Slow test_figure5_replay_byte_identity;
+    Alcotest.test_case "cell format boundary: 4096 branches, delta 7" `Quick
+      test_cell_format_boundary;
+    Alcotest.test_case "capacity between cell and word size: recorded" `Quick
+      test_cached_admits_cells;
   ]
