@@ -158,6 +158,11 @@ let bench_profile () =
   let p = Rs_sim.Profile.collect pop stream_cfg in
   Rs_sim.Profile.total_events p
 
+(* the same pass over small_pop's cell recording, read in place *)
+let bench_profile_replay () =
+  let pop = Lazy.force small_pop and trace = Lazy.force small_trace in
+  Rs_sim.Profile.total_events (Rs_sim.Profile.collect ~trace pop stream_cfg)
+
 let small_profile = lazy (Rs_sim.Profile.collect (Lazy.force small_pop) stream_cfg)
 
 let bench_pareto () =
@@ -171,10 +176,23 @@ let bench_tracks () =
   let t = Rs_sim.Tracks.Intervals.collect pop stream_cfg ~buckets:16 ~min_execs:10 in
   List.length (Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99)
 
+(* the same collection over small_pop's cell recording, read in place *)
+let bench_tracks_replay () =
+  let pop = Lazy.force small_pop and trace = Lazy.force small_trace in
+  let t = Rs_sim.Tracks.Intervals.collect ~trace pop stream_cfg ~buckets:16 ~min_execs:10 in
+  List.length (Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99)
+
 let bench_eviction_watch () =
   (* figure6 kernel, the stream generated live *)
   let pop, _ = Lazy.force reversing_stream in
   let w = Rs_sim.Eviction_watch.run pop stream_cfg controller_params in
+  w.samples
+
+(* the same watch over the stream's cell recording: the observer loop
+   over cells *)
+let bench_eviction_watch_replay () =
+  let pop, trace = Lazy.force reversing_stream in
+  let w = Rs_sim.Eviction_watch.run ~trace pop stream_cfg controller_params in
   w.samples
 
 let region =
@@ -311,12 +329,15 @@ let kernels : (string * (unit -> int)) list =
   [
     ("table1+2/workload-build", bench_workload_build);
     ("figure2/profile-pass", bench_profile);
+    ("figure2/profile-pass-replay", bench_profile_replay);
     ("figure2/pareto-curve", bench_pareto);
     ("figure3+9/bias-tracks", bench_tracks);
+    ("figure3+9/bias-tracks-replay", bench_tracks_replay);
     ("figure5+table3+4/reactive-run", bench_reactive_observe);
     ("figure5+table3+4/reactive-run-replay", bench_reactive_replay);
     ("figure5+table3+4/variants-replay", bench_variants_replay);
     ("figure6/eviction-watch", bench_eviction_watch);
+    ("figure6/eviction-watch-replay", bench_eviction_watch_replay);
     ("figure1/distill", bench_distill);
     ("figure1/distill-cfg", bench_distill_cfg);
     ("figure7+8+table5/mssp-build", bench_mssp_build);

@@ -266,9 +266,14 @@ jq -e --argjson names "$MSSP_ALLOC_KERNELS" '
 # while every recording was int words, 222 for the engine run while the
 # controller's state was a Bigarray), never per event: a 20k-event run
 # allocating one word per event would read >= 20k, and the seven runs
-# >= 140k.
+# >= 140k.  So do the replay twins of three live kernels, each reading
+# a cell recording in place: a profile pass, a bias-track collection
+# and the eviction watch (the observer loop over cells; its one flat
+# watch array): 234, 123 and 421 words.
 REPLAY_ALLOC_BUDGETS='{"figure5+table3+4/reactive-run-replay":500,"substrate/trace-replay":500,
-  "substrate/trace-replay-words":500,"figure5+table3+4/variants-replay":2000}'
+  "substrate/trace-replay-words":500,"figure5+table3+4/variants-replay":2000,
+  "figure2/profile-pass-replay":500,"figure3+9/bias-tracks-replay":500,
+  "figure6/eviction-watch-replay":500}'
 jq -e --argjson budgets "$REPLAY_ALLOC_BUDGETS" '
     [.kernels[] | select($budgets[.name] != null)
      | .exact_minor_words_per_run as $w | $w != null and $w <= $budgets[.name]]
@@ -280,8 +285,9 @@ jq -e --argjson budgets "$REPLAY_ALLOC_BUDGETS" '
        exit 1; }
 # The live-generation kernels, from the exact count: a 20k-event run
 # generated and packed chunk by chunk allocates only its per-run setup
-# (generator state, controller, collector tables: 752-1,302 words, the
-# top one the eviction watch with its two watched evictions;
+# (generator state, controller, collector tables: 752-1,161 words, the
+# top one the eviction watch with its two watched evictions, 1,302
+# while it kept three per-branch arrays and a record per watch;
 # 1,477 for the mixed stream's 159-branch gcc population, 802 of it the
 # alias table's construction: its work arrays and one boxed float per
 # threshold; 3,728 and 3,053 while the construction used Queue cells).

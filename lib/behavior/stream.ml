@@ -37,7 +37,28 @@ let packed_delta w = (w lsr 1) land max_delta
 
 (* The generator's per-event draws live in this one module, next to its
    loop: across the [-opaque] module boundaries of the dev build every
-   call is a real one, and each would cost the loop a few percent. *)
+   call is a real one, and each would cost the loop a few percent.
+
+   So do literal copies of {!Prng}'s per-draw arithmetic on raw states
+   — [step], the 62-bit output, [unit_of] and the rejecting [int_of] —
+   which closure conversion inlines into the loop: calls into [Prng]
+   cost the generator about six indirect calls per event.  The
+   generator oracle in the tests draws through [Prng]'s own API, so
+   the copies cannot drift silently. *)
+
+let[@inline] step s =
+  let s = s lxor (s lsl 13) in
+  let s = s lxor (s lsr 7) in
+  let s = s lxor (s lsl 17) in
+  if s = 0 then 0x9E3779B97F4A7C1 else s
+
+let[@inline] bits62_of s = (s * 0x2545F4914F6CDD1D) land max_int
+let[@inline] unit_of s = bits62_of s lsr 9
+
+let[@inline] int_of s bound =
+  let r = bits62_of s in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then -1 else v
 
 module Alias = struct
   (* Entry [i]'s acceptance threshold ({!Prng.threshold} of its
@@ -141,7 +162,15 @@ module Sampler = struct
     s.state.(o + 3) <- Behavior.exec_change m ~exec_index;
     s.state.(o + 4) <- Behavior.instr_change m ~instr
 
-  let[@inline] next s b ~instr =
+  (* The outcome as a bit, with no branch on anything random.  The
+     thresholds [Prng.bernoulli] decides without a draw, -1 (p <= 0)
+     and [max_int] (p >= 1), must leave the generator where it is, so
+     the stepped state is stored under a mask that is all ones only
+     for a threshold in [0, max_int).  The outcome needs no mask: as
+     in {!Alias.pick}, [unit - threshold] cannot overflow and its sign
+     is [unit < threshold], which is false at -1 and true at [max_int]
+     whatever [unit] is. *)
+  let[@inline] next_bit s b ~instr =
     let st = s.state and o = stride * b in
     (* the one checked read: [o + 4] in bounds means [b] is a branch *)
     let instr_at = st.(o + 4) in
@@ -150,14 +179,13 @@ module Sampler = struct
     if exec_index >= Array.unsafe_get st (o + 3) || instr >= instr_at then
       refresh s b ~exec_index ~instr;
     let th = Array.unsafe_get st (o + 2) in
-    (* the thresholds [Prng.bernoulli] decides without a draw *)
-    if th < 0 then false
-    else if th = max_int then true
-    else begin
-      let r = Prng.step (Array.unsafe_get st o) in
-      Array.unsafe_set st o r;
-      Prng.unit_of r < th
-    end
+    let old = Array.unsafe_get st o in
+    let r = step old in
+    let draws = (lnot th land (th - max_int)) asr 62 in
+    Array.unsafe_set st o (old lxor ((old lxor r) land draws));
+    ((unit_of r - th) asr 62) land 1
+
+  let next s b ~instr = next_bit s b ~instr = 1
 
   let rng_state s b = s.state.(stride * b)
 end
@@ -183,11 +211,11 @@ let generate pop config ~buf ~emit =
   for _ = 1 to config.length do
     let i = ref (-1) in
     while !i < 0 do
-      s := Prng.step !s;
-      i := Prng.int_of !s n
+      s := step !s;
+      i := int_of !s n
     done;
-    s := Prng.step !s;
-    let branch = Alias.choose alias !i (Prng.unit_of !s) in
+    s := step !s;
+    let branch = Alias.choose alias !i (unit_of !s) in
     let delta =
       let c = Array.unsafe_get carry 0 +. frac in
       if c >= 1.0 then begin
@@ -200,8 +228,8 @@ let generate pop config ~buf ~emit =
       end
     in
     instr := !instr + delta;
-    let taken = Sampler.next outcomes branch ~instr:!instr in
-    Array.unsafe_set !buf !pos (pack ~branch ~delta ~taken);
+    let taken = Sampler.next_bit outcomes branch ~instr:!instr in
+    Array.unsafe_set !buf !pos ((branch lsl branch_shift) lor (delta lsl 1) lor taken);
     incr pos;
     if !pos = Array.length !buf then begin
       buf := emit !buf !pos;

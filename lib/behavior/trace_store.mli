@@ -15,10 +15,13 @@
     [ceil instr_per_branch] is at most 7 (every benchmark at every
     scale the experiments run): a quarter of the word's 8 bytes.  Any
     other recording, and every {!of_events} trace, keeps the words.
-    The cells are a storage format, not a second event format: word
-    consumers get each cell chunk decoded into one reused buffer, and
-    only a consumer that asks for cells ({!iter_chunks}'s [cells], the
-    batched engine's) reads them in place.
+    The cells are a storage format, not a second event format.  A
+    consumer that asks for cells ({!iter_chunks}'s [cells]) reads them
+    in place: every functional pass does — the engine's kernel with or
+    without an observer, the profile and bias-track collectors, the
+    mistraining experiment's static-damage count.  Word consumers (the
+    reference FSM's differential check, {!iter_packed}) get each cell
+    chunk decoded into one reused buffer.
 
     A recording ({!record}) pays off when the same stream is evaluated
     under many controller parameters (the figure5/table3/table4 sweeps,
@@ -117,7 +120,10 @@ val iter_chunks :
 
 val iter_packed : t -> (int array -> int -> unit) -> unit
 (** The recorded chunks of a trace, in order, as words: a cell
-    recording's chunks decoded one at a time into one reused buffer. *)
+    recording's chunks decoded one at a time into one reused buffer.
+    Its one library caller is the serve client's [send_trace], whose
+    wire format carries words; every other pass over a recording goes
+    through {!iter_chunks}. *)
 
 val packed_branch : int -> int
 val packed_taken : int -> bool

@@ -513,7 +513,8 @@ external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 
 let word_of_cell c = ((c lsr cell_branch_shift) lsl branch_shift) lor (c land 15)
 
-(* One event's fast-path step, shared by both spans below.  An event
+(* One event's fast-path step, shared by the spans and the observer
+   loops below.  An event
    takes the fast path when its branch is in range, it did not
    misspeculate, no pending deployment activates at [at], its
    instruction count, and its new scratch A stays inside its table
@@ -522,7 +523,7 @@ let word_of_cell c = ((c lsr cell_branch_shift) lsl branch_shift) lor (c land 15
    deployed — the same as [observe_state] on any state the FSM can
    reach — and the result is that speculation (0 or 1).  Any other
    event returns -1 and changes nothing.  Closure conversion inlines it
-   into each span, so no call remains in either loop (the object code
+   into each loop, so no call remains in either span (the object code
    holds only the GC poll) and the spans' refs stay unboxed locals. *)
 let[@inline] fast_event state tbl n ~branch ~taken ~at =
   if branch >= n then -1
@@ -615,19 +616,39 @@ let slow_event t s w =
   s.slow <- s.slow + 1;
   score_event s ~taken ~instr code
 
-(* The observer's loop: each event is handed to [f] with the decision
-   it runs under, then applied as the hookless loop would, one event at
-   a time.  An out-of-range branch reaches [slow_event], which raises,
-   without a call to [f]. *)
+(* One event of the observer's loops: it is handed to [f] with the
+   decision it runs under, then stepped through [fast_event] as the
+   hookless spans step it, inline, so the observer's closure is the
+   loop's only call.  The result is [fast_event]'s: on -1 the event
+   has changed nothing and the loop sends it to [slow_event], which
+   raises on an out-of-range branch — one [f] never saw. *)
+let[@inline] observed_event s f state tbl n ~branch ~taken ~at =
+  if branch < n then
+    f ~branch ~taken:(taken = 1) ~instr:at
+      ~code:((Array.unsafe_get state ((branch * slots) + s_ctrl) lsr dep_shift) land 3);
+  let spec = fast_event state tbl n ~branch ~taken ~at in
+  if spec >= 0 then begin
+    s.correct <- s.correct + spec;
+    s.instr <- at
+  end;
+  spec
+
 let observe_chunk t s f chunk len =
+  let state = t.state and tbl = t.fast and n = t.n_branches in
   for i = 0 to len - 1 do
     let w = Array.unsafe_get chunk i in
-    let branch = w lsr branch_shift in
-    if branch < t.n_branches then
-      f ~branch ~taken:(w land 1 = 1)
-        ~instr:(s.instr + ((w lsr 1) land delta_mask))
-        ~code:((get t ((branch * slots) + s_ctrl) lsr dep_shift) land 3);
-    if fast_span t s chunk i (i + 1) = i then slow_event t s w
+    let at = s.instr + ((w lsr 1) land delta_mask) in
+    if observed_event s f state tbl n ~branch:(w lsr branch_shift) ~taken:(w land 1) ~at < 0 then
+      slow_event t s w
+  done
+
+let observe_cells t s f cells len =
+  let state = t.state and tbl = t.fast and n = t.n_branches in
+  for i = 0 to len - 1 do
+    let c = get16 cells (2 * i) in
+    let at = s.instr + ((c lsr 1) land cell_delta_mask) in
+    if observed_event s f state tbl n ~branch:(c lsr cell_branch_shift) ~taken:(c land 1) ~at < 0
+    then slow_event t s (word_of_cell c)
   done
 
 (* Deltas are unsigned, so every event's instr is at least [s.instr]:
@@ -649,11 +670,14 @@ let step_chunk ?observer t s chunk len =
     done);
   set_last_instr t s.instr
 
-let step_cells t s cells len =
+let step_cells ?observer t s cells len =
   check_chunk t s len (Bytes.length cells / 2);
-  let i = ref (cells_span t s cells 0 len) in
-  while !i < len do
-    slow_event t s (word_of_cell (get16 cells (2 * !i)));
-    i := cells_span t s cells (!i + 1) len
-  done;
+  (match observer with
+  | Some f -> observe_cells t s f cells len
+  | None ->
+    let i = ref (cells_span t s cells 0 len) in
+    while !i < len do
+      slow_event t s (word_of_cell (get16 cells (2 * !i)));
+      i := cells_span t s cells (!i + 1) len
+    done);
   set_last_instr t s.instr

@@ -59,7 +59,8 @@ val observe : t -> branch:int -> taken:bool -> instr:int -> unit
     The simulator's one per-event loop: whole packed chunks through the
     controller in one call, scored in place, with or without an
     observer; {!step_cells} is the same loop over a recording's 2-byte
-    cells. *)
+    cells.  With an observer, the observer's closure is the loop's only
+    call: the fast path runs inline after it. *)
 
 type score = {
   mutable instr : int;  (** Instruction count after the last event. *)
@@ -116,14 +117,20 @@ val step_chunk :
     have been applied, and without a call to [observer]), or [s.instr]
     is below the previous call's instruction count. *)
 
-val step_cells : t -> score -> Bytes.t -> int -> unit
-(** [step_cells t s cells len] is {!step_chunk} without an observer
-    over the first [len] events of a [Rs_behavior.Trace_store] cell
-    chunk: event [i] is the native-endian 16-bit value at byte [2 * i],
-    whose bits 0-3 are the event word's (taken, a 3-bit delta) and bits
-    4-15 its branch id.  It decodes each cell in place and leaves [t]
-    and [s] exactly as [step_chunk] leaves them on the same events as
-    words.
+val step_cells :
+  ?observer:(branch:int -> taken:bool -> instr:int -> code:int -> unit) ->
+  t ->
+  score ->
+  Bytes.t ->
+  int ->
+  unit
+(** [step_cells t s cells len] is {!step_chunk} over the first [len]
+    events of a [Rs_behavior.Trace_store] cell chunk: event [i] is the
+    native-endian 16-bit value at byte [2 * i], whose bits 0-3 are the
+    event word's (taken, a 3-bit delta) and bits 4-15 its branch id.
+    It decodes each cell in place and leaves [t] and [s], and makes the
+    [observer] calls, exactly as [step_chunk] does on the same events
+    as words.
     @raise Invalid_argument with [step_chunk]'s messages, on the same
     conditions ([len] outside [Bytes.length cells / 2]). *)
 

@@ -28,20 +28,29 @@ let strengths = [ 0.9; 0.7; 0.4 ]
 (* A static (profile-trained, never-revisited) policy speculates every
    victim execution in the trained direction forever; its damage is just
    the count of poisoned outcomes.  The training phases are perfectly
-   biased, so the victim's first outcome {e is} the trained direction. *)
-let static_damage trace ~n_victims =
+   biased, so the victim's first outcome {e is} the trained direction.
+   A cell recording is read in place (bits 4-15 the branch id, bit 0
+   the outcome), a word one as stored. *)
+let static_damage ~trace pop cfg ~n_victims =
   let trained = Array.make n_victims 0 in
   (* 0 = unseen, 1 = trained taken, 2 = trained not-taken *)
   let damage = ref 0 in
-  TS.iter_packed trace (fun chunk len ->
+  let event br taken =
+    if br < n_victims then
+      match trained.(br) with
+      | 0 -> trained.(br) <- 2 - taken
+      | d -> if taken <> 2 - d then incr damage
+  in
+  TS.iter_chunks ~caller:"Mistrain_exp.static_damage" ~trace pop cfg
+    ~cells:(fun cells len ->
+      for i = 0 to len - 1 do
+        let c = Bytes.get_uint16_ne cells (2 * i) in
+        event (c lsr 4) (c land 1)
+      done)
+    (fun chunk len ->
       for i = 0 to len - 1 do
         let w = Array.unsafe_get chunk i in
-        let br = TS.packed_branch w in
-        if br < n_victims then
-          let taken = TS.packed_taken w in
-          match trained.(br) with
-          | 0 -> trained.(br) <- (if taken then 1 else 2)
-          | d -> if taken <> (d = 1) then incr damage
+        event (TS.packed_branch w) (w land 1)
       done);
   !damage
 
@@ -89,7 +98,7 @@ let run (ctx : Context.t) =
           mean_q_instrs = mean snd;
           predicted_evict_execs = MT.evict_execs params ~strength;
           reactive_damage;
-          static_damage = static_damage trace ~n_victims;
+          static_damage = static_damage ~trace b.population b.config ~n_victims;
           differential_ok;
         })
       (Array.of_list configs)

@@ -44,9 +44,10 @@ let run ?(label = "") ?observer ?on_transition ?trace pop config params =
   in
   let controller = Reactive.create ?on_transition ~n_branches:n params in
   let s = Reactive.score () in
-  (* Without an observer, a cell recording is stepped in place. *)
-  let cells = match observer with None -> Some (Reactive.step_cells controller s) | Some _ -> None in
-  Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace ?cells pop config
+  (* A cell recording is stepped in place, with or without an observer. *)
+  Rs_behavior.Trace_store.iter_chunks ~caller:"Engine.run" ?trace
+    ~cells:(Reactive.step_cells ?observer controller s)
+    pop config
     (Reactive.step_chunk ?observer controller s);
   let total_instructions = Rs_behavior.Stream.total_instructions config in
   let wall = Rs_obs.Trace.now () -. t0 in

@@ -9,11 +9,12 @@
     {!Rs_behavior.Trace_store.iter_chunks} — a recorded trace, or the
     generator packing live — and are never materialized as values.
     Every run hands each chunk to {!Rs_core.Reactive.step_chunk} — or,
-    for a cell recording and no observer, each cell chunk to
-    {!Rs_core.Reactive.step_cells}, which decodes the cells in place —
-    so the per-event work is integer decode, the controller step and
-    integer scoring in one loop — nothing the minor heap ever sees — with the
-    observer closure, when there is one, the only call in it.  Each run
+    for a cell recording, with or without an observer, each cell chunk
+    to {!Rs_core.Reactive.step_cells}, which decodes the cells in
+    place — so the per-event work is integer decode, the controller
+    step and integer scoring in one loop — nothing the minor heap ever
+    sees — with the observer closure, when there is one, the only call
+    in it.  Each run
     adds the events that left the kernel's fast path to the
     [engine.slow_events] counter. *)
 
@@ -38,9 +39,9 @@ val run :
   Rs_behavior.Stream.config ->
   Rs_core.Params.t ->
   result
-(** Run to completion.  [observer] sees every event after it is scored
-    and before the controller observes it, as plain integers with the
-    decision it was scored against in {!Rs_core.Reactive.deployed_code}'s
+(** Run to completion.  [observer] sees every event before it is
+    scored and before the controller observes it, as plain integers with
+    the decision it is scored against in {!Rs_core.Reactive.deployed_code}'s
     2-bit [code] (bit 0 speculate, bit 1 direction); [on_transition]
     fires at every controller transition.  Both default to no-ops.
     [label] (default empty) tags this run's {!Rs_obs.Trace} events —

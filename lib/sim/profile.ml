@@ -23,6 +23,30 @@ let window_index t window =
   in
   go 0
 
+(* The event layouts, decoded inline: under the dev profile's [-opaque]
+   each [Trace_store.packed_*] accessor would be a call per event.  A
+   word is bit 0 taken, bits 21+ the branch id; a cell (a recording's
+   2-byte event) is bit 0 taken, bits 4-15 the branch id, read with the
+   trace store's native-endian 16-bit load.  The figure2 golden and the
+   cell-versus-word profile test pin both. *)
+let branch_shift = 21
+let cell_branch_shift = 4
+
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
+(* One event of branch [b] with outcome bit [tk], shared by the word
+   and cell loops: the per-branch execution index is reconstructed with
+   its own counters, and the outcome counted without a branch on it. *)
+let[@inline] count_event ~execs ~taken ~window_taken ~next_window ~windows ~n_windows ~n b tk =
+  let e = Array.unsafe_get execs b in
+  Array.unsafe_set execs b (e + 1);
+  Array.unsafe_set taken b (Array.unsafe_get taken b + tk);
+  let nw = Array.unsafe_get next_window b in
+  if nw < n_windows && e + 1 = Array.unsafe_get windows nw then begin
+    Array.unsafe_set window_taken ((nw * n) + b) (Array.unsafe_get taken b);
+    Array.unsafe_set next_window b (nw + 1)
+  end
+
 let collect ?(windows = Static.windows) ?trace pop config =
   Array.iteri
     (fun i w ->
@@ -34,24 +58,21 @@ let collect ?(windows = Static.windows) ?trace pop config =
   let taken = Array.make n 0 in
   let window_taken = Array.make (n_windows * n) (-1) in
   let next_window = Array.make n 0 in
-  (* One decode loop over packed chunks, on plain integers only; the
-     per-branch execution index is reconstructed with its own counters. *)
   let execs = Array.make n 0 in
+  (* one loop per layout, on plain integers only: a cell recording is
+     read in place *)
   Rs_behavior.Trace_store.iter_chunks ~caller:"Profile.collect" ?trace pop config
+    ~cells:(fun cells len ->
+      for i = 0 to len - 1 do
+        let c = get16 cells (2 * i) in
+        count_event ~execs ~taken ~window_taken ~next_window ~windows ~n_windows ~n
+          (c lsr cell_branch_shift) (c land 1)
+      done)
     (fun chunk len ->
       for i = 0 to len - 1 do
         let w = Array.unsafe_get chunk i in
-        let b = Rs_behavior.Trace_store.packed_branch w in
-        let e = Array.unsafe_get execs b in
-        Array.unsafe_set execs b (e + 1);
-        (* bit 0 of the packed word is the outcome: count it without a
-           branch on it *)
-        Array.unsafe_set taken b (Array.unsafe_get taken b + (w land 1));
-        let nw = Array.unsafe_get next_window b in
-        if nw < n_windows && e + 1 = Array.unsafe_get windows nw then begin
-          Array.unsafe_set window_taken ((nw * n) + b) (Array.unsafe_get taken b);
-          Array.unsafe_set next_window b (nw + 1)
-        end
+        count_event ~execs ~taken ~window_taken ~next_window ~windows ~n_windows ~n
+          (w lsr branch_shift) (w land 1)
       done);
   (* Branches that never reached a checkpoint: the "window" is their whole
      life, so a window-trained policy sees exactly their full counts. *)

@@ -1,15 +1,36 @@
-(* The packed event layout (bit 0 taken, bits 1-20 instruction delta,
-   bits 21+ branch id), decoded inline: under the dev profile's
+(* The packed event layouts, decoded inline: under the dev profile's
    [-opaque] each [Trace_store.packed_*] accessor would be a call per
-   event.  The figure3 and figure9 goldens pin what both collectors
-   compute from it. *)
+   event.  A word is bit 0 taken, bits 1-20 the instruction delta, bits
+   21+ the branch id; a cell (a recording's 2-byte event, read with the
+   trace store's native-endian 16-bit load) is bit 0 taken, bits 1-3
+   the delta, bits 4-15 the branch id.  Each collector runs one
+   [@inline] per-event body from a word loop and a cell loop.  The
+   figure3 and figure9 goldens pin what both collectors compute, and
+   the cell-versus-word tests pin the two loops to each other. *)
 let delta_mask = (1 lsl 20) - 1
 let branch_shift = 21
+let cell_delta_mask = 7
+let cell_branch_shift = 4
+
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 
 module Exec_blocks = struct
   type t = { block : int; series : (int, (int * float) list ref) Hashtbl.t }
 
   type acc = { mutable seen : int; mutable taken : int; mutable blocks : (int * float) list }
+
+  let[@inline] event accs ~block b tk =
+    match Array.unsafe_get accs b with
+    | None -> ()
+    | Some a ->
+      a.taken <- a.taken + tk;
+      a.seen <- a.seen + 1;
+      if a.seen = block then begin
+        let idx = List.length a.blocks in
+        a.blocks <- (idx, float_of_int a.taken /. float_of_int block) :: a.blocks;
+        a.seen <- 0;
+        a.taken <- 0
+      end
 
   let collect ?trace pop config ~branches ~block =
     if block <= 0 then invalid_arg "Exec_blocks.collect: block must be positive";
@@ -26,20 +47,15 @@ module Exec_blocks = struct
         accs.(b) <- Some { seen = 0; taken = 0; blocks = [] })
       branches;
     Rs_behavior.Trace_store.iter_chunks ~caller:"Exec_blocks.collect" ?trace pop config
+      ~cells:(fun cells len ->
+        for i = 0 to len - 1 do
+          let c = get16 cells (2 * i) in
+          event accs ~block (c lsr cell_branch_shift) (c land 1)
+        done)
       (fun chunk len ->
         for i = 0 to len - 1 do
           let w = Array.unsafe_get chunk i in
-          match Array.unsafe_get accs (w lsr branch_shift) with
-          | None -> ()
-          | Some a ->
-            a.taken <- a.taken + (w land 1);
-            a.seen <- a.seen + 1;
-            if a.seen = block then begin
-              let idx = List.length a.blocks in
-              a.blocks <- (idx, float_of_int a.taken /. float_of_int block) :: a.blocks;
-              a.seen <- 0;
-              a.taken <- 0
-            end
+          event accs ~block (w lsr branch_shift) (w land 1)
         done);
     let series = Hashtbl.create 16 in
     List.iter
@@ -68,6 +84,20 @@ module Intervals = struct
     taken : int array;
   }
 
+  (* The cursor: the instruction count, the current bucket's row
+     offset and the instruction count that starts the next bucket. *)
+  type cursor = { mutable instr : int; mutable row : int; mutable next : int }
+
+  let[@inline] event execs taken cur ~n ~width ~last_row b ~delta tk =
+    cur.instr <- cur.instr + delta;
+    while cur.instr >= cur.next do
+      cur.row <- cur.row + n;
+      cur.next <- (if cur.row = last_row then max_int else cur.next + width)
+    done;
+    let j = cur.row + b in
+    Array.unsafe_set execs j (Array.unsafe_get execs j + 1);
+    Array.unsafe_set taken j (Array.unsafe_get taken j + tk)
+
   let collect ?trace pop config ~buckets ~min_execs =
     if buckets <= 0 then invalid_arg "Intervals.collect: buckets must be positive";
     let n = Rs_behavior.Population.size pop in
@@ -79,20 +109,20 @@ module Intervals = struct
        its row offset [k * n] and advanced when [instr] reaches the next
        boundary — there is none after the last bucket — instead of a
        division per event. *)
-    let instr = ref 0 and row = ref 0 in
-    let next = ref (if buckets > 1 then width else max_int) in
+    let cur = { instr = 0; row = 0; next = (if buckets > 1 then width else max_int) } in
+    let last_row = (buckets - 1) * n in
     Rs_behavior.Trace_store.iter_chunks ~caller:"Intervals.collect" ?trace pop config
+      ~cells:(fun cells len ->
+        for i = 0 to len - 1 do
+          let c = get16 cells (2 * i) in
+          event execs taken cur ~n ~width ~last_row (c lsr cell_branch_shift)
+            ~delta:((c lsr 1) land cell_delta_mask) (c land 1)
+        done)
       (fun chunk len ->
         for i = 0 to len - 1 do
           let w = Array.unsafe_get chunk i in
-          instr := !instr + ((w lsr 1) land delta_mask);
-          while !instr >= !next do
-            row := !row + n;
-            next := if !row = (buckets - 1) * n then max_int else !next + width
-          done;
-          let j = !row + (w lsr branch_shift) in
-          Array.unsafe_set execs j (Array.unsafe_get execs j + 1);
-          Array.unsafe_set taken j (Array.unsafe_get taken j + (w land 1))
+          event execs taken cur ~n ~width ~last_row (w lsr branch_shift)
+            ~delta:((w lsr 1) land delta_mask) (w land 1)
         done);
     { buckets; min_execs; n; execs; taken }
 

@@ -50,21 +50,10 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
 
-(** {2 Raw states}
-
-    The int-level steps behind every draw, for hot loops that keep
-    generator states in locals or flat [int array]s. *)
+(** {2 Raw states} *)
 
 val state : t -> int
-(** [t]'s raw state. *)
-
-val step : int -> int
-(** One xorshift transition of a raw state. *)
-
-val unit_of : int -> int
-(** The {!unit_bits} of a generator that has just stepped to this
-    state. *)
-
-val int_of : int -> int -> int
-(** [int_of s bound] is the {!int} draw of a generator that has just
-    stepped to [s], or -1 when {!int} rejects it and steps again. *)
+(** [t]'s raw state: what a hot loop that keeps generator states in
+    locals or flat [int array]s starts from ([Rs_behavior.Stream]'s
+    generator, whose inlined copy of the per-draw arithmetic steps it
+    exactly as the draws above do). *)

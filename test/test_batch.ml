@@ -678,6 +678,56 @@ let test_fast_path_coverage () =
     Rs_workload.Benchmark.all;
   Printf.printf "worst fast-path exit share: %.2f%% (%s)\n%!" (100.0 *. fst !worst) (snd !worst)
 
+(* ---------------------------------------------------------------------- *)
+(* The observer over cells                                                 *)
+(* ---------------------------------------------------------------------- *)
+
+(* [Engine.run ~observer] steps a cell recording in place and its
+   [of_events] word twin as words: the same observer calls (a digest of
+   branch, taken, instr and code, in order), the same score and the same
+   state words, on streams that misspeculate and leave the fast path. *)
+let test_observer_cells_equals_words () =
+  List.iter
+    (fun (seed, n) ->
+      let pop, cfg, params, tr = cell_case seed n in
+      let run trace =
+        let digest = ref 0 and calls = ref 0 in
+        let observer ~branch ~taken ~instr ~code =
+          incr calls;
+          digest :=
+            (!digest * 1_000_003)
+            + (((((branch * 2) + Bool.to_int taken) * 4) + code) lxor (instr * 31))
+        in
+        let r = Rs_sim.Engine.run ~observer ~trace pop cfg params in
+        ( (!digest, !calls),
+          (r.correct, r.incorrect, r.last_misspec),
+          Reactive.export_words r.controller )
+      in
+      let name = Printf.sprintf "seed %d, %d branches" seed n in
+      let ((_, calls), (_, incorrect, _), _) as cells = run tr in
+      Alcotest.(check bool) (name ^ ": observer over cells == over words") true
+        (cells = run (words_copy tr));
+      Alcotest.(check int) (name ^ ": one call per event") cfg.length calls;
+      if incorrect = 0 then Alcotest.failf "%s: no misspeculation" name)
+    [ (1, 3); (2, 6); (3, 10); (4, 4); (5, 8) ]
+
+(* The cell observer loop raises [step_chunk]'s message on an
+   out-of-range branch after applying the events before it, without
+   handing the bad event to the observer. *)
+let test_observer_cells_guard () =
+  let b = Bytes.create 4 in
+  Bytes.set_uint16_ne b 0 ((1 lsl 4) lor (7 lsl 1) lor 1);
+  Bytes.set_uint16_ne b 2 ((2 lsl 4) lor (3 lsl 1));
+  let c = Reactive.create ~n_branches:2 Params.default in
+  let s = Reactive.score () in
+  let seen = ref [] in
+  let observer ~branch ~taken:_ ~instr ~code:_ = seen := (branch, instr) :: !seen in
+  raises_msg "branch >= n" "Reactive.step_chunk: branch out of range" (fun () ->
+      Reactive.step_cells ~observer c s b 2);
+  Alcotest.(check (list (pair int int))) "observer saw only the good event" [ (1, 7) ] !seen;
+  Alcotest.(check int) "events before the bad one applied" 7 s.instr;
+  Alcotest.(check bool) "and counted" true (Reactive.touched c 1)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -715,4 +765,8 @@ let suite =
       test_cells_kernel_guards;
     Alcotest.test_case "cell kernel == word kernel through slow events and misspeculations"
       `Quick test_cells_kernel_slow_and_misspec;
+    Alcotest.test_case "observer over cells == observer over words" `Quick
+      test_observer_cells_equals_words;
+    Alcotest.test_case "cell observer guard: step_chunk's message, no observer call" `Quick
+      test_observer_cells_guard;
   ]

@@ -366,6 +366,156 @@ let test_figure5_replay_byte_identity () =
       let replayed = render (default_bytes) in
       Alcotest.(check string) "figure5 via replay == via live generation" live replayed)
 
+(* ---------------------------------------------------------------------- *)
+(* The generator against a reference written with Prng's public API       *)
+(* ---------------------------------------------------------------------- *)
+
+(* [reference_events] as packed words, each delta the step between
+   consecutive instruction counts. *)
+let reference_words pop cfg =
+  let events, _ = reference_events pop cfg in
+  let last = ref 0 in
+  List.map
+    (fun (branch, taken, _, instr) ->
+      let delta = instr - !last in
+      last := instr;
+      Stream.pack ~branch ~delta ~taken)
+    events
+
+(* Every behaviour variant, probabilities 0 and 1 included: those are
+   the outcomes the generator decides without a draw, leaving the
+   branch's generator where it is. *)
+let gen_behavior =
+  let open QCheck.Gen in
+  let p = oneof [ return 0.0; return 1.0; float_bound_inclusive 1.0 ] in
+  oneof
+    [
+      map (fun p -> B.Stationary p) p;
+      map2 (fun threshold first -> B.Flip_at { threshold; first }) (int_range 0 300) bool;
+      map
+        (fun l -> B.Phases (Array.of_list l))
+        (list_size (int_range 1 3)
+           (map2 (fun length p_taken -> { B.length; p_taken }) (int_range 1 200) p));
+      map3
+        (fun region p_first p_second -> B.Periodic { region; p_first; p_second })
+        (int_range 0 100) p p;
+      map
+        (fun l ->
+          let until = ref 0 in
+          B.Global_phases
+            (Array.of_list
+               (List.map
+                  (fun (step, gp_taken) ->
+                    until := !until + step;
+                    { B.until_instr = !until; gp_taken })
+                  l)))
+        (list_size (int_range 1 3) (pair (int_range 1 4_000) p));
+    ]
+
+type oracle_case = { o_seed : int; specs : (B.t * float) list; o_length : int; ipb : float }
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let length =
+    oneof [ int_range 1 3_000; map (fun d -> TS.chunk_size + d) (int_range (-1) 1) ]
+  in
+  map
+    (fun (o_seed, specs, o_length, ipb) -> { o_seed; specs; o_length; ipb })
+    (quad (int_bound 10_000)
+       (list_size (int_range 1 6) (pair gen_behavior (float_range 0.1 3.0)))
+       length
+       (float_range 1.0 7.0))
+
+let print_oracle_case c =
+  Printf.sprintf "seed=%d length=%d ipb=%h branches=%d" c.o_seed c.o_length c.ipb
+    (List.length c.specs)
+
+(* The one generator loop, word for word, against the readable
+   reference: the pick stream is the seed's first split and each
+   branch's outcomes its own later split, every event is [Alias.draw],
+   then the fractional carry, then [Prng.bernoulli] of the behaviour's
+   [p_taken] — Prng's public API only, none of the generator's inlined
+   copies of its arithmetic.  Live chunks and a cell recording's cells,
+   decoded, both match. *)
+let qcheck_generator_oracle =
+  QCheck.Test.make ~name:"Stream.generate == Prng-API reference, word for word" ~count:150
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun c ->
+      let pop =
+        Pop.create
+          (Array.of_list (List.mapi (fun id (behavior, weight) -> { Pop.id; behavior; weight }) c.specs))
+      in
+      let cfg = { Stream.seed = c.o_seed; instr_per_branch = c.ipb; length = c.o_length } in
+      let expected = reference_words pop cfg in
+      let live = List.concat_map Array.to_list (chunks_of (TS.iter_chunks pop cfg)) in
+      let tr = TS.record pop cfg in
+      let cells = ref [] in
+      TS.iter_chunks ~trace:tr
+        ~cells:(fun b len ->
+          for i = 0 to len - 1 do
+            let c = Bytes.get_uint16_ne b (2 * i) in
+            cells := (((c lsr 4) lsl Stream.branch_shift) lor (c land 15)) :: !cells
+          done)
+        pop cfg
+        (fun _ _ -> QCheck.Test.fail_report "a cell recording handed over words");
+      TS.bytes tr = cell_bytes cfg && live = expected && List.rev !cells = expected)
+
+(* ---------------------------------------------------------------------- *)
+(* Profile and Tracks: cells, words and live generation agree             *)
+(* ---------------------------------------------------------------------- *)
+
+(* A recording's events again, packed by [of_events], which keeps int
+   words whatever the population. *)
+let words_twin tr =
+  TS.of_events ~n_branches:(TS.n_branches tr) ~config:(TS.config tr) (fun push ->
+      let instr = ref 0 in
+      TS.iter_packed tr (fun chunk len ->
+          for i = 0 to len - 1 do
+            let w = chunk.(i) in
+            instr := !instr + TS.packed_delta w;
+            push ~branch:(TS.packed_branch w) ~taken:(TS.packed_taken w) ~instr:!instr
+          done))
+
+(* Each collector reads a cell recording in place and words as stored;
+   at the cell format's boundary (4,096 branches, delta 7, and one past
+   each) the cell, word and live passes give equal results.  The
+   windows, blocks and buckets are small enough that every checkpoint,
+   block end and bucket boundary is crossed. *)
+let test_collectors_cells_words_live () =
+  List.iter
+    (fun (n, ipb) ->
+      let pop = mk_pop ~n 5 in
+      let cfg = { Stream.seed = 3; instr_per_branch = ipb; length = TS.chunk_size + 100 } in
+      let name = Printf.sprintf "%d branches, %.1f instr/branch" n ipb in
+      let tr = TS.record pop cfg in
+      let words = words_twin tr in
+      let sources = [ ("cells", Some tr); ("words", Some words); ("live", None) ] in
+      let same what f =
+        match List.map (fun (src, trace) -> (src, f trace)) sources with
+        | [] -> ()
+        | (_, first) :: rest ->
+          List.iter
+            (fun (src, r) ->
+              Alcotest.(check bool) (Printf.sprintf "%s: %s over %s" name what src) true (r = first))
+            rest
+      in
+      let windows = [| 1; 2; 5; 9 |] in
+      same "Profile.collect" (fun trace ->
+          let p = Rs_sim.Profile.collect ~windows ?trace pop cfg in
+          List.init n (fun b ->
+              ( Rs_sim.Profile.counts p b,
+                Array.map (fun window -> Rs_sim.Profile.counts_in_window p b ~window) windows )));
+      let branches = [ 0; 1; n / 2; n - 1; n + 3 ] in
+      same "Exec_blocks.collect" (fun trace ->
+          let t = Rs_sim.Tracks.Exec_blocks.collect ?trace pop cfg ~branches ~block:10 in
+          List.map (Rs_sim.Tracks.Exec_blocks.series t) branches);
+      same "Intervals.collect" (fun trace ->
+          let t = Rs_sim.Tracks.Intervals.collect ?trace pop cfg ~buckets:7 ~min_execs:1 in
+          List.map
+            (fun threshold -> Rs_sim.Tracks.Intervals.flippers t ~threshold)
+            [ 0.5; 0.7; 0.99 ]))
+    [ (4096, 7.0); (4097, 7.0); (4096, 7.5); (64, 2.5) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_live_equals_recorded;
@@ -387,4 +537,7 @@ let suite =
       test_cell_format_boundary;
     Alcotest.test_case "capacity between cell and word size: recorded" `Quick
       test_cached_admits_cells;
+    QCheck_alcotest.to_alcotest qcheck_generator_oracle;
+    Alcotest.test_case "Profile and Tracks: cells == words == live" `Quick
+      test_collectors_cells_words_live;
   ]
